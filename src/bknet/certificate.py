@@ -186,28 +186,29 @@ def schedule_constants(L: float, c: float) -> CertificateConstants:
     u = (-2 * L + math.sqrt(4 * L * L + math.pi * c)) / (2 * math.pi)
     while 2 * L / M > u / 2:
         M *= 10
-    m = u - 2 * L / M
-    # Claim 2 at half strength: 2L sqrt(l^2+l) = m/2
-    B = (m / (4 * L)) ** 2
-    l = (-1.0 + math.sqrt(1.0 + 4.0 * B)) / 2.0
-    beta = 1.0 / (2 * M + 2)
-    k = beta * l / 4.0
-    # Claim 1 boundary term 2L/(N*A) = 2L^2/N held to a quarter of beta*l
-    N = max(11, math.ceil(8 * L * L / (beta * l)))
-    mu = c / (8 * L * L)
-    eps = 0.5 * mu / N ** 2
-    return CertificateConstants(L=L, c=c, N=N, M=M, k=k, l=l, m=m, mu=mu, eps=eps)
+    return _complete_constants(L, c, None, M, u - 2 * L / M)
 
 
 def toy_constants(L: float = 2.0, c: float = 1.0, N: int = 4, M: int = 2) -> CertificateConstants:
     """Small-N constants for desk-scale runs.  The k, l, m values follow
     the scheduler's formulas but nothing at this scale certifies; use
     schedule_constants for a feasible tuple."""
-    m = c / (16 * L)
+    return _complete_constants(L, c, N, M, c / (16 * L))
+
+
+def _complete_constants(L: float, c: float, N: int | None, M: int,
+                        m: float) -> CertificateConstants:
+    """Derive l, k, mu and eps from (L, c, N, M, m) by the scheduler's
+    formulas.  N=None picks the smallest N >= 11 for which the Claim 1
+    boundary term takes at most a quarter of the pigeonhole slack."""
+    # Claim 2 at half strength: 2L sqrt(l^2+l) = m/2
     B = (m / (4 * L)) ** 2
     l = (-1.0 + math.sqrt(1.0 + 4.0 * B)) / 2.0
     beta = 1.0 / (2 * M + 2)
     k = beta * l / 4.0
+    if N is None:
+        # Claim 1 boundary term 2L/(N*A) = 2L^2/N held to a quarter of beta*l
+        N = max(11, math.ceil(8 * L * L / (beta * l)))
     mu = c / (8 * L * L)
     eps = 0.5 * mu / N ** 2
     return CertificateConstants(L=L, c=c, N=N, M=M, k=k, l=l, m=m, mu=mu, eps=eps)

@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import certificate, density, hierarchy, netbuild, plmap, search, svgplot
 from .geometry import Rect
 
@@ -37,14 +35,16 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_density(path: str) -> density.DensityField:
+def _load(path: str, parse, what: str):
+    """parse(text of the file); a missing or malformed file is a
+    validation error."""
     try:
         with open(path) as fh:
-            return density.field_from_json(fh.read())
+            return parse(fh.read())
     except FileNotFoundError as exc:
         raise ValidationError(f"missing file: {path}") from exc
     except (ValueError, KeyError) as exc:
-        raise ValidationError(f"malformed density file {path}: {exc}") from exc
+        raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def _json_dump(doc) -> str:
@@ -53,31 +53,27 @@ def _json_dump(doc) -> str:
 
 def cmd_gen_density(args) -> int:
     if args.kind == "checkerboard":
-        if args.N is None or args.c is None:
-            raise ValidationError("checkerboard needs --N and --c")
+        if args.N is None:
+            raise ValidationError("checkerboard needs --N")
         field = density.make_checkerboard(args.N, args.c)
     elif args.kind == "hierarchy":
-        if args.L is None or args.c is None or args.depth is None:
-            raise ValidationError("hierarchy needs --L, --c, --depth")
+        if args.L is None or args.depth is None:
+            raise ValidationError("hierarchy needs --L and --depth")
         consts = certificate.toy_constants(args.L, args.c,
                                            N=args.N or 4, M=args.M or 2)
         field, _ = hierarchy.build_hierarchy(args.L, args.c, args.depth, consts)
-    elif args.kind == "limit":
-        if args.c is None:
-            raise ValidationError("limit needs --c")
+    else:
         squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1),
                          2.0 ** -k, 2.0 ** -k), k)
                    for k in range(1, (args.depth or 2) + 1)]
         field = hierarchy.assemble_limit_density(args.c, squares)
-    else:
-        raise ValidationError(f"unknown density kind '{args.kind}'")
     _write_or_print(density.field_to_json(field) + "\n", args.out)
     return 0
 
 
 def _build_net(args) -> tuple[netbuild.NetPlan, netbuild.Net]:
-    field = _load_density(args.density)
-    if args.K is None or args.K < 0:
+    field = _load(args.density, density.field_from_json, "density")
+    if args.K < 0:
         raise ValidationError("--K must be a non-negative integer")
     plan = netbuild.make_plan(field, args.K)
     return plan, netbuild.build_net(plan)
@@ -113,25 +109,13 @@ def cmd_check_net(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.L is None or args.c is None:
-        raise ValidationError("schedule needs --L and --c")
     consts = certificate.schedule_constants(args.L, args.c)
     _write_or_print(_json_dump(certificate.feasibility_report(consts)), args.out)
     return 0
 
 
 def cmd_certify(args) -> int:
-    if not args.infile:
-        raise ValidationError("certify needs --in PLMAP.json")
-    try:
-        with open(args.infile) as fh:
-            m = plmap.plmap_from_json(fh.read())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"missing file: {args.infile}") from exc
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(f"malformed map file: {exc}") from exc
-    if args.L is None or args.c is None or args.N is None or args.M is None:
-        raise ValidationError("certify needs --L --c --N --M")
+    m = _load(args.infile, plmap.plmap_from_json, "map")
     consts = certificate.toy_constants(args.L, args.c, N=args.N, M=args.M)
     grid = certificate.marked_grid(args.N, args.M)
     rep = certificate.evaluate_stretch(m, grid, consts)
@@ -147,20 +131,9 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _load_points_csv(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            pts, _ = netbuild.net_from_csv(fh.read())
-        return pts
-    except FileNotFoundError as exc:
-        raise ValidationError(f"missing file: {path}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"malformed points file {path}: {exc}") from exc
-
-
 def cmd_distort(args) -> int:
-    X = _load_points_csv(args.x)
-    Y = _load_points_csv(args.y)
+    X, _ = _load(args.x, netbuild.net_from_csv, "points")
+    Y, _ = _load(args.y, netbuild.net_from_csv, "points")
     from . import distortion
     if args.greedy:
         res = distortion.greedy_distortion(X, Y, restarts=args.restarts,
@@ -174,9 +147,6 @@ def cmd_distort(args) -> int:
 
 
 def cmd_search(args) -> int:
-    for name in ("L", "c", "N", "M"):
-        if getattr(args, name) is None:
-            raise ValidationError(f"search needs --{name}")
     consts = certificate.toy_constants(args.L, args.c, N=args.N, M=args.M)
     field = density.make_checkerboard(args.N, args.c)
     res = search.search_min_stretch(field, consts, args.budget, args.seed)
@@ -195,77 +165,58 @@ def cmd_search(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if not args.infile:
-        raise ValidationError("plot needs --in FILE")
     if args.kind == "net":
-        pts, tags = netbuild.net_from_csv(open(args.infile).read())
-        svg = svgplot.net_svg(pts, tags)
-    elif args.kind == "map":
-        m = plmap.plmap_from_json(open(args.infile).read())
-        svg = svgplot.plmap_svg(m)
+        svg = svgplot.net_svg(*_load(args.infile, netbuild.net_from_csv, "net"))
     else:
-        raise ValidationError(f"unknown plot kind '{args.kind}'")
+        svg = svgplot.plmap_svg(_load(args.infile, plmap.plmap_from_json, "map"))
     _write_or_print(svg, args.out)
     return 0
+
+
+# flag -> add_argument keywords; every subcommand also takes --out
+_FLAGS = {
+    "L": {"type": float},
+    "c": {"type": float},
+    "N": {"type": int},
+    "M": {"type": int},
+    "K": {"type": int},
+    "depth": {"type": int},
+    "seed": {"type": int, "default": 0},
+    "budget": {"type": int, "default": 1000},
+    "restarts": {"type": int, "default": 8},
+    "window": {},
+    "density": {},
+    "in": {"dest": "infile"},
+    "x": {},
+    "y": {},
+    "greedy": {"action": "store_true"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bknet")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
-        sp.add_argument("--L", type=float)
-        sp.add_argument("--c", type=float)
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--M", type=int)
-        sp.add_argument("--K", type=int)
-        sp.add_argument("--depth", type=int)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=1000)
-        sp.add_argument("--restarts", type=int, default=8)
-        sp.add_argument("--window", type=str)
-        sp.add_argument("--in", dest="infile", type=str)
-        sp.add_argument("--out", type=str)
+    def add(name, func, required=(), optional=(), kinds=None):
+        sp = sub.add_parser(name)
+        if kinds:
+            sp.add_argument("kind", choices=kinds)
+        for flag in required:
+            sp.add_argument(f"--{flag}", required=True, **_FLAGS[flag])
+        for flag in optional:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        sp.add_argument("--out")
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("gen-density")
-    sp.add_argument("kind", choices=["checkerboard", "hierarchy", "limit"])
-    common(sp)
-    sp.set_defaults(func=cmd_gen_density)
-
-    sp = sub.add_parser("gen-net")
-    sp.add_argument("--density", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_gen_net)
-
-    sp = sub.add_parser("check-net")
-    sp.add_argument("--density", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_check_net)
-
-    sp = sub.add_parser("schedule")
-    common(sp)
-    sp.set_defaults(func=cmd_schedule)
-
-    sp = sub.add_parser("certify")
-    common(sp)
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("distort")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--greedy", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_distort)
-
-    sp = sub.add_parser("search")
-    common(sp)
-    sp.set_defaults(func=cmd_search)
-
-    sp = sub.add_parser("plot")
-    sp.add_argument("kind", choices=["net", "map"])
-    common(sp)
-    sp.set_defaults(func=cmd_plot)
-
+    add("gen-density", cmd_gen_density, ["c"], ["L", "N", "M", "depth"],
+        kinds=["checkerboard", "hierarchy", "limit"])
+    add("gen-net", cmd_gen_net, ["density", "K"], ["window"])
+    add("check-net", cmd_check_net, ["density", "K"], ["window"])
+    add("schedule", cmd_schedule, ["L", "c"])
+    add("certify", cmd_certify, ["in", "L", "c", "N", "M"])
+    add("distort", cmd_distort, ["x", "y"], ["greedy", "restarts", "seed"])
+    add("search", cmd_search, ["L", "c", "N", "M"], ["budget", "seed"])
+    add("plot", cmd_plot, ["in"], kinds=["net", "map"])
     return p
 
 
@@ -280,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

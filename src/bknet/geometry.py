@@ -100,9 +100,5 @@ class Similarity:
         x1, y1 = self.apply(r.x1, r.y1)
         return Rect(x0, y0, x1, y1)
 
-    def inverse(self) -> "Similarity":
-        s = 1.0 / self.scale
-        return Similarity(s, -self.tx * s, -self.ty * s)
-
 
 UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)

@@ -10,7 +10,6 @@ materialized lazily per query window.
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -124,6 +123,23 @@ class Net:
         return allp, np.concatenate(tags)
 
 
+def _square_cells(plan: NetPlan, k: int):
+    """Yield (i, j, T, integral) for the m x m cells T of schedule entry k
+    (1-based), integrating the reciprocal density transplanted onto the
+    square."""
+    e = plan.schedule[k - 1]
+    dom = plan.density.domain
+    scale = e.side / dom.width
+    phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
+    rho_k = reciprocal_transplant(plan.density, phi)
+    cell = e.side / e.m
+    for i in range(e.m):
+        for j in range(e.m):
+            T = Rect(e.square.x0 + i * cell, e.square.y0 + j * cell,
+                     e.square.x0 + (i + 1) * cell, e.square.y0 + (j + 1) * cell)
+            yield i, j, T, rho_k.integrate(T)
+
+
 def build_net(plan: NetPlan) -> Net:
     """Fill each scheduled square: the reciprocal density is transplanted
     onto the square, the square is cut into m^2 cells, and each cell gets
@@ -132,27 +148,19 @@ def build_net(plan: NetPlan) -> Net:
     tags = []
     counts = []
     for idx, e in enumerate(plan.schedule, start=1):
-        dom = plan.density.domain
-        scale = e.side / dom.width
-        phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
-        rho_k = reciprocal_transplant(plan.density, phi)
-        m = e.m
-        cell = e.side / m
-        n_arr = np.zeros((m, m), dtype=int)
-        for i in range(m):
-            for j in range(m):
-                T = Rect(e.square.x0 + i * cell, e.square.y0 + j * cell,
-                         e.square.x0 + (i + 1) * cell, e.square.y0 + (j + 1) * cell)
-                n = int(math.floor(math.sqrt(rho_k.integrate(T))))
-                if n == 0:
-                    raise ValueError(f"empty cell in square {idx}: plan invariant violated")
-                n_arr[i, j] = n
-                step = cell / n
-                ux = T.x0 + step * (np.arange(n) + 0.5)
-                uy = T.y0 + step * (np.arange(n) + 0.5)
-                gx, gy = np.meshgrid(ux, uy, indexing="ij")
-                points.append(np.column_stack([gx.ravel(), gy.ravel()]))
-                tags.append(np.full(n * n, idx, dtype=int))
+        cell = e.side / e.m
+        n_arr = np.zeros((e.m, e.m), dtype=int)
+        for i, j, T, integral in _square_cells(plan, idx):
+            n = int(math.floor(math.sqrt(integral)))
+            if n == 0:
+                raise ValueError(f"empty cell in square {idx}: plan invariant violated")
+            n_arr[i, j] = n
+            step = cell / n
+            ux = T.x0 + step * (np.arange(n) + 0.5)
+            uy = T.y0 + step * (np.arange(n) + 0.5)
+            gx, gy = np.meshgrid(ux, uy, indexing="ij")
+            points.append(np.column_stack([gx.ravel(), gy.ravel()]))
+            tags.append(np.full(n * n, idx, dtype=int))
         counts.append(n_arr)
     if points:
         allp = np.vstack(points)
@@ -180,11 +188,10 @@ def check_separation(net: Net, window: Rect) -> float:
     return float(d[:, 1].min())
 
 
-def check_covering(net: Net, window: Rect, step: float = 1.0 / 64.0) -> float:
+def check_covering(net: Net, window: Rect) -> float:
     """Covering radius under-approximation: max distance to the net over a
-    sample grid of the given step (additive error <= step * sqrt(2)/2)."""
-    if step > 1.0 / 64.0:
-        raise ValueError("step must be <= 1/64")
+    sample grid of step 1/64 (additive error <= sqrt(2)/128)."""
+    step = 1.0 / 64.0
     radius = 2.0 * max(1.0, net.max_cell_spacing) + 2.0
     big = Rect(window.x0 - radius, window.y0 - radius,
                window.x1 + radius, window.y1 + radius)
@@ -210,32 +217,21 @@ def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
     |count - target| <= 2 sqrt(target) + 1."""
     if not (1 <= k <= len(plan.schedule)):
         raise ValueError("k outside schedule")
-    e = plan.schedule[k - 1]
-    dom = plan.density.domain
-    scale = e.side / dom.width
-    phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
-    rho_k = reciprocal_transplant(plan.density, phi)
-    m = e.m
-    cell = e.side / m
     n_arr = net.counts[k - 1]
     out = []
-    for i in range(m):
-        for j in range(m):
-            T = Rect(e.square.x0 + i * cell, e.square.y0 + j * cell,
-                     e.square.x0 + (i + 1) * cell, e.square.y0 + (j + 1) * cell)
-            target = rho_k.integrate(T)
-            count = int(n_arr[i, j]) ** 2
-            out.append({
-                "cell": (T.x0, T.y0, T.x1, T.y1),
-                "count": count,
-                "target": target,
-                "error": abs(count - target),
-            })
+    for i, j, T, target in _square_cells(plan, k):
+        count = int(n_arr[i, j]) ** 2
+        out.append({
+            "cell": (T.x0, T.y0, T.x1, T.y1),
+            "count": count,
+            "target": target,
+            "error": abs(count - target),
+        })
     return out
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON I/O
+# CSV I/O
 
 def net_to_csv(points: np.ndarray, tags: np.ndarray) -> str:
     buf = io.StringIO()
@@ -257,9 +253,3 @@ def net_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
         tags.append(0 if st == "background" else int(st))
     return np.array(pts).reshape(-1, 2), np.array(tags, dtype=int)
 
-
-def plan_to_json(density_ref: str, K: int, k0: int | None = None) -> str:
-    doc = {"density_ref": density_ref, "K": K}
-    if k0 is not None:
-        doc["k0"] = k0
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -46,16 +46,11 @@ class PLMap:
 
     def triangles(self) -> np.ndarray:
         """Vertex-index triples; two per cell, lower then upper."""
-        tris = []
-        for j in range(self.ny):
-            for i in range(self.nx):
-                v00 = self.vidx(i, j)
-                v10 = self.vidx(i + 1, j)
-                v01 = self.vidx(i, j + 1)
-                v11 = self.vidx(i + 1, j + 1)
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-        return np.array(tris, dtype=int)
+        w = self.nx + 1
+        v00 = np.arange(self.ny)[:, None] * w + np.arange(self.nx)
+        # lower (v00, v10, v11), upper (v00, v11, v01)
+        offsets = np.array([[0, 1, w + 1], [0, w + 1, w]])
+        return (v00.reshape(-1, 1, 1) + offsets).reshape(-1, 3)
 
     def __call__(self, p) -> np.ndarray:
         """Evaluate at a point of the domain (piecewise-affine interpolation)."""
@@ -91,7 +86,6 @@ class PLMetrics:
     lip_inv: float
     mismatch_area: float        # area where |det - density| > tolerance
     cell_image_areas: np.ndarray  # (ny, nx) signed image areas
-    triangle_ref_areas: np.ndarray
 
 
 def _differentials(m: PLMap) -> np.ndarray:
@@ -116,54 +110,55 @@ def _differentials(m: PLMap) -> np.ndarray:
     return D
 
 
+def _jacobians(m: PLMap) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant and largest singular value of every triangle's
+    differential, in closed form."""
+    D = _differentials(m)
+    dets = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
+    frob2 = (D ** 2).sum(axis=(1, 2))
+    disc = np.sqrt(np.maximum(frob2 ** 2 - 4.0 * dets ** 2, 0.0))
+    return dets, np.sqrt((frob2 + disc) / 2.0)
+
+
+def _centroid_densities(field: DensityField, nx: int, ny: int) -> np.ndarray:
+    """Density at every triangle centroid of the nx x ny grid on the
+    field's domain, in triangles() order: the lower triangle of cell (i,j)
+    has its centroid at (x_i + 2dx/3, y_j + dy/3), the upper at
+    (x_i + dx/3, y_j + 2dy/3)."""
+    dom = field.domain
+    dx = dom.width / nx
+    dy = dom.height / ny
+    rho = []
+    for j in range(ny):
+        y0 = dom.y0 + dom.height * j / ny
+        for i in range(nx):
+            x0 = dom.x0 + dom.width * i / nx
+            for cx, cy in ((x0 + 2 * dx / 3, y0 + dy / 3), (x0 + dx / 3, y0 + 2 * dy / 3)):
+                rho.append(field.value_at(min(cx, dom.x1), min(cy, dom.y1)))
+    return np.array(rho)
+
+
 def pl_metrics(m: PLMap, field: DensityField) -> PLMetrics:
     """Per-triangle Jacobians, global Lipschitz constants, mismatch area
     against the density, and per-cell image areas."""
     if field.domain != m.domain:
         raise ValueError("density domain must equal map domain")
-    D = _differentials(m)
-    dets = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
+    dets, smax = _jacobians(m)
     if np.any(np.abs(dets) < 1e-300):
         raise DegenerateTriangleError("degenerate triangle in map")
-
-    frob2 = (D ** 2).sum(axis=(1, 2))
-    disc = np.sqrt(np.maximum(frob2 ** 2 - 4.0 * dets ** 2, 0.0))
-    smax = np.sqrt((frob2 + disc) / 2.0)
     smin = np.abs(dets) / smax
-    lip = float(smax.max())
-    lip_inv = float((1.0 / smin).max())
 
     dx = m.domain.width / m.nx
     dy = m.domain.height / m.ny
     tri_area = dx * dy / 2.0
-    ref_areas = np.full(len(dets), tri_area)
-
-    # centroids: lower tri of cell (i,j) at (x_i + 2dx/3, y_j + dy/3); upper
-    # at (x_i + dx/3, y_j + 2dy/3)
-    mism = 0.0
-    idx = 0
-    cell_areas = np.empty((m.ny, m.nx))
-    for j in range(m.ny):
-        for i in range(m.nx):
-            x0, y0 = m.grid_x(i), m.grid_y(j)
-            for t in range(2):
-                if t == 0:
-                    cx, cy = x0 + 2 * dx / 3, y0 + dy / 3
-                else:
-                    cx, cy = x0 + dx / 3, y0 + 2 * dy / 3
-                rho = field.value_at(min(cx, field.domain.x1), min(cy, field.domain.y1))
-                if abs(dets[idx + t] - rho) > JAC_MATCH_TOL:
-                    mism += tri_area
-            cell_areas[j, i] = (dets[idx] + dets[idx + 1]) * tri_area
-            idx += 2
-
+    rho = _centroid_densities(field, m.nx, m.ny)
+    mismatched = int(np.count_nonzero(np.abs(dets - rho) > JAC_MATCH_TOL))
     return PLMetrics(
         dets=dets,
-        lip=lip,
-        lip_inv=lip_inv,
-        mismatch_area=mism,
-        cell_image_areas=cell_areas,
-        triangle_ref_areas=ref_areas,
+        lip=float(smax.max()),
+        lip_inv=float((1.0 / smin).max()),
+        mismatch_area=mismatched * tri_area,
+        cell_image_areas=(dets[0::2] + dets[1::2]).reshape(m.ny, m.nx) * tri_area,
     )
 
 

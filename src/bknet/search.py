@@ -15,7 +15,7 @@ import numpy as np
 
 from .certificate import CertificateConstants, StretchReport, evaluate_stretch, marked_grid
 from .density import DensityField
-from .plmap import PLMap, identity_map, pl_metrics, _differentials
+from .plmap import PLMap, _centroid_densities, _jacobians, identity_map, pl_metrics
 
 JAC_PENALTY = 1.0e3
 
@@ -35,14 +35,10 @@ def _objective(verts: np.ndarray, m: PLMap, pair_idx: np.ndarray,
                L: float) -> tuple[float, float]:
     """(objective, lip); objective is +inf when the Lipschitz cap or
     orientation constraint is violated."""
-    probe = PLMap(m.domain, m.nx, m.ny, verts)
-    D = _differentials(probe)
-    dets = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
+    dets, smax = _jacobians(PLMap(m.domain, m.nx, m.ny, verts))
     if np.any(dets <= 0):
         return np.inf, np.inf
-    frob2 = (D ** 2).sum(axis=(1, 2))
-    disc = np.sqrt(np.maximum(frob2 ** 2 - 4.0 * dets ** 2, 0.0))
-    lip = float(np.sqrt((frob2 + disc).max() / 2.0))
+    lip = float(smax.max())
     if lip > L:
         return np.inf, lip
     diffs = verts[pair_idx[:, 1]] - verts[pair_idx[:, 0]]
@@ -76,18 +72,8 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
     gap = field.domain.width / nx
 
     # density at triangle centroids, fixed over the search
-    dx = field.domain.width / nx
-    dy = field.domain.height / ny
-    rho = np.empty(2 * nx * ny)
-    idx = 0
-    for j in range(ny):
-        for i in range(nx):
-            x0 = field.domain.x0 + i * dx
-            y0 = field.domain.y0 + j * dy
-            rho[idx] = field.value_at(x0 + 2 * dx / 3, y0 + dy / 3)
-            rho[idx + 1] = field.value_at(x0 + dx / 3, y0 + 2 * dy / 3)
-            idx += 2
-    tri_area = dx * dy / 2.0
+    rho = _centroid_densities(field, nx, ny)
+    tri_area = (field.domain.width / nx) * (field.domain.height / ny) / 2.0
 
     verts = m0.vertices.copy()
     obj, lip = _objective(verts, m0, pair_idx, gap, rho, tri_area, consts.L)

@@ -180,3 +180,9 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    def test_flag_of_another_subcommand_exit_2(self):
+        assert main(["schedule", "--L", "2", "--c", "1", "--budget", "5"]) == 2
+
+    def test_plot_missing_file_exit_2(self, tmp_path):
+        assert main(["plot", "net", "--in", str(tmp_path / "missing.csv")]) == 2

@@ -23,6 +23,31 @@ def random_valid_map(rng, domain=UNIT_SQUARE, nx=5, ny=4, wobble=0.2):
     return PLMap(domain, nx, ny, verts)
 
 
+def triangles_oracle(m):
+    """Two triangles per cell, lower then upper, cells row-major in x."""
+    tris = []
+    for j in range(m.ny):
+        for i in range(m.nx):
+            v00 = m.vidx(i, j)
+            v10 = m.vidx(i + 1, j)
+            v01 = m.vidx(i, j + 1)
+            v11 = m.vidx(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.array(tris, dtype=int)
+
+
+class TestTriangles:
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (8, 2), (5, 4)])
+    def test_matches_per_cell_loop(self, nx, ny):
+        m = identity_map(UNIT_SQUARE, nx, ny)
+        got = m.triangles()
+        want = triangles_oracle(m)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 class TestPlMetrics:
     def test_identity_exact(self):
         m = identity_map(UNIT_SQUARE, 6, 6)
