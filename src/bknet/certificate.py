@@ -84,10 +84,12 @@ def marked_grid(N: int, M: int) -> MarkedGrid:
     return MarkedGrid(N, M)
 
 
-def regularity(W: Sequence[float], A: float, N: int, l: float) -> bool:
+def regularity(W: Sequence[float] | np.ndarray, A: float, N: int, l: float) -> np.ndarray:
     """A vector between images of corresponding marked points is regular
-    when its x-projection strictly exceeds (1-l)A/N."""
-    return W[0] > (1.0 - l) * A / N
+    when its x-projection strictly exceeds (1-l)A/N.  W may be one vector
+    or an array of them along the last axis; the result has W's shape
+    without that axis."""
+    return np.asarray(W)[..., 0] > (1.0 - l) * A / N
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,8 @@ def toy_constants(L: float = 2.0, c: float = 1.0, N: int = 4, M: int = 2) -> Cer
     """Small-N constants for desk-scale runs.  The k, l, m values follow
     the scheduler's formulas but nothing at this scale certifies; use
     schedule_constants for a feasible tuple."""
+    if N < 1 or M < 1:   # before the formulas divide by N and 2M+2
+        raise ValueError("N and M must be positive integers")
     return _complete_constants(L, c, N, M, c / (16 * L))
 
 
@@ -251,8 +255,11 @@ def evaluate_stretch(f: Callable[[Point], Sequence[float]],
                      consts: CertificateConstants) -> StretchReport:
     """Compute the base stretch, all marked-pair ratios, the difference
     vectors between corresponding marked points of adjacent squares, and
-    their regularity; flag the first pair stretched beyond (1+k)A."""
+    their regularity; flag the first pair stretched beyond (1+k)A.
+
+    f is called exactly once per marked point, in grid.points order."""
     N, M = grid.N, grid.M
+    NM = N * M
 
     def ev(p: Point) -> np.ndarray:
         out = f(p)
@@ -260,40 +267,31 @@ def evaluate_stretch(f: Callable[[Point], Sequence[float]],
             raise ValueError(f"map evaluator undefined at {p}")
         return np.asarray(out, dtype=float)
 
-    fa = ev((0.0, 0.0))
-    fb = ev((1.0, 0.0))
-    A = float(np.hypot(*(fb - fa)))
+    # img[q, a] is the image of (a/NM, q/NM); x_pq^i sits in column p + M(i-1)
+    img = np.array([ev(p) for p in grid.points]).reshape(M + 1, NM + 1, 2)
+    A = float(np.hypot(*(img[0, NM] - img[0, 0])))
 
-    pairs = grid.pairs
-    ratios = np.empty(len(pairs))
-    gap = 1.0 / (N * M)
-    flagged_index = None
-    threshold = (1.0 + consts.k) * A
-    for idx, (p, q) in enumerate(pairs):
-        d = float(np.hypot(*(ev(q) - ev(p))))
-        ratios[idx] = d / gap
-        if flagged_index is None and ratios[idx] >= threshold:
-            flagged_index = idx
+    gap = 1.0 / NM
+    d = img[:, 1:] - img[:, :-1]                  # horizontal pairs, grid order
+    ratios = (np.hypot(d[..., 0], d[..., 1]) / gap).ravel()
+    over = np.flatnonzero(ratios >= (1.0 + consts.k) * A)
+    flagged_index = int(over[0]) if len(over) else None
 
-    vectors = np.empty((N - 1, M + 1, M + 1, 2)) if N > 1 else np.empty((0, M + 1, M + 1, 2))
-    regular = np.zeros(vectors.shape[:3], dtype=bool)
-    for i in range(1, N):
-        for p in range(M + 1):
-            for q in range(M + 1):
-                w = ev(grid.point(i + 1, p, q)) - ev(grid.point(i, p, q))
-                vectors[i - 1, p, q] = w
-                regular[i - 1, p, q] = regularity(w, A, N, consts.l)
-    regular_squares = regular.all(axis=(1, 2)) if N > 1 else np.zeros(0, dtype=bool)
+    # W_pq^i: columns M apart, from the first column of every square but the last
+    w = img[:, M:] - img[:, :-M]
+    cols = M * np.arange(N - 1)[:, None] + np.arange(M + 1)
+    vectors = w[:, cols].transpose(1, 2, 0, 3)    # (N-1, p, q, 2)
+    regular = regularity(vectors, A, N, consts.l)
 
     return StretchReport(
         A=A,
         pair_ratios=ratios,
         flagged_index=flagged_index,
-        flagged_pair=pairs[flagged_index] if flagged_index is not None else None,
+        flagged_pair=grid.pairs[flagged_index] if flagged_index is not None else None,
         flagged_ratio=float(ratios[flagged_index]) if flagged_index is not None else None,
         vectors=vectors,
         regular=regular,
-        regular_squares=regular_squares,
+        regular_squares=regular.all(axis=(1, 2)),
     )
 
 

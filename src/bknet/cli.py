@@ -60,12 +60,16 @@ def cmd_gen_density(args) -> int:
         if args.L is None or args.depth is None:
             raise ValidationError("hierarchy needs --L and --depth")
         consts = certificate.toy_constants(args.L, args.c,
-                                           N=args.N or 4, M=args.M or 2)
+                                           N=4 if args.N is None else args.N,
+                                           M=2 if args.M is None else args.M)
         field, _ = hierarchy.build_hierarchy(args.L, args.c, args.depth, consts)
     else:
+        depth = 2 if args.depth is None else args.depth
+        if depth < 1:
+            raise ValidationError("--depth must be a positive integer")
         squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1),
                          2.0 ** -k, 2.0 ** -k), k)
-                   for k in range(1, (args.depth or 2) + 1)]
+                   for k in range(1, depth + 1)]
         field = hierarchy.assemble_limit_density(args.c, squares)
     _write_or_print(density.field_to_json(field) + "\n", args.out)
     return 0

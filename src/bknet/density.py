@@ -10,6 +10,7 @@ all pieces are constants on rectangles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .geometry import Rect, Similarity, UNIT_SQUARE
@@ -60,22 +61,16 @@ class DensityField:
         total += self.default * (r.area - covered)
         return total
 
-    def replace_region(self, region: Rect, new_cells: list[tuple[Rect, float]],
-                       new_default_region_value: float | None = None) -> "DensityField":
+    def replace_region(self, region: Rect,
+                       new_cells: list[tuple[Rect, float]]) -> "DensityField":
         """Return a field equal to self outside `region` and to the given
         cells inside it.  The new cells must tile or lie inside `region`;
         anything of `region` they do not cover falls back to the field
-        default unless `new_default_region_value` is given."""
+        default."""
         kept: list[tuple[Rect, float]] = []
         for cell, v in self.cells:
             for piece in cell.subtract(region):
                 kept.append((piece, v))
-        if new_default_region_value is not None and new_default_region_value != self.default:
-            # fill region explicitly, then lay the new cells on top of the fill
-            fill = [(region, new_default_region_value)]
-            for r, _ in new_cells:
-                fill = [(p, fv) for fr, fv in fill for p in fr.subtract(r)]
-            kept.extend(fill)
         kept.extend(new_cells)
         return DensityField(self.domain, self.default, tuple(kept))
 
@@ -126,8 +121,16 @@ def _rect_to_json(r: Rect) -> dict:
     return {"x0": _num(r.x0), "y0": _num(r.y0), "x1": _num(r.x1), "y1": _num(r.y1)}
 
 
-def _rect_from_json(d: dict) -> Rect:
-    return Rect(float(d["x0"]), float(d["y0"]), float(d["x1"]), float(d["y1"]))
+def _piece_from_json(rect: dict, value, where: str) -> tuple[Rect, float]:
+    """One (rect, value) entry.  Non-finite coordinates and non-finite or
+    non-positive values are rejected, naming the entry."""
+    x0, y0, x1, y1 = float(rect["x0"]), float(rect["y0"]), float(rect["x1"]), float(rect["y1"])
+    v = float(value)
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
+        raise ValueError(f"{where}: non-finite coordinate in {rect}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"{where}: density value {value!r} must be finite and positive")
+    return Rect(x0, y0, x1, y1), v
 
 
 def field_to_json(field: DensityField) -> str:
@@ -141,10 +144,10 @@ def field_to_json(field: DensityField) -> str:
 
 def field_from_json(text: str) -> DensityField:
     doc = json.loads(text)
-    cells = tuple(
-        (_rect_from_json(c["rect"]), float(c["value"])) for c in doc["cells"]
-    )
-    return DensityField(_rect_from_json(doc["domain"]), float(doc["default"]), cells)
+    domain, default = _piece_from_json(doc["domain"], doc["default"], "domain")
+    cells = tuple(_piece_from_json(c["rect"], c["value"], f"cell {n}")
+                  for n, c in enumerate(doc["cells"]))
+    return DensityField(domain, default, cells)
 
 
 def constant_field(value: float = 1.0, domain: Rect = UNIT_SQUARE) -> DensityField:

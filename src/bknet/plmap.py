@@ -28,7 +28,7 @@ class PLMap:
     domain: Rect
     nx: int
     ny: int
-    vertices: np.ndarray   # ((nx+1)*(ny+1), 2) vertex images, row-major in x
+    vertices: np.ndarray   # ((nx+1)*(ny+1), 2); vertex (i, j) is reshape(ny+1, nx+1, 2)[j, i]
 
     def __post_init__(self):
         want = (self.nx + 1) * (self.ny + 1)
@@ -89,25 +89,21 @@ class PLMetrics:
 
 
 def _differentials(m: PLMap) -> np.ndarray:
-    """Affine differential per triangle, shape (ntri, 2, 2)."""
-    tris = m.triangles()
+    """Affine differential per triangle in triangles() order, shape (ntri, 2, 2)."""
     dx = m.domain.width / m.nx
     dy = m.domain.height / m.ny
-    q0 = m.vertices[tris[:, 0]]
-    q1 = m.vertices[tris[:, 1]]
-    q2 = m.vertices[tris[:, 2]]
-    e1 = q1 - q0
-    e2 = q2 - q0
-    ntri = len(tris)
-    D = np.empty((ntri, 2, 2))
-    lower = np.arange(ntri) % 2 == 0
-    # lower: ref edges (dx,0), (dx,dy); upper: ref edges (dx,dy), (0,dy)
-    D[lower, :, 0] = e1[lower] / dx
-    D[lower, :, 1] = (e2[lower] - e1[lower]) / dy
-    D[~lower, :, 1] = e2[~lower] / dy
-    # upper e1 spans (dx, dy): D[:,0]*dx + D[:,1]*dy = e1
-    D[~lower, :, 0] = (e1[~lower] - e2[~lower]) / dx
-    return D
+    V = m.vertices.reshape(m.ny + 1, m.nx + 1, 2)
+    q00, q10, q01, q11 = V[:-1, :-1], V[:-1, 1:], V[1:, :-1], V[1:, 1:]
+    D = np.empty((m.ny, m.nx, 2, 2, 2))   # (cell j, cell i, lower/upper, 2, 2)
+    # lower (q00, q10, q11): ref edges e1 = (dx,0), e2 = (dx,dy)
+    e1, e2 = q10 - q00, q11 - q00
+    D[:, :, 0, :, 0] = e1 / dx
+    D[:, :, 0, :, 1] = (e2 - e1) / dy
+    # upper (q00, q11, q01): ref edges e1 = (dx,dy), e2 = (0,dy)
+    e1, e2 = q11 - q00, q01 - q00
+    D[:, :, 1, :, 1] = e2 / dy
+    D[:, :, 1, :, 0] = (e1 - e2) / dx
+    return D.reshape(-1, 2, 2)
 
 
 def _jacobians(m: PLMap) -> tuple[np.ndarray, np.ndarray]:

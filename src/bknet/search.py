@@ -30,19 +30,20 @@ class SearchResult:
     mismatch_area: float
 
 
-def _objective(verts: np.ndarray, m: PLMap, pair_idx: np.ndarray,
-               gap: float, rho: np.ndarray, tri_area: float,
-               L: float) -> tuple[float, float]:
+def _objective(verts: np.ndarray, m: PLMap, gap: float, rho: np.ndarray,
+               tri_area: float, L: float) -> tuple[float, float]:
     """(objective, lip); objective is +inf when the Lipschitz cap or
-    orientation constraint is violated."""
+    orientation constraint is violated.  The marked pairs are the
+    horizontal edges of the vertex grid."""
     dets, smax = _jacobians(PLMap(m.domain, m.nx, m.ny, verts))
     if np.any(dets <= 0):
         return np.inf, np.inf
     lip = float(smax.max())
     if lip > L:
         return np.inf, lip
-    diffs = verts[pair_idx[:, 1]] - verts[pair_idx[:, 0]]
-    ratios = np.hypot(diffs[:, 0], diffs[:, 1]) / gap
+    V = verts.reshape(m.ny + 1, m.nx + 1, 2)
+    diffs = V[:, 1:] - V[:, :-1]
+    ratios = np.hypot(diffs[..., 0], diffs[..., 1]) / gap
     penalty = JAC_PENALTY * float((np.abs(dets - rho) * tri_area).sum())
     return float(ratios.max()) + penalty, lip
 
@@ -63,12 +64,6 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
         raise ValueError("harness is desk-scale only (N <= 16, M <= 8)")
     nx, ny = N * M, M
     m0 = identity_map(field.domain, nx, ny)
-
-    # marked pairs as vertex index pairs (all horizontal edges)
-    pair_idx = np.array([
-        (m0.vidx(p, s), m0.vidx(p + 1, s))
-        for s in range(ny + 1) for p in range(nx)
-    ])
     gap = field.domain.width / nx
 
     # density at triangle centroids, fixed over the search
@@ -76,7 +71,7 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
     tri_area = (field.domain.width / nx) * (field.domain.height / ny) / 2.0
 
     verts = m0.vertices.copy()
-    obj, lip = _objective(verts, m0, pair_idx, gap, rho, tri_area, consts.L)
+    obj, lip = _objective(verts, m0, gap, rho, tri_area, consts.L)
     trace = [obj]
     rng = np.random.default_rng(seed)
     nvert = len(verts)
@@ -87,7 +82,7 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
         scale = base_step * float(rng.random()) * 0.97 ** (it / 50.0)
         cand = verts.copy()
         cand[v] += scale * direction
-        cobj, clip = _objective(cand, m0, pair_idx, gap, rho, tri_area, consts.L)
+        cobj, clip = _objective(cand, m0, gap, rho, tri_area, consts.L)
         if cobj < obj:
             verts, obj, lip = cand, cobj, clip
             trace.append(obj)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bknet import (
     claim1_lhs,
@@ -16,6 +17,7 @@ from bknet import (
     schedule_constants,
     toy_constants,
 )
+from bknet import PLMap, Rect, identity_map
 from bknet.certificate import CertificateConstants, pigeonhole_row
 
 
@@ -230,3 +232,109 @@ class TestPigeonhole:
     def test_no_irregular_squares(self):
         flags = np.zeros((3, 2, 2), dtype=bool)
         assert pigeonhole_row(flags)[2] == 0
+
+
+def evaluate_stretch_oracle(f, grid, consts):
+    """The per-pair and per-vector loop evaluate_stretch replaced: two map
+    calls per marked pair and per vector W.  Returns the StretchReport
+    fields as a dict."""
+    N, M = grid.N, grid.M
+
+    def ev(p):
+        return np.asarray(f(p), dtype=float)
+
+    fa = ev((0.0, 0.0))
+    fb = ev((1.0, 0.0))
+    A = float(np.hypot(*(fb - fa)))
+
+    pairs = grid.pairs
+    ratios = np.empty(len(pairs))
+    gap = 1.0 / (N * M)
+    flagged_index = None
+    threshold = (1.0 + consts.k) * A
+    for idx, (p, q) in enumerate(pairs):
+        d = float(np.hypot(*(ev(q) - ev(p))))
+        ratios[idx] = d / gap
+        if flagged_index is None and ratios[idx] >= threshold:
+            flagged_index = idx
+
+    vectors = np.empty((N - 1, M + 1, M + 1, 2)) if N > 1 else np.empty((0, M + 1, M + 1, 2))
+    regular = np.zeros(vectors.shape[:3], dtype=bool)
+    for i in range(1, N):
+        for p in range(M + 1):
+            for q in range(M + 1):
+                w = ev(grid.point(i + 1, p, q)) - ev(grid.point(i, p, q))
+                vectors[i - 1, p, q] = w
+                regular[i - 1, p, q] = w[0] > (1.0 - consts.l) * A / N
+    regular_squares = regular.all(axis=(1, 2)) if N > 1 else np.zeros(0, dtype=bool)
+
+    return dict(
+        A=A,
+        pair_ratios=ratios,
+        flagged_index=flagged_index,
+        flagged_pair=pairs[flagged_index] if flagged_index is not None else None,
+        flagged_ratio=float(ratios[flagged_index]) if flagged_index is not None else None,
+        vectors=vectors,
+        regular=regular,
+        regular_squares=regular_squares,
+    )
+
+
+def assert_report_is_bitwise(rep, want):
+    for name, value in want.items():
+        got = getattr(rep, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert type(got) is type(value), name
+            assert got == value, name
+
+
+class TestEvaluateStretchOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 5), M=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           wobble=st.floats(0.0, 0.4), k=st.floats(1e-3, 0.5), l=st.floats(1e-3, 0.9))
+    def test_random_plmaps(self, N, M, seed, wobble, k, l):
+        consts = CertificateConstants(L=2.0, c=1.0, N=N, M=M, k=k, l=l,
+                                      m=0.1, mu=0.1, eps=1e-3)
+        m0 = identity_map(Rect(0.0, 0.0, 1.0, 1.0 / N), N * M, M)
+        rng = np.random.default_rng(seed)
+        verts = m0.vertices + wobble / (N * M) * rng.standard_normal(m0.vertices.shape)
+        f = PLMap(m0.domain, m0.nx, m0.ny, verts)
+        grid = marked_grid(N, M)
+        assert_report_is_bitwise(evaluate_stretch(f, grid, consts),
+                                 evaluate_stretch_oracle(f, grid, consts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 5), M=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           planted=st.integers(0, 6), shift=st.floats(-1.0, 1.0))
+    def test_planted_lambdas(self, N, M, seed, planted, shift):
+        """Plain callables returning tuples: a shear plus shifted points."""
+        consts = toy_constants(2.0, 1.0, N=N, M=M)
+        grid = marked_grid(N, M)
+        rng = np.random.default_rng(seed)
+        pts = grid.points
+        moved = {pts[int(i)]: rng.standard_normal(2) * shift / (N * M)
+                 for i in rng.choice(len(pts), min(planted, len(pts)), replace=False)}
+
+        def f(p):
+            dx, dy = moved.get(tuple(p), (0.0, 0.0))
+            return (p[0] + 0.3 * p[1] + dx, 0.7 * p[1] + dy)
+
+        assert_report_is_bitwise(evaluate_stretch(f, grid, consts),
+                                 evaluate_stretch_oracle(f, grid, consts))
+
+    @pytest.mark.parametrize("N,M", [(1, 1), (1, 3), (4, 2), (3, 5)])
+    def test_f_called_once_per_marked_point(self, N, M):
+        grid = marked_grid(N, M)
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            return p
+
+        evaluate_stretch(f, grid, toy_constants(2.0, 1.0, N=N, M=M))
+        assert len(calls) == (N * M + 1) * (M + 1)
+        assert calls == grid.points

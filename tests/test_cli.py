@@ -186,3 +186,33 @@ class TestExitCodes:
 
     def test_plot_missing_file_exit_2(self, tmp_path):
         assert main(["plot", "net", "--in", str(tmp_path / "missing.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--c", "1", "--depth", "0"],
+        ["limit", "--c", "1", "--depth", "-1"],
+        ["hierarchy", "--L", "2", "--c", "1", "--depth", "2", "--N", "0"],
+        ["hierarchy", "--L", "2", "--c", "1", "--depth", "2", "--M", "0"],
+    ])
+    def test_gen_density_non_positive_flag_exit_2(self, tmp_path, argv):
+        out = tmp_path / "f.json"
+        assert main(["gen-density", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry,key,bad", [
+        ("cell", "value", "0"),
+        ("cell", "value", "-1"),
+        ("domain", "x1", "inf"),
+    ])
+    def test_density_file_with_bad_entry_exit_2(self, tmp_path, capsys, entry, key, bad):
+        good = tmp_path / "good.json"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "1",
+                     "--out", str(good)]) == 0
+        doc = json.loads(good.read_text())
+        target = doc["cells"][0] if entry == "cell" else doc["domain"]
+        target[key] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["gen-net", "--density", str(path), "--K", "1"]) == 2
+        err = capsys.readouterr().err
+        assert ("cell 0" if entry == "cell" else "domain") in err

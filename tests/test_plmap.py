@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bknet import (
     PLMap,
@@ -13,7 +14,7 @@ from bknet import (
     plmap_from_json,
     plmap_to_json,
 )
-from bknet.plmap import DegenerateTriangleError
+from bknet.plmap import DegenerateTriangleError, _jacobians
 
 
 def random_valid_map(rng, domain=UNIT_SQUARE, nx=5, ny=4, wobble=0.2):
@@ -46,6 +47,33 @@ class TestTriangles:
         assert got.dtype == want.dtype
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+class TestJacobians:
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.integers(1, 6), ny=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           x0=st.floats(-3, 3), y0=st.floats(-3, 3),
+           w=st.floats(0.25, 4), h=st.floats(0.25, 4))
+    def test_match_per_triangle_affine_solve(self, nx, ny, seed, x0, y0, w, h):
+        """Oracle: solve D [P1-P0, P2-P0] = [Q1-Q0, Q2-Q0] for each
+        triangle of the per-cell loop, from the grid's reference points."""
+        dom = Rect(x0, y0, x0 + w, y0 + h)
+        m0 = identity_map(dom, nx, ny)
+        rng = np.random.default_rng(seed)
+        m = PLMap(dom, nx, ny, rng.standard_normal(m0.vertices.shape))
+        ref = np.array([(m.grid_x(v % (nx + 1)), m.grid_y(v // (nx + 1)))
+                        for v in range(len(m.vertices))])
+        want_det, want_smax = [], []
+        for t in triangles_oracle(m):
+            P = (ref[t[1:]] - ref[t[0]]).T
+            Q = (m.vertices[t[1:]] - m.vertices[t[0]]).T
+            D = np.linalg.solve(P.T, Q.T).T
+            want_det.append(np.linalg.det(D))
+            want_smax.append(np.linalg.svd(D, compute_uv=False)[0])
+        dets, smax = _jacobians(m)
+        scale = 1.0 / min(w / nx, h / ny)
+        assert np.allclose(dets, want_det, rtol=1e-9, atol=1e-9 * scale ** 2)
+        assert np.allclose(smax, want_smax, rtol=1e-9, atol=1e-9 * scale)
 
 
 class TestPlMetrics:
