@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import Rect, Similarity, UNIT_SQUARE
+from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 
 
 class DomainError(ValueError):
@@ -27,9 +27,21 @@ class DensityField:
     cells: tuple[tuple[Rect, float], ...] = ()
 
     def __post_init__(self):
-        for r, _ in self.cells:
-            if not self.domain.contains_rect(r):
-                raise ValueError(f"cell {r} not contained in domain {self.domain}")
+        """Every density rule: a finite domain, finite positive values, and
+        interior-disjoint cells inside the domain.  Errors name the entry."""
+        d = self.domain
+        if not all(map(math.isfinite, (d.x0, d.y0, d.x1, d.y1))):
+            raise ValueError(f"domain: non-finite coordinate in {d}")
+        if not 0 < self.default < math.inf:
+            raise ValueError(f"domain: default density {self.default!r} must be finite and positive")
+        for n, (r, v) in enumerate(self.cells):
+            if not d.contains_rect(r):
+                raise ValueError(f"cell {n}: {r} not contained in domain {d}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"cell {n}: density value {v!r} must be finite and positive")
+        pair = first_overlap([r for r, _ in self.cells])
+        if pair is not None:
+            raise ValueError("cells {} and {} overlap".format(*pair))
 
     def value_at(self, x: float, y: float) -> float:
         if not self.domain.contains_point(x, y):
@@ -61,16 +73,18 @@ class DensityField:
         total += self.default * (r.area - covered)
         return total
 
-    def replace_region(self, region: Rect,
+    def replace_region(self, regions: list[Rect],
                        new_cells: list[tuple[Rect, float]]) -> "DensityField":
-        """Return a field equal to self outside `region` and to the given
-        cells inside it.  The new cells must tile or lie inside `region`;
-        anything of `region` they do not cover falls back to the field
-        default."""
+        """Return a field equal to self outside the pairwise
+        interior-disjoint `regions` and to the given cells inside them.  The
+        new cells must lie inside the regions; anything of a region they do
+        not cover falls back to the field default."""
         kept: list[tuple[Rect, float]] = []
         for cell, v in self.cells:
-            for piece in cell.subtract(region):
-                kept.append((piece, v))
+            pieces = [cell]
+            for region in regions:
+                pieces = [p for piece in pieces for p in piece.subtract(region)]
+            kept.extend((piece, v) for piece in pieces)
         kept.extend(new_cells)
         return DensityField(self.domain, self.default, tuple(kept))
 
@@ -121,16 +135,8 @@ def _rect_to_json(r: Rect) -> dict:
     return {"x0": _num(r.x0), "y0": _num(r.y0), "x1": _num(r.x1), "y1": _num(r.y1)}
 
 
-def _piece_from_json(rect: dict, value, where: str) -> tuple[Rect, float]:
-    """One (rect, value) entry.  Non-finite coordinates and non-finite or
-    non-positive values are rejected, naming the entry."""
-    x0, y0, x1, y1 = float(rect["x0"]), float(rect["y0"]), float(rect["x1"]), float(rect["y1"])
-    v = float(value)
-    if not all(map(math.isfinite, (x0, y0, x1, y1))):
-        raise ValueError(f"{where}: non-finite coordinate in {rect}")
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"{where}: density value {value!r} must be finite and positive")
-    return Rect(x0, y0, x1, y1), v
+def _rect_from_json(rect: dict) -> Rect:
+    return Rect(float(rect["x0"]), float(rect["y0"]), float(rect["x1"]), float(rect["y1"]))
 
 
 def field_to_json(field: DensityField) -> str:
@@ -144,10 +150,8 @@ def field_to_json(field: DensityField) -> str:
 
 def field_from_json(text: str) -> DensityField:
     doc = json.loads(text)
-    domain, default = _piece_from_json(doc["domain"], doc["default"], "domain")
-    cells = tuple(_piece_from_json(c["rect"], c["value"], f"cell {n}")
-                  for n, c in enumerate(doc["cells"]))
-    return DensityField(domain, default, cells)
+    cells = tuple((_rect_from_json(c["rect"]), float(c["value"])) for c in doc["cells"])
+    return DensityField(_rect_from_json(doc["domain"]), float(doc["default"]), cells)
 
 
 def constant_field(value: float = 1.0, domain: Rect = UNIT_SQUARE) -> DensityField:

@@ -7,6 +7,7 @@ and area arithmetic below is exact in binary floating point.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -56,9 +57,6 @@ class Rect:
             return Rect(x0, y0, x1, y1)
         return None
 
-    def overlaps_interior(self, other: "Rect") -> bool:
-        return self.intersect(other) is not None
-
     def subtract(self, other: "Rect") -> list["Rect"]:
         """self minus other, as up to 4 interior-disjoint rectangles."""
         core = self.intersect(other)
@@ -74,6 +72,21 @@ class Rect:
         if core.x1 < self.x1:
             pieces.append(Rect(core.x1, core.y0, self.x1, core.y1))
         return pieces
+
+
+def first_overlap(rects: Sequence[Rect]) -> tuple[int, int] | None:
+    """Indices (i, j), i < j, of a pair of rects whose interiors meet, or
+    None if they are pairwise interior-disjoint.  One sweep in x0 order;
+    a rect stays active while its x-extent reaches past the current x0."""
+    active: list[tuple[int, Rect]] = []
+    for i in sorted(range(len(rects)), key=lambda n: rects[n].x0):
+        r = rects[i]
+        active = [(j, a) for j, a in active if a.x1 > r.x0]
+        for j, a in active:
+            if a.y0 < r.y1 and r.y0 < a.y1:
+                return min(i, j), max(i, j)
+        active.append((i, r))
+    return None
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificate import CertificateConstants, schedule_constants
-from .density import DensityField, constant_field
-from .geometry import Rect, UNIT_SQUARE
+from .certificate import CertificateConstants, schedule_constants, toy_constants
+from .density import DensityField, constant_field, transplant
+from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 
 Segment = tuple[tuple[float, float], tuple[float, float]]
 
@@ -42,12 +42,10 @@ class SegmentHierarchy:
     def validate(self) -> None:
         """Check disjointness and the per-level area budget."""
         for i, lvl in enumerate(self.levels):
-            for a in range(len(lvl.neighborhoods)):
-                for b in range(a + 1, len(lvl.neighborhoods)):
-                    if lvl.neighborhoods[a].overlaps_interior(lvl.neighborhoods[b]):
-                        raise AssertionError(f"level {i}: overlapping neighborhoods")
+            if first_overlap(lvl.neighborhoods) is not None:
+                raise AssertionError(f"level {i}: overlapping neighborhoods")
             if i >= 1:
-                total = sum(r.area for r in lvl.neighborhoods)
+                total = self.neighborhood_area(i)
                 budget = self.levels[i - 1].epsilon / 2.0
                 if not total < budget:
                     raise AssertionError(
@@ -146,12 +144,13 @@ def build_hierarchy(L: float, c: float, depth: int,
         budget = prev.epsilon / 2.0
         # uniform thickness cap: half the budget, spread over total length
         h_cap = budget / (2.0 * total_len)
-        if h_cap <= 0 or h_cap < 5e-324 * 4:
+        if h_cap < 5e-324 * 4:
             raise HierarchyDepthError(
                 f"level {level}: neighborhood thickness underflows ({h_cap})")
 
         new_segments: list[Segment] = []
         neighborhoods: list[Rect] = []
+        patch_cells: list[tuple[Rect, float]] = []
         eps_level = None
         for seg in segs:
             ax, bx, y = _segment_span(seg)
@@ -165,10 +164,11 @@ def build_hierarchy(L: float, c: float, depth: int,
                 raise HierarchyDepthError(
                     f"level {level}: neighborhood {U} leaves the unit square")
             patch, pairs, eps_patch = embed_in_neighborhood(seg, U, N, c, M, L)
-            field = field.replace_region(patch.domain, list(patch.cells))
+            patch_cells.extend(patch.cells)
             new_segments.extend(_disjoint_pairs(pairs, N * M))
             neighborhoods.append(patch.domain)
             eps_level = eps_patch if eps_level is None else min(eps_level, eps_patch)
+        field = field.replace_region(neighborhoods, patch_cells)
 
         levels.append(HierarchyLevel(
             segments=tuple(new_segments),
@@ -190,18 +190,15 @@ def assemble_limit_density(c: float, squares: list[tuple[Rect, int]],
     used per square unless an override is given (the scheduled constants
     cannot be materialized).
     """
-    from .certificate import toy_constants
-    from .density import transplant
-    from .geometry import Similarity
-
     if not c > 0:
         raise ValueError("c must be positive")
-    for idx, (r, _) in enumerate(squares):
+    for r, _ in squares:
         if not UNIT_SQUARE.contains_rect(r):
             raise ValueError(f"square {r} not contained in the unit square")
-        for r2, _ in squares[idx + 1:]:
-            if r.overlaps_interior(r2):
-                raise ValueError(f"overlapping squares: {r} and {r2}")
+    pair = first_overlap([r for r, _ in squares])
+    if pair is not None:
+        i, j = pair
+        raise ValueError(f"overlapping squares: {squares[i][0]} and {squares[j][0]}")
 
     cells: list[tuple[Rect, float]] = []
     for r, k in squares:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .density import DensityField, reciprocal_transplant
-from .geometry import Rect, Similarity
+from .geometry import Rect, Similarity, first_overlap
 
 
 def _workers() -> int:
@@ -53,10 +53,8 @@ class NetPlan:
                 raise ValueError(
                     f"l_k/m_k = {e.side / e.m} below 2(1+c) = {2 * (1 + c)}")
             prev_side, prev_ratio = e.side, ratio
-        for i, a in enumerate(self.schedule):
-            for b in self.schedule[i + 1:]:
-                if a.square.overlaps_interior(b.square):
-                    raise ValueError("schedule squares overlap")
+        if first_overlap([e.square for e in self.schedule]) is not None:
+            raise ValueError("schedule squares overlap")
 
 
 def make_plan(density: DensityField, K: int) -> NetPlan:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -216,3 +217,55 @@ class TestExitCodes:
         assert main(["gen-net", "--density", str(path), "--K", "1"]) == 2
         err = capsys.readouterr().err
         assert ("cell 0" if entry == "cell" else "domain") in err
+
+    def test_density_file_with_overlapping_cells_exit_2(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "1",
+                     "--out", str(good)]) == 0
+        doc = json.loads(good.read_text())
+        doc["cells"][1]["rect"] = dict(doc["cells"][0]["rect"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["gen-net", "--density", str(path), "--K", "1"]) == 2
+        assert "cells 0 and 1 overlap" in capsys.readouterr().err
+
+
+class TestGoldenOutputs:
+    """sha256 of CLI outputs, recorded at commit aa74cb1; refactors of the
+    density, hierarchy and net code must keep them byte-identical."""
+
+    GEN_DENSITY = [
+        (["checkerboard", "--N", "4", "--c", "1"],
+         "f35ca64b6867231a00069b21f9f00403fb40f5c8ac8cdc81996cc275f91f9a59"),
+        (["limit", "--c", "1", "--depth", "2"],
+         "c5bb3f00ffd037279a26da83f1d5c7ad1688d699f183bd1db8e2c03032658c71"),
+        (["hierarchy", "--L", "2", "--c", "1", "--depth", "3"],
+         "ceb828790ab77a37d72e2e74584615caaf60137f8317e877ff0fa7b14448d571"),
+        (["hierarchy", "--L", "2", "--c", "1", "--depth", "3", "--N", "3"],
+         "b642c616d2334fbe1c5c47aa1881be2af662eca965ff38318439852ae00fa037"),
+    ]
+
+    @staticmethod
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("argv,digest", GEN_DENSITY,
+                             ids=["checkerboard", "limit", "hierarchy", "hierarchy-N3"])
+    def test_gen_density(self, tmp_path, argv, digest):
+        out = tmp_path / "f.json"
+        assert main(["gen-density", *argv, "--out", str(out)]) == 0
+        assert self.sha(out.read_bytes()) == digest
+
+    def test_gen_net_and_check_net_on_limit_density(self, tmp_path, capsys):
+        limit, net = tmp_path / "limit.json", tmp_path / "net.csv"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "2",
+                     "--out", str(limit)]) == 0
+        assert main(["gen-net", "--density", str(limit), "--K", "2", "--out", str(net)]) == 0
+        assert self.sha(net.read_bytes()) == (
+            "ef70b31b23c26de4442fc16b594d0410805d928d318293a1ede21ec041e3a1a0")
+        capsys.readouterr()
+        assert main(["check-net", "--density", str(limit), "--K", "2",
+                     "--window", "0,0,16,16"]) == 0
+        assert self.sha(capsys.readouterr().out.encode()) == (
+            "e16f8bf29c69a56c5026eb3fce7ecebab0a960569c7d9a2cd770d12084c64ddb")
