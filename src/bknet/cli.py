@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import certificate, density, hierarchy, netbuild, plmap, search, svgplot
@@ -21,7 +22,9 @@ class ValidationError(Exception):
 
 def _parse_window(text: str) -> Rect:
     try:
-        x0, y0, x1, y1 = (float(t) for t in text.split(","))
+        x0, y0, x1, y1 = coords = [float(t) for t in text.split(",")]
+        if not all(math.isfinite(v) for v in coords):
+            raise ValueError("coordinates must be finite")
         return Rect(x0, y0, x1, y1)
     except Exception as exc:
         raise ValidationError(f"bad --window '{text}': {exc}") from exc

@@ -9,6 +9,7 @@ materialized lazily per query window.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -19,6 +20,14 @@ from scipy.spatial import cKDTree
 
 from .density import DensityField, reciprocal_transplant
 from .geometry import Rect, Similarity, first_overlap
+
+
+# check_covering queries one sample per block of _BLOCK x _BLOCK grid
+# samples, then quarters a block only while it could still hold the maximum
+_BLOCK = 32
+# relative slack on that bound: the bound and the kd-tree distances are each
+# rounded, so a sample attaining the bound may read a few ulps above it
+_SLACK = 1e-12
 
 
 def _workers() -> int:
@@ -53,6 +62,10 @@ class NetPlan:
                 raise ValueError(
                     f"l_k/m_k = {e.side / e.m} below 2(1+c) = {2 * (1 + c)}")
             prev_side, prev_ratio = e.side, ratio
+        dom = self.density.domain
+        if dom.width != dom.height:
+            # _square_cells scales the domain by side / width onto each square
+            raise ValueError(f"a net plan needs a square density domain, got {dom}")
         if first_overlap([e.square for e in self.schedule]) is not None:
             raise ValueError("schedule squares overlap")
 
@@ -93,14 +106,28 @@ class Net:
             best = max(best, float((cell / n).max()))
         return best
 
+    @functools.cached_property
+    def _x_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(stable argsort of the explicit points by x, as int32; their
+        sorted x values), built on the first window query."""
+        order = np.argsort(self.points[:, 0], kind="stable").astype(np.int32)
+        return order, self.points[order, 0]
+
     def points_in_window(self, window: Rect) -> tuple[np.ndarray, np.ndarray]:
         """Explicit points plus lazily materialized background lattice
-        centers inside the window.  Returns (points, tags); background
-        points carry tag 0."""
-        inside = ((self.points[:, 0] >= window.x0) & (self.points[:, 0] <= window.x1)
-                  & (self.points[:, 1] >= window.y0) & (self.points[:, 1] <= window.y1))
-        pts = [self.points[inside]]
-        tags = [self.tags[inside]]
+        centers inside the closed window.  Returns (points, tags); background
+        points carry tag 0.  Explicit points come in the order of
+        `self.points`."""
+        _check_finite(window)
+        order, xs_sorted = self._x_order
+        lo = np.searchsorted(xs_sorted, window.x0, side="left")
+        hi = np.searchsorted(xs_sorted, window.x1, side="right")
+        idx = np.sort(order[lo:hi])
+        cand = self.points[idx]
+        inside = ((cand[:, 0] >= window.x0) & (cand[:, 0] <= window.x1)
+                  & (cand[:, 1] >= window.y0) & (cand[:, 1] <= window.y1))
+        pts = [cand[inside]]
+        tags = [self.tags[idx[inside]]]
 
         xs = np.arange(math.floor(window.x0), math.ceil(window.x1))
         ys = np.arange(math.floor(window.y0), math.ceil(window.y1))
@@ -119,6 +146,11 @@ class Net:
             tags.append(np.zeros(len(bg), dtype=int))
         allp = np.vstack(pts)
         return allp, np.concatenate(tags)
+
+
+def _check_finite(window: Rect) -> None:
+    if not all(math.isfinite(v) for v in (window.x0, window.y0, window.x1, window.y1)):
+        raise ValueError(f"window {window} has a non-finite coordinate")
 
 
 def _square_cells(plan: NetPlan, k: int):
@@ -173,6 +205,7 @@ def check_separation(net: Net, window: Rect) -> float:
     """Exact minimum pairwise distance over pairs with at least one point
     in the window; the candidate set is inflated so boundary pairs are
     not missed."""
+    _check_finite(window)
     radius = 2.0 * max(1.0, net.max_cell_spacing)
     big = Rect(window.x0 - radius, window.y0 - radius,
                window.x1 + radius, window.y1 + radius)
@@ -187,8 +220,11 @@ def check_separation(net: Net, window: Rect) -> float:
 
 
 def check_covering(net: Net, window: Rect) -> float:
-    """Covering radius under-approximation: max distance to the net over a
-    sample grid of step 1/64 (additive error <= sqrt(2)/128)."""
+    """Covering radius under-approximation: the maximum distance to the net
+    over the sample grid of step 1/64 on the window (additive error <=
+    sqrt(2)/128).  The value is exactly that grid maximum; it is found by
+    branch and bound, so only a few per cent of the samples are queried."""
+    _check_finite(window)
     step = 1.0 / 64.0
     radius = 2.0 * max(1.0, net.max_cell_spacing) + 2.0
     big = Rect(window.x0 - radius, window.y0 - radius,
@@ -199,14 +235,33 @@ def check_covering(net: Net, window: Rect) -> float:
     tree = cKDTree(pts)
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
+    # blocks of samples as half-open index ranges [i0, i1) x [j0, j1)
+    gi, gj = np.meshgrid(np.arange(0, len(xs), _BLOCK), np.arange(0, len(ys), _BLOCK),
+                         indexing="ij")
+    i0, j0 = gi.ravel(), gj.ravel()
+    i1, j1 = np.minimum(i0 + _BLOCK, len(xs)), np.minimum(j0 + _BLOCK, len(ys))
     worst = 0.0
-    chunk = max(1, int(2_000_000 / max(1, len(ys))))
-    for start in range(0, len(xs), chunk):
-        gx, gy = np.meshgrid(xs[start:start + chunk], ys, indexing="ij")
-        q = np.column_stack([gx.ravel(), gy.ravel()])
-        d, _ = tree.query(q, k=1, workers=_workers())
+    while len(i0):
+        ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
+        d, _ = tree.query(np.column_stack([xs[ri], ys[rj]]), k=1, workers=_workers())
         worst = max(worst, float(d.max()))
+        # distance to the net is 1-Lipschitz, so no sample of a block lies
+        # farther from the net than d + r, r its farthest sample from (ri, rj)
+        r = np.hypot(np.maximum(xs[ri] - xs[i0], xs[i1 - 1] - xs[ri]),
+                     np.maximum(ys[rj] - ys[j0], ys[j1 - 1] - ys[rj]))
+        live = (r > 0) & ((d + r) * (1.0 + _SLACK) >= worst)
+        i0, i1, j0, j1 = _quarters(i0[live], i1[live], j0[live], j1[live])
     return worst
+
+
+def _quarters(i0, i1, j0, j1):
+    """The non-empty quarters of index blocks [i0, i1) x [j0, j1); a block
+    one sample wide is halved along the other axis only."""
+    im, jm = (i0 + i1 + 1) // 2, (j0 + j1 + 1) // 2
+    qi0, qi1 = np.concatenate([i0, i0, im, im]), np.concatenate([im, im, i1, i1])
+    qj0, qj1 = np.concatenate([j0, jm, j0, jm]), np.concatenate([jm, j1, jm, j1])
+    keep = (qi0 < qi1) & (qj0 < qj1)
+    return qi0[keep], qi1[keep], qj0[keep], qj1[keep]
 
 
 def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:

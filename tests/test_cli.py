@@ -230,10 +230,30 @@ class TestExitCodes:
         assert main(["gen-net", "--density", str(path), "--K", "1"]) == 2
         assert "cells 0 and 1 overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-net", "check-net"])
+    @pytest.mark.parametrize("window", ["0,0,inf,4", "-inf,0,4,4"])
+    def test_non_finite_window_exit_2(self, tmp_path, capsys, command, window):
+        limit = tmp_path / "limit.json"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "1",
+                     "--out", str(limit)]) == 0
+        capsys.readouterr()
+        assert main([command, "--density", str(limit), "--K", "1",
+                     f"--window={window}"]) == 2
+        assert f"bad --window '{window}'" in capsys.readouterr().err
+
+    def test_non_square_density_domain_exit_2(self, tmp_path, capsys):
+        cb = tmp_path / "cb.json"
+        assert main(["gen-density", "checkerboard", "--N", "4", "--c", "1",
+                     "--out", str(cb)]) == 0
+        capsys.readouterr()
+        assert main(["gen-net", "--density", str(cb), "--K", "1"]) == 2
+        assert "square density domain" in capsys.readouterr().err
+
 
 class TestGoldenOutputs:
-    """sha256 of CLI outputs, recorded at commit aa74cb1; refactors of the
-    density, hierarchy and net code must keep them byte-identical."""
+    """sha256 of CLI outputs, recorded at commit aa74cb1 (the K=3 window
+    pins at 9c7d7f0); refactors of the density, hierarchy and net code must
+    keep them byte-identical."""
 
     GEN_DENSITY = [
         (["checkerboard", "--N", "4", "--c", "1"],
@@ -269,3 +289,28 @@ class TestGoldenOutputs:
                      "--window", "0,0,16,16"]) == 0
         assert self.sha(capsys.readouterr().out.encode()) == (
             "e16f8bf29c69a56c5026eb3fce7ecebab0a960569c7d9a2cd770d12084c64ddb")
+
+    # windows on the K=3 net of the depth-2 limit density: one straddles
+    # squares 1 ([0,16]^2) and 2 ([17,81]^2), one lies on the background
+    # lattice; sample counts per side are not multiples of 32
+    K3_WINDOWS = [
+        ("13.3,12.9,19.7,19.45",
+         "c7fa0c35b7c4234454630819c6b34a83e3b2d4dea939ef5888311495a76e2ec2",
+         "3756473b043f2f164c8942060ef2461b3c0943e338afb559e84d4fa8696d270c"),
+        ("40.2,2.1,46.55,7.9",
+         "d57cd4b8fa710deb4d240541f2bdcfd4c600cd3cb377bd49d843968ce234ab39",
+         "9b800f181c2a8d41d9453b1f0461d8988334f7286960eb3b44bd90bc78b7db91"),
+    ]
+
+    @pytest.mark.parametrize("window,gen_digest,check_digest", K3_WINDOWS,
+                             ids=["squares-1-2", "background"])
+    def test_k3_windows_on_limit_density(self, tmp_path, capsys, window,
+                                         gen_digest, check_digest):
+        limit = tmp_path / "limit.json"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "2",
+                     "--out", str(limit)]) == 0
+        for command, digest in (("gen-net", gen_digest), ("check-net", check_digest)):
+            capsys.readouterr()
+            assert main([command, "--density", str(limit), "--K", "3",
+                         "--window", window]) == 0
+            assert self.sha(capsys.readouterr().out.encode()) == digest

@@ -56,6 +56,14 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             NetPlan(TWO_TONE, (ScheduleEntry(Rect(0, 0, 4, 4), 4, 2),))
 
+    def test_non_square_domain_rejected(self):
+        # the checkerboard lives on [0,1] x [0,1/N]; a square cannot be
+        # filled from it by one similarity
+        with pytest.raises(ValueError, match=r"square density domain.*y1=0\.25"):
+            make_plan(make_checkerboard(4, 1.0), 1)
+        with pytest.raises(ValueError, match="square density domain"):
+            NetPlan(constant_field(1.0, Rect(0, 0, 2, 1)), ())
+
 
 class TestBuildNet:
     def test_unit_density_reproduces_lattice(self):

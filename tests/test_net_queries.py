@@ -1,0 +1,197 @@
+"""The net's window queries against their exhaustive oracles.
+
+check_covering prunes the 1/64 sample grid by branch and bound, and
+Net.points_in_window selects explicit points through an x-sorted index.
+Both must return exactly what the full scans below return."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
+
+from bknet import (
+    DensityField,
+    Rect,
+    UNIT_SQUARE,
+    build_net,
+    check_covering,
+    check_separation,
+    constant_field,
+    make_plan,
+)
+
+TWO_TONE = DensityField(UNIT_SQUARE, 1.0, ((Rect(0.5, 0.0, 1.0, 1.0), 2.0),))
+
+PLANS = {
+    "lattice": lambda: make_plan(constant_field(1.0), 0),
+    "two-tone-K2": lambda: make_plan(TWO_TONE, 2),
+    "two-tone-K3": lambda: make_plan(TWO_TONE, 3),
+    "constant-4-K1": lambda: make_plan(constant_field(4.0), 1),
+}
+
+
+@functools.cache
+def net(name):
+    return build_net(PLANS[name]())
+
+
+def covering_by_full_sweep(net, window):
+    """check_covering as an exhaustive sweep: every sample of the 1/64
+    grid is queried, in chunks of about 2M."""
+    step = 1.0 / 64.0
+    radius = 2.0 * max(1.0, net.max_cell_spacing) + 2.0
+    big = Rect(window.x0 - radius, window.y0 - radius,
+               window.x1 + radius, window.y1 + radius)
+    pts, _ = net.points_in_window(big)
+    tree = cKDTree(pts)
+    xs = np.arange(window.x0, window.x1 + step / 2, step)
+    ys = np.arange(window.y0, window.y1 + step / 2, step)
+    worst = 0.0
+    chunk = max(1, int(2_000_000 / max(1, len(ys))))
+    for start in range(0, len(xs), chunk):
+        gx, gy = np.meshgrid(xs[start:start + chunk], ys, indexing="ij")
+        q = np.column_stack([gx.ravel(), gy.ravel()])
+        d, _ = tree.query(q, k=1)
+        worst = max(worst, float(d.max()))
+    return worst
+
+
+def points_by_full_scan(net, window):
+    """points_in_window as a mask over every explicit point."""
+    inside = ((net.points[:, 0] >= window.x0) & (net.points[:, 0] <= window.x1)
+              & (net.points[:, 1] >= window.y0) & (net.points[:, 1] <= window.y1))
+    pts = [net.points[inside]]
+    tags = [net.tags[inside]]
+    xs = np.arange(math.floor(window.x0), math.ceil(window.x1))
+    ys = np.arange(math.floor(window.y0), math.ceil(window.y1))
+    if len(xs) and len(ys):
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        cx = gx.ravel() + 0.5
+        cy = gy.ravel() + 0.5
+        keep = (cx >= window.x0) & (cx <= window.x1) & (cy >= window.y0) & (cy <= window.y1)
+        for e in net.plan.schedule:
+            s = e.square
+            keep &= ~((gx.ravel() >= s.x0) & (gx.ravel() + 1 <= s.x1)
+                      & (gy.ravel() >= s.y0) & (gy.ravel() + 1 <= s.y1))
+        bg = np.column_stack([cx[keep], cy[keep]])
+        pts.append(bg)
+        tags.append(np.zeros(len(bg), dtype=int))
+    return np.vstack(pts), np.concatenate(tags)
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+# under 1/64 wide gives one or two samples across
+sides = st.one_of(st.floats(0.003, 0.0155), st.floats(0.003, 6.0))
+
+
+@st.composite
+def windows(draw, name):
+    """Windows around an anchor: a square edge, a lattice line or any
+    point; the y anchor is another such value or near the diagonal."""
+    edges = [v for e in net(name).plan.schedule for v in (e.square.x0, e.square.x1)]
+    hi = max(edges, default=10.0) + 3.0
+    anchors = st.one_of(st.sampled_from(edges or [0.0]),
+                        st.integers(-3, int(hi)).map(float),
+                        st.floats(-3.0, hi))
+    w, h = draw(sides), draw(sides)
+    ax = draw(anchors)
+    ay = draw(st.one_of(anchors, st.floats(-2.0, 2.0).map(lambda d: ax + d)))
+    x0 = ax - draw(st.floats(0.0, 1.0)) * w
+    y0 = ay - draw(st.floats(0.0, 1.0)) * h
+    return Rect(x0, y0, x0 + w, y0 + h)
+
+
+class TestCoveringOracle:
+    @pytest.mark.parametrize("name", list(PLANS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_full_sweep(self, name, data):
+        window = data.draw(windows(name))
+        assert check_covering(net(name), window) == covering_by_full_sweep(net(name), window)
+
+    @pytest.mark.parametrize("window", [
+        Rect(0.1, 0.2, 0.105, 3.3),          # one sample across
+        Rect(15.01, 15.3, 15.02, 19.7),      # two across, over square edges
+        Rect(-0.7, -0.3, 1.3, 17.55),        # 129 x 1143 samples
+        Rect(14.37, 14.11, 18.9, 18.33),     # squares 1 and 2 and the gap
+    ])
+    def test_fixed_windows(self, window):
+        got = check_covering(net("two-tone-K3"), window)
+        assert got == covering_by_full_sweep(net("two-tone-K3"), window)
+
+
+class TestPointsInWindowOracle:
+    @pytest.mark.parametrize("name", list(PLANS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_full_scan(self, name, data):
+        window = data.draw(windows(name))
+        n = net(name)
+        assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
+
+    @pytest.mark.parametrize("name", ["two-tone-K2", "constant-4-K1"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_edges_through_points(self, name, data):
+        # the bounding box of two explicit points: both lie on its closed
+        # edges, so both must come back
+        n = net(name)
+        idx = st.integers(0, len(n.points) - 1)
+        a, b = n.points[data.draw(idx)], n.points[data.draw(idx)]
+        x0, y0 = min(a[0], b[0]), min(a[1], b[1])
+        x1, y1 = max(a[0], b[0]), max(a[1], b[1])
+        window = Rect(float(x0), float(y0),
+                      float(x1) if x1 > x0 else x0 + 1.0, float(y1) if y1 > y0 else y0 + 1.0)
+        got = n.points_in_window(window)
+        assert_same_arrays(got, points_by_full_scan(n, window))
+        for p in (a, b):
+            assert (got[0] == p).all(axis=1).any()
+
+    @pytest.mark.parametrize("window", [
+        Rect(-5.0, -5.0, -0.1, 30.0),     # left of every explicit point
+        Rect(81.5, 0.0, 90.0, 85.0),      # right of every explicit point
+        Rect(-5.0, -5.0, 0.0, 30.0),      # up to square 1's left edge
+    ])
+    def test_windows_beside_the_points(self, window):
+        n = net("two-tone-K2")
+        got = n.points_in_window(window)
+        assert_same_arrays(got, points_by_full_scan(n, window))
+
+    def test_empty_net(self):
+        n = net("lattice")
+        assert n.points.shape == (0, 2)
+        for window in (Rect(0, 0, 4, 4), Rect(-2.5, 0.5, 3.5, 0.5 + 1e-9)):
+            assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
+
+    def test_index_is_built_once_on_first_query(self):
+        n = build_net(make_plan(TWO_TONE, 2))
+        assert "_x_order" not in vars(n)      # build_net leaves it to the first query
+        first = n.points_in_window(Rect(10.0, 10.0, 20.0, 20.0))
+        order = vars(n)["_x_order"]
+        for window in (Rect(0.0, 0.0, 3.0, 3.0), Rect(10.0, 10.0, 20.0, 20.0),
+                       Rect(30.0, 40.0, 80.0, 41.0)):
+            assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
+        assert vars(n)["_x_order"] is order
+        assert_same_arrays(n.points_in_window(Rect(10.0, 10.0, 20.0, 20.0)), first)
+
+
+class TestNonFiniteWindow:
+    @pytest.mark.parametrize("query", [
+        lambda n, w: n.points_in_window(w),
+        check_separation,
+        check_covering,
+    ], ids=["points_in_window", "check_separation", "check_covering"])
+    @pytest.mark.parametrize("window", [Rect(0.0, 0.0, math.inf, 4.0),
+                                        Rect(0.0, -math.inf, 4.0, 4.0)])
+    def test_rejected_with_the_window_named(self, query, window):
+        with pytest.raises(ValueError, match=r"window Rect\(.*inf.*non-finite"):
+            query(net("two-tone-K2"), window)
