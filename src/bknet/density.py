@@ -4,16 +4,26 @@ A field is a default value on its domain plus a finite list of
 interior-disjoint rectangular cells with their own values.  Evaluation
 uses the half-open convention [left, right) x [bottom, top) so every
 point of the domain gets exactly one value; integration is exact because
-all pieces are constants on rectangles.
+all pieces are constants on rectangles.  `cells` is the public tuple;
+reads and writes go through float columns built from it on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
+
+
+# values_at compares a chunk of points against every cell at once; chunks
+# stay under this many point-cell pairs, and replace_region's candidate
+# (cell, region) pairs likewise
+_PAIR_CHUNK = 1 << 20
 
 
 class DomainError(ValueError):
@@ -43,13 +53,37 @@ class DensityField:
         if pair is not None:
             raise ValueError("cells {} and {} overlap".format(*pair))
 
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, 4) cell boxes x0, y0, x1, y1 and (n,) cell values, in `cells`
+        order, built on first use."""
+        box = np.array([(r.x0, r.y0, r.x1, r.y1) for r, _ in self.cells], dtype=float)
+        return box.reshape(-1, 4), np.array([v for _, v in self.cells], dtype=float)
+
     def value_at(self, x: float, y: float) -> float:
         if not self.domain.contains_point(x, y):
             raise DomainError(f"point ({x}, {y}) outside domain {self.domain}")
-        for r, v in self.cells:
-            if r.contains_point_half_open(x, y):
-                return v
-        return self.default
+        return float(self.values_at([x], [y])[0])
+
+    def values_at(self, xs, ys) -> np.ndarray:
+        """Values at many points, half-open like value_at but without its
+        domain check: the first cell containing a point wins, otherwise the
+        default.  The result has the shape of xs."""
+        x = np.asarray(xs, dtype=float)
+        y = np.asarray(ys, dtype=float)
+        if x.shape != y.shape:
+            raise ValueError(f"xs and ys differ in shape: {x.shape} and {y.shape}")
+        box, val = self._columns
+        out = np.full(x.size, float(self.default))
+        if len(val):
+            px, py = x.reshape(-1, 1), y.reshape(-1, 1)
+            step = max(1, _PAIR_CHUNK // len(val))
+            for s in range(0, x.size, step):
+                cx, cy = px[s:s + step], py[s:s + step]
+                hit = (box[:, 0] <= cx) & (cx < box[:, 2]) & (box[:, 1] <= cy) & (cy < box[:, 3])
+                found = np.flatnonzero(hit.any(axis=1))
+                out[s + found] = val[hit[found].argmax(axis=1)]
+        return out.reshape(x.shape)
 
     def values(self) -> set[float]:
         return {self.default} | {v for _, v in self.cells}
@@ -60,33 +94,78 @@ class DensityField:
         return max(self.values()) - 1.0
 
     def integrate(self, r: Rect) -> float:
-        """Exact integral over r (r must lie inside the domain)."""
+        """Exact integral over r (r must lie inside the domain).  The cell
+        terms are added in cell order, as a loop over `cells` would."""
         if not self.domain.contains_rect(r):
             raise DomainError(f"rectangle {r} not contained in domain {self.domain}")
-        total = 0.0
-        covered = 0.0
-        for cell, v in self.cells:
-            part = cell.intersect(r)
-            if part is not None:
-                total += v * part.area
-                covered += part.area
-        total += self.default * (r.area - covered)
-        return total
+        box, val = self._columns
+        w = np.minimum(box[:, 2], r.x1) - np.maximum(box[:, 0], r.x0)
+        h = np.minimum(box[:, 3], r.y1) - np.maximum(box[:, 1], r.y0)
+        meet = (w > 0) & (h > 0)   # interiors meet, as Rect.intersect decides
+        area = w[meet] * h[meet]
+        total = covered = 0.0
+        if len(area):
+            # cumsum adds left to right; np.sum's pairwise order would not
+            total = float(np.cumsum(val[meet] * area)[-1])
+            covered = float(np.cumsum(area)[-1])
+        return total + self.default * (r.area - covered)
 
     def replace_region(self, regions: list[Rect],
                        new_cells: list[tuple[Rect, float]]) -> "DensityField":
         """Return a field equal to self outside the pairwise
         interior-disjoint `regions` and to the given cells inside them.  The
         new cells must lie inside the regions; anything of a region they do
-        not cover falls back to the field default."""
+        not cover falls back to the field default.  Each old cell loses the
+        regions that meet it, in the order given; a region that misses a
+        cell misses every piece of it, so the others are skipped."""
+        reg = np.array([(r.x0, r.y0, r.x1, r.y1) for r in regions], dtype=float).reshape(-1, 4)
+        starts, hits = _meeting_regions(self._columns[0], reg)
         kept: list[tuple[Rect, float]] = []
-        for cell, v in self.cells:
+        for n, (cell, v) in enumerate(self.cells):
+            a, b = starts[n], starts[n + 1]
+            if a == b:
+                kept.append((cell, v))
+                continue
             pieces = [cell]
-            for region in regions:
-                pieces = [p for piece in pieces for p in piece.subtract(region)]
+            for k in hits[a:b]:
+                pieces = [p for piece in pieces for p in piece.subtract(regions[k])]
             kept.extend((piece, v) for piece in pieces)
         kept.extend(new_cells)
         return DensityField(self.domain, self.default, tuple(kept))
+
+
+def _meeting_regions(box: np.ndarray, reg: np.ndarray) -> tuple[list[int], list[int]]:
+    """For boxes and regions as (n, 4) arrays x0, y0, x1, y1: the regions
+    whose interiors meet box n are hits[starts[n]:starts[n + 1]], in
+    ascending order.  Candidates are a run of the regions sorted by x0:
+    from the first whose running maximum of x1 passes box x0 to the last
+    with x0 < box x1.  They are tested in chunks, so memory grows with
+    boxes, regions and meeting pairs."""
+    n = len(box)
+    if n == 0 or len(reg) == 0:
+        return [0] * (n + 1), []
+    order = np.argsort(reg[:, 0], kind="stable")
+    lo = np.searchsorted(np.maximum.accumulate(reg[order, 2]), box[:, 0], side="right")
+    hi = np.searchsorted(reg[order, 0], box[:, 2], side="left")
+    cnt = np.maximum(hi - lo, 0)
+    ends = np.cumsum(cnt)
+    pair_box, pair_reg = [], []
+    first = 0
+    while first < n:
+        done = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        c = cnt[first:last]
+        b = np.repeat(np.arange(first, last), c)
+        k = order[lo[b] + np.arange(len(b)) - np.repeat(np.cumsum(c) - c, c)]
+        meet = ((reg[k, 0] < box[b, 2]) & (box[b, 0] < reg[k, 2])
+                & (reg[k, 1] < box[b, 3]) & (box[b, 1] < reg[k, 3]))
+        pair_box.append(b[meet])
+        pair_reg.append(k[meet])
+        first = last
+    b, k = np.concatenate(pair_box), np.concatenate(pair_reg)
+    pick = np.lexsort((k, b))
+    starts = np.searchsorted(b[pick], np.arange(n + 1), side="left")
+    return starts.tolist(), k[pick].tolist()
 
 
 def make_checkerboard(N: int, c: float) -> DensityField:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificate import CertificateConstants, schedule_constants, toy_constants
-from .density import DensityField, constant_field, transplant
+from .density import DensityField, constant_field
 from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 
 Segment = tuple[tuple[float, float], tuple[float, float]]
@@ -211,5 +211,6 @@ def assemble_limit_density(c: float, squares: list[tuple[Rect, int]],
         kc = consts if consts is not None else toy_constants(L=Lk, c=ck)
         hfield, _ = build_hierarchy(Lk, ck, depth=k, consts=kc)
         sim = Similarity(scale=r.width, tx=r.x0, ty=r.y0)
-        cells.extend(transplant(hfield, sim).cells)
+        # the cells of transplant(hfield, sim), checked once in the union
+        cells.extend((sim.apply_rect(c), v) for c, v in hfield.cells)
     return DensityField(UNIT_SQUARE, 1.0, tuple(cells))

@@ -95,6 +95,7 @@ class Net:
     points: np.ndarray           # explicit points inside the squares
     tags: np.ndarray             # schedule index (1-based) per explicit point
     counts: tuple[np.ndarray, ...]  # per square: n_ki as an (m, m) array
+    integrals: tuple[np.ndarray, ...]  # per square: the cell integrals as an (m, m) array
 
     @property
     def max_cell_spacing(self) -> float:
@@ -153,21 +154,13 @@ def _check_finite(window: Rect) -> None:
         raise ValueError(f"window {window} has a non-finite coordinate")
 
 
-def _square_cells(plan: NetPlan, k: int):
-    """Yield (i, j, T, integral) for the m x m cells T of schedule entry k
-    (1-based), integrating the reciprocal density transplanted onto the
-    square."""
-    e = plan.schedule[k - 1]
-    dom = plan.density.domain
-    scale = e.side / dom.width
-    phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
-    rho_k = reciprocal_transplant(plan.density, phi)
+def _square_cells(e: ScheduleEntry):
+    """Yield (i, j, T) for the m x m cells T of a schedule entry."""
     cell = e.side / e.m
     for i in range(e.m):
         for j in range(e.m):
-            T = Rect(e.square.x0 + i * cell, e.square.y0 + j * cell,
-                     e.square.x0 + (i + 1) * cell, e.square.y0 + (j + 1) * cell)
-            yield i, j, T, rho_k.integrate(T)
+            yield i, j, Rect(e.square.x0 + i * cell, e.square.y0 + j * cell,
+                             e.square.x0 + (i + 1) * cell, e.square.y0 + (j + 1) * cell)
 
 
 def build_net(plan: NetPlan) -> Net:
@@ -177,14 +170,22 @@ def build_net(plan: NetPlan) -> Net:
     points = []
     tags = []
     counts = []
+    integrals = []
+    dom = plan.density.domain
     for idx, e in enumerate(plan.schedule, start=1):
+        scale = e.side / dom.width
+        phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
+        rho_k = reciprocal_transplant(plan.density, phi)
         cell = e.side / e.m
         n_arr = np.zeros((e.m, e.m), dtype=int)
-        for i, j, T, integral in _square_cells(plan, idx):
+        mass = np.zeros((e.m, e.m))
+        for i, j, T in _square_cells(e):
+            integral = rho_k.integrate(T)
             n = int(math.floor(math.sqrt(integral)))
             if n == 0:
                 raise ValueError(f"empty cell in square {idx}: plan invariant violated")
             n_arr[i, j] = n
+            mass[i, j] = integral
             step = cell / n
             ux = T.x0 + step * (np.arange(n) + 0.5)
             uy = T.y0 + step * (np.arange(n) + 0.5)
@@ -192,13 +193,14 @@ def build_net(plan: NetPlan) -> Net:
             points.append(np.column_stack([gx.ravel(), gy.ravel()]))
             tags.append(np.full(n * n, idx, dtype=int))
         counts.append(n_arr)
+        integrals.append(mass)
     if points:
         allp = np.vstack(points)
         allt = np.concatenate(tags)
     else:
         allp = np.zeros((0, 2))
         allt = np.zeros(0, dtype=int)
-    return Net(plan, allp, allt, tuple(counts))
+    return Net(plan, allp, allt, tuple(counts), tuple(integrals))
 
 
 def check_separation(net: Net, window: Rect) -> float:
@@ -266,14 +268,19 @@ def _quarters(i0, i1, j0, j1):
 
 def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
     """Per-cell comparison of point count against the density integral for
-    schedule entry k (1-based).  The floor construction guarantees
+    schedule entry k (1-based), read from the integrals build_net kept, so
+    `plan` must be the net's own.  The floor construction guarantees
     |count - target| <= 2 sqrt(target) + 1."""
+    if plan is not net.plan:
+        raise ValueError("measure_report needs the plan the net was built from (net.plan)")
     if not (1 <= k <= len(plan.schedule)):
         raise ValueError("k outside schedule")
     n_arr = net.counts[k - 1]
+    mass = net.integrals[k - 1]
     out = []
-    for i, j, T, target in _square_cells(plan, k):
+    for i, j, T in _square_cells(plan.schedule[k - 1]):
         count = int(n_arr[i, j]) ** 2
+        target = float(mass[i, j])
         out.append({
             "cell": (T.x0, T.y0, T.x1, T.y1),
             "count": count,

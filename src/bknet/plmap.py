@@ -124,14 +124,13 @@ def _centroid_densities(field: DensityField, nx: int, ny: int) -> np.ndarray:
     dom = field.domain
     dx = dom.width / nx
     dy = dom.height / ny
-    rho = []
-    for j in range(ny):
-        y0 = dom.y0 + dom.height * j / ny
-        for i in range(nx):
-            x0 = dom.x0 + dom.width * i / nx
-            for cx, cy in ((x0 + 2 * dx / 3, y0 + dy / 3), (x0 + dx / 3, y0 + 2 * dy / 3)):
-                rho.append(field.value_at(min(cx, dom.x1), min(cy, dom.y1)))
-    return np.array(rho)
+    x0 = dom.x0 + dom.width * np.arange(nx) / nx
+    y0 = dom.y0 + dom.height * np.arange(ny) / ny
+    cx = np.empty((ny, nx, 2))
+    cy = np.empty((ny, nx, 2))
+    cx[:, :, 0], cy[:, :, 0] = x0 + 2 * dx / 3, (y0 + dy / 3)[:, None]
+    cx[:, :, 1], cy[:, :, 1] = x0 + dx / 3, (y0 + 2 * dy / 3)[:, None]
+    return field.values_at(np.minimum(cx, dom.x1).ravel(), np.minimum(cy, dom.y1).ravel())
 
 
 def pl_metrics(m: PLMap, field: DensityField) -> PLMetrics:
