@@ -11,7 +11,7 @@ plus 2-swap local search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 
@@ -29,6 +29,12 @@ class DistortionResult:
         return self.lip * self.lip_inv
 
 
+# pair entries evaluated at once when a batch of bijections is compared:
+# bounds the temporaries of the exact search (8! bijections x 28 pairs)
+# and of a 2-swap row, 64 KB per array
+_CHUNK = 1 << 13
+
+
 def _dist_matrix(P: np.ndarray) -> np.ndarray:
     d = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(-1))
     return d
@@ -37,6 +43,11 @@ def _dist_matrix(P: np.ndarray) -> np.ndarray:
 def _check_inputs(X, Y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    for name, P in (("X", X), ("Y", Y)):
+        if P.ndim != 2 or P.shape[1] != 2:
+            raise ValueError(f"point set {name} must have shape (n, 2), got {P.shape}")
+        if not np.isfinite(P).all():
+            raise ValueError(f"point set {name} has a non-finite coordinate")
     if len(X) != len(Y):
         raise ValueError("point sets must have equal cardinality")
     if len(X) < 2:
@@ -44,32 +55,50 @@ def _check_inputs(X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _eval_mapping(DX: np.ndarray, DY: np.ndarray, sigma: np.ndarray,
-                  iu: np.ndarray, ju: np.ndarray) -> tuple[float, float]:
-    dx = DX[iu, ju]
-    dy = DY[sigma[iu], sigma[ju]]
-    if np.any(dx == 0) or np.any(dy == 0):
-        raise ValueError("duplicate points in input")
-    r = dy / dx
-    return float(r.max()), float((1.0 / r).max())
+class _Pairs:
+    """Pairwise distances of X and Y over the pairs i < j.  Every bijection
+    maps the pairs of Y onto themselves, so one check of the identity
+    covers them all for duplicate points."""
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray):
+        self.DY = _dist_matrix(Y)
+        self.iu, self.ju = np.triu_indices(len(X), k=1)
+        self.dx = _dist_matrix(X)[self.iu, self.ju]
+        if np.any(self.dx == 0) or np.any(self.DY[self.iu, self.ju] == 0):
+            raise ValueError("duplicate points in input")
+        self.rows = max(1, _CHUNK // len(self.dx))   # bijections per batch
+
+    def evaluate(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lip and lip_inv of every bijection X[i] -> Y[S[k, i]] in the rows of S.
+        Rounding is monotone, so 1 / min(r) is bitwise max(1 / r) for r > 0."""
+        r = self.DY[S[:, self.iu], S[:, self.ju]]
+        r /= self.dx
+        return r.max(axis=1), 1.0 / r.min(axis=1)
+
+    def result(self, sigma) -> DistortionResult:
+        lip, inv = self.evaluate(np.asarray(sigma)[None])
+        return DistortionResult(tuple(int(s) for s in sigma), float(lip[0]), float(inv[0]))
 
 
 def pair_distortion(X, Y) -> DistortionResult:
-    """Exact minimum distortion over all bijections (|X| <= 8)."""
+    """Exact minimum distortion over all bijections (|X| <= 8): the first
+    minimum in lexicographic order, over batches of the permutation table."""
     X, Y = _check_inputs(X, Y)
     n = len(X)
     if n > MAX_EXACT:
         raise ValueError(f"exact search limited to {MAX_EXACT} points")
-    DX = _dist_matrix(X)
-    DY = _dist_matrix(Y)
-    iu, ju = np.triu_indices(n, k=1)
+    pairs = _Pairs(X, Y)
+    perms = permutations(range(n))
     best = None
-    for perm in permutations(range(n)):
-        sigma = np.array(perm)
-        lip, lip_inv = _eval_mapping(DX, DY, sigma, iu, ju)
-        if best is None or lip * lip_inv < best.lip * best.lip_inv:
-            best = DistortionResult(perm, lip, lip_inv)
-    return best
+    while True:
+        S = np.fromiter(chain.from_iterable(islice(perms, pairs.rows)), dtype=np.intp)
+        if not len(S):
+            return best
+        S = S.reshape(-1, n)
+        lip, inv = pairs.evaluate(S)
+        k = int(np.argmin(lip * inv))
+        if best is None or lip[k] * inv[k] < best.distortion:
+            best = DistortionResult(tuple(int(s) for s in S[k]), float(lip[k]), float(inv[k]))
 
 
 def _nn_matching(X: np.ndarray, Y: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -85,22 +114,34 @@ def _nn_matching(X: np.ndarray, Y: np.ndarray, order: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _two_swap(DX, DY, sigma, iu, ju) -> np.ndarray:
+def _two_swap(pairs: _Pairs, sigma: np.ndarray) -> np.ndarray:
+    """First-improvement 2-swap descent.  For each a, the swaps (a, b)
+    with b past the last accepted one are evaluated against the current
+    sigma in one batch; the first that improves is taken, exactly as a
+    loop over b would."""
     n = len(sigma)
-    cur_lip, cur_inv = _eval_mapping(DX, DY, sigma, iu, ju)
-    cur = cur_lip * cur_inv
+    cur = pairs.result(sigma).distortion
     improved = True
     while improved:
         improved = False
         for a in range(n):
-            for b in range(a + 1, n):
-                sigma[a], sigma[b] = sigma[b], sigma[a]
-                lip, inv = _eval_mapping(DX, DY, sigma, iu, ju)
-                if lip * inv < cur - 1e-15:
-                    cur = lip * inv
-                    improved = True
-                else:
+            b0 = a + 1
+            while b0 < n:
+                bs = np.arange(b0, min(n, b0 + pairs.rows))
+                S = np.repeat(sigma[None], len(bs), axis=0)
+                k = np.arange(len(bs))
+                S[k, a], S[k, bs] = sigma[bs], sigma[a]
+                lip, inv = pairs.evaluate(S)
+                vals = lip * inv
+                hit = np.flatnonzero(vals < cur - 1e-15)
+                if len(hit):
+                    b = int(bs[hit[0]])
                     sigma[a], sigma[b] = sigma[b], sigma[a]
+                    cur = float(vals[hit[0]])
+                    improved = True
+                    b0 = b + 1
+                else:
+                    b0 += len(bs)
     return sigma
 
 
@@ -115,22 +156,16 @@ def greedy_distortion(X, Y, restarts: int = 8, seed: int = 0) -> DistortionResul
     if restarts < 0:
         raise ValueError("restarts must be >= 0")
     n = len(X)
-    DX = _dist_matrix(X)
-    DY = _dist_matrix(Y)
-    iu, ju = np.triu_indices(n, k=1)
+    pairs = _Pairs(X, Y)
 
     if restarts == 0:
-        sigma = _nn_matching(X, Y, np.arange(n))
-        lip, inv = _eval_mapping(DX, DY, sigma, iu, ju)
-        return DistortionResult(tuple(int(s) for s in sigma), lip, inv)
+        return pairs.result(_nn_matching(X, Y, np.arange(n)))
 
     rng = np.random.default_rng(seed)
     best = None
     for r in range(restarts):
         order = np.arange(n) if r == 0 else rng.permutation(n)
-        sigma = _nn_matching(X, Y, order)
-        sigma = _two_swap(DX, DY, sigma, iu, ju)
-        lip, inv = _eval_mapping(DX, DY, sigma, iu, ju)
-        if best is None or lip * inv < best.lip * best.lip_inv:
-            best = DistortionResult(tuple(int(s) for s in sigma), lip, inv)
+        res = pairs.result(_two_swap(pairs, _nn_matching(X, Y, order)))
+        if best is None or res.distortion < best.distortion:
+            best = res
     return best

@@ -249,6 +249,23 @@ class TestExitCodes:
         assert main(["gen-net", "--density", str(cb), "--K", "1"]) == 2
         assert "square density domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_distort_non_finite_point_exit_2(self, tmp_path, capsys, coord, which):
+        good = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        paths = {}
+        for name in ("x", "y"):
+            pts = [(0.0, 0.0), (1.0, 0.0), (0.0, coord)] if name == which else good
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("x,y,tag\n" + "".join(f"{x},{y},1\n" for x, y in pts))
+        out = tmp_path / "d.json"
+        capsys.readouterr()
+        for flags in ([], ["--greedy"]):
+            assert main(["distort", "--x", str(paths["x"]), "--y", str(paths["y"]),
+                         *flags, "--out", str(out)]) == 2
+            assert not out.exists()
+            assert f"point set {which.upper()} has a non-finite" in capsys.readouterr().err
+
 
 class TestGoldenOutputs:
     """sha256 of CLI outputs, recorded at commit aa74cb1 (the K=3 window
@@ -314,3 +331,48 @@ class TestGoldenOutputs:
             assert main([command, "--density", str(limit), "--K", "3",
                          "--window", window]) == 0
             assert self.sha(capsys.readouterr().out.encode()) == digest
+
+    # distortion-lab pins, recorded at 44b5a96 (before the incremental
+    # search step and the batched distortion enumeration); point sets are
+    # exact rationals so every platform writes the same CSV
+    EIGHT_X = [(0.0, 0.0), (1.0, 0.0), (2.5, 0.5), (0.5, 1.5),
+               (3.0, 2.0), (1.5, 3.0), (0.25, 2.75), (2.0, 1.25)]
+    EIGHT_Y = [(0.0, 0.5), (1.25, 0.0), (2.0, 1.0), (0.75, 1.75),
+               (3.5, 2.25), (1.0, 3.25), (0.0, 2.5), (2.25, 2.0)]
+    WIDE_X = [((k * 37) % 101 / 10, (k * 53) % 103 / 10) for k in range(33)]
+    WIDE_Y = [((k * 41) % 97 / 9, (k * 29) % 89 / 11) for k in range(33)]
+
+    SEARCH = [
+        (["--L", "2", "--c", "1", "--N", "4", "--M", "2", "--budget", "10000",
+          "--seed", "42"],
+         "19d14916e24d38606800e1f76a1ff20a4ab9dee4222d9313988512ede902971b"),
+        (["--L", "2", "--c", "1", "--N", "8", "--M", "4", "--budget", "2000",
+          "--seed", "7"],
+         "8464c2d8d73ba7c679592992e81c76bb15604d488eefaa6b8ef66f716d394113"),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", SEARCH, ids=["readme", "N8-M4"])
+    def test_search(self, tmp_path, argv, digest):
+        out = tmp_path / "s.json"
+        assert main(["search", *argv, "--out", str(out)]) == 0
+        assert self.sha(out.read_bytes()) == digest
+
+    DISTORT = [
+        ("eight", [],
+         "bf1fdb946238d744f8a97e5d8cb3114029169c00287863087ee2e1f21ee747ec"),
+        ("eight", ["--greedy", "--restarts", "8"],
+         "bf1fdb946238d744f8a97e5d8cb3114029169c00287863087ee2e1f21ee747ec"),
+        ("wide", ["--greedy"],
+         "7e95382ffa7d3025c651c2143abb5ccb891ec14569ec5228d19c8e4cd2594ad9"),
+    ]
+
+    @pytest.mark.parametrize("points,flags,digest", DISTORT,
+                             ids=["exact-8", "greedy-8", "greedy-33"])
+    def test_distort(self, tmp_path, points, flags, digest):
+        xs, ys = ((self.EIGHT_X, self.EIGHT_Y) if points == "eight"
+                  else (self.WIDE_X, self.WIDE_Y))
+        x = TestDistort._csv(None, tmp_path / "x.csv", xs)
+        y = TestDistort._csv(None, tmp_path / "y.csv", ys)
+        out = tmp_path / "d.json"
+        assert main(["distort", "--x", x, "--y", y, *flags, "--out", str(out)]) == 0
+        assert self.sha(out.read_bytes()) == digest

@@ -1,0 +1,429 @@
+"""The incremental search step and the batched distortion enumeration
+against the loops they replaced.
+
+The oracles below are the straightforward versions: a search step that
+rebuilds the whole map and recomputes every triangle, a loop over all
+permutations, and a 2-swap descent that evaluates one swap at a time.
+Every comparison is bitwise (==, array_equal), not approximate.
+"""
+
+import math
+from itertools import permutations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bknet import distortion, greedy_distortion, make_checkerboard, pair_distortion
+from bknet import search_min_stretch, toy_constants
+from bknet.distortion import _CHUNK, _dist_matrix, _nn_matching, _Pairs, _two_swap
+from bknet.plmap import PLMap, _centroid_densities, _jacobians, identity_map
+from bknet.search import JAC_PENALTY, _Descent
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def oracle_jacobians(m):
+    dx = m.domain.width / m.nx
+    dy = m.domain.height / m.ny
+    V = m.vertices.reshape(m.ny + 1, m.nx + 1, 2)
+    q00, q10, q01, q11 = V[:-1, :-1], V[:-1, 1:], V[1:, :-1], V[1:, 1:]
+    D = np.empty((m.ny, m.nx, 2, 2, 2))
+    e1, e2 = q10 - q00, q11 - q00
+    D[:, :, 0, :, 0] = e1 / dx
+    D[:, :, 0, :, 1] = (e2 - e1) / dy
+    e1, e2 = q11 - q00, q01 - q00
+    D[:, :, 1, :, 1] = e2 / dy
+    D[:, :, 1, :, 0] = (e1 - e2) / dx
+    D = D.reshape(-1, 2, 2)
+    dets = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
+    frob2 = (D ** 2).sum(axis=(1, 2))
+    disc = np.sqrt(np.maximum(frob2 ** 2 - 4.0 * dets ** 2, 0.0))
+    return dets, np.sqrt((frob2 + disc) / 2.0)
+
+
+def oracle_objective(verts, m, gap, rho, tri_area, L):
+    dets, smax = oracle_jacobians(PLMap(m.domain, m.nx, m.ny, verts))
+    if np.any(dets <= 0):
+        return np.inf, np.inf
+    lip = float(smax.max())
+    if lip > L:
+        return np.inf, lip
+    V = verts.reshape(m.ny + 1, m.nx + 1, 2)
+    diffs = V[:, 1:] - V[:, :-1]
+    ratios = np.hypot(diffs[..., 0], diffs[..., 1]) / gap
+    penalty = JAC_PENALTY * float((np.abs(dets - rho) * tri_area).sum())
+    return float(ratios.max()) + penalty, lip
+
+
+def oracle_search(field, consts, budget, seed):
+    """(trace, vertices) of the search loop that rebuilds every step."""
+    nx, ny = consts.N * consts.M, consts.M
+    m0 = identity_map(field.domain, nx, ny)
+    gap = field.domain.width / nx
+    rho = _centroid_densities(field, nx, ny)
+    tri_area = (field.domain.width / nx) * (field.domain.height / ny) / 2.0
+    verts = m0.vertices.copy()
+    obj, _ = oracle_objective(verts, m0, gap, rho, tri_area, consts.L)
+    trace = [obj]
+    rng = np.random.default_rng(seed)
+    for it in range(budget):
+        v = int(rng.integers(len(verts)))
+        direction = rng.standard_normal(2)
+        scale = 0.5 * gap * float(rng.random()) * 0.97 ** (it / 50.0)
+        cand = verts.copy()
+        cand[v] += scale * direction
+        cobj, _ = oracle_objective(cand, m0, gap, rho, tri_area, consts.L)
+        if cobj < obj:
+            verts, obj = cand, cobj
+            trace.append(obj)
+    return trace, verts
+
+
+def oracle_eval(DX, DY, sigma, iu, ju):
+    dx = DX[iu, ju]
+    dy = DY[sigma[iu], sigma[ju]]
+    if np.any(dx == 0) or np.any(dy == 0):
+        raise ValueError("duplicate points in input")
+    r = dy / dx
+    return float(r.max()), float((1.0 / r).max())
+
+
+def oracle_pair_distortion(X, Y):
+    X, Y = np.asarray(X, float), np.asarray(Y, float)
+    n = len(X)
+    DX, DY = _dist_matrix(X), _dist_matrix(Y)
+    iu, ju = np.triu_indices(n, k=1)
+    best = None
+    for perm in permutations(range(n)):
+        lip, inv = oracle_eval(DX, DY, np.array(perm), iu, ju)
+        if best is None or lip * inv < best[1] * best[2]:
+            best = (perm, lip, inv)
+    return best
+
+
+def oracle_two_swap(DX, DY, sigma, iu, ju):
+    n = len(sigma)
+    cur_lip, cur_inv = oracle_eval(DX, DY, sigma, iu, ju)
+    cur = cur_lip * cur_inv
+    improved = True
+    while improved:
+        improved = False
+        for a in range(n):
+            for b in range(a + 1, n):
+                sigma[a], sigma[b] = sigma[b], sigma[a]
+                lip, inv = oracle_eval(DX, DY, sigma, iu, ju)
+                if lip * inv < cur - 1e-15:
+                    cur = lip * inv
+                    improved = True
+                else:
+                    sigma[a], sigma[b] = sigma[b], sigma[a]
+    return sigma
+
+
+def oracle_greedy(X, Y, restarts, seed):
+    X, Y = np.asarray(X, float), np.asarray(Y, float)
+    n = len(X)
+    DX, DY = _dist_matrix(X), _dist_matrix(Y)
+    iu, ju = np.triu_indices(n, k=1)
+    if restarts == 0:
+        sigma = _nn_matching(X, Y, np.arange(n))
+        return (tuple(int(s) for s in sigma), *oracle_eval(DX, DY, sigma, iu, ju))
+    rng = np.random.default_rng(seed)
+    best = None
+    for r in range(restarts):
+        order = np.arange(n) if r == 0 else rng.permutation(n)
+        sigma = oracle_two_swap(DX, DY, _nn_matching(X, Y, order), iu, ju)
+        lip, inv = oracle_eval(DX, DY, sigma, iu, ju)
+        if best is None or lip * inv < best[1] * best[2]:
+            best = (tuple(int(s) for s in sigma), lip, inv)
+    return best
+
+
+def same_result(res, want):
+    return res.mapping == tuple(want[0]) and res.lip == want[1] and res.lip_inv == want[2]
+
+
+# ---------------------------------------------------------------------------
+# the search step
+
+def descent_for(N, M, L, c=1.0):
+    field = make_checkerboard(N, c)
+    nx, ny = N * M, M
+    m0 = identity_map(field.domain, nx, ny)
+    gap = field.domain.width / nx
+    rho = _centroid_densities(field, nx, ny)
+    tri_area = (field.domain.width / nx) * (field.domain.height / ny) / 2.0
+    return _Descent(m0, rho, L), (m0, gap, rho, tri_area)
+
+
+def assert_state_matches_full(state, m0, gap, rho, tri_area):
+    verts = state.vertices()
+    dets, smax = _jacobians(PLMap(m0.domain, m0.nx, m0.ny, verts))
+    assert np.array_equal(state.dets, dets)
+    assert np.array_equal(state.smax, smax)
+    assert np.array_equal(state.pen, np.abs(dets - rho) * tri_area)
+    V = verts.reshape(m0.ny + 1, m0.nx + 1, 2)
+    diffs = V[:, 1:] - V[:, :-1]
+    assert np.array_equal(state.ratios, (np.hypot(diffs[..., 0], diffs[..., 1]) / gap).ravel())
+    assert state.obj == oracle_objective(verts, m0, gap, rho, tri_area, state.L)[0]
+
+
+def move_and_check(state, m0, gap, rho, tri_area, v, px, py):
+    """state.move decides as the full objective does, and keeps the arrays
+    of a full recomputation."""
+    cand = state.vertices()
+    cand[v] = (px, py)
+    cobj, _ = oracle_objective(cand, m0, gap, rho, tri_area, state.L)
+    before = state.obj
+    accepted = state.move(v, px, py)
+    assert accepted == (cobj < before)
+    assert_state_matches_full(state, m0, gap, rho, tri_area)
+    return accepted
+
+
+class TestJacobians:
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.floats(-8, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_match_full_differentials(self, nx, ny, seed, log_noise):
+        rng = np.random.default_rng(seed)
+        m = identity_map(make_checkerboard(3, 1.0).domain, nx, ny)
+        verts = m.vertices + rng.standard_normal(m.vertices.shape) * 10.0 ** log_noise
+        pm = PLMap(m.domain, nx, ny, verts)
+        got, want = _jacobians(pm), oracle_jacobians(pm)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+class TestSearchStep:
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2 ** 31 - 1),
+           st.integers(0, 250), st.sampled_from([2.0, 1.25, 4.0]),
+           st.sampled_from([1.0, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_search_matches_full_recomputation(self, N, M, seed, budget, L, c):
+        field = make_checkerboard(N, c)
+        consts = toy_constants(L, c, N=N, M=M)
+        res = search_min_stretch(field, consts, budget, seed)
+        trace, verts = oracle_search(field, consts, budget, seed)
+        assert res.trace == tuple(trace)
+        assert np.array_equal(res.plmap.vertices, verts)
+        assert res.objective == trace[-1]
+
+    def test_readme_run_matches(self):
+        field = make_checkerboard(4, 1.0)
+        consts = toy_constants(2.0, 1.0, N=4, M=2)
+        res = search_min_stretch(field, consts, 3000, 42)
+        trace, verts = oracle_search(field, consts, 3000, 42)
+        assert res.trace == tuple(trace)
+        assert np.array_equal(res.plmap.vertices, verts)
+
+    @pytest.mark.parametrize("N,M", [(1, 1), (2, 1), (3, 2)])
+    def test_every_vertex_of_a_small_grid(self, N, M):
+        """Corners (1 or 2 touching triangles), edge vertices (3) and
+        interior vertices (6): each single move decides as the full
+        objective does, and the kept arrays stay those of a full
+        recomputation."""
+        state, (m0, gap, rho, tri_area) = descent_for(N, M, 2.0)
+        rng = np.random.default_rng(N * 10 + M)
+        nvert = len(m0.vertices)
+        for _ in range(6):
+            for v in range(nvert):
+                for scale in (0.3 * gap, 0.02 * gap, 1e-6 * gap):
+                    ux, uy = rng.standard_normal(2).tolist()
+                    move_and_check(state, m0, gap, rho, tri_area,
+                                   v, state.xs[v] + scale * ux, state.ys[v] + scale * uy)
+
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_kept_arrays_after_each_accepted_move(self, N, M, seed):
+        state, (m0, gap, rho, tri_area) = descent_for(N, M, 2.0)
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            v = int(rng.integers(len(m0.vertices)))
+            ux, uy = rng.standard_normal(2).tolist()
+            scale = 0.5 * gap * float(rng.random())
+            if state.move(v, state.xs[v] + scale * ux, state.ys[v] + scale * uy):
+                assert_state_matches_full(state, m0, gap, rho, tri_area)
+        assert_state_matches_full(state, m0, gap, rho, tri_area)
+
+    @pytest.mark.parametrize("N,M", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("L", [0.5, 1.0 - 2 ** -52])
+    def test_identity_above_the_cap(self, N, M, L):
+        """The search itself takes L > 1; the step does not rely on it."""
+        state, (m0, gap, rho, tri_area) = descent_for(N, M, L)
+        assert state.obj == np.inf
+        rng = np.random.default_rng(1)
+        for v in range(len(m0.vertices)):
+            for scale in (0.3 * gap, 1e-3 * gap):
+                ux, uy = rng.standard_normal(2).tolist()
+                move_and_check(state, m0, gap, rho, tri_area,
+                               v, state.xs[v] + scale * ux, state.ys[v] + scale * uy)
+
+    def test_start_above_the_cap_elsewhere(self):
+        """A start whose objective is +inf because of a triangle the move
+        does not touch: the step then checks every triangle."""
+        _, (m0, gap, rho, tri_area) = descent_for(4, 1, 2.0)
+        verts = m0.vertices.copy()
+        far = 9                         # vertex (4, 1), the top right corner
+        verts[far, 0] += 2.0 * gap      # its cell stretched threefold
+        start = PLMap(m0.domain, m0.nx, m0.ny, verts)
+        state = _Descent(start, rho, 2.0)
+        assert state.obj == np.inf
+        for v in range(len(verts)):
+            assert not move_and_check(state, m0, gap, rho, tri_area,
+                                      v, state.xs[v] + 1e-3 * gap, state.ys[v])
+        # moving the far corner back brings every triangle under the cap
+        assert move_and_check(state, m0, gap, rho, tri_area, far, *m0.vertices[far].tolist())
+        assert state.obj < np.inf
+
+    def test_orientation_flip_rejected(self):
+        state, (m0, gap, rho, tri_area) = descent_for(2, 1, 2.0)
+        v = 4                        # vertex (1, 1): the middle of the top edge
+        before = (state.vertices(), state.obj)
+        # push the vertex far below the bottom row: flips its triangles
+        assert not state.move(v, state.xs[v], state.ys[v] - 10.0)
+        assert np.array_equal(state.vertices(), before[0])
+        assert state.obj == before[1]
+        assert_state_matches_full(state, m0, gap, rho, tri_area)
+
+
+# ---------------------------------------------------------------------------
+# exact and greedy distortion
+
+HEXAGON = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+LINE = [(float(k), 0.0) for k in range(6)]
+SYMMETRIC = [
+    (SQUARE, SQUARE),
+    (SQUARE, [(2 * x + 1, 2 * y) for x, y in SQUARE]),
+    (SQUARE, [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0)]),
+    (HEXAGON, HEXAGON),
+    (HEXAGON, [(y, x) for x, y in HEXAGON]),
+    (HEXAGON, LINE),
+    (LINE, LINE),
+    (LINE, LINE[::-1]),
+    (LINE[:5], [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0), (4.0, 0.0)]),
+]
+
+@st.composite
+def point_pair(draw, max_size=7):
+    """Two point sets of equal size on a small integer grid (many equal
+    distances, so many tied bijections), optionally scaled."""
+    X = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                      min_size=2, max_size=max_size, unique=True))
+    Y = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                      min_size=len(X), max_size=len(X), unique=True))
+    s = draw(st.sampled_from([1.0, 0.1, 3.7]))
+    return np.array(X, float), s * np.array(Y, float)
+
+
+class TestPairDistortion:
+    @pytest.mark.parametrize("X,Y", SYMMETRIC)
+    def test_symmetric_sets(self, X, Y):
+        assert same_result(pair_distortion(X, Y), oracle_pair_distortion(X, Y))
+
+    @given(point_pair())
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_sets(self, XY):
+        X, Y = XY
+        assert same_result(pair_distortion(X, Y), oracle_pair_distortion(X, Y))
+
+    def test_eight_points(self):
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 5, (8, 2)).astype(float)
+        while len(set(map(tuple, X))) < 8:
+            X = rng.integers(0, 5, (8, 2)).astype(float)
+        Y = X[::-1] * 2.0 + 1.0
+        assert same_result(pair_distortion(X, Y), oracle_pair_distortion(X, Y))
+
+    @pytest.mark.parametrize("rows", range(1, 25))
+    def test_ties_across_batches(self, monkeypatch, rows):
+        """The square onto itself ties at distortion 1 for its 8 symmetries,
+        spread over the 24 permutations; every batch size keeps the first
+        one in lexicographic order."""
+        monkeypatch.setattr(distortion, "_CHUNK", 6 * rows)
+        want = oracle_pair_distortion(SQUARE, SQUARE)
+        assert same_result(pair_distortion(SQUARE, SQUARE), want)
+        # relabelled so that the first minimum is not the first permutation
+        Y = [SQUARE[k] for k in (2, 0, 3, 1)]
+        assert same_result(pair_distortion(SQUARE, Y), oracle_pair_distortion(SQUARE, Y))
+
+    def test_batches_stay_bounded_at_eight_points(self, monkeypatch):
+        shapes = []
+        evaluate = _Pairs.evaluate
+
+        def spy(self, S):
+            shapes.append(S.shape)
+            return evaluate(self, S)
+
+        monkeypatch.setattr(_Pairs, "evaluate", spy)
+        X = [(float(k), float(k * k % 5)) for k in range(8)]
+        Y = [(float(k % 3), float(k)) for k in range(8)]
+        pair_distortion(X, Y)
+        assert sum(r for r, _ in shapes) == math.factorial(8)
+        assert all(r * 28 <= _CHUNK for r, _ in shapes)
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            pair_distortion([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], SQUARE[:3])
+        with pytest.raises(ValueError, match="duplicate"):
+            greedy_distortion(SQUARE[:3], [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)])
+
+
+class TestGreedyDistortion:
+    @pytest.mark.parametrize("X,Y", SYMMETRIC)
+    @pytest.mark.parametrize("restarts", [0, 1, 4])
+    def test_symmetric_sets(self, X, Y, restarts):
+        got = greedy_distortion(X, Y, restarts=restarts, seed=2)
+        assert same_result(got, oracle_greedy(X, Y, restarts, 2))
+
+    @given(point_pair(max_size=12), st.integers(0, 4), st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_sets(self, XY, restarts, seed):
+        X, Y = XY
+        got = greedy_distortion(X, Y, restarts=restarts, seed=seed)
+        assert same_result(got, oracle_greedy(X, Y, restarts, seed))
+
+    @given(st.integers(2, 20), st.integers(0, 2 ** 31 - 1), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_two_swap_in_batches(self, n, seed, chunk):
+        """One swap row evaluated in batches of any size, down to one swap."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 10, (n, 2))
+        Y = np.round(rng.uniform(0, 4, (n, 2)), 1)
+        if len(set(map(tuple, Y))) < n:
+            Y = Y + np.arange(n)[:, None] * 1e-3
+        sigma = rng.permutation(n)
+        DX, DY = _dist_matrix(X), _dist_matrix(Y)
+        iu, ju = np.triu_indices(n, k=1)
+        want = oracle_two_swap(DX, DY, sigma.copy(), iu, ju)
+        distortion._CHUNK, saved = chunk, distortion._CHUNK
+        try:
+            got = _two_swap(_Pairs(X, Y), sigma.copy())
+        finally:
+            distortion._CHUNK = saved
+        assert np.array_equal(got, want)
+
+    def test_thirty_three_points(self):
+        X = [((k * 37) % 101 / 10, (k * 53) % 103 / 10) for k in range(33)]
+        Y = [((k * 41) % 97 / 9, (k * 29) % 89 / 11) for k in range(33)]
+        assert same_result(greedy_distortion(X, Y, restarts=3, seed=5),
+                           oracle_greedy(X, Y, 3, 5))
+
+
+class TestInputs:
+    @pytest.mark.parametrize("bad,name", [
+        ([(0.0, 0.0), (1.0, math.nan)], "X"),
+        ([(0.0, 0.0), (math.inf, 1.0)], "X"),
+        ([0.0, 1.0], "X"),
+        ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], "X"),
+    ])
+    @pytest.mark.parametrize("func", [pair_distortion, greedy_distortion])
+    def test_bad_point_sets_rejected(self, func, bad, name):
+        good = [(0.0, 0.0), (1.0, 0.0)]
+        with pytest.raises(ValueError, match=f"point set {name}"):
+            func(bad, good)
+        with pytest.raises(ValueError, match="point set Y"):
+            func(good, bad)
