@@ -7,6 +7,7 @@ and area arithmetic below is exact in binary floating point.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -102,6 +103,9 @@ class Similarity:
     ty: float = 0.0
 
     def __post_init__(self):
+        for name in ("scale", "tx", "ty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"similarity {name} must be finite, got {getattr(self, name)}")
         if not self.scale > 0:
             raise ValueError("similarity scale must be positive")
 

@@ -125,33 +125,46 @@ class Net:
         hi = np.searchsorted(xs_sorted, window.x1, side="right")
         idx = np.sort(order[lo:hi])
         cand = self.points[idx]
-        inside = ((cand[:, 0] >= window.x0) & (cand[:, 0] <= window.x1)
-                  & (cand[:, 1] >= window.y0) & (cand[:, 1] <= window.y1))
+        inside = _in_window(cand[:, 0], cand[:, 1], window)
         pts = [cand[inside]]
         tags = [self.tags[idx[inside]]]
 
         xs = np.arange(math.floor(window.x0), math.ceil(window.x1))
         ys = np.arange(math.floor(window.y0), math.ceil(window.y1))
         if len(xs) and len(ys):
-            gx, gy = np.meshgrid(xs, ys, indexing="ij")
-            cx = gx.ravel() + 0.5
-            cy = gy.ravel() + 0.5
-            keep = (cx >= window.x0) & (cx <= window.x1) & (cy >= window.y0) & (cy <= window.y1)
+            gx, gy = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
+            keep = _in_window(gx + 0.5, gy + 0.5, window)
             # drop centers of integer squares contained in a scheduled square
             for e in self.plan.schedule:
                 s = e.square
-                keep &= ~((gx.ravel() >= s.x0) & (gx.ravel() + 1 <= s.x1)
-                          & (gy.ravel() >= s.y0) & (gy.ravel() + 1 <= s.y1))
-            bg = np.column_stack([cx[keep], cy[keep]])
-            pts.append(bg)
-            tags.append(np.zeros(len(bg), dtype=int))
-        allp = np.vstack(pts)
-        return allp, np.concatenate(tags)
+                keep &= ~((gx >= s.x0) & (gx + 1 <= s.x1) & (gy >= s.y0) & (gy + 1 <= s.y1))
+            pts.append(np.column_stack([gx[keep] + 0.5, gy[keep] + 0.5]))
+            tags.append(np.zeros(int(keep.sum()), dtype=int))
+        return np.vstack(pts), np.concatenate(tags)
 
 
 def _check_finite(window: Rect) -> None:
     if not all(math.isfinite(v) for v in (window.x0, window.y0, window.x1, window.y1)):
         raise ValueError(f"window {window} has a non-finite coordinate")
+
+
+def _in_window(x: np.ndarray, y: np.ndarray, window: Rect) -> np.ndarray:
+    """Mask of the points (x, y) inside the closed window."""
+    return (x >= window.x0) & (x <= window.x1) & (y >= window.y0) & (y <= window.y1)
+
+
+def _near(net: Net, window: Rect) -> tuple[np.ndarray, cKDTree]:
+    """The net points in the window inflated by 2s, s = net.max_cell_spacing,
+    and a kd-tree over them.  They hold every window point's nearest net point
+    and every window net point's nearest neighbour: each point of the plane is
+    within s/sqrt(2) of the net (of a subdivision cell's grid centers, or of
+    the lattice center of a unit square no scheduled square contains), and a
+    Voronoi neighbour of a net point is within twice that."""
+    _check_finite(window)
+    r = 2.0 * net.max_cell_spacing
+    pts, _ = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
+                                       window.x1 + r, window.y1 + r))
+    return pts, cKDTree(pts)
 
 
 def _square_cells(e: ScheduleEntry):
@@ -205,18 +218,11 @@ def build_net(plan: NetPlan) -> Net:
 
 def check_separation(net: Net, window: Rect) -> float:
     """Exact minimum pairwise distance over pairs with at least one point
-    in the window; the candidate set is inflated so boundary pairs are
-    not missed."""
-    _check_finite(window)
-    radius = 2.0 * max(1.0, net.max_cell_spacing)
-    big = Rect(window.x0 - radius, window.y0 - radius,
-               window.x1 + radius, window.y1 + radius)
-    pts, _ = net.points_in_window(big)
-    inside = ((pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
-              & (pts[:, 1] >= window.y0) & (pts[:, 1] <= window.y1))
+    in the window, read from the candidate set of `_near`."""
+    pts, tree = _near(net, window)
+    inside = _in_window(pts[:, 0], pts[:, 1], window)
     if inside.sum() < 2:
         raise ValueError("window contains fewer than 2 points")
-    tree = cKDTree(pts)
     d, _ = tree.query(pts[inside], k=2, workers=_workers())
     return float(d[:, 1].min())
 
@@ -226,15 +232,8 @@ def check_covering(net: Net, window: Rect) -> float:
     over the sample grid of step 1/64 on the window (additive error <=
     sqrt(2)/128).  The value is exactly that grid maximum; it is found by
     branch and bound, so only a few per cent of the samples are queried."""
-    _check_finite(window)
+    _, tree = _near(net, window)
     step = 1.0 / 64.0
-    radius = 2.0 * max(1.0, net.max_cell_spacing) + 2.0
-    big = Rect(window.x0 - radius, window.y0 - radius,
-               window.x1 + radius, window.y1 + radius)
-    pts, _ = net.points_in_window(big)
-    if len(pts) == 0:
-        raise ValueError("no net points near the window")
-    tree = cKDTree(pts)
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
     # blocks of samples as half-open index ranges [i0, i1) x [j0, j1)

@@ -31,6 +31,9 @@ class PLMap:
     vertices: np.ndarray   # ((nx+1)*(ny+1), 2); vertex (i, j) is reshape(ny+1, nx+1, 2)[j, i]
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         want = (self.nx + 1) * (self.ny + 1)
         if self.vertices.shape != (want, 2):
             raise ValueError(f"expected {want} vertex images, got {self.vertices.shape}")

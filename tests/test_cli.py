@@ -249,6 +249,22 @@ class TestExitCodes:
         assert main(["gen-net", "--density", str(cb), "--K", "1"]) == 2
         assert "square density domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--L", "2", "--c", "1", "--N", "4", "--M", "2"],
+        ["plot", "map"],
+    ], ids=["certify", "plot-map"])
+    def test_map_with_an_empty_grid_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "nx": 0, "ny": 0,
+            "domain": {"x0": "0.0", "y0": "0.0", "x1": "1.0", "y1": "0.25"},
+            "vertices": [["0.0", "0.0"]]}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "nx must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("which", ["x", "y"])
     def test_distort_non_finite_point_exit_2(self, tmp_path, capsys, coord, which):

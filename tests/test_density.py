@@ -120,6 +120,16 @@ class TestTransplant:
         f = make_checkerboard(4, 1.0)
         assert transplant(f, Similarity(1.0)) == f
 
+    @pytest.mark.parametrize("args,field", [
+        ((1.0, math.nan), "tx"),
+        ((1.0, 0.0, -math.inf), "ty"),
+        ((math.inf,), "scale"),
+        ((math.nan,), "scale"),
+    ])
+    def test_non_finite_similarity_rejected_with_the_field_named(self, args, field):
+        with pytest.raises(ValueError, match=f"similarity {field} must be finite"):
+            Similarity(*args)
+
     def test_reciprocal_on_constant(self):
         c = 0.5
         f = constant_field(1.0 + c)

@@ -2,7 +2,9 @@
 
 check_covering prunes the 1/64 sample grid by branch and bound, and
 Net.points_in_window selects explicit points through an x-sorted index.
-Both must return exactly what the full scans below return."""
+Both must return exactly what the full scans below return.  The exact
+covering radius, from the Voronoi diagram of the net near the window,
+brackets check_covering from both sides."""
 
 import functools
 import math
@@ -10,7 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 from bknet import (
     DensityField,
@@ -57,6 +59,68 @@ def covering_by_full_sweep(net, window):
         d, _ = tree.query(q, k=1)
         worst = max(worst, float(d.max()))
     return worst
+
+
+def covering_exact(net, window):
+    """The covering radius of the window: the largest distance from a point
+    of the window to the net, over the candidates points_in_window gives
+    for check_covering's former inflation 2 max(1, s) + 2.  Restricted to a
+    Voronoi cell, the distance to its site is convex, so the maximum lies
+    at a Voronoi vertex in the window, where a ridge crosses a window edge,
+    or at a window corner."""
+    radius = 2.0 * max(1.0, net.max_cell_spacing) + 2.0
+    pts, _ = net.points_in_window(Rect(window.x0 - radius, window.y0 - radius,
+                                       window.x1 + radius, window.y1 + radius))
+    vor = Voronoi(pts)
+    v = vor.vertices
+    ridges = np.array(vor.ridge_vertices)
+    finite = (ridges >= 0).all(axis=1)
+    # an unbounded ridge runs from its vertex away from the points' centroid
+    center = pts.mean(axis=0)
+    for (p, q), ends in zip(vor.ridge_points[~finite], ridges[~finite]):
+        normal = np.array([pts[p, 1] - pts[q, 1], pts[q, 0] - pts[p, 0]])
+        normal *= np.sign(np.dot((pts[p] + pts[q]) / 2 - center, normal))
+        assert not ray_meets(v[ends.max()], normal, window)
+    cand = [np.array([[window.x0, window.y0], [window.x0, window.y1],
+                      [window.x1, window.y0], [window.x1, window.y1]]),
+            v[(v[:, 0] >= window.x0) & (v[:, 0] <= window.x1)
+              & (v[:, 1] >= window.y0) & (v[:, 1] <= window.y1)]]
+    a, b = v[ridges[finite, 0]], v[ridges[finite, 1]]
+    for axis, edges, (lo, hi) in ((0, (window.x0, window.x1), (window.y0, window.y1)),
+                                  (1, (window.y0, window.y1), (window.x0, window.x1))):
+        for c in edges:
+            da, db = a[:, axis] - c, b[:, axis] - c
+            cross = (da * db <= 0) & (da != db)
+            t = da[cross] / (da[cross] - db[cross])
+            other = a[cross, 1 - axis] + t * (b[cross, 1 - axis] - a[cross, 1 - axis])
+            other = other[(other >= lo) & (other <= hi)]
+            cand.append(np.column_stack([np.full(len(other), c), other])[:, [axis, 1 - axis]])
+    d, _ = cKDTree(pts).query(np.vstack(cand))
+    return float(d.max())
+
+
+def ray_meets(origin, direction, window):
+    """Whether the ray origin + t direction, t >= 0, meets the closed window."""
+    t0, t1 = 0.0, math.inf
+    for o, d, lo, hi in ((origin[0], direction[0], window.x0, window.x1),
+                         (origin[1], direction[1], window.y0, window.y1)):
+        if d == 0:
+            if not lo <= o <= hi:
+                return False
+        else:
+            a, b = sorted(((lo - o) / d, (hi - o) / d))
+            t0, t1 = max(t0, a), min(t1, b)
+    return t0 <= t1
+
+
+def sample_span(window):
+    """The rectangle check_covering's 1/64 sample grid spans.  Its last
+    column or row may lie past x1 or y1, by under half a step."""
+    step = 1.0 / 64.0
+    xs = np.arange(window.x0, window.x1 + step / 2, step)
+    ys = np.arange(window.y0, window.y1 + step / 2, step)
+    return Rect(window.x0, window.y0, max(window.x1, float(xs[-1])),
+                max(window.y1, float(ys[-1])))
 
 
 def points_by_full_scan(net, window):
@@ -127,6 +191,38 @@ class TestCoveringOracle:
     def test_fixed_windows(self, window):
         got = check_covering(net("two-tone-K3"), window)
         assert got == covering_by_full_sweep(net("two-tone-K3"), window)
+
+
+class TestExactCovering:
+    @staticmethod
+    def check(n, window):
+        got = check_covering(n, window)
+        exact = covering_exact(n, window)
+        # Voronoi vertices and samples are rounded to the coordinates' ulp
+        tol = 8 * math.ulp(max(abs(window.x0), abs(window.x1),
+                               abs(window.y0), abs(window.y1)) + 8.0)
+        # the samples may lie past the window (see sample_span), so
+        # check_covering can exceed the window's own exact radius
+        assert got <= covering_exact(n, sample_span(window)) + tol
+        # every window point is within half a step, per axis, of a sample
+        assert exact <= got + math.sqrt(2) / 128 + tol
+        # the bound behind the single candidate radius of the window checks
+        assert exact <= n.max_cell_spacing / math.sqrt(2) + tol
+
+    @pytest.mark.parametrize("name", list(PLANS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_brackets_check_covering(self, name, data):
+        self.check(net(name), data.draw(windows(name)))
+
+    @pytest.mark.parametrize("window", [
+        Rect(0.1, 0.2, 0.105, 3.3),
+        Rect(15.01, 15.3, 15.02, 19.7),
+        Rect(-0.7, -0.3, 1.3, 17.55),
+        Rect(14.37, 14.11, 18.9, 18.33),
+    ])
+    def test_fixed_windows(self, window):
+        self.check(net("two-tone-K3"), window)
 
 
 class TestPointsInWindowOracle:
