@@ -175,6 +175,8 @@ class TestSerialization:
         assert m2.nx == m.nx and m2.ny == m.ny
         assert np.array_equal(m2.vertices, m.vertices)
 
+
+class TestConstruction:
     @pytest.mark.parametrize("nx,ny,field", [(0, 0, "nx"), (2, 0, "ny"), (-1, -1, "nx")])
     def test_empty_grid_rejected_with_the_field_named(self, nx, ny, field):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
