@@ -40,13 +40,14 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _load(path: str, parse, what: str):
     """parse(text of the file); a missing or malformed file is a
-    validation error."""
+    validation error, and so is valid JSON of the wrong shape (a list where
+    an object belongs, a number where a rect belongs, a null value)."""
     try:
         with open(path) as fh:
             return parse(fh.read())
     except FileNotFoundError as exc:
         raise ValidationError(f"missing file: {path}") from exc
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
 
 

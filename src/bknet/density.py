@@ -61,9 +61,18 @@ class DensityField:
         return box.reshape(-1, 4), np.array([v for _, v in self.cells], dtype=float)
 
     def value_at(self, x: float, y: float) -> float:
+        """The value at one point of the closed domain, by values_at's rule:
+        the cells are interior-disjoint and half-open, so at most one holds
+        the point."""
         if not self.domain.contains_point(x, y):
             raise DomainError(f"point ({x}, {y}) outside domain {self.domain}")
-        return float(self.values_at([x], [y])[0])
+        box, val = self._columns
+        if len(val):
+            hit = _holds(box, x, y)
+            n = hit.argmax()
+            if hit[n]:
+                return float(val[n])
+        return float(self.default)
 
     def values_at(self, xs, ys) -> np.ndarray:
         """Values at many points, half-open like value_at but without its
@@ -80,7 +89,7 @@ class DensityField:
             step = max(1, _PAIR_CHUNK // len(val))
             for s in range(0, x.size, step):
                 cx, cy = px[s:s + step], py[s:s + step]
-                hit = (box[:, 0] <= cx) & (cx < box[:, 2]) & (box[:, 1] <= cy) & (cy < box[:, 3])
+                hit = _holds(box, cx, cy)
                 found = np.flatnonzero(hit.any(axis=1))
                 out[s + found] = val[hit[found].argmax(axis=1)]
         return out.reshape(x.shape)
@@ -94,21 +103,10 @@ class DensityField:
         return max(self.values()) - 1.0
 
     def integrate(self, r: Rect) -> float:
-        """Exact integral over r (r must lie inside the domain).  The cell
-        terms are added in cell order, as a loop over `cells` would."""
+        """Exact integral over r (r must lie inside the domain)."""
         if not self.domain.contains_rect(r):
             raise DomainError(f"rectangle {r} not contained in domain {self.domain}")
-        box, val = self._columns
-        w = np.minimum(box[:, 2], r.x1) - np.maximum(box[:, 0], r.x0)
-        h = np.minimum(box[:, 3], r.y1) - np.maximum(box[:, 1], r.y0)
-        meet = (w > 0) & (h > 0)   # interiors meet, as Rect.intersect decides
-        area = w[meet] * h[meet]
-        total = covered = 0.0
-        if len(area):
-            # cumsum adds left to right; np.sum's pairwise order would not
-            total = float(np.cumsum(val[meet] * area)[-1])
-            covered = float(np.cumsum(area)[-1])
-        return total + self.default * (r.area - covered)
+        return _integrate(*self._columns, self.default, r)
 
     def replace_region(self, regions: list[Rect],
                        new_cells: list[tuple[Rect, float]]) -> "DensityField":
@@ -132,6 +130,28 @@ class DensityField:
             kept.extend((piece, v) for piece in pieces)
         kept.extend(new_cells)
         return DensityField(self.domain, self.default, tuple(kept))
+
+
+def _holds(box: np.ndarray, x, y) -> np.ndarray:
+    """Mask of the boxes (rows x0, y0, x1, y1) whose half-open extent
+    [x0, x1) x [y0, y1) holds the point (x, y); broadcasts over x and y."""
+    return (box[:, 0] <= x) & (x < box[:, 2]) & (box[:, 1] <= y) & (y < box[:, 3])
+
+
+def _integrate(box: np.ndarray, val: np.ndarray, default: float, r: Rect) -> float:
+    """Exact integral over r of the field with cell boxes `box` (rows x0, y0,
+    x1, y1), cell values `val` and value `default` elsewhere.  The cell terms
+    are added in row order, as a loop over the cells would."""
+    w = np.minimum(box[:, 2], r.x1) - np.maximum(box[:, 0], r.x0)
+    h = np.minimum(box[:, 3], r.y1) - np.maximum(box[:, 1], r.y0)
+    meet = (w > 0) & (h > 0)   # interiors meet, as Rect.intersect decides
+    area = w[meet] * h[meet]
+    total = covered = 0.0
+    if len(area):
+        # cumsum adds left to right; np.sum's pairwise order would not
+        total = float(np.cumsum(val[meet] * area)[-1])
+        covered = float(np.cumsum(area)[-1])
+    return total + default * (r.area - covered)
 
 
 def _meeting_regions(box: np.ndarray, reg: np.ndarray) -> tuple[list[int], list[int]]:
@@ -204,14 +224,32 @@ def reciprocal_transplant(field: DensityField, s: Similarity) -> DensityField:
 
 
 # ---------------------------------------------------------------------------
-# serialization: coordinates as decimal strings so dyadics round-trip exactly
+# serialization: coordinates as decimal strings so dyadics round-trip exactly.
+# The text is json.dumps(doc, indent=2, sort_keys=True) of
+# {"cells": [{"rect": rect, "value": v}, ...], "default": v, "domain": rect},
+# a rect being {"x0": ..., "x1": ..., "y0": ..., "y1": ...} and every number a
+# ".17g" string, written through these templates in one format call.
 
-def _num(x: float) -> str:
-    return format(x, ".17g")
+_CELL_JSON = """    {{
+      "rect": {{
+        "x0": "{:.17g}",
+        "x1": "{:.17g}",
+        "y0": "{:.17g}",
+        "y1": "{:.17g}"
+      }},
+      "value": "{:.17g}"
+    }}"""
 
-
-def _rect_to_json(r: Rect) -> dict:
-    return {"x0": _num(r.x0), "y0": _num(r.y0), "x1": _num(r.x1), "y1": _num(r.y1)}
+_FIELD_JSON = """{{
+  "cells": [{}],
+  "default": "{:.17g}",
+  "domain": {{
+    "x0": "{:.17g}",
+    "x1": "{:.17g}",
+    "y0": "{:.17g}",
+    "y1": "{:.17g}"
+  }}
+}}"""
 
 
 def _rect_from_json(rect: dict) -> Rect:
@@ -219,12 +257,14 @@ def _rect_from_json(rect: dict) -> Rect:
 
 
 def field_to_json(field: DensityField) -> str:
-    doc = {
-        "domain": _rect_to_json(field.domain),
-        "default": _num(field.default),
-        "cells": [{"rect": _rect_to_json(r), "value": _num(v)} for r, v in field.cells],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    box, val = field._columns
+    cells = ""
+    if len(val):
+        # per cell x0, x1, y0, y1, value: the sorted keys' order
+        flat = np.column_stack([box[:, [0, 2, 1, 3]], val]).ravel().tolist()
+        cells = "\n" + ",\n".join([_CELL_JSON] * len(val)).format(*flat) + "\n  "
+    d = field.domain
+    return _FIELD_JSON.format(cells, field.default, d.x0, d.x1, d.y0, d.y1)
 
 
 def field_from_json(text: str) -> DensityField:

@@ -75,6 +75,14 @@ def embed_in_neighborhood(seg: Segment, U: Rect, N: int, c: float,
     field, the rescaled marked pairs that fall inside the patch, and the
     mismatch budget eps scaled by (segment length)^2.
     """
+    patch_rect, cells, pairs, eps = _patch(seg, U, N, c, M, L)
+    return DensityField(patch_rect, 1.0, tuple(cells)), pairs, eps
+
+
+def _patch(seg: Segment, U: Rect, N: int, c: float, M: int, L: float,
+           ) -> tuple[Rect, list[tuple[Rect, float]], list[Segment], float]:
+    """embed_in_neighborhood's patch as its domain and cells, unvalidated:
+    build_hierarchy checks every patch cell once, in the level field."""
     ax, bx, y = _segment_span(seg)
     lam = bx - ax
     if not (U.x0 <= ax and bx <= U.x1 and U.y0 <= y):
@@ -88,7 +96,6 @@ def embed_in_neighborhood(seg: Segment, U: Rect, N: int, c: float,
     for j in range(N):
         r = Rect(ax + j * lam / N, y, ax + (j + 1) * lam / N, y + h)
         cells.append((r, 1.0 if j % 2 == 0 else 1.0 + c))
-    patch = DensityField(patch_rect, 1.0, tuple(cells))
 
     NM = N * M
     pairs: list[Segment] = []
@@ -100,7 +107,7 @@ def embed_in_neighborhood(seg: Segment, U: Rect, N: int, c: float,
             pairs.append(((ax + lam * p / NM, py), (ax + lam * (p + 1) / NM, py)))
 
     eps = lam * lam * 0.5 * c / (8.0 * N * N * L * L)
-    return patch, pairs, eps
+    return patch_rect, cells, pairs, eps
 
 
 def _disjoint_pairs(pairs: list[Segment], NM: int) -> list[Segment]:
@@ -163,10 +170,10 @@ def build_hierarchy(L: float, c: float, depth: int,
             if not UNIT_SQUARE.contains_rect(U):
                 raise HierarchyDepthError(
                     f"level {level}: neighborhood {U} leaves the unit square")
-            patch, pairs, eps_patch = embed_in_neighborhood(seg, U, N, c, M, L)
-            patch_cells.extend(patch.cells)
+            patch_rect, cells, pairs, eps_patch = _patch(seg, U, N, c, M, L)
+            patch_cells.extend(cells)
             new_segments.extend(_disjoint_pairs(pairs, N * M))
-            neighborhoods.append(patch.domain)
+            neighborhoods.append(patch_rect)
             eps_level = eps_patch if eps_level is None else min(eps_level, eps_patch)
         field = field.replace_region(neighborhoods, patch_cells)
 

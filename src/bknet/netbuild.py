@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .density import DensityField, reciprocal_transplant
+from .density import DensityField, _integrate
 from .geometry import Rect, Similarity, first_overlap
 
 
@@ -185,15 +185,23 @@ def build_net(plan: NetPlan) -> Net:
     counts = []
     integrals = []
     dom = plan.density.domain
+    # the values of reciprocal_transplant(plan.density, phi), then per square
+    # its cell boxes, with phi's float arithmetic in Similarity.apply_rect
+    box, val = plan.density._columns
+    with np.errstate(over="ignore"):
+        inv_val = 1.0 / val
+    inv_default = 1.0 / plan.density.default
+    if plan.schedule and not (math.isfinite(inv_default) and np.isfinite(inv_val).all()):
+        raise ValueError("the reciprocal density has a non-finite value")
     for idx, e in enumerate(plan.schedule, start=1):
         scale = e.side / dom.width
         phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
-        rho_k = reciprocal_transplant(plan.density, phi)
+        box_k = box * phi.scale + np.array([phi.tx, phi.ty, phi.tx, phi.ty])
         cell = e.side / e.m
         n_arr = np.zeros((e.m, e.m), dtype=int)
         mass = np.zeros((e.m, e.m))
         for i, j, T in _square_cells(e):
-            integral = rho_k.integrate(T)
+            integral = _integrate(box_k, inv_val, inv_default, T)
             n = int(math.floor(math.sqrt(integral)))
             if n == 0:
                 raise ValueError(f"empty cell in square {idx}: plan invariant violated")

@@ -231,6 +231,44 @@ class TestExitCodes:
         assert "cells 0 and 1 overlap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["gen-net", "check-net"])
+    @pytest.mark.parametrize("shape", ["top-level-list", "numeric-rect", "null-default"])
+    def test_wrongly_shaped_density_file_exit_2(self, tmp_path, capsys, command, shape):
+        good = tmp_path / "good.json"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "1",
+                     "--out", str(good)]) == 0
+        doc = json.loads(good.read_text())
+        if shape == "top-level-list":
+            doc = []
+        elif shape == "numeric-rect":
+            doc["cells"][0]["rect"] = 5
+        else:
+            doc["default"] = None
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--density", str(path), "--K", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "malformed density file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--L", "2", "--c", "1", "--N", "4", "--M", "2"],
+        ["plot", "map"],
+    ], ids=["certify", "plot-map"])
+    @pytest.mark.parametrize("shape", ["top-level-list", "null-nx"])
+    def test_wrongly_shaped_map_file_exit_2(self, tmp_path, capsys, argv, shape):
+        doc = {"nx": None, "ny": 1,
+               "domain": {"x0": "0.0", "y0": "0.0", "x1": "1.0", "y1": "0.25"},
+               "vertices": [["0.0", "0.0"], ["1.0", "0.0"], ["0.0", "0.25"], ["1.0", "0.25"]]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([] if shape == "top-level-list" else doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "malformed map file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-net", "check-net"])
     @pytest.mark.parametrize("window", ["0,0,inf,4", "-inf,0,4,4"])
     def test_non_finite_window_exit_2(self, tmp_path, capsys, command, window):
         limit = tmp_path / "limit.json"
