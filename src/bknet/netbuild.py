@@ -32,9 +32,12 @@ _SLACK = 1e-12
 
 def _workers() -> int:
     env = os.environ.get("BKNET_THREADS")
-    if env:
+    if not env:
+        return -1
+    try:
         return max(1, int(env))
-    return -1
+    except ValueError:
+        raise ValueError(f"BKNET_THREADS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class Net:
     counts: tuple[np.ndarray, ...]  # per square: n_ki as an (m, m) array
     integrals: tuple[np.ndarray, ...]  # per square: the cell integrals as an (m, m) array
 
-    @property
+    @functools.cached_property
     def max_cell_spacing(self) -> float:
         """Largest point spacing over all subdivision cells (>= 1 for the
         background)."""
@@ -159,12 +162,20 @@ def _near(net: Net, window: Rect) -> tuple[np.ndarray, cKDTree]:
     and every window net point's nearest neighbour: each point of the plane is
     within s/sqrt(2) of the net (of a subdivision cell's grid centers, or of
     the lattice center of a unit square no scheduled square contains), and a
-    Voronoi neighbour of a net point is within twice that."""
+    Voronoi neighbour of a net point is within twice that.  The net keeps the
+    last window's set, so check_separation and then check_covering on one
+    window gather and index it once."""
     _check_finite(window)
+    last = vars(net).get("_near_last")
+    if last is not None and last[0] == window:
+        return last[1], last[2]
     r = 2.0 * net.max_cell_spacing
     pts, _ = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
                                        window.x1 + r, window.y1 + r))
-    return pts, cKDTree(pts)
+    tree = cKDTree(pts)
+    # a frozen dataclass: set the memo the way functools.cached_property does
+    vars(net)["_near_last"] = (window, pts, tree)
+    return pts, tree
 
 
 def _square_cells(e: ScheduleEntry):
@@ -239,8 +250,10 @@ def check_covering(net: Net, window: Rect) -> float:
     """Covering radius under-approximation: the maximum distance to the net
     over the sample grid of step 1/64 on the window (additive error <=
     sqrt(2)/128).  The value is exactly that grid maximum; it is found by
-    branch and bound, so only a few per cent of the samples are queried."""
-    _, tree = _near(net, window)
+    branch and bound, bounding each block of samples by its farthest corner
+    from the net point nearest a sample of it, so only a few per cent of the
+    samples are queried."""
+    pts, tree = _near(net, window)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
@@ -252,25 +265,38 @@ def check_covering(net: Net, window: Rect) -> float:
     worst = 0.0
     while len(i0):
         ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
-        d, _ = tree.query(np.column_stack([xs[ri], ys[rj]]), k=1, workers=_workers())
+        d, k = tree.query(np.column_stack([xs[ri], ys[rj]]), k=1, workers=_workers())
         worst = max(worst, float(d.max()))
-        # distance to the net is 1-Lipschitz, so no sample of a block lies
-        # farther from the net than d + r, r its farthest sample from (ri, rj)
-        r = np.hypot(np.maximum(xs[ri] - xs[i0], xs[i1 - 1] - xs[ri]),
-                     np.maximum(ys[rj] - ys[j0], ys[j1 - 1] - ys[rj]))
-        live = (r > 0) & ((d + r) * (1.0 + _SLACK) >= worst)
-        i0, i1, j0, j1 = _quarters(i0[live], i1[live], j0[live], j1[live])
+        # a block is done when it is one sample, or when no sample of it can
+        # lie farther from the net than worst; the quarters of the others
+        # inherit the net point nearest their parent's centre sample, and
+        # are pruned by the same bound on their own box before their query
+        p = pts[k]
+        live = ((i1 - i0 > 1) | (j1 - j0 > 1)) & _may_exceed(p, xs, ys, i0, i1, j0, j1, worst)
+        i0, i1, j0, j1, p = _quarters(i0[live], i1[live], j0[live], j1[live], p[live])
+        live = _may_exceed(p, xs, ys, i0, i1, j0, j1, worst)
+        i0, i1, j0, j1 = i0[live], i1[live], j0[live], j1[live]
     return worst
 
 
-def _quarters(i0, i1, j0, j1):
-    """The non-empty quarters of index blocks [i0, i1) x [j0, j1); a block
-    one sample wide is halved along the other axis only."""
+def _may_exceed(p, xs, ys, i0, i1, j0, j1, worst):
+    """Mask of the blocks whose farthest corner from p, times 1 + _SLACK,
+    reaches worst.  No sample x of a block lies farther from the net than
+    |x - p|, and no farther from p than the block's farthest corner."""
+    ub = np.hypot(np.maximum(np.abs(p[:, 0] - xs[i0]), np.abs(xs[i1 - 1] - p[:, 0])),
+                  np.maximum(np.abs(p[:, 1] - ys[j0]), np.abs(ys[j1 - 1] - p[:, 1])))
+    return ub * (1.0 + _SLACK) >= worst
+
+
+def _quarters(i0, i1, j0, j1, p):
+    """The non-empty quarters of index blocks [i0, i1) x [j0, j1), each with
+    its parent's row of p; a block one sample wide is halved along the other
+    axis only."""
     im, jm = (i0 + i1 + 1) // 2, (j0 + j1 + 1) // 2
     qi0, qi1 = np.concatenate([i0, i0, im, im]), np.concatenate([im, im, i1, i1])
     qj0, qj1 = np.concatenate([j0, jm, j0, jm]), np.concatenate([jm, j1, jm, j1])
     keep = (qi0 < qi1) & (qj0 < qj1)
-    return qi0[keep], qi1[keep], qj0[keep], qj1[keep]
+    return qi0[keep], qi1[keep], qj0[keep], qj1[keep], np.tile(p, (4, 1))[keep]
 
 
 def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:

@@ -279,6 +279,18 @@ class TestExitCodes:
                      f"--window={window}"]) == 2
         assert f"bad --window '{window}'" in capsys.readouterr().err
 
+    def test_malformed_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
+        limit = tmp_path / "limit.json"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "1",
+                     "--out", str(limit)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("BKNET_THREADS", "abc")
+        out = tmp_path / "out.json"
+        assert main(["check-net", "--density", str(limit), "--K", "1",
+                     "--out", str(out)]) == 2
+        assert "BKNET_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_square_density_domain_exit_2(self, tmp_path, capsys):
         cb = tmp_path / "cb.json"
         assert main(["gen-density", "checkerboard", "--N", "4", "--c", "1",

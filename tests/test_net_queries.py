@@ -4,8 +4,12 @@ check_covering prunes the 1/64 sample grid by branch and bound, and
 Net.points_in_window selects explicit points through an x-sorted index.
 Both must return exactly what the full scans below return.  The exact
 covering radius, from the Voronoi diagram of the net near the window,
-brackets check_covering from both sides."""
+brackets check_covering from both sides.  The former branch-and-bound
+loop, which bounded a block by its centre's distance plus the block's
+radius, is kept below as an oracle for the farthest-corner bound."""
 
+import contextlib
+import dataclasses
 import functools
 import math
 
@@ -23,6 +27,7 @@ from bknet import (
     check_separation,
     constant_field,
     make_plan,
+    netbuild,
 )
 
 TWO_TONE = DensityField(UNIT_SQUARE, 1.0, ((Rect(0.5, 0.0, 1.0, 1.0), 2.0),))
@@ -59,6 +64,66 @@ def covering_by_full_sweep(net, window):
         d, _ = tree.query(q, k=1)
         worst = max(worst, float(d.max()))
     return worst
+
+
+def covering_by_centre_bound(net, window):
+    """(value, samples queried) of check_covering's former loop over the same
+    candidate set: a block is kept while d + r, d its centre sample's
+    distance to the net and r its farthest sample from that centre, times
+    1 + _SLACK reaches the largest distance seen so far."""
+    _, tree = netbuild._near(net, window)
+    step = 1.0 / 64.0
+    xs = np.arange(window.x0, window.x1 + step / 2, step)
+    ys = np.arange(window.y0, window.y1 + step / 2, step)
+    gi, gj = np.meshgrid(np.arange(0, len(xs), netbuild._BLOCK),
+                         np.arange(0, len(ys), netbuild._BLOCK), indexing="ij")
+    i0, j0 = gi.ravel(), gj.ravel()
+    i1 = np.minimum(i0 + netbuild._BLOCK, len(xs))
+    j1 = np.minimum(j0 + netbuild._BLOCK, len(ys))
+    worst, queried = 0.0, 0
+    while len(i0):
+        ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
+        d, _ = tree.query(np.column_stack([xs[ri], ys[rj]]), k=1)
+        queried += len(ri)
+        worst = max(worst, float(d.max()))
+        r = np.hypot(np.maximum(xs[ri] - xs[i0], xs[i1 - 1] - xs[ri]),
+                     np.maximum(ys[rj] - ys[j0], ys[j1 - 1] - ys[rj]))
+        live = (r > 0) & ((d + r) * (1.0 + netbuild._SLACK) >= worst)
+        i0, i1, j0, j1 = i0[live], i1[live], j0[live], j1[live]
+        im, jm = (i0 + i1 + 1) // 2, (j0 + j1 + 1) // 2
+        i0, i1, j0, j1 = (np.concatenate([i0, i0, im, im]), np.concatenate([im, im, i1, i1]),
+                          np.concatenate([j0, jm, j0, jm]), np.concatenate([jm, j1, jm, j1]))
+        keep = (i0 < i1) & (j0 < j1)
+        i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
+    return worst, queried
+
+
+class CountingTree(cKDTree):
+    """A cKDTree that counts its builds and the points it is queried at."""
+    built = 0
+    queried = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        CountingTree.built += 1
+
+    def query(self, x, *args, **kwargs):
+        CountingTree.queried += len(x)
+        return super().query(x, *args, **kwargs)
+
+
+@contextlib.contextmanager
+def counting_trees():
+    """netbuild builds CountingTrees inside the block, with both counts at 0."""
+    CountingTree.built = CountingTree.queried = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netbuild, "cKDTree", CountingTree)
+        yield CountingTree
+
+
+def fresh(net):
+    """The same net as a new object: no index, memo or cached value yet."""
+    return dataclasses.replace(net)
 
 
 def covering_exact(net, window):
@@ -191,6 +256,54 @@ class TestCoveringOracle:
     def test_fixed_windows(self, window):
         got = check_covering(net("two-tone-K3"), window)
         assert got == covering_by_full_sweep(net("two-tone-K3"), window)
+
+
+class TestFarthestCornerBound:
+    @staticmethod
+    def check(n, window):
+        want, want_queried = covering_by_centre_bound(n, window)
+        with counting_trees() as trees:
+            got = check_covering(fresh(n), window)
+        assert got == want
+        assert trees.queried <= want_queried
+
+    @pytest.mark.parametrize("name", list(PLANS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_centre_bound_with_no_more_queries(self, name, data):
+        self.check(net(name), data.draw(windows(name)))
+
+    @pytest.mark.parametrize("window", [
+        Rect(0.1, 0.2, 0.105, 3.3),
+        Rect(15.01, 15.3, 15.02, 19.7),
+        Rect(-0.7, -0.3, 1.3, 17.55),
+        Rect(14.37, 14.11, 18.9, 18.33),
+    ])
+    def test_fixed_windows(self, window):
+        self.check(net("two-tone-K3"), window)
+
+
+class TestSharedCandidates:
+    def test_both_checks_build_one_tree(self):
+        n = fresh(net("two-tone-K3"))
+        with counting_trees() as trees:
+            check_separation(n, Rect(14.37, 14.11, 18.9, 18.33))
+            check_covering(n, Rect(14.37, 14.11, 18.9, 18.33))
+        assert trees.built == 1
+
+    def test_interleaved_windows_match_fresh_calls(self):
+        n = fresh(net("two-tone-K3"))
+        a, b = Rect(14.37, 14.11, 18.9, 18.33), Rect(-0.7, -0.3, 1.3, 17.55)
+        for window in (a, b, a, a, b):
+            for query in (check_covering, check_separation):
+                assert query(n, window) == query(fresh(n), window)
+
+    def test_nets_queried_on_equal_windows_match_fresh_calls(self):
+        nets = [fresh(net("two-tone-K2")), fresh(net("constant-4-K1"))]
+        for n in nets + nets:
+            window = Rect(3.9, 4.1, 7.3, 6.6)   # a new, equal Rect each time
+            for query in (check_separation, check_covering):
+                assert query(n, window) == query(fresh(n), window)
 
 
 class TestExactCovering:
