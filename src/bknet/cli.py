@@ -88,10 +88,7 @@ def _build_net(args) -> tuple[netbuild.NetPlan, netbuild.Net]:
 
 
 def _default_window(plan: netbuild.NetPlan, margin: float = 2.0) -> Rect:
-    if plan.schedule:
-        hi = max(e.square.x1 for e in plan.schedule)
-    else:
-        hi = 8.0
+    hi = max((e.square.x1 for e in plan.schedule), default=8.0)
     return Rect(-margin, -margin, hi + margin, hi + margin)
 
 

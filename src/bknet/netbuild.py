@@ -2,15 +2,14 @@
 
 A plan schedules disjoint integer-vertex squares of geometrically growing
 side along the diagonal; inside each square the reciprocal transplanted
-density decides how finely each subdivision cell is filled with points.
-Outside the squares the net is the unit lattice of integer-square centers,
-materialized lazily per query window.
+density decides how many points each subdivision cell holds.  A net keeps
+those counts and, like the unit lattice of integer-square centers outside
+the squares, materializes its points per query window.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .density import DensityField, _integrate
-from .geometry import Rect, Similarity, first_overlap
+from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 
 
 # check_covering queries one sample per block of _BLOCK x _BLOCK grid
@@ -95,10 +94,19 @@ def make_plan(density: DensityField, K: int) -> NetPlan:
 @dataclass(frozen=True)
 class Net:
     plan: NetPlan
-    points: np.ndarray           # explicit points inside the squares
-    tags: np.ndarray             # schedule index (1-based) per explicit point
     counts: tuple[np.ndarray, ...]  # per square: n_ki as an (m, m) array
     integrals: tuple[np.ndarray, ...]  # per square: the cell integrals as an (m, m) array
+
+    @functools.cached_property
+    def _fill(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, tags) over the squares' bounding box, built together on first read."""
+        sq = [e.square for e in self.plan.schedule] or [UNIT_SQUARE]  # none: no points
+        box = Rect(min(s.x0 for s in sq), min(s.y0 for s in sq),
+                   max(s.x1 for s in sq), max(s.y1 for s in sq))
+        return _explicit_points(self.plan, self.counts, box)
+
+    points = property(lambda self: self._fill[0], doc="explicit points inside the squares")
+    tags = property(lambda self: self._fill[1], doc="schedule index (1-based) per explicit point")
 
     @functools.cached_property
     def max_cell_spacing(self) -> float:
@@ -110,40 +118,23 @@ class Net:
             best = max(best, float((cell / n).max()))
         return best
 
-    @functools.cached_property
-    def _x_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(stable argsort of the explicit points by x, as int32; their
-        sorted x values), built on the first window query."""
-        order = np.argsort(self.points[:, 0], kind="stable").astype(np.int32)
-        return order, self.points[order, 0]
-
     def points_in_window(self, window: Rect) -> tuple[np.ndarray, np.ndarray]:
         """Explicit points plus lazily materialized background lattice
         centers inside the closed window.  Returns (points, tags); background
         points carry tag 0.  Explicit points come in the order of
-        `self.points`."""
+        `self.points`, enumerated from the cells the window meets."""
         _check_finite(window)
-        order, xs_sorted = self._x_order
-        lo = np.searchsorted(xs_sorted, window.x0, side="left")
-        hi = np.searchsorted(xs_sorted, window.x1, side="right")
-        idx = np.sort(order[lo:hi])
-        cand = self.points[idx]
-        inside = _in_window(cand[:, 0], cand[:, 1], window)
-        pts = [cand[inside]]
-        tags = [self.tags[idx[inside]]]
-
+        pts, tags = _explicit_points(self.plan, self.counts, window)
         xs = np.arange(math.floor(window.x0), math.ceil(window.x1))
         ys = np.arange(math.floor(window.y0), math.ceil(window.y1))
-        if len(xs) and len(ys):
-            gx, gy = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
-            keep = _in_window(gx + 0.5, gy + 0.5, window)
-            # drop centers of integer squares contained in a scheduled square
-            for e in self.plan.schedule:
-                s = e.square
-                keep &= ~((gx >= s.x0) & (gx + 1 <= s.x1) & (gy >= s.y0) & (gy + 1 <= s.y1))
-            pts.append(np.column_stack([gx[keep] + 0.5, gy[keep] + 0.5]))
-            tags.append(np.zeros(int(keep.sum()), dtype=int))
-        return np.vstack(pts), np.concatenate(tags)
+        gx, gy = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
+        keep = _in_window(gx + 0.5, gy + 0.5, window)
+        # drop centers of integer squares contained in a scheduled square
+        for e in self.plan.schedule:
+            s = e.square
+            keep &= ~((gx >= s.x0) & (gx + 1 <= s.x1) & (gy >= s.y0) & (gy + 1 <= s.y1))
+        return (np.vstack([pts, np.column_stack([gx[keep] + 0.5, gy[keep] + 0.5])]),
+                np.concatenate([tags, np.zeros(int(keep.sum()), dtype=int)]))
 
 
 def _check_finite(window: Rect) -> None:
@@ -187,12 +178,39 @@ def _square_cells(e: ScheduleEntry):
                              e.square.x0 + (i + 1) * cell, e.square.y0 + (j + 1) * cell)
 
 
+def _reach(lo: float, hi: float, origin: float, step: float, n: int) -> range:
+    """The a in [0, n) whose [origin + a step, origin + (a+1) step] may meet [lo, hi]."""
+    return range(max(0, math.floor((lo - origin) / step) - 1),
+                 min(n, math.floor((hi - origin) / step) + 2))
+
+
+def _explicit_points(plan: NetPlan, counts, window: Rect) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit points in the closed window and their tags, in `Net.points`
+    order.  Cell T holds n x n centers T.x0 + step * (a + 0.5), step = T.width
+    / n; only the cells and indices within one of the window's reach are made."""
+    points, tags = [np.zeros((0, 2))], [np.zeros(0, dtype=int)]
+    for idx, (e, n_arr) in enumerate(zip(plan.schedule, counts), start=1):
+        cell = e.side / e.m
+        for i in _reach(window.x0, window.x1, e.square.x0, cell, e.m):
+            for j in _reach(window.y0, window.y1, e.square.y0, cell, e.m):
+                n = int(n_arr[i, j])
+                step = cell / n
+                tx0, ty0 = e.square.x0 + i * cell, e.square.y0 + j * cell
+                a = _reach(window.x0, window.x1, tx0, step, n)
+                b = _reach(window.y0, window.y1, ty0, step, n)
+                if a and b:
+                    gx = np.repeat(tx0 + step * (np.arange(a.start, a.stop) + 0.5), len(b))
+                    gy = np.tile(ty0 + step * (np.arange(b.start, b.stop) + 0.5), len(a))
+                    keep = _in_window(gx, gy, window)
+                    points.append(np.column_stack([gx[keep], gy[keep]]))
+                    tags.append(np.full(int(keep.sum()), idx, dtype=int))
+    return np.vstack(points), np.concatenate(tags)
+
+
 def build_net(plan: NetPlan) -> Net:
-    """Fill each scheduled square: the reciprocal density is transplanted
-    onto the square, the square is cut into m^2 cells, and each cell gets
-    n^2 evenly spaced centers with n = floor(sqrt(integral over the cell))."""
-    points = []
-    tags = []
+    """Count each scheduled square's points: the reciprocal density is
+    transplanted onto the square, the square is cut into m^2 cells, and each
+    cell holds n^2 evenly spaced centers, n = floor(sqrt(integral over it))."""
     counts = []
     integrals = []
     dom = plan.density.domain
@@ -208,7 +226,6 @@ def build_net(plan: NetPlan) -> Net:
         scale = e.side / dom.width
         phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
         box_k = box * phi.scale + np.array([phi.tx, phi.ty, phi.tx, phi.ty])
-        cell = e.side / e.m
         n_arr = np.zeros((e.m, e.m), dtype=int)
         mass = np.zeros((e.m, e.m))
         for i, j, T in _square_cells(e):
@@ -218,21 +235,9 @@ def build_net(plan: NetPlan) -> Net:
                 raise ValueError(f"empty cell in square {idx}: plan invariant violated")
             n_arr[i, j] = n
             mass[i, j] = integral
-            step = cell / n
-            ux = T.x0 + step * (np.arange(n) + 0.5)
-            uy = T.y0 + step * (np.arange(n) + 0.5)
-            gx, gy = np.meshgrid(ux, uy, indexing="ij")
-            points.append(np.column_stack([gx.ravel(), gy.ravel()]))
-            tags.append(np.full(n * n, idx, dtype=int))
         counts.append(n_arr)
         integrals.append(mass)
-    if points:
-        allp = np.vstack(points)
-        allt = np.concatenate(tags)
-    else:
-        allp = np.zeros((0, 2))
-        allt = np.zeros(0, dtype=int)
-    return Net(plan, allp, allt, tuple(counts), tuple(integrals))
+    return Net(plan, tuple(counts), tuple(integrals))
 
 
 def check_separation(net: Net, window: Rect) -> float:
@@ -327,12 +332,10 @@ def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
 # CSV I/O
 
 def net_to_csv(points: np.ndarray, tags: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("x,y,tag\n")
-    for (x, y), t in zip(points, tags):
-        tag = "background" if t == 0 else str(int(t))
-        buf.write(f"{float(x)!r},{float(y)!r},{tag}\n")
-    return buf.getvalue()
+    x, y = np.asarray(points, dtype=float).reshape(-1, 2).T.tolist()
+    tag = ["background" if t == 0 else int(t) for t in np.asarray(tags).tolist()]
+    flat = [v for row in zip(x, y, tag) for v in row]
+    return ("x,y,tag\n" + "{!r},{!r},{}\n" * (len(flat) // 3)).format(*flat)
 
 
 def net_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ from bknet.hierarchy import (
     _disjoint_pairs,
     _segment_span,
 )
+from bknet.netbuild import NetPlan, ScheduleEntry
 
 from test_density_columns import REAL, cell_bytes, loop_integrate, loop_targets, loop_value_at
 
@@ -266,6 +267,14 @@ class TestColumnScaledNet:
     @pytest.mark.parametrize("make", REAL)
     def test_real_fields_bitwise(self, make):
         assert_net_matches(make_plan(make(), 3))
+
+    @pytest.mark.parametrize("make", REAL)
+    def test_squares_out_of_diagonal_order_bitwise(self, make):
+        # the second square lies below and left of the first, so the corners
+        # of the first and last squares bound no window holding both
+        plan = NetPlan(make(), (ScheduleEntry(Rect(100, 100, 116, 116), 16, 2),
+                                ScheduleEntry(Rect(0, 0, 64, 64), 64, 4)))
+        assert_net_matches(plan)
 
     def test_image_of_the_domain_ends_short_of_the_square(self):
         # phi maps the domain onto [0, 15.999999999999998]^2, so the

@@ -1,12 +1,13 @@
 """The net's window queries against their exhaustive oracles.
 
 check_covering prunes the 1/64 sample grid by branch and bound, and
-Net.points_in_window selects explicit points through an x-sorted index.
-Both must return exactly what the full scans below return.  The exact
-covering radius, from the Voronoi diagram of the net near the window,
-brackets check_covering from both sides.  The former branch-and-bound
-loop, which bounded a block by its centre's distance plus the block's
-radius, is kept below as an oracle for the farthest-corner bound."""
+Net.points_in_window enumerates explicit points from the counts of the
+cells the window meets.  Both must return exactly what the full scans
+below return.  The exact covering radius, from the Voronoi diagram of the
+net near the window, brackets check_covering from both sides.  The former
+branch-and-bound loop, which bounded a block by its centre's distance plus
+the block's radius, is kept below as an oracle for the farthest-corner
+bound."""
 
 import contextlib
 import dataclasses
@@ -20,6 +21,7 @@ from scipy.spatial import Voronoi, cKDTree
 
 from bknet import (
     DensityField,
+    Net,
     Rect,
     UNIT_SQUARE,
     build_net,
@@ -239,6 +241,26 @@ def windows(draw, name):
     return Rect(x0, y0, x0 + w, y0 + h)
 
 
+@st.composite
+def edge_windows(draw, name):
+    """Windows whose edges lie exactly on cell boundaries (square edges
+    among them) or on coordinates of explicit points, or 1e-9 beside one;
+    the window is 1e-9 thin on an axis whose two edges coincide."""
+    n = net(name)
+    cuts = [v for e in n.plan.schedule for i in range(e.m + 1)
+            for v in (e.square.x0 + i * (e.side / e.m), e.square.y0 + i * (e.side / e.m))]
+    grid = np.unique(n.points).tolist()
+    on = st.sampled_from(cuts) | st.sampled_from(grid)
+    nudge = st.sampled_from([0.0, 0.0, -1e-9, 1e-9])
+
+    def span():
+        lo, hi = sorted((draw(on) + draw(nudge), draw(on) + draw(nudge)))
+        return (lo, lo + 1e-9) if hi <= lo else (lo, hi)
+
+    (x0, x1), (y0, y1) = span(), span()
+    return Rect(x0, y0, x1, y1)
+
+
 class TestCoveringOracle:
     @pytest.mark.parametrize("name", list(PLANS))
     @settings(max_examples=40, deadline=None)
@@ -365,6 +387,14 @@ class TestPointsInWindowOracle:
         for p in (a, b):
             assert (got[0] == p).all(axis=1).any()
 
+    @pytest.mark.parametrize("name", ["two-tone-K2", "two-tone-K3", "constant-4-K1"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_edges_on_cell_boundaries_and_grid_lines(self, name, data):
+        n = net(name)
+        window = data.draw(edge_windows(name))
+        assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
+
     @pytest.mark.parametrize("window", [
         Rect(-5.0, -5.0, -0.1, 30.0),     # left of every explicit point
         Rect(81.5, 0.0, 90.0, 85.0),      # right of every explicit point
@@ -381,16 +411,31 @@ class TestPointsInWindowOracle:
         for window in (Rect(0, 0, 4, 4), Rect(-2.5, 0.5, 3.5, 0.5 + 1e-9)):
             assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
 
-    def test_index_is_built_once_on_first_query(self):
+    def test_full_fill_is_built_once_on_first_read(self):
+        assert [f.name for f in dataclasses.fields(Net)] == ["plan", "counts", "integrals"]
         n = build_net(make_plan(TWO_TONE, 2))
-        assert "_x_order" not in vars(n)      # build_net leaves it to the first query
-        first = n.points_in_window(Rect(10.0, 10.0, 20.0, 20.0))
-        order = vars(n)["_x_order"]
+        assert "_fill" not in vars(n)      # build_net leaves it to the first read
         for window in (Rect(0.0, 0.0, 3.0, 3.0), Rect(10.0, 10.0, 20.0, 20.0),
                        Rect(30.0, 40.0, 80.0, 41.0)):
-            assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
-        assert vars(n)["_x_order"] is order
-        assert_same_arrays(n.points_in_window(Rect(10.0, 10.0, 20.0, 20.0)), first)
+            # the oracle reads the points of another net built from the same plan
+            assert_same_arrays(n.points_in_window(window),
+                               points_by_full_scan(net("two-tone-K2"), window))
+            check_separation(n, window)
+            check_covering(n, window)
+        assert "_fill" not in vars(n)
+        enumerate_points = netbuild._explicit_points
+        enumerated = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_explicit_points",
+                       lambda *args: enumerated.append(args) or enumerate_points(*args))
+            points = n.points
+            assert len(enumerated) == 1 and "_fill" in vars(n)
+            tags = n.tags
+            assert len(enumerated) == 1
+        assert n.points is points and n.tags is tags
+        assert_same_arrays((points, tags), (net("two-tone-K2").points, net("two-tone-K2").tags))
+        with pytest.raises(AttributeError):
+            n.points = points
 
 
 class TestNonFiniteWindow:
