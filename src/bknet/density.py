@@ -5,7 +5,7 @@ interior-disjoint rectangular cells with their own values.  Evaluation
 uses the half-open convention [left, right) x [bottom, top) so every
 point of the domain gets exactly one value; integration is exact because
 all pieces are constants on rectangles.  `cells` is the public tuple;
-reads and writes go through float columns built from it on first use.
+checks, reads and writes go through float columns built from it once.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
-
+from .geometry import Rect, Similarity, UNIT_SQUARE, _PAIR_CHUNK, _meeting_pairs, first_overlap
 
 # values_at compares a chunk of points against every cell at once; chunks
-# stay under this many point-cell pairs, and replace_region's candidate
-# (cell, region) pairs likewise
-_PAIR_CHUNK = 1 << 20
+# stay under _PAIR_CHUNK point-cell pairs, and replace_region's candidate
+# pairs likewise (both read this module's name, so tests can patch it)
 
 
 class DomainError(ValueError):
@@ -44,19 +42,23 @@ class DensityField:
             raise ValueError(f"domain: non-finite coordinate in {d}")
         if not 0 < self.default < math.inf:
             raise ValueError(f"domain: default density {self.default!r} must be finite and positive")
-        for n, (r, v) in enumerate(self.cells):
+        box, val = self._columns
+        ok = ((d.x0 <= box[:, 0]) & (box[:, 2] <= d.x1) & (d.y0 <= box[:, 1])
+              & (box[:, 3] <= d.y1) & (0 < val) & (val < math.inf))
+        if not ok.all():
+            n = int(ok.argmin())    # the first bad cell
+            r, v = self.cells[n]
             if not d.contains_rect(r):
                 raise ValueError(f"cell {n}: {r} not contained in domain {d}")
-            if not 0 < v < math.inf:
-                raise ValueError(f"cell {n}: density value {v!r} must be finite and positive")
-        pair = first_overlap([r for r, _ in self.cells])
+            raise ValueError(f"cell {n}: density value {v!r} must be finite and positive")
+        pair = first_overlap(box)
         if pair is not None:
             raise ValueError("cells {} and {} overlap".format(*pair))
 
     @functools.cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, 4) cell boxes x0, y0, x1, y1 and (n,) cell values, in `cells`
-        order, built on first use."""
+        order, built once, by the constructor's checks."""
         box = np.array([(r.x0, r.y0, r.x1, r.y1) for r, _ in self.cells], dtype=float)
         return box.reshape(-1, 4), np.array([v for _, v in self.cells], dtype=float)
 
@@ -116,8 +118,17 @@ class DensityField:
         not cover falls back to the field default.  Each old cell loses the
         regions that meet it, in the order given; a region that misses a
         cell misses every piece of it, so the others are skipped."""
+        box = self._columns[0]
+        n_cells = len(box)
         reg = np.array([(r.x0, r.y0, r.x1, r.y1) for r in regions], dtype=float).reshape(-1, 4)
-        starts, hits = _meeting_regions(self._columns[0], reg)
+        pairs = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [
+            np.sort(np.column_stack(ab), axis=1)
+            for ab in _meeting_pairs(np.concatenate([box, reg]), _PAIR_CHUNK)])
+        # (old cell, n_cells + region), by cell and then by region
+        pairs = pairs[(pairs[:, 0] < n_cells) & (pairs[:, 1] >= n_cells)]
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        starts = np.searchsorted(pairs[:, 0], np.arange(n_cells + 1), side="left").tolist()
+        hits = (pairs[:, 1] - n_cells).tolist()
         kept: list[tuple[Rect, float]] = []
         for n, (cell, v) in enumerate(self.cells):
             a, b = starts[n], starts[n + 1]
@@ -152,40 +163,6 @@ def _integrate(box: np.ndarray, val: np.ndarray, default: float, r: Rect) -> flo
         total = float(np.cumsum(val[meet] * area)[-1])
         covered = float(np.cumsum(area)[-1])
     return total + default * (r.area - covered)
-
-
-def _meeting_regions(box: np.ndarray, reg: np.ndarray) -> tuple[list[int], list[int]]:
-    """For boxes and regions as (n, 4) arrays x0, y0, x1, y1: the regions
-    whose interiors meet box n are hits[starts[n]:starts[n + 1]], in
-    ascending order.  Candidates are a run of the regions sorted by x0:
-    from the first whose running maximum of x1 passes box x0 to the last
-    with x0 < box x1.  They are tested in chunks, so memory grows with
-    boxes, regions and meeting pairs."""
-    n = len(box)
-    if n == 0 or len(reg) == 0:
-        return [0] * (n + 1), []
-    order = np.argsort(reg[:, 0], kind="stable")
-    lo = np.searchsorted(np.maximum.accumulate(reg[order, 2]), box[:, 0], side="right")
-    hi = np.searchsorted(reg[order, 0], box[:, 2], side="left")
-    cnt = np.maximum(hi - lo, 0)
-    ends = np.cumsum(cnt)
-    pair_box, pair_reg = [], []
-    first = 0
-    while first < n:
-        done = int(ends[first - 1]) if first else 0
-        last = max(first + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
-        c = cnt[first:last]
-        b = np.repeat(np.arange(first, last), c)
-        k = order[lo[b] + np.arange(len(b)) - np.repeat(np.cumsum(c) - c, c)]
-        meet = ((reg[k, 0] < box[b, 2]) & (box[b, 0] < reg[k, 2])
-                & (reg[k, 1] < box[b, 3]) & (box[b, 1] < reg[k, 3]))
-        pair_box.append(b[meet])
-        pair_reg.append(k[meet])
-        first = last
-    b, k = np.concatenate(pair_box), np.concatenate(pair_reg)
-    pick = np.lexsort((k, b))
-    starts = np.searchsorted(b[pick], np.arange(n + 1), side="left")
-    return starts.tolist(), k[pick].tolist()
 
 
 def make_checkerboard(N: int, c: float) -> DensityField:

@@ -11,6 +11,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+_PAIR_CHUNK = 1 << 20      # candidate pairs per chunk of _meeting_pairs
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -75,19 +79,37 @@ class Rect:
         return pieces
 
 
-def first_overlap(rects: Sequence[Rect]) -> tuple[int, int] | None:
+def first_overlap(rects: Sequence[Rect] | np.ndarray) -> tuple[int, int] | None:
     """Indices (i, j), i < j, of a pair of rects whose interiors meet, or
-    None if they are pairwise interior-disjoint.  One sweep in x0 order;
-    a rect stays active while its x-extent reaches past the current x0."""
-    active: list[tuple[int, Rect]] = []
-    for i in sorted(range(len(rects)), key=lambda n: rects[n].x0):
-        r = rects[i]
-        active = [(j, a) for j, a in active if a.x1 > r.x0]
-        for j, a in active:
-            if a.y0 < r.y1 and r.y0 < a.y1:
-                return min(i, j), max(i, j)
-        active.append((i, r))
+    None if they are pairwise interior-disjoint.  Takes Rects or an (n, 4)
+    array of rows x0, y0, x1, y1; the pair is _meeting_pairs' first."""
+    if not isinstance(rects, np.ndarray):
+        rects = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=float).reshape(-1, 4)
+    for a, b in _meeting_pairs(rects):
+        if len(a):
+            return int(min(a[0], b[0])), int(max(a[0], b[0]))
     return None
+
+
+def _meeting_pairs(box: np.ndarray, chunk: int = _PAIR_CHUNK):
+    """Yield index arrays (a, b) of the boxes (rows x0, y0, x1, y1) whose
+    interiors meet, each pair once, in chunks of about `chunk` candidates (a
+    chunk may be empty).  In a stable x0 order, box a is tested on y against
+    each later box b whose x0 lies below its x1; pairs run in that order."""
+    n = len(box)
+    order = np.argsort(box[:, 0], kind="stable")
+    s = box[order]
+    cnt = np.searchsorted(s[:, 0], s[:, 2], side="left") - np.arange(n) - 1
+    starts = np.concatenate([[0], np.cumsum(cnt)])     # row r's first candidate
+    first = 0
+    while first < n:
+        last = max(first + 1, int(np.searchsorted(starts, starts[first] + chunk, side="right")) - 1)
+        c = cnt[first:last]
+        a = np.repeat(np.arange(first, last), c)
+        b = a + 1 + np.arange(len(a)) - np.repeat(starts[first:last] - starts[first], c)
+        meet = (s[b, 1] < s[a, 3]) & (s[a, 1] < s[b, 3])
+        yield order[a[meet]], order[b[meet]]
+        first = last
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""The density rules live in DensityField's constructor, interior
-disjointness is decided by one sweep (geometry.first_overlap), and a
-hierarchy level is written with one batched replace_region.  Each fast
+"""The density rules live in DensityField's constructor, the boxes whose
+interiors meet are found by one pair enumerator (geometry._meeting_pairs,
+behind first_overlap and replace_region), and a hierarchy level is
+written with one batched replace_region.  Each fast
 path is checked against a slow oracle."""
 
 import math
@@ -19,7 +20,7 @@ from bknet import (
     constant_field,
     toy_constants,
 )
-from bknet.geometry import first_overlap
+from bknet.geometry import _PAIR_CHUNK, _meeting_pairs, first_overlap
 from bknet.hierarchy import HierarchyLevel, SegmentHierarchy
 from bknet.netbuild import NetPlan, ScheduleEntry
 
@@ -27,6 +28,24 @@ from bknet.netbuild import NetPlan, ScheduleEntry
 def brute_force_overlap(rects):
     return any(rects[i].intersect(rects[j]) is not None
                for i in range(len(rects)) for j in range(i + 1, len(rects)))
+
+
+def sweep_first_overlap(rects):
+    """The sweep first_overlap ran before the pair enumerator: in x0 order,
+    a rect stays active while its x-extent reaches past the current x0."""
+    active = []
+    for i in sorted(range(len(rects)), key=lambda n: rects[n].x0):
+        r = rects[i]
+        active = [(j, a) for j, a in active if a.x1 > r.x0]
+        for j, a in active:
+            if a.y0 < r.y1 and r.y0 < a.y1:
+                return min(i, j), max(i, j)
+        active.append((i, r))
+    return None
+
+
+def boxes(rects):
+    return np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=float).reshape(-1, 4)
 
 
 def replace_one_region(field, region, new_cells):
@@ -81,6 +100,48 @@ class TestFirstOverlap:
     def test_empty_and_single(self):
         assert first_overlap([]) is None
         assert first_overlap([UNIT_SQUARE]) is None
+
+    def test_names_the_earliest_box_with_a_later_meeting_one(self):
+        # sorted by x0 the boxes stay in this order; box 0 meets box 3, and
+        # box 1 meets box 2.  The former sweep named the latest box with an
+        # earlier meeting one, (1, 2).
+        rects = [Rect(3, 5, 6, 7), Rect(3, 0, 6, 3), Rect(5, 2, 8, 3), Rect(5, 5, 6, 7)]
+        assert sweep_first_overlap(rects) == (1, 2)
+        assert first_overlap(rects) == first_overlap(boxes(rects)) == (0, 3)
+
+    @given(st.lists(grid_rects, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_none_exactly_when_the_former_sweep_finds_none(self, rects):
+        pair = first_overlap(rects)
+        assert (pair is None) == (sweep_first_overlap(rects) is None)
+        assert pair == first_overlap(boxes(rects))
+        if pair is not None:
+            i, j = pair
+            assert i < j and rects[i].intersect(rects[j]) is not None
+
+
+class TestMeetingPairs:
+    @pytest.mark.parametrize("chunk", [1, 2, 7, _PAIR_CHUNK])
+    @given(rects=st.lists(grid_rects, max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_every_meeting_pair_once(self, chunk, rects):
+        got = [(int(a), int(b)) for pa, pb in _meeting_pairs(boxes(rects), chunk)
+               for a, b in zip(pa, pb)]
+        want = {(i, j) for i in range(len(rects)) for j in range(i + 1, len(rects))
+                if rects[i].intersect(rects[j]) is not None}
+        assert len(got) == len(want)
+        assert {(min(p), max(p)) for p in got} == want
+
+    def test_many_full_width_strips(self):
+        # every strip is a candidate for every later one: 1,999,000 pairs
+        n = 2000
+        strips = np.column_stack([np.zeros(n), np.arange(n) / n,
+                                  np.ones(n), np.arange(1, n + 1) / n])
+        chunks = [len(a) for a, _ in _meeting_pairs(strips, 1 << 16)]
+        assert len(chunks) > 1 and sum(chunks) == 0
+        assert first_overlap(strips) is None
+        strips[7, 3] = 8.5 / n      # strip 7 now reaches halfway into strip 8
+        assert first_overlap(strips) == (7, 8)
 
 
 class TestConstructorRules:
