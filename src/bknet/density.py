@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Rect, Similarity, UNIT_SQUARE, _PAIR_CHUNK, _meeting_pairs, first_overlap
+from .geometry import (Rect, Similarity, UNIT_SQUARE, _PAIR_CHUNK, _boxes, _meeting_pairs,
+                       first_overlap)
 
 # values_at compares a chunk of points against every cell at once; chunks
 # stay under _PAIR_CHUNK point-cell pairs, and replace_region's candidate
@@ -59,8 +60,8 @@ class DensityField:
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, 4) cell boxes x0, y0, x1, y1 and (n,) cell values, in `cells`
         order, built once, by the constructor's checks."""
-        box = np.array([(r.x0, r.y0, r.x1, r.y1) for r, _ in self.cells], dtype=float)
-        return box.reshape(-1, 4), np.array([v for _, v in self.cells], dtype=float)
+        return (_boxes(r for r, _ in self.cells),
+                np.array([v for _, v in self.cells], dtype=float))
 
     def value_at(self, x: float, y: float) -> float:
         """The value at one point of the closed domain, by values_at's rule:
@@ -120,10 +121,9 @@ class DensityField:
         cell misses every piece of it, so the others are skipped."""
         box = self._columns[0]
         n_cells = len(box)
-        reg = np.array([(r.x0, r.y0, r.x1, r.y1) for r in regions], dtype=float).reshape(-1, 4)
         pairs = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [
             np.sort(np.column_stack(ab), axis=1)
-            for ab in _meeting_pairs(np.concatenate([box, reg]), _PAIR_CHUNK)])
+            for ab in _meeting_pairs(np.concatenate([box, _boxes(regions)]), _PAIR_CHUNK)])
         # (old cell, n_cells + region), by cell and then by region
         pairs = pairs[(pairs[:, 0] < n_cells) & (pairs[:, 1] >= n_cells)]
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]

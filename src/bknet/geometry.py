@@ -83,12 +83,16 @@ def first_overlap(rects: Sequence[Rect] | np.ndarray) -> tuple[int, int] | None:
     """Indices (i, j), i < j, of a pair of rects whose interiors meet, or
     None if they are pairwise interior-disjoint.  Takes Rects or an (n, 4)
     array of rows x0, y0, x1, y1; the pair is _meeting_pairs' first."""
-    if not isinstance(rects, np.ndarray):
-        rects = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=float).reshape(-1, 4)
-    for a, b in _meeting_pairs(rects):
+    box = rects if isinstance(rects, np.ndarray) else _boxes(rects)
+    for a, b in _meeting_pairs(box):
         if len(a):
             return int(min(a[0], b[0])), int(max(a[0], b[0]))
     return None
+
+
+def _boxes(rects) -> np.ndarray:
+    """The rects as an (n, 4) float array of rows x0, y0, x1, y1."""
+    return np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=float).reshape(-1, 4)
 
 
 def _meeting_pairs(box: np.ndarray, chunk: int = _PAIR_CHUNK):

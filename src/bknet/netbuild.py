@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +26,10 @@ _BLOCK = 32
 # relative slack on that bound: the bound and the kd-tree distances are each
 # rounded, so a sample attaining the bound may read a few ulps above it
 _SLACK = 1e-12
-
-
-def _workers() -> int:
-    env = os.environ.get("BKNET_THREADS")
-    if not env:
-        return -1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"BKNET_THREADS must be an integer, got {env!r}") from None
+# kd-tree queries of fewer points run on one thread, larger ones on all
+# cores: starting the threads costs more than they save on small batches
+_THREADED_BATCH = 1 << 15
+_CSV_CHUNK = 1 << 14   # rows per format call of net_to_csv
 
 
 @dataclass(frozen=True)
@@ -112,11 +105,8 @@ class Net:
     def max_cell_spacing(self) -> float:
         """Largest point spacing over all subdivision cells (>= 1 for the
         background)."""
-        best = 1.0
-        for e, n in zip(self.plan.schedule, self.counts):
-            cell = e.side / e.m
-            best = max(best, float((cell / n).max()))
-        return best
+        return float(max([1.0] + [e.side / e.m / n.min()
+                                  for e, n in zip(self.plan.schedule, self.counts)]))
 
     def points_in_window(self, window: Rect) -> tuple[np.ndarray, np.ndarray]:
         """Explicit points plus lazily materialized background lattice
@@ -169,6 +159,10 @@ def _near(net: Net, window: Rect) -> tuple[np.ndarray, cKDTree]:
     return pts, tree
 
 
+def _query(tree: cKDTree, x: np.ndarray, k: int):
+    return tree.query(x, k=k, workers=1 if len(x) < _THREADED_BATCH else -1)
+
+
 def _square_cells(e: ScheduleEntry):
     """Yield (i, j, T) for the m x m cells T of a schedule entry."""
     cell = e.side / e.m
@@ -211,8 +205,7 @@ def build_net(plan: NetPlan) -> Net:
     """Count each scheduled square's points: the reciprocal density is
     transplanted onto the square, the square is cut into m^2 cells, and each
     cell holds n^2 evenly spaced centers, n = floor(sqrt(integral over it))."""
-    counts = []
-    integrals = []
+    counts, integrals = [], []
     dom = plan.density.domain
     # the values of reciprocal_transplant(plan.density, phi), then per square
     # its cell boxes, with phi's float arithmetic in Similarity.apply_rect
@@ -226,8 +219,7 @@ def build_net(plan: NetPlan) -> Net:
         scale = e.side / dom.width
         phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
         box_k = box * phi.scale + np.array([phi.tx, phi.ty, phi.tx, phi.ty])
-        n_arr = np.zeros((e.m, e.m), dtype=int)
-        mass = np.zeros((e.m, e.m))
+        n_arr, mass = np.zeros((e.m, e.m), dtype=int), np.zeros((e.m, e.m))
         for i, j, T in _square_cells(e):
             integral = _integrate(box_k, inv_val, inv_default, T)
             n = int(math.floor(math.sqrt(integral)))
@@ -247,7 +239,7 @@ def check_separation(net: Net, window: Rect) -> float:
     inside = _in_window(pts[:, 0], pts[:, 1], window)
     if inside.sum() < 2:
         raise ValueError("window contains fewer than 2 points")
-    d, _ = tree.query(pts[inside], k=2, workers=_workers())
+    d, _ = _query(tree, pts[inside], 2)
     return float(d[:, 1].min())
 
 
@@ -270,7 +262,7 @@ def check_covering(net: Net, window: Rect) -> float:
     worst = 0.0
     while len(i0):
         ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
-        d, k = tree.query(np.column_stack([xs[ri], ys[rj]]), k=1, workers=_workers())
+        d, k = _query(tree, np.column_stack([xs[ri], ys[rj]]), 1)
         worst = max(worst, float(d.max()))
         # a block is done when it is one sample, or when no sample of it can
         # lie farther from the net than worst; the quarters of the others
@@ -313,8 +305,7 @@ def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
         raise ValueError("measure_report needs the plan the net was built from (net.plan)")
     if not (1 <= k <= len(plan.schedule)):
         raise ValueError("k outside schedule")
-    n_arr = net.counts[k - 1]
-    mass = net.integrals[k - 1]
+    n_arr, mass = net.counts[k - 1], net.integrals[k - 1]
     out = []
     for i, j, T in _square_cells(plan.schedule[k - 1]):
         count = int(n_arr[i, j]) ** 2
@@ -332,10 +323,14 @@ def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
 # CSV I/O
 
 def net_to_csv(points: np.ndarray, tags: np.ndarray) -> str:
-    x, y = np.asarray(points, dtype=float).reshape(-1, 2).T.tolist()
-    tag = ["background" if t == 0 else int(t) for t in np.asarray(tags).tolist()]
-    flat = [v for row in zip(x, y, tag) for v in row]
-    return ("x,y,tag\n" + "{!r},{!r},{}\n" * (len(flat) // 3)).format(*flat)
+    pts, tags = np.asarray(points, dtype=float).reshape(-1, 2), np.asarray(tags)
+    parts = ["x,y,tag\n"]
+    for s in range(0, len(pts), _CSV_CHUNK):   # one chunk's Python objects at a time
+        x, y = pts[s:s + _CSV_CHUNK].T.tolist()
+        tag = ["background" if t == 0 else int(t) for t in tags[s:s + _CSV_CHUNK].tolist()]
+        flat = [v for row in zip(x, y, tag) for v in row]
+        parts.append(("{!r},{!r},{}\n" * len(x)).format(*flat))
+    return "".join(parts)
 
 
 def net_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
-"""Smoke test: demos 03 and 05 run from a copy and print their results."""
+"""Smoke test: every demo runs from a copy and prints its results."""
 
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -18,6 +20,23 @@ def run_demo(name, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.mark.parametrize("name, expected, writes_svg", [
+    ("01_checkerboard_density.py", ["integral over domain: 0.375 (expected 0.375 )",
+                                    "JSON round trip OK"], False),
+    ("02_separated_net.py", ["separation a = 1.0000, covering b = 1.1292"], True),
+    ("04_hierarchy.py", ["density values within [1, 1+c]: True",
+                         "limit density cells: 68  amplitude: 1.0"], False),
+], ids=["01", "02", "04"])
+def test_demo_prints_its_results(tmp_path, name, expected, writes_svg):
+    out = run_demo(name, tmp_path)
+    for line in expected:
+        assert line in out
+    svg = tmp_path / name.replace(".py", ".svg")
+    assert (f"wrote {svg}" in out) == writes_svg == svg.exists()
+    if writes_svg:
+        assert "<circle" in svg.read_text()
 
 
 def test_certificate_demo_flags_the_planted_pair(tmp_path):

@@ -101,9 +101,11 @@ def covering_by_centre_bound(net, window):
 
 
 class CountingTree(cKDTree):
-    """A cKDTree that counts its builds and the points it is queried at."""
+    """A cKDTree that counts its builds and the points it is queried at, and
+    records (batch size, workers) per query."""
     built = 0
     queried = 0
+    batches = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -111,13 +113,16 @@ class CountingTree(cKDTree):
 
     def query(self, x, *args, **kwargs):
         CountingTree.queried += len(x)
+        CountingTree.batches.append((len(x), kwargs.get("workers", 1)))
         return super().query(x, *args, **kwargs)
 
 
 @contextlib.contextmanager
 def counting_trees():
-    """netbuild builds CountingTrees inside the block, with both counts at 0."""
+    """netbuild builds CountingTrees inside the block, with both counts at 0
+    and no batch recorded."""
     CountingTree.built = CountingTree.queried = 0
+    CountingTree.batches = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netbuild, "cKDTree", CountingTree)
         yield CountingTree
@@ -326,6 +331,32 @@ class TestSharedCandidates:
             window = Rect(3.9, 4.1, 7.3, 6.6)   # a new, equal Rect each time
             for query in (check_separation, check_covering):
                 assert query(n, window) == query(fresh(n), window)
+
+
+class TestQueryWorkers:
+    def test_small_window_queries_run_on_one_thread(self):
+        n = fresh(net("two-tone-K3"))
+        with counting_trees() as trees:
+            check_separation(n, Rect(3.0, 3.0, 15.0, 15.0))
+            check_covering(n, Rect(3.0, 3.0, 15.0, 15.0))
+        assert len(trees.batches) > 1
+        assert all(w == 1 for _, w in trees.batches)
+
+    @pytest.mark.parametrize("width", [128, 256])
+    def test_batches_from_the_threshold_up_run_on_all_cores(self, width):
+        # the unit lattice holds width x 256 centres in this window, 2^15 at 128
+        n = fresh(net("lattice"))
+        with counting_trees() as trees:
+            check_separation(n, Rect(0.0, 0.0, float(width), 256.0))
+        assert trees.batches == [(width * 256, -1)]
+        assert width * 256 >= netbuild._THREADED_BATCH
+
+    def test_batches_under_the_threshold_run_on_one_thread(self):
+        tree = CountingTree(np.zeros((1, 2)))
+        with counting_trees() as trees:
+            for size in (1, netbuild._THREADED_BATCH - 1, netbuild._THREADED_BATCH):
+                netbuild._query(tree, np.zeros((size, 2)), 1)
+        assert [w for _, w in trees.batches] == [1, 1, -1]
 
 
 class TestExactCovering:
