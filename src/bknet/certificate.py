@@ -9,7 +9,7 @@ runs a candidate map over all marked pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,12 +70,18 @@ class MarkedGrid:
     @property
     def pairs(self) -> list[tuple[Point, Point]]:
         """All horizontal edges ((p/NM, s/NM), ((p+1)/NM, s/NM))."""
-        NM = self.N * self.M
-        return [
-            ((p / NM, s / NM), ((p + 1) / NM, s / NM))
-            for s in range(self.M + 1)
-            for p in range(NM)
-        ]
+        return _pair_rows(0.0, 1.0, 0.0, 1.0 / self.N, self.N, self.M)
+
+
+def _pair_rows(ax: float, lam: float, y: float, top: float, N: int,
+               M: int) -> list[tuple[Point, Point]]:
+    """The marked pairs scaled by lam from (ax, y), row by row: NM edges
+    of length lam / NM per row, rows lam / NM apart, keeping the rows
+    at or below top."""
+    NM = N * M
+    rows = [py for py in (y + lam * s / NM for s in range(M + 1)) if py <= top]
+    return [((ax + lam * p / NM, py), (ax + lam * (p + 1) / NM, py))
+            for py in rows for p in range(NM)]
 
 
 def marked_grid(N: int, M: int) -> MarkedGrid:
@@ -144,11 +150,7 @@ def feasibility_report(consts: CertificateConstants) -> dict:
     eps_cap_mu = consts.mu / consts.N ** 2
     eps_cap_c = consts.c / (8 * consts.N ** 2 * consts.L ** 2)
     return {
-        "constants": {
-            "L": consts.L, "c": consts.c, "N": consts.N, "M": consts.M,
-            "k": consts.k, "l": consts.l, "m": consts.m,
-            "mu": consts.mu, "eps": consts.eps,
-        },
+        "constants": asdict(consts),
         "claim1": {
             "lhs": c1, "rhs": A, "pass": c1 < A,
             "margin": claim1_margin(consts, A),

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-density, gen-net, check-net, schedule, certify, distort,
-search, plot.  Exit codes: 0 success, 2 validation error, 1 runtime error.
+search, plot.  Exit codes: 0 success, 2 invalid input (any ValueError),
+1 runtime error.
 All output is deterministic given flags and seed.
 """
 
@@ -16,10 +17,6 @@ from . import certificate, density, hierarchy, netbuild, plmap, search, svgplot
 from .geometry import Rect
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _parse_window(text: str) -> Rect:
     try:
         x0, y0, x1, y1 = coords = [float(t) for t in text.split(",")]
@@ -27,7 +24,7 @@ def _parse_window(text: str) -> Rect:
             raise ValueError("coordinates must be finite")
         return Rect(x0, y0, x1, y1)
     except Exception as exc:
-        raise ValidationError(f"bad --window '{text}': {exc}") from exc
+        raise ValueError(f"bad --window '{text}': {exc}") from exc
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -46,9 +43,9 @@ def _load(path: str, parse, what: str):
         with open(path) as fh:
             return parse(fh.read())
     except FileNotFoundError as exc:
-        raise ValidationError(f"missing file: {path}") from exc
+        raise ValueError(f"missing file: {path}") from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
+        raise ValueError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def _json_dump(doc) -> str:
@@ -58,11 +55,11 @@ def _json_dump(doc) -> str:
 def cmd_gen_density(args) -> int:
     if args.kind == "checkerboard":
         if args.N is None:
-            raise ValidationError("checkerboard needs --N")
+            raise ValueError("checkerboard needs --N")
         field = density.make_checkerboard(args.N, args.c)
     elif args.kind == "hierarchy":
         if args.L is None or args.depth is None:
-            raise ValidationError("hierarchy needs --L and --depth")
+            raise ValueError("hierarchy needs --L and --depth")
         consts = certificate.toy_constants(args.L, args.c,
                                            N=4 if args.N is None else args.N,
                                            M=2 if args.M is None else args.M)
@@ -70,7 +67,7 @@ def cmd_gen_density(args) -> int:
     else:
         depth = 2 if args.depth is None else args.depth
         if depth < 1:
-            raise ValidationError("--depth must be a positive integer")
+            raise ValueError("--depth must be a positive integer")
         squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1),
                          2.0 ** -k, 2.0 ** -k), k)
                    for k in range(1, depth + 1)]
@@ -82,7 +79,7 @@ def cmd_gen_density(args) -> int:
 def _build_net(args) -> tuple[netbuild.NetPlan, netbuild.Net]:
     field = _load(args.density, density.field_from_json, "density")
     if args.K < 0:
-        raise ValidationError("--K must be a non-negative integer")
+        raise ValueError("--K must be a non-negative integer")
     plan = netbuild.make_plan(field, args.K)
     return plan, netbuild.build_net(plan)
 
@@ -236,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

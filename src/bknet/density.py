@@ -20,10 +20,6 @@ import numpy as np
 from .geometry import (Rect, Similarity, UNIT_SQUARE, _PAIR_CHUNK, _boxes, _meeting_pairs,
                        first_overlap)
 
-# values_at compares a chunk of points against every cell at once; chunks
-# stay under _PAIR_CHUNK point-cell pairs, and replace_region's candidate
-# pairs likewise (both read this module's name, so tests can patch it)
-
 
 class DomainError(ValueError):
     """Query outside the field's domain."""
@@ -89,6 +85,9 @@ class DensityField:
         out = np.full(x.size, float(self.default))
         if len(val):
             px, py = x.reshape(-1, 1), y.reshape(-1, 1)
+            # chunks of points stay under _PAIR_CHUNK point-cell pairs, and
+            # replace_region's candidate pairs likewise (both read this
+            # module's name, so tests can patch it)
             step = max(1, _PAIR_CHUNK // len(val))
             for s in range(0, x.size, step):
                 cx, cy = px[s:s + step], py[s:s + step]
@@ -173,12 +172,16 @@ def make_checkerboard(N: int, c: float) -> DensityField:
         raise ValueError("N must be a positive integer")
     if not c > 0:
         raise ValueError("c must be positive")
-    domain = Rect(0.0, 0.0, 1.0, 1.0 / N)
-    cells = []
-    for j in range(N):
-        r = Rect(j / N, 0.0, (j + 1) / N, 1.0 / N)
-        cells.append((r, 1.0 if j % 2 == 0 else 1.0 + c))
-    return DensityField(domain, 1.0, tuple(cells))
+    cells = _strips(0.0, 1.0, 0.0, 1.0 / N, N, c)
+    return DensityField(Rect(0.0, 0.0, 1.0, 1.0 / N), 1.0, tuple(cells))
+
+
+def _strips(ax: float, lam: float, y: float, top: float, N: int,
+            c: float) -> list[tuple[Rect, float]]:
+    """The checkerboard's N strips over [ax, ax + lam] x [y, top], each
+    lam / N wide, valued 1 and 1+c alternately from the left."""
+    return [(Rect(ax + j * lam / N, y, ax + (j + 1) * lam / N, top),
+             1.0 if j % 2 == 0 else 1.0 + c) for j in range(N)]
 
 
 def transplant(field: DensityField, s: Similarity) -> DensityField:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificate import CertificateConstants, schedule_constants, toy_constants
-from .density import DensityField, constant_field
+from .certificate import CertificateConstants, _pair_rows, schedule_constants, toy_constants
+from .density import DensityField, _strips, constant_field
 from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 
 Segment = tuple[tuple[float, float], tuple[float, float]]
@@ -24,7 +24,7 @@ Segment = tuple[tuple[float, float], tuple[float, float]]
 MAX_MATERIALIZED_N = 10 ** 6
 
 
-class HierarchyDepthError(RuntimeError):
+class HierarchyDepthError(ValueError):
     """Raised when neighborhood widths underflow or cell counts explode."""
 
 
@@ -90,24 +90,10 @@ def _patch(seg: Segment, U: Rect, N: int, c: float, M: int, L: float,
     room = U.y1 - y
     if room <= 0:
         raise ValueError("neighborhood has no positive thickness above the segment")
-    h = min(lam / N, room)
-    patch_rect = Rect(ax, y, bx, y + h)
-    cells = []
-    for j in range(N):
-        r = Rect(ax + j * lam / N, y, ax + (j + 1) * lam / N, y + h)
-        cells.append((r, 1.0 if j % 2 == 0 else 1.0 + c))
-
-    NM = N * M
-    pairs: list[Segment] = []
-    for s in range(M + 1):
-        py = y + lam * s / NM
-        if py > y + h:
-            break
-        for p in range(NM):
-            pairs.append(((ax + lam * p / NM, py), (ax + lam * (p + 1) / NM, py)))
-
+    top = y + min(lam / N, room)
     eps = lam * lam * 0.5 * c / (8.0 * N * N * L * L)
-    return patch_rect, cells, pairs, eps
+    return (Rect(ax, y, bx, top), _strips(ax, lam, y, top, N, c),
+            _pair_rows(ax, lam, y, top, N, M), eps)
 
 
 def _disjoint_pairs(pairs: list[Segment], NM: int) -> list[Segment]:
@@ -137,8 +123,8 @@ def build_hierarchy(L: float, c: float, depth: int,
     N, M = consts.N, consts.M
     if N > MAX_MATERIALIZED_N:
         raise HierarchyDepthError(
-            f"N={N} cannot be materialized as explicit cells; "
-            "pass toy constants for desk-scale runs")
+            f"N={N} cannot be materialized as explicit cells: N must be at most "
+            f"{MAX_MATERIALIZED_N:,}")
 
     field = constant_field(1.0)
     base: Segment = ((0.0, 0.0), (1.0, 0.0))
@@ -187,15 +173,12 @@ def build_hierarchy(L: float, c: float, depth: int,
     return field, hierarchy
 
 
-def assemble_limit_density(c: float, squares: list[tuple[Rect, int]],
-                           consts: CertificateConstants | None = None,
-                           ) -> DensityField:
+def assemble_limit_density(c: float, squares: list[tuple[Rect, int]]) -> DensityField:
     """Glue transplanted hierarchy fields into the unit square.
 
     The k-th square carries the depth-k hierarchy field with amplitude
     min(c, 1/k); the field is 1 elsewhere.  Desk-scale grid constants are
-    used per square unless an override is given (the scheduled constants
-    cannot be materialized).
+    used per square (the scheduled constants cannot be materialized).
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -215,8 +198,7 @@ def assemble_limit_density(c: float, squares: list[tuple[Rect, int]],
             raise ValueError(f"region {r} is not a square")
         ck = min(c, 1.0 / k)
         Lk = float(k + 1)
-        kc = consts if consts is not None else toy_constants(L=Lk, c=ck)
-        hfield, _ = build_hierarchy(Lk, ck, depth=k, consts=kc)
+        hfield, _ = build_hierarchy(Lk, ck, depth=k, consts=toy_constants(L=Lk, c=ck))
         sim = Similarity(scale=r.width, tx=r.x0, ty=r.y0)
         # the cells of transplant(hfield, sim), checked once in the union
         cells.extend((sim.apply_rect(c), v) for c, v in hfield.cells)

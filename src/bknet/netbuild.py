@@ -47,7 +47,9 @@ class NetPlan:
     def __post_init__(self):
         c = self.density.amplitude
         prev_side, prev_ratio = 0, math.inf
-        for e in self.schedule:
+        for n, e in enumerate(self.schedule):
+            if not e.square.width == e.square.height == e.side:
+                raise ValueError(f"schedule entry {n}: {e.square} is not {e.side} x {e.side}")
             if e.side <= prev_side:
                 raise ValueError("square sides must be strictly increasing")
             ratio = e.m / e.side

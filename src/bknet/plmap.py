@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField
+from .density import DensityField, _rect_from_json
 from .geometry import Rect
 
 JAC_MATCH_TOL = 1e-9
@@ -195,7 +195,5 @@ def plmap_to_json(m: PLMap) -> str:
 
 def plmap_from_json(text: str) -> PLMap:
     doc = json.loads(text)
-    dom = Rect(float(doc["domain"]["x0"]), float(doc["domain"]["y0"]),
-               float(doc["domain"]["x1"]), float(doc["domain"]["y1"]))
     verts = np.array([[float(x), float(y)] for x, y in doc["vertices"]])
-    return PLMap(dom, int(doc["nx"]), int(doc["ny"]), verts)
+    return PLMap(_rect_from_json(doc["domain"]), int(doc["nx"]), int(doc["ny"]), verts)

@@ -199,6 +199,14 @@ class TestExitCodes:
         assert main(["gen-density", *argv, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_gen_density_too_large_N_exit_2(self, tmp_path, capsys):
+        # an N past the materialization limit is bad input, like --N 0
+        out = tmp_path / "f.json"
+        assert main(["gen-density", "hierarchy", "--L", "2", "--c", "1", "--N", "2000000",
+                     "--depth", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "at most 1,000,000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry,key,bad", [
         ("cell", "value", "0"),
         ("cell", "value", "-1"),
@@ -360,6 +368,28 @@ class TestGoldenOutputs:
     def test_gen_density(self, tmp_path, argv, digest):
         out = tmp_path / "f.json"
         assert main(["gen-density", *argv, "--out", str(out)]) == 0
+        assert self.sha(out.read_bytes()) == digest
+
+    # recorded at e158804, before the checkerboard strips and the marked pair
+    # rows got one builder each
+    BUILDERS = [
+        (["gen-density", "hierarchy", "--L", "2", "--c", "1", "--depth", "5"],
+         "92aaae388bd30aebf65a62a8988afa6becc64f2a4914a05db2f493b059df179b"),
+        (["gen-density", "hierarchy", "--L", "2", "--c", "1", "--depth", "4", "--N", "5",
+          "--M", "3"],
+         "d0c8d3ec66c699b2099831077299ce3dfb2581cfa00138ffa7fcc9891ce0d386"),
+        (["gen-density", "checkerboard", "--N", "7", "--c", "0.3"],
+         "a307ef0138aa964496bdcda8d37b22c88f37e5da2edba33e9533f63c0d0a38c0"),
+        (["schedule", "--L", "2", "--c", "0.1"],
+         "27df4e1351301a52aaca59ec07e225769b4b651fb46a340f46e28f3e8b616bc7"),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", BUILDERS,
+                             ids=["hierarchy-depth5", "hierarchy-N5-M3", "checkerboard-N7",
+                                  "schedule"])
+    def test_checkerboard_builders(self, tmp_path, argv, digest):
+        out = tmp_path / "f.json"
+        assert main([*argv, "--out", str(out)]) == 0
         assert self.sha(out.read_bytes()) == digest
 
     def test_gen_net_and_check_net_on_limit_density(self, tmp_path, capsys):

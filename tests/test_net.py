@@ -56,6 +56,16 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             NetPlan(TWO_TONE, (ScheduleEntry(Rect(0, 0, 4, 4), 4, 2),))
 
+    @pytest.mark.parametrize("entry", [ScheduleEntry(Rect(0, 0, 4, 4), 8, 2),
+                                       ScheduleEntry(Rect(0, 0, 4, 8), 4, 2)],
+                             ids=["smaller-than-side", "not-square"])
+    def test_square_must_be_side_by_side(self, entry):
+        # filling a 4 x 4 square as side 8 puts points on background
+        # centers (separation 0); filling only 4 x 4 of a 4 x 8 square
+        # leaves a hole in the net
+        with pytest.raises(ValueError, match=r"schedule entry 0: Rect\(.*\) is not \d x \d$"):
+            NetPlan(constant_field(1.0), (entry,))
+
     def test_non_square_domain_rejected(self):
         # the checkerboard lives on [0,1] x [0,1/N]; a square cannot be
         # filled from it by one similarity
