@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .density import DensityField, _integrate
 from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
@@ -23,12 +22,13 @@ from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 # check_covering queries one sample per block of _BLOCK x _BLOCK grid
 # samples, then quarters a block only while it could still hold the maximum
 _BLOCK = 32
-# relative slack on that bound: the bound and the kd-tree distances are each
+# relative slack on that bound: the bound and the query distances are each
 # rounded, so a sample attaining the bound may read a few ulps above it
 _SLACK = 1e-12
-# kd-tree queries of fewer points run on one thread, larger ones on all
-# cores: starting the threads costs more than they save on small batches
-_THREADED_BATCH = 1 << 15
+# _Grid: rows per bucket column width, and queries per vectorised step (the
+# step's temporaries hold a few dozen floats per query)
+_ROWS = 2
+_CHUNK = 1 << 12
 _CSV_CHUNK = 1 << 14   # rows per format call of net_to_csv
 
 
@@ -98,7 +98,8 @@ class Net:
         sq = [e.square for e in self.plan.schedule] or [UNIT_SQUARE]  # none: no points
         box = Rect(min(s.x0 for s in sq), min(s.y0 for s in sq),
                    max(s.x1 for s in sq), max(s.y1 for s in sq))
-        return _explicit_points(self.plan, self.counts, box)
+        points, tags, k = _explicit_points(self.plan, self.counts, box)
+        return points[:k], tags[:k]
 
     points = property(lambda self: self._fill[0], doc="explicit points inside the squares")
     tags = property(lambda self: self._fill[1], doc="schedule index (1-based) per explicit point")
@@ -116,7 +117,6 @@ class Net:
         points carry tag 0.  Explicit points come in the order of
         `self.points`, enumerated from the cells the window meets."""
         _check_finite(window)
-        pts, tags = _explicit_points(self.plan, self.counts, window)
         xs = np.arange(math.floor(window.x0), math.ceil(window.x1))
         ys = np.arange(math.floor(window.y0), math.ceil(window.y1))
         gx, gy = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
@@ -125,8 +125,12 @@ class Net:
         for e in self.plan.schedule:
             s = e.square
             keep &= ~((gx >= s.x0) & (gx + 1 <= s.x1) & (gy >= s.y0) & (gy + 1 <= s.y1))
-        return (np.vstack([pts, np.column_stack([gx[keep] + 0.5, gy[keep] + 0.5])]),
-                np.concatenate([tags, np.zeros(int(keep.sum()), dtype=int)]))
+        gx, gy = gx[keep], gy[keep]
+        # the lattice centers go into the rows after the explicit points
+        pts, tags, k = _explicit_points(self.plan, self.counts, window, len(gx))
+        end = k + len(gx)
+        pts[k:end, 0], pts[k:end, 1], tags[k:end] = gx + 0.5, gy + 0.5, 0
+        return pts[:end], tags[:end]
 
 
 def _check_finite(window: Rect) -> None:
@@ -139,15 +143,16 @@ def _in_window(x: np.ndarray, y: np.ndarray, window: Rect) -> np.ndarray:
     return (x >= window.x0) & (x <= window.x1) & (y >= window.y0) & (y <= window.y1)
 
 
-def _near(net: Net, window: Rect) -> tuple[np.ndarray, cKDTree]:
+def _near(net: Net, window: Rect) -> tuple[np.ndarray, _Grid]:
     """The net points in the window inflated by 2s, s = net.max_cell_spacing,
-    and a kd-tree over them.  They hold every window point's nearest net point
-    and every window net point's nearest neighbour: each point of the plane is
-    within s/sqrt(2) of the net (of a subdivision cell's grid centers, or of
-    the lattice center of a unit square no scheduled square contains), and a
-    Voronoi neighbour of a net point is within twice that.  The net keeps the
-    last window's set, so check_separation and then check_covering on one
-    window gather and index it once."""
+    and a bucket index over them.  They hold every window point's nearest net
+    point and every window net point's nearest neighbour: each point of the
+    plane is within s/sqrt(2) of the net (of a subdivision cell's grid
+    centers, or of the lattice center of a unit square no scheduled square
+    contains), and a Voronoi neighbour of a net point is within twice that,
+    so the index needs to reach only s/sqrt(2).  The net keeps the last
+    window's set, so check_separation and then check_covering on one window
+    gather and index it once."""
     _check_finite(window)
     last = vars(net).get("_near_last")
     if last is not None and last[0] == window:
@@ -155,14 +160,105 @@ def _near(net: Net, window: Rect) -> tuple[np.ndarray, cKDTree]:
     r = 2.0 * net.max_cell_spacing
     pts, _ = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
                                        window.x1 + r, window.y1 + r))
-    tree = cKDTree(pts)
+    grid = _Grid(pts, net.max_cell_spacing / math.sqrt(2))
     # a frozen dataclass: set the memo the way functools.cached_property does
-    vars(net)["_near_last"] = (window, pts, tree)
-    return pts, tree
+    vars(net)["_near_last"] = (window, pts, grid)
+    return pts, grid
 
 
-def _query(tree: cKDTree, x: np.ndarray, k: int):
-    return tree.query(x, k=k, workers=1 if len(x) < _THREADED_BATCH else -1)
+class _Grid:
+    """Nearest-point queries over the points `pts` (at least one), for query
+    points whose answer lies within `reach`, read from buckets.
+
+    A bucket is W wide and W / _ROWS high, W = reach widened by a relative
+    1e-9 so that rounding in the bucket arithmetic loses no point at
+    distance reach.  Three empty columns and 3 _ROWS empty rows pad the
+    points' buckets, so every query with its answer within reach keeps the
+    buckets it reads inside the table.  The points are sorted by bucket,
+    column by column, and followed by +inf padding.  Rows cy - w _ROWS to
+    cy + w _ROWS of one column are then one stretch of sorted points, no
+    longer than the most any 2 w _ROWS + 1 consecutive buckets hold
+    (`_span[w]`), so the points within w W of a query in bucket (cx, cy)
+    lie in 2 w + 1 slices of that length.  A slice may run on into later
+    buckets; extra real points never change a minimum.  A squared distance
+    is dx * dx + dy * dy and a distance its sqrt, as in scipy's cKDTree, so
+    the distances equal its bit for bit."""
+
+    def __init__(self, pts: np.ndarray, reach: float):
+        self.reach = reach
+        self._n = len(pts)
+        self._w = reach * (1.0 + 1e-9)
+        self._h = self._w / _ROWS
+        self._x0 = float(pts[:, 0].min()) - 3.0 * self._w
+        self._y0 = float(pts[:, 1].min()) - 3.0 * self._w
+        cx, cy = self._cells(pts[:, 0], pts[:, 1])
+        self._nx, self._ny = int(cx.max()) + 4, int(cy.max()) + 3 * _ROWS + 1
+        b = cx * self._ny + cy
+        # 32-bit positions halve the index wherever they can hold every point
+        pos = np.int32 if len(pts) < 2 ** 31 else np.intp
+        order = np.argsort(b, kind="stable").astype(pos)
+        start = np.zeros(self._nx * self._ny + 1, dtype=pos)
+        np.cumsum(np.bincount(b, minlength=self._nx * self._ny), out=start[1:])
+        self._start, self._span, self._offsets = start, {}, {}
+        for w in (1, 2):
+            rows = 2 * w * _ROWS + 1
+            self._span[w] = int((start[rows:] - start[:-rows]).max())
+            self._offsets[w] = np.arange(-w, w + 1) * self._ny - w * _ROWS
+        pad = np.full(self._span[2], np.inf)
+        self._x = np.concatenate([pts[order, 0], pad])
+        self._y = np.concatenate([pts[order, 1], pad])
+        self._order = np.concatenate([order, np.full(len(pad), self._n, dtype=pos)])
+
+    def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (np.floor((x - self._x0) / self._w).astype(np.intp),
+                np.floor((y - self._y0) / self._h).astype(np.intp))
+
+    def _candidates(self, x: np.ndarray, y: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted positions and squared distances, each (queries, (2w + 1)
+        _span[w]), of the candidates within w W of each query (x, y)."""
+        cx, cy = self._cells(x, y)
+        st = self._start[(cx * self._ny + cy)[:, None] + self._offsets[w]]
+        idx = (st[:, :, None] + np.arange(self._span[w])).reshape(len(x), -1)
+        dx = self._x.take(idx) - x[:, None]
+        dy = self._y.take(idx) - y[:, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return idx, dx
+
+    def nearest(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(distance, index) of a nearest point to each query (x, y)."""
+        d, k = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
+        for a in range(0, len(x), _CHUNK):
+            part = slice(a, a + _CHUNK)
+            idx, d2 = self._candidates(x[part], y[part], 1)
+            j = d2.argmin(axis=1)
+            rows = np.arange(len(j))
+            d[part] = np.sqrt(d2[rows, j])
+            k[part] = self._order[idx[rows, j]]
+        return d, k
+
+    def nearest_other(self, i: np.ndarray) -> np.ndarray:
+        """The distance from each point pts[i] to its nearest other point,
+        for points whose nearest neighbour lies within 2 reach.  The
+        candidates within W decide it when that distance is at most reach;
+        only the other points are queried again within 2 W."""
+        rank = np.empty(self._n, dtype=np.intp)
+        rank[self._order[:self._n]] = np.arange(self._n)
+        pos = rank[i]
+        d = self._nearest_other(pos, 1)
+        far = np.flatnonzero(d > self.reach)
+        d[far] = self._nearest_other(pos[far], 2)
+        return d
+
+    def _nearest_other(self, pos: np.ndarray, w: int) -> np.ndarray:
+        d = np.empty(len(pos))
+        for a in range(0, len(pos), _CHUNK):
+            p = pos[a:a + _CHUNK]
+            idx, d2 = self._candidates(self._x[p], self._y[p], w)
+            d2[idx == p[:, None]] = np.inf
+            d[a:a + _CHUNK] = np.sqrt(d2.min(axis=1))
+        return d
 
 
 def _square_cells(e: ScheduleEntry):
@@ -180,11 +276,14 @@ def _reach(lo: float, hi: float, origin: float, step: float, n: int) -> range:
                  min(n, math.floor((hi - origin) / step) + 2))
 
 
-def _explicit_points(plan: NetPlan, counts, window: Rect) -> tuple[np.ndarray, np.ndarray]:
-    """The explicit points in the closed window and their tags, in `Net.points`
-    order.  Cell T holds n x n centers T.x0 + step * (a + 0.5), step = T.width
-    / n; only the cells and indices within one of the window's reach are made."""
-    points, tags = [np.zeros((0, 2))], [np.zeros(0, dtype=int)]
+def _explicit_points(plan: NetPlan, counts, window: Rect,
+                     spare: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """(points, tags, k): the k explicit points in the closed window and their
+    tags, in `Net.points` order, as the first k rows of arrays with at least
+    `spare` rows more for the caller to fill.  Cell T holds n x n centers
+    T.x0 + step * (a + 0.5), step = T.width / n; only the cells and indices
+    within one of the window's reach are made, each written in place."""
+    blocks = []
     for idx, (e, n_arr) in enumerate(zip(plan.schedule, counts), start=1):
         cell = e.side / e.m
         for i in _reach(window.x0, window.x1, e.square.x0, cell, e.m):
@@ -195,12 +294,18 @@ def _explicit_points(plan: NetPlan, counts, window: Rect) -> tuple[np.ndarray, n
                 a = _reach(window.x0, window.x1, tx0, step, n)
                 b = _reach(window.y0, window.y1, ty0, step, n)
                 if a and b:
-                    gx = np.repeat(tx0 + step * (np.arange(a.start, a.stop) + 0.5), len(b))
-                    gy = np.tile(ty0 + step * (np.arange(b.start, b.stop) + 0.5), len(a))
-                    keep = _in_window(gx, gy, window)
-                    points.append(np.column_stack([gx[keep], gy[keep]]))
-                    tags.append(np.full(int(keep.sum()), idx, dtype=int))
-    return np.vstack(points), np.concatenate(tags)
+                    blocks.append((idx, tx0, ty0, step, a, b))
+    size = sum(len(a) * len(b) for *_, a, b in blocks) + spare
+    points, tags = np.empty((size, 2)), np.empty(size, dtype=int)
+    k = 0
+    for idx, tx0, ty0, step, a, b in blocks:
+        gx = np.repeat(tx0 + step * (np.arange(a.start, a.stop) + 0.5), len(b))
+        gy = np.tile(ty0 + step * (np.arange(b.start, b.stop) + 0.5), len(a))
+        keep = _in_window(gx, gy, window)
+        end = k + int(np.count_nonzero(keep))
+        points[k:end, 0], points[k:end, 1], tags[k:end] = gx[keep], gy[keep], idx
+        k = end
+    return points, tags, k
 
 
 def build_net(plan: NetPlan) -> Net:
@@ -237,12 +342,11 @@ def build_net(plan: NetPlan) -> Net:
 def check_separation(net: Net, window: Rect) -> float:
     """Exact minimum pairwise distance over pairs with at least one point
     in the window, read from the candidate set of `_near`."""
-    pts, tree = _near(net, window)
-    inside = _in_window(pts[:, 0], pts[:, 1], window)
-    if inside.sum() < 2:
+    pts, grid = _near(net, window)
+    inside = np.flatnonzero(_in_window(pts[:, 0], pts[:, 1], window))
+    if len(inside) < 2:
         raise ValueError("window contains fewer than 2 points")
-    d, _ = _query(tree, pts[inside], 2)
-    return float(d[:, 1].min())
+    return float(grid.nearest_other(inside).min())
 
 
 def check_covering(net: Net, window: Rect) -> float:
@@ -252,19 +356,20 @@ def check_covering(net: Net, window: Rect) -> float:
     branch and bound, bounding each block of samples by its farthest corner
     from the net point nearest a sample of it, so only a few per cent of the
     samples are queried."""
-    pts, tree = _near(net, window)
+    pts, grid = _near(net, window)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
     # blocks of samples as half-open index ranges [i0, i1) x [j0, j1)
-    gi, gj = np.meshgrid(np.arange(0, len(xs), _BLOCK), np.arange(0, len(ys), _BLOCK),
-                         indexing="ij")
+    # 32-bit block indices halve the first level, one block per _BLOCK^2 samples
+    gi, gj = np.meshgrid(np.arange(0, len(xs), _BLOCK, dtype=np.int32),
+                         np.arange(0, len(ys), _BLOCK, dtype=np.int32), indexing="ij")
     i0, j0 = gi.ravel(), gj.ravel()
     i1, j1 = np.minimum(i0 + _BLOCK, len(xs)), np.minimum(j0 + _BLOCK, len(ys))
     worst = 0.0
     while len(i0):
         ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
-        d, k = _query(tree, np.column_stack([xs[ri], ys[rj]]), 1)
+        d, k = grid.nearest(xs[ri], ys[rj])
         worst = max(worst, float(d.max()))
         # a block is done when it is one sample, or when no sample of it can
         # lie farther from the net than worst; the quarters of the others

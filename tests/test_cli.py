@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bknet
 from bknet import field_from_json, net_from_csv, plmap_from_json
 from bknet.cli import main
 
@@ -144,6 +149,42 @@ class TestSearchCommand:
         trace = doc["trace"]
         assert all(t2 <= t1 for t1, t2 in zip(trace, trace[1:]))
         plmap_from_json(json.dumps(doc["map"]))  # embedded map parses
+
+
+class TestRuntimeNeedsNoScipy:
+    """scipy is only a test dependency: the library and the CLI never import it."""
+
+    @staticmethod
+    def run_python(code, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(bknet.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_import_and_search_leave_scipy_unloaded(self, tmp_path):
+        self.run_python(
+            "import sys, bknet\n"
+            "assert 'scipy' not in sys.modules\n"
+            "from bknet.cli import main\n"
+            "assert main(['search', '--L', '2', '--c', '1', '--N', '4', '--M', '2',"
+            " '--budget', '100', '--out', 'search.json']) == 0\n"
+            "assert 'scipy' not in sys.modules\n", tmp_path)
+
+    def test_net_pipeline_runs_with_scipy_unimportable(self, tmp_path):
+        self.run_python(
+            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from bknet.cli import main\n"
+            "assert main(['gen-density', 'limit', '--c', '1', '--depth', '2', '--out', 'limit.json']) == 0\n"
+            "assert main(['gen-net', '--density', 'limit.json', '--K', '2', '--out', 'net.csv']) == 0\n"
+            "assert main(['check-net', '--density', 'limit.json', '--K', '2', '--out', 'report.json']) == 0\n",
+            tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["separation_a"] > 0 and report["covering_b"] > 0
 
 
 class TestPlot:

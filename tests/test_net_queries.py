@@ -7,12 +7,15 @@ below return.  The exact covering radius, from the Voronoi diagram of the
 net near the window, brackets check_covering from both sides.  The former
 branch-and-bound loop, which bounded a block by its centre's distance plus
 the block's radius, is kept below as an oracle for the farthest-corner
-bound."""
+bound, and the former explicit-point enumerator, which stacked one array
+per cell, as an oracle for the in-place fill.  scipy's cKDTree is the
+oracle for the bucket index both window checks query."""
 
 import contextlib
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,7 +76,8 @@ def covering_by_centre_bound(net, window):
     candidate set: a block is kept while d + r, d its centre sample's
     distance to the net and r its farthest sample from that centre, times
     1 + _SLACK reaches the largest distance seen so far."""
-    _, tree = netbuild._near(net, window)
+    pts, _ = netbuild._near(net, window)
+    tree = cKDTree(pts)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
@@ -100,32 +104,37 @@ def covering_by_centre_bound(net, window):
     return worst, queried
 
 
-class CountingTree(cKDTree):
-    """A cKDTree that counts its builds and the points it is queried at, and
-    records (batch size, workers) per query."""
+class CountingGrid(netbuild._Grid):
+    """A netbuild._Grid that counts its builds and the points it is queried
+    at, and records the size of each query."""
     built = 0
     queried = 0
     batches = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        CountingTree.built += 1
+        CountingGrid.built += 1
 
-    def query(self, x, *args, **kwargs):
-        CountingTree.queried += len(x)
-        CountingTree.batches.append((len(x), kwargs.get("workers", 1)))
-        return super().query(x, *args, **kwargs)
+    def nearest(self, x, y):
+        CountingGrid.queried += len(x)
+        CountingGrid.batches.append(len(x))
+        return super().nearest(x, y)
+
+    def nearest_other(self, i):
+        CountingGrid.queried += len(i)
+        CountingGrid.batches.append(len(i))
+        return super().nearest_other(i)
 
 
 @contextlib.contextmanager
-def counting_trees():
-    """netbuild builds CountingTrees inside the block, with both counts at 0
+def counting_grids():
+    """netbuild builds CountingGrids inside the block, with both counts at 0
     and no batch recorded."""
-    CountingTree.built = CountingTree.queried = 0
-    CountingTree.batches = []
+    CountingGrid.built = CountingGrid.queried = 0
+    CountingGrid.batches = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netbuild, "cKDTree", CountingTree)
-        yield CountingTree
+        mp.setattr(netbuild, "_Grid", CountingGrid)
+        yield CountingGrid
 
 
 def fresh(net):
@@ -218,6 +227,28 @@ def points_by_full_scan(net, window):
     return np.vstack(pts), np.concatenate(tags)
 
 
+def explicit_points_by_stacking(plan, counts, window):
+    """netbuild._explicit_points as it was before the in-place fill: one
+    array pair per cell the window reaches, stacked at the end."""
+    points, tags = [np.zeros((0, 2))], [np.zeros(0, dtype=int)]
+    for idx, (e, n_arr) in enumerate(zip(plan.schedule, counts), start=1):
+        cell = e.side / e.m
+        for i in netbuild._reach(window.x0, window.x1, e.square.x0, cell, e.m):
+            for j in netbuild._reach(window.y0, window.y1, e.square.y0, cell, e.m):
+                n = int(n_arr[i, j])
+                step = cell / n
+                tx0, ty0 = e.square.x0 + i * cell, e.square.y0 + j * cell
+                a = netbuild._reach(window.x0, window.x1, tx0, step, n)
+                b = netbuild._reach(window.y0, window.y1, ty0, step, n)
+                if a and b:
+                    gx = np.repeat(tx0 + step * (np.arange(a.start, a.stop) + 0.5), len(b))
+                    gy = np.tile(ty0 + step * (np.arange(b.start, b.stop) + 0.5), len(a))
+                    keep = (gx >= window.x0) & (gx <= window.x1) & (gy >= window.y0) & (gy <= window.y1)
+                    points.append(np.column_stack([gx[keep], gy[keep]]))
+                    tags.append(np.full(int(keep.sum()), idx, dtype=int))
+    return np.vstack(points), np.concatenate(tags)
+
+
 def assert_same_arrays(got, want):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
@@ -266,6 +297,30 @@ def edge_windows(draw, name):
     return Rect(x0, y0, x1, y1)
 
 
+@st.composite
+def cell_free_windows(draw, name):
+    """Windows that meet no cell: left of or below the first square, or
+    inside the unit gap between two squares (any height)."""
+    sched = net(name).plan.schedule
+    w, h = draw(sides), draw(sides)
+    gaps = [(a.square.x1, b.square.x0) for a, b in zip(sched, sched[1:])]
+    if gaps and draw(st.booleans()):
+        lo, hi = draw(st.sampled_from(gaps))
+        x0 = draw(st.floats(lo + 1e-9, lo + 0.5))
+        x1 = draw(st.floats(x0 + 1e-9, hi - 1e-9))
+        y0 = draw(st.floats(-5.0, hi))
+        return Rect(x0, y0, x1, y0 + h)
+    x0 = draw(st.floats(-10.0, 10.0))
+    first = sched[0].square.x0 if sched else 0.0
+    if draw(st.booleans()):
+        x0 = min(x0, first - w - 1e-9)
+    else:
+        y0 = min(draw(st.floats(-10.0, 10.0)), first - h - 1e-9)
+        return Rect(x0, y0, x0 + w, y0 + h)
+    y0 = draw(st.floats(-10.0, 10.0))
+    return Rect(x0, y0, x0 + w, y0 + h)
+
+
 class TestCoveringOracle:
     @pytest.mark.parametrize("name", list(PLANS))
     @settings(max_examples=40, deadline=None)
@@ -289,10 +344,10 @@ class TestFarthestCornerBound:
     @staticmethod
     def check(n, window):
         want, want_queried = covering_by_centre_bound(n, window)
-        with counting_trees() as trees:
+        with counting_grids() as grids:
             got = check_covering(fresh(n), window)
         assert got == want
-        assert trees.queried <= want_queried
+        assert grids.queried <= want_queried
 
     @pytest.mark.parametrize("name", list(PLANS))
     @settings(max_examples=40, deadline=None)
@@ -313,10 +368,10 @@ class TestFarthestCornerBound:
 class TestSharedCandidates:
     def test_both_checks_build_one_tree(self):
         n = fresh(net("two-tone-K3"))
-        with counting_trees() as trees:
+        with counting_grids() as grids:
             check_separation(n, Rect(14.37, 14.11, 18.9, 18.33))
             check_covering(n, Rect(14.37, 14.11, 18.9, 18.33))
-        assert trees.built == 1
+        assert grids.built == 1
 
     def test_interleaved_windows_match_fresh_calls(self):
         n = fresh(net("two-tone-K3"))
@@ -333,30 +388,115 @@ class TestSharedCandidates:
                 assert query(n, window) == query(fresh(n), window)
 
 
-class TestQueryWorkers:
-    def test_small_window_queries_run_on_one_thread(self):
-        n = fresh(net("two-tone-K3"))
-        with counting_trees() as trees:
-            check_separation(n, Rect(3.0, 3.0, 15.0, 15.0))
-            check_covering(n, Rect(3.0, 3.0, 15.0, 15.0))
-        assert len(trees.batches) > 1
-        assert all(w == 1 for _, w in trees.batches)
+class TestQueryChunks:
+    WINDOWS = [Rect(14.37, 14.11, 18.9, 18.33), Rect(-0.7, -0.3, 1.3, 17.55),
+               Rect(3.0, 3.0, 15.0, 15.0)]
 
-    @pytest.mark.parametrize("width", [128, 256])
-    def test_batches_from_the_threshold_up_run_on_all_cores(self, width):
-        # the unit lattice holds width x 256 centres in this window, 2^15 at 128
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_results_do_not_depend_on_the_chunk_size(self, chunk):
+        n = net("two-tone-K3")
+        want = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
+                for w in self.WINDOWS]
+        pts, grid = netbuild._near(fresh(n), self.WINDOWS[0])
+        every = np.arange(len(pts))
+        want_nearest = grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125)
+        want_other = grid.nearest_other(every)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_CHUNK", chunk)
+            got = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
+                   for w in self.WINDOWS]
+            assert_same_arrays(grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125), want_nearest)
+            assert_same_arrays([grid.nearest_other(every)], [want_other])
+        assert got == want
+
+    def test_a_batch_is_one_query(self):
+        # the unit lattice holds 128 x 256 centres in this window: many chunks
         n = fresh(net("lattice"))
-        with counting_trees() as trees:
-            check_separation(n, Rect(0.0, 0.0, float(width), 256.0))
-        assert trees.batches == [(width * 256, -1)]
-        assert width * 256 >= netbuild._THREADED_BATCH
+        with counting_grids() as grids:
+            assert check_separation(n, Rect(0.0, 0.0, 128.0, 256.0)) == 1.0
+        assert grids.batches == [128 * 256]
+        assert 128 * 256 > 4 * netbuild._CHUNK
 
-    def test_batches_under_the_threshold_run_on_one_thread(self):
-        tree = CountingTree(np.zeros((1, 2)))
-        with counting_trees() as trees:
-            for size in (1, netbuild._THREADED_BATCH - 1, netbuild._THREADED_BATCH):
-                netbuild._query(tree, np.zeros((size, 2)), 1)
-        assert [w for _, w in trees.batches] == [1, 1, -1]
+
+@st.composite
+def grid_cases(draw):
+    """(points, reach): up to 40 points, some of them exact or near
+    duplicates of others, and a reach of at least half the largest
+    nearest-neighbour distance and 1/32 of the points' extent."""
+    coord = st.floats(-50.0, 50.0, allow_nan=False)
+    base = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    near = st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6])
+    copies = [(x + draw(near), y + draw(near))
+              for x, y in draw(st.lists(st.sampled_from(base), max_size=10))]
+    pts = np.array(base + copies)
+    if len(pts) == 1:
+        pts = np.vstack([pts, pts + draw(st.floats(1e-9, 10.0))])
+    d, _ = cKDTree(pts).query(pts, k=2)
+    extent = float(np.ptp(pts, axis=0).max())
+    reach = max(float(d[:, 1].max()) / 2.0, extent / 32.0, 1e-6)
+    return pts, reach * draw(st.sampled_from([1.0, 1.0, 1.5, 4.0]))
+
+
+class TestGridOracle:
+    """The bucket index against cKDTree: distances bit for bit, and an
+    index of a point at that distance, for queries whose nearest point lies
+    within reach, on bucket edges among them."""
+
+    @staticmethod
+    def check_nearest(pts, grid, q):
+        want, _ = cKDTree(pts).query(q, k=1)
+        q, want = q[want <= grid.reach], want[want <= grid.reach]
+        d, k = grid.nearest(q[:, 0], q[:, 1])
+        assert np.array_equal(d, want)
+        dx, dy = pts[k, 0] - q[:, 0], pts[k, 1] - q[:, 1]
+        assert np.array_equal(np.sqrt(dx * dx + dy * dy), d)
+
+    def test_a_query_exactly_reach_away_over_a_rounded_bucket_edge(self):
+        # with buckets exactly reach wide, (q - lo) / reach rounds up to an
+        # integer while (p - lo) / reach rounds down, so p's bucket is two
+        # away from q's; the widened bucket keeps p in q's neighbourhood
+        m, p, r = -4.492441793121074, 0.3647114972650627, 1.619051096795379
+        q = p + r
+        pts = np.array([[m, 0.0], [p, 0.0], [p + 2.5 * r, 0.0]])
+        reach = q - p
+        lo = m - 3.0 * reach
+        assert math.floor((q - lo) / reach) - math.floor((p - lo) / reach) == 2
+        grid = netbuild._Grid(pts, reach)
+        self.check_nearest(pts, grid, np.array([[q, 0.0]]))
+        assert grid.nearest(np.array([q]), np.array([0.0]))[1].tolist() == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_cases(), data=st.data())
+    def test_nearest_other_matches_the_second_neighbour(self, case, data):
+        pts, reach = case
+        grid = netbuild._Grid(pts, reach)
+        i = np.array(data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1)))
+        d, _ = cKDTree(pts).query(pts[i], k=2)
+        assert np.array_equal(grid.nearest_other(i), d[:, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_cases(), data=st.data())
+    def test_nearest_matches_at_random_queries(self, case, data):
+        pts, reach = case
+        grid = netbuild._Grid(pts, reach)
+        lo, hi = pts.min(axis=0) - reach, pts.max(axis=0) + reach
+        q = np.array(data.draw(st.lists(
+            st.tuples(st.floats(lo[0], hi[0]), st.floats(lo[1], hi[1])), min_size=1)))
+        self.check_nearest(pts, grid, q)
+        # the points themselves, and points a few ulps off them
+        for t in (0.0, 1e-15, -1e-15):
+            self.check_nearest(pts, grid, pts * [1 + t, 1 - t])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_cases(), data=st.data())
+    def test_nearest_matches_on_bucket_edges(self, case, data):
+        pts, reach = case
+        grid = netbuild._Grid(pts, reach)
+        ex = grid._x0 + grid._w * np.arange(grid._nx + 1)
+        ey = grid._y0 + grid._h * np.arange(grid._ny + 1)
+        nudge = data.draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+        gx, gy = np.meshgrid(ex, ey, indexing="ij")
+        self.check_nearest(pts, grid, np.column_stack([gx.ravel(), gy.ravel()]) + nudge)
 
 
 class TestExactCovering:
@@ -467,6 +607,44 @@ class TestPointsInWindowOracle:
         assert_same_arrays((points, tags), (net("two-tone-K2").points, net("two-tone-K2").tags))
         with pytest.raises(AttributeError):
             n.points = points
+
+
+class TestInPlaceFill:
+    @pytest.mark.parametrize("name", list(PLANS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_stacking_enumerator(self, name, data):
+        kinds = [windows(name), cell_free_windows(name)]
+        if net(name).plan.schedule:   # edge_windows needs cell edges
+            kinds.append(edge_windows(name))
+        window = data.draw(st.one_of(kinds))
+        spare = data.draw(st.integers(0, 5))
+        n = net(name)
+        pts, tags, k = netbuild._explicit_points(n.plan, n.counts, window, spare)
+        assert len(pts) == len(tags) >= k + spare
+        assert_same_arrays((pts[:k], tags[:k]),
+                           explicit_points_by_stacking(n.plan, n.counts, window))
+
+    @pytest.mark.parametrize("name", ["lattice", "two-tone-K3"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_windows_that_meet_no_cell(self, name, data):
+        n = net(name)
+        window = data.draw(cell_free_windows(name))
+        _, _, k = netbuild._explicit_points(n.plan, n.counts, window)
+        assert k == 0
+        assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
+
+    def test_first_read_peaks_near_the_final_arrays(self):
+        n = build_net(make_plan(TWO_TONE, 4))   # 834,938 points, 20 MB
+        tracemalloc.start()
+        try:
+            points, tags = n.points, n.tags
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 834_938
+        assert peak <= 1.2 * (points.nbytes + tags.nbytes) + 2 ** 20
 
 
 class TestNonFiniteWindow:
