@@ -52,7 +52,15 @@ def _json_dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
 
 
+# the optional flags each kind of gen-density takes
+_KIND_FLAGS = {"checkerboard": {"N"}, "hierarchy": {"L", "N", "M", "depth"}, "limit": {"depth"}}
+
+
 def cmd_gen_density(args) -> int:
+    foreign = [f"--{f}" for f in ("L", "N", "M", "depth")
+               if getattr(args, f) is not None and f not in _KIND_FLAGS[args.kind]]
+    if foreign:
+        raise ValueError(f"gen-density {args.kind} does not take {', '.join(foreign)}")
     if args.kind == "checkerboard":
         if args.N is None:
             raise ValueError("checkerboard needs --N")

@@ -108,7 +108,8 @@ class DensityField:
         """Exact integral over r (r must lie inside the domain)."""
         if not self.domain.contains_rect(r):
             raise DomainError(f"rectangle {r} not contained in domain {self.domain}")
-        return _integrate(*self._columns, self.default, r)
+        return float(_integrate(*self._columns, self.default,
+                                np.array([[r.x0, r.y0, r.x1, r.y1]]))[0])
 
     def replace_region(self, regions: list[Rect],
                        new_cells: list[tuple[Rect, float]]) -> "DensityField":
@@ -148,20 +149,24 @@ def _holds(box: np.ndarray, x, y) -> np.ndarray:
     return (box[:, 0] <= x) & (x < box[:, 2]) & (box[:, 1] <= y) & (y < box[:, 3])
 
 
-def _integrate(box: np.ndarray, val: np.ndarray, default: float, r: Rect) -> float:
-    """Exact integral over r of the field with cell boxes `box` (rows x0, y0,
-    x1, y1), cell values `val` and value `default` elsewhere.  The cell terms
-    are added in row order, as a loop over the cells would."""
-    w = np.minimum(box[:, 2], r.x1) - np.maximum(box[:, 0], r.x0)
-    h = np.minimum(box[:, 3], r.y1) - np.maximum(box[:, 1], r.y0)
-    meet = (w > 0) & (h > 0)   # interiors meet, as Rect.intersect decides
-    area = w[meet] * h[meet]
-    total = covered = 0.0
-    if len(area):
-        # cumsum adds left to right; np.sum's pairwise order would not
-        total = float(np.cumsum(val[meet] * area)[-1])
-        covered = float(np.cumsum(area)[-1])
-    return total + default * (r.area - covered)
+def _integrate(box: np.ndarray, val: np.ndarray, default: float,
+               rects: np.ndarray) -> np.ndarray:
+    """Exact integrals over the rectangles `rects` (rows x0, y0, x1, y1) of
+    the field with cell boxes `box` (rows likewise), cell values `val` and
+    value `default` elsewhere.  Each rectangle's cell terms are added in row
+    order, as a loop over the cells would."""
+    w = np.minimum(box[:, 2:3], rects[:, 2]) - np.maximum(box[:, 0:1], rects[:, 0])
+    h = np.minimum(box[:, 3:4], rects[:, 3]) - np.maximum(box[:, 1:2], rects[:, 1])
+    # interiors meet where both are positive, as Rect.intersect decides; the
+    # other terms are zeros, which change no partial sum
+    area = np.maximum(w, 0.0) * np.maximum(h, 0.0)
+    total = covered = np.zeros(len(rects))
+    if len(box):
+        # cumsum adds the cells in order; np.sum's pairwise order would not
+        total = np.cumsum(val[:, None] * area, axis=0)[-1]
+        covered = np.cumsum(area, axis=0)[-1]
+    r_area = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])
+    return total + default * (r_area - covered)
 
 
 def make_checkerboard(N: int, c: float) -> DensityField:
@@ -176,12 +181,16 @@ def make_checkerboard(N: int, c: float) -> DensityField:
     return DensityField(Rect(0.0, 0.0, 1.0, 1.0 / N), 1.0, tuple(cells))
 
 
-def _strips(ax: float, lam: float, y: float, top: float, N: int,
-            c: float) -> list[tuple[Rect, float]]:
-    """The checkerboard's N strips over [ax, ax + lam] x [y, top], each
-    lam / N wide, valued 1 and 1+c alternately from the left."""
-    return [(Rect(ax + j * lam / N, y, ax + (j + 1) * lam / N, top),
-             1.0 if j % 2 == 0 else 1.0 + c) for j in range(N)]
+def _strips(ax, lam, y, top, N: int, c: float) -> list[tuple[Rect, float]]:
+    """The checkerboard's N strips over each [ax, ax + lam] x [y, top] (one
+    rectangle as floats, or many as equal-length arrays), rectangle by
+    rectangle: strip j spans ax + j * lam / N to ax + (j + 1) * lam / N and
+    is valued 1 if j is even, else 1+c."""
+    ax, lam, y, top = np.atleast_1d(ax, lam, y, top)
+    xs = (ax[:, None] + np.arange(N + 1) * lam[:, None] / N).tolist()
+    vals = [1.0 if j % 2 == 0 else 1.0 + c for j in range(N)]
+    return [(Rect(x[j], y0, x[j + 1], y1), vals[j])
+            for x, y0, y1 in zip(xs, y.tolist(), top.tolist()) for j in range(N)]
 
 
 def transplant(field: DensityField, s: Similarity) -> DensityField:

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificate import CertificateConstants, _pair_rows, schedule_constants, toy_constants
+import numpy as np
+
+from .certificate import (CertificateConstants, _as_pairs, _marked_rows, _pair_rows,
+                          schedule_constants, toy_constants)
 from .density import DensityField, _strips, constant_field
 from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 
 Segment = tuple[tuple[float, float], tuple[float, float]]
 
-# Materializing a level-1 patch needs N explicit cells; anything past this
-# cannot be represented, so refuse instead of thrashing.
+# A level may make at most this many cells and this many next-level segments
+# (a level-1 patch alone needs N cells); past it, refuse instead of thrashing.
 MAX_MATERIALIZED_N = 10 ** 6
 
 
@@ -81,8 +84,8 @@ def embed_in_neighborhood(seg: Segment, U: Rect, N: int, c: float,
 
 def _patch(seg: Segment, U: Rect, N: int, c: float, M: int, L: float,
            ) -> tuple[Rect, list[tuple[Rect, float]], list[Segment], float]:
-    """embed_in_neighborhood's patch as its domain and cells, unvalidated:
-    build_hierarchy checks every patch cell once, in the level field."""
+    """embed_in_neighborhood's patch as its domain, cells, pairs and eps,
+    for one segment checked against U."""
     ax, bx, y = _segment_span(seg)
     lam = bx - ax
     if not (U.x0 <= ax and bx <= U.x1 and U.y0 <= y):
@@ -91,18 +94,13 @@ def _patch(seg: Segment, U: Rect, N: int, c: float, M: int, L: float,
     if room <= 0:
         raise ValueError("neighborhood has no positive thickness above the segment")
     top = y + min(lam / N, room)
-    eps = lam * lam * 0.5 * c / (8.0 * N * N * L * L)
     return (Rect(ax, y, bx, top), _strips(ax, lam, y, top, N, c),
-            _pair_rows(ax, lam, y, top, N, M), eps)
+            _as_pairs(*_pair_rows(ax, lam, y, top, N, M)), _eps(lam, N, c, L))
 
 
-def _disjoint_pairs(pairs: list[Segment], NM: int) -> list[Segment]:
-    """Keep every other edge in each row so segments never share endpoints."""
-    out = []
-    for idx, seg in enumerate(pairs):
-        if (idx % NM) % 2 == 0:
-            out.append(seg)
-    return out
+def _eps(lam, N: int, c: float, L: float):
+    """The mismatch budget of a patch on a segment of length lam."""
+    return lam * lam * 0.5 * c / (8.0 * N * N * L * L)
 
 
 def build_hierarchy(L: float, c: float, depth: int,
@@ -114,12 +112,17 @@ def build_hierarchy(L: float, c: float, depth: int,
     (0,0)-(1,0) and budget 1.  Each later level replaces the field inside
     a thin neighborhood of every current segment by an embedded
     checkerboard patch and takes the patch pairs (alternating, so they
-    stay disjoint) as the new segments.
+    stay disjoint) as the new segments.  A level is built in one step from
+    its segments as columns, and refused before it makes a cell or segment
+    when it would make more than MAX_MATERIALIZED_N of either.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if consts is None:
         consts = schedule_constants(L, c)
+    if (consts.L, consts.c) != (L, c):
+        raise ValueError(f"consts were made for L={consts.L}, c={consts.c}, "
+                         f"not for L={L}, c={c}")
     N, M = consts.N, consts.M
     if N > MAX_MATERIALIZED_N:
         raise HierarchyDepthError(
@@ -127,50 +130,49 @@ def build_hierarchy(L: float, c: float, depth: int,
             f"{MAX_MATERIALIZED_N:,}")
 
     field = constant_field(1.0)
-    base: Segment = ((0.0, 0.0), (1.0, 0.0))
-    levels = [HierarchyLevel(segments=(base,), neighborhoods=(), epsilon=1.0)]
+    levels = [HierarchyLevel(segments=(((0.0, 0.0), (1.0, 0.0)),), neighborhoods=(), epsilon=1.0)]
+    # the current level's segments (ax, y)-(bx, y) as columns
+    ax, y, bx = np.array([0.0]), np.array([0.0]), np.array([1.0])
 
     for level in range(1, depth + 1):
-        prev = levels[-1]
-        segs = prev.segments
-        total_len = sum(b[0] - a[0] for a, b in segs)
-        budget = prev.epsilon / 2.0
+        lam = bx - ax
+        total_len = sum(lam.tolist())
+        budget = levels[-1].epsilon / 2.0
         # uniform thickness cap: half the budget, spread over total length
         h_cap = budget / (2.0 * total_len)
         if h_cap < 5e-324 * 4:
             raise HierarchyDepthError(
                 f"level {level}: neighborhood thickness underflows ({h_cap})")
-
-        new_segments: list[Segment] = []
-        neighborhoods: list[Rect] = []
-        patch_cells: list[tuple[Rect, float]] = []
-        eps_level = None
-        for seg in segs:
-            ax, bx, y = _segment_span(seg)
-            lam = bx - ax
-            if lam < 1e-12:
+        # each segment's neighborhood U = [ax, bx] x [y, u1] must be a
+        # rectangle in the unit square, and the segment long enough
+        u1 = y + np.minimum(lam / N, h_cap)
+        ok = (lam >= 1e-12) & (y < u1) & (0.0 <= ax) & (bx <= 1.0) & (0.0 <= y) & (u1 <= 1.0)
+        if not ok.all():
+            n = int(ok.argmin())    # the first bad segment
+            if lam[n] < 1e-12:
                 raise HierarchyDepthError(
-                    f"level {level}: segment length {lam} below resolution")
-            h = min(lam / N, h_cap)
-            U = Rect(ax, y, bx, y + h)
-            if not UNIT_SQUARE.contains_rect(U):
+                    f"level {level}: segment length {float(lam[n])} below resolution")
+            U = Rect(*(float(v[n]) for v in (ax, y, bx, u1)))
+            raise HierarchyDepthError(f"level {level}: neighborhood {U} leaves the unit square")
+        top = y + np.minimum(lam / N, u1 - y)   # the patch, clipped to U
+        kept_rows = len(_marked_rows(lam, y, top, N, M)[0])
+        for what, count in (("cells", len(lam) * N), ("segments", kept_rows * ((N * M + 1) // 2))):
+            if count > MAX_MATERIALIZED_N:
                 raise HierarchyDepthError(
-                    f"level {level}: neighborhood {U} leaves the unit square")
-            patch_rect, cells, pairs, eps_patch = _patch(seg, U, N, c, M, L)
-            patch_cells.extend(cells)
-            new_segments.extend(_disjoint_pairs(pairs, N * M))
-            neighborhoods.append(patch_rect)
-            eps_level = eps_patch if eps_level is None else min(eps_level, eps_patch)
-        field = field.replace_region(neighborhoods, patch_cells)
+                    f"level {level} would make {count:,} {what}: at most "
+                    f"{MAX_MATERIALIZED_N:,} can be materialized")
 
+        neighborhoods = tuple(map(Rect, ax.tolist(), y.tolist(), bx.tolist(), top.tolist()))
+        field = field.replace_region(neighborhoods, _strips(ax, lam, y, top, N, c))
+        x0, x1, py = _pair_rows(ax, lam, y, top, N, M, kept=True)
         levels.append(HierarchyLevel(
-            segments=tuple(new_segments),
-            neighborhoods=tuple(neighborhoods),
-            epsilon=eps_level,
+            segments=tuple(_as_pairs(x0, x1, py)),
+            neighborhoods=neighborhoods,
+            epsilon=float(_eps(lam, N, c, L).min()),
         ))
+        ax, bx, y = x0.ravel(), x1.ravel(), np.repeat(py, x0.shape[1])
 
-    hierarchy = SegmentHierarchy(tuple(levels))
-    return field, hierarchy
+    return field, SegmentHierarchy(tuple(levels))
 
 
 def assemble_limit_density(c: float, squares: list[tuple[Rect, int]]) -> DensityField:

@@ -45,7 +45,8 @@ class NetPlan:
     schedule: tuple[ScheduleEntry, ...]
 
     def __post_init__(self):
-        c = self.density.amplitude
+        top = max(self.density.values())
+        c = top - 1.0   # the density's amplitude
         prev_side, prev_ratio = 0, math.inf
         for n, e in enumerate(self.schedule):
             if not e.square.width == e.square.height == e.side:
@@ -58,10 +59,16 @@ class NetPlan:
             if e.side / e.m < 2 * (1 + c):
                 raise ValueError(
                     f"l_k/m_k = {e.side / e.m} below 2(1+c) = {2 * (1 + c)}")
+            # build_net gives a cell floor(sqrt(its reciprocal-density mass))^2
+            # points, and that mass is at least (side / m)^2 / top
+            least = (e.side / e.m) ** 2 / top
+            if least < 1:
+                raise ValueError(f"schedule entry {n}: smallest cell mass "
+                                 f"(side/m)^2 / max value = {least} below 1")
             prev_side, prev_ratio = e.side, ratio
         dom = self.density.domain
         if dom.width != dom.height:
-            # _square_cells scales the domain by side / width onto each square
+            # build_net scales the domain by side / width onto each square
             raise ValueError(f"a net plan needs a square density domain, got {dom}")
         if first_overlap([e.square for e in self.schedule]) is not None:
             raise ValueError("schedule squares overlap")
@@ -261,13 +268,11 @@ class _Grid:
         return d
 
 
-def _square_cells(e: ScheduleEntry):
-    """Yield (i, j, T) for the m x m cells T of a schedule entry."""
-    cell = e.side / e.m
-    for i in range(e.m):
-        for j in range(e.m):
-            yield i, j, Rect(e.square.x0 + i * cell, e.square.y0 + j * cell,
-                             e.square.x0 + (i + 1) * cell, e.square.y0 + (j + 1) * cell)
+def _cell_edges(e: ScheduleEntry) -> tuple[list[float], list[float]]:
+    """The x and y edges of a schedule entry's m x m cells: cell (i, j) is
+    [xs[i], xs[i+1]] x [ys[j], ys[j+1]], edge i at square.x0 + i * (side / m)."""
+    steps = np.arange(e.m + 1) * (e.side / e.m)
+    return (e.square.x0 + steps).tolist(), (e.square.y0 + steps).tolist()
 
 
 def _reach(lo: float, hi: float, origin: float, step: float, n: int) -> range:
@@ -286,11 +291,16 @@ def _explicit_points(plan: NetPlan, counts, window: Rect,
     blocks = []
     for idx, (e, n_arr) in enumerate(zip(plan.schedule, counts), start=1):
         cell = e.side / e.m
-        for i in _reach(window.x0, window.x1, e.square.x0, cell, e.m):
-            for j in _reach(window.y0, window.y1, e.square.y0, cell, e.m):
+        cols = _reach(window.x0, window.x1, e.square.x0, cell, e.m)
+        rows = _reach(window.y0, window.y1, e.square.y0, cell, e.m)
+        if not (cols and rows):
+            continue
+        xs, ys = _cell_edges(e)
+        for i in cols:
+            for j in rows:
                 n = int(n_arr[i, j])
                 step = cell / n
-                tx0, ty0 = e.square.x0 + i * cell, e.square.y0 + j * cell
+                tx0, ty0 = xs[i], ys[j]
                 a = _reach(window.x0, window.x1, tx0, step, n)
                 b = _reach(window.y0, window.y1, ty0, step, n)
                 if a and b:
@@ -326,14 +336,14 @@ def build_net(plan: NetPlan) -> Net:
         scale = e.side / dom.width
         phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
         box_k = box * phi.scale + np.array([phi.tx, phi.ty, phi.tx, phi.ty])
-        n_arr, mass = np.zeros((e.m, e.m), dtype=int), np.zeros((e.m, e.m))
-        for i, j, T in _square_cells(e):
-            integral = _integrate(box_k, inv_val, inv_default, T)
-            n = int(math.floor(math.sqrt(integral)))
-            if n == 0:
-                raise ValueError(f"empty cell in square {idx}: plan invariant violated")
-            n_arr[i, j] = n
-            mass[i, j] = integral
+        xs, ys = np.array(_cell_edges(e))
+        # one call per row of cells: cell (i, j) for j = 0..m-1
+        mass = np.array([_integrate(box_k, inv_val, inv_default, np.column_stack(
+            [np.full(e.m, xs[i]), ys[:-1], np.full(e.m, xs[i + 1]), ys[1:]]))
+            for i in range(e.m)])
+        n_arr = np.floor(np.sqrt(mass)).astype(int)
+        if not n_arr.all():
+            raise ValueError(f"empty cell in square {idx}: plan invariant violated")
         counts.append(n_arr)
         integrals.append(mass)
     return Net(plan, tuple(counts), tuple(integrals))
@@ -412,18 +422,12 @@ def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
         raise ValueError("measure_report needs the plan the net was built from (net.plan)")
     if not (1 <= k <= len(plan.schedule)):
         raise ValueError("k outside schedule")
-    n_arr, mass = net.counts[k - 1], net.integrals[k - 1]
-    out = []
-    for i, j, T in _square_cells(plan.schedule[k - 1]):
-        count = int(n_arr[i, j]) ** 2
-        target = float(mass[i, j])
-        out.append({
-            "cell": (T.x0, T.y0, T.x1, T.y1),
-            "count": count,
-            "target": target,
-            "error": abs(count - target),
-        })
-    return out
+    counts, mass = net.counts[k - 1].tolist(), net.integrals[k - 1].tolist()
+    xs, ys = _cell_edges(plan.schedule[k - 1])
+    return [{"cell": (xs[i], ys[j], xs[i + 1], ys[j + 1]), "count": n * n,
+             "target": target, "error": abs(n * n - target)}
+            for i, (n_row, t_row) in enumerate(zip(counts, mass))
+            for j, (n, target) in enumerate(zip(n_row, t_row))]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,32 @@ class TestExitCodes:
         out = tmp_path / "f.json"
         assert main(["gen-density", *argv, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["checkerboard", "--N", "4", "--c", "1", "--L", "3"],
+        ["checkerboard", "--N", "4", "--c", "1", "--M", "9"],
+        ["checkerboard", "--N", "4", "--c", "1", "--depth", "7"],
+        ["limit", "--c", "1", "--L", "9"],
+        ["limit", "--c", "1", "--N", "3"],
+        ["limit", "--c", "1", "--M", "5"],
+    ], ids=["checkerboard-L", "checkerboard-M", "checkerboard-depth", "limit-L", "limit-N",
+            "limit-M"])
+    def test_gen_density_flag_of_another_kind_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "f.json"
+        assert main(["gen-density", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"gen-density {argv[0]} does not take {argv[-2]}" in capsys.readouterr().err
+
+    def test_gen_density_hierarchy_past_the_limit_exit_2(self, tmp_path, capsys):
+        # at M = 100 level 2 would hold 4.04M segments (an 80 s build before
+        # the limit); it is refused before any of them is made
+        out = tmp_path / "f.json"
+        start = time.perf_counter()
+        assert main(["gen-density", "hierarchy", "--L", "2", "--c", "1", "--M", "100",
+                     "--depth", "2", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 10.0
+        assert not out.exists()
+        assert "level 2 would make 4,040,000 segments" in capsys.readouterr().err
 
     def test_gen_density_too_large_N_exit_2(self, tmp_path, capsys):
         # an N past the materialization limit is bad input, like --N 0

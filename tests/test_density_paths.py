@@ -32,7 +32,6 @@ from bknet.hierarchy import (
     HierarchyLevel,
     MAX_MATERIALIZED_N,
     SegmentHierarchy,
-    _disjoint_pairs,
     _segment_span,
 )
 from bknet.netbuild import NetPlan, ScheduleEntry
@@ -115,7 +114,7 @@ def embed_build_hierarchy(L, c, depth, consts):
             assert UNIT_SQUARE.contains_rect(U)
             patch, pairs, eps_patch = embed_in_neighborhood(seg, U, N, c, M, L)
             patch_cells.extend(patch.cells)
-            new_segments.extend(_disjoint_pairs(pairs, N * M))
+            new_segments.extend(pair for n, pair in enumerate(pairs) if n % (N * M) % 2 == 0)
             neighborhoods.append(patch.domain)
             eps_level = eps_patch if eps_level is None else min(eps_level, eps_patch)
         field = field.replace_region(neighborhoods, patch_cells)
@@ -321,9 +320,10 @@ class TestHierarchyPatches:
         assert cell_bytes(field) == cell_bytes(want_field)
         assert hier == want_hier
 
-    @given(st.floats(1.5, 3.0), st.floats(0.05, 1.0), st.integers(1, 3))
+    @given(st.floats(1.5, 3.0), st.floats(0.05, 1.0), st.integers(1, 6), st.integers(1, 4),
+           st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
-    def test_drawn_constants(self, L, c, depth):
-        consts = toy_constants(L, c, N=4, M=2)
+    def test_drawn_constants(self, L, c, N, M, depth):
+        consts = toy_constants(L, c, N=N, M=M)
         field, hier = build_hierarchy(L, c, depth, consts)
         assert (field, hier) == embed_build_hierarchy(L, c, depth, consts)

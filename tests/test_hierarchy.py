@@ -114,6 +114,36 @@ class TestBuildHierarchy:
         with pytest.raises(HierarchyDepthError):
             build_hierarchy(2.0, 0.1, 1)
 
+    @pytest.mark.parametrize("consts", [toy_constants(3.0, 0.25), toy_constants(2.0, 0.25),
+                                        toy_constants(3.0, 1.0)])
+    def test_constants_for_another_L_or_c_rejected(self, consts):
+        with pytest.raises(ValueError, match=(
+                rf"made for L={consts.L}, c={consts.c}, not for L=2\.0, c=1\.0")):
+            build_hierarchy(2.0, 1.0, 2, consts)
+
+    @pytest.mark.parametrize("N,M,message", [
+        # level 1 keeps 101 rows of 200 edges; level 2 would keep 200 of
+        # each of their one-row patches
+        (4, 100, "level 2 would make 4,040,000 segments"),
+        # level 1 keeps 2 rows of 501 edges, and level 2 gives each N cells
+        (1001, 1, "level 2 would make 1,003,002 cells"),
+    ])
+    def test_levels_past_the_materialization_limit_refused(self, N, M, message):
+        with pytest.raises(HierarchyDepthError, match=message + ": at most 1,000,000"):
+            build_hierarchy(2.0, 1.0, 2, toy_constants(2.0, 1.0, N=N, M=M))
+        build_hierarchy(2.0, 1.0, 1, toy_constants(2.0, 1.0, N=N, M=M))
+
+    @pytest.mark.parametrize("L,c,N,M,depth,message", [
+        # level 3 has segments at y = 0 and y = 1; the second one's
+        # neighborhood is the first to leave the square
+        (1.01, 100.0, 1, 1, 3, r"level 3: neighborhood Rect\(x0=0\.0, y0=1\.0, x1=1\.0, "
+                               r"y1=1\.7658562885991569\) leaves the unit square"),
+        (3.0, 1.0, 2, 1, 60, r"level 41: segment length 9\.094947017729282e-13 below resolution"),
+    ])
+    def test_first_bad_segment_named(self, L, c, N, M, depth, message):
+        with pytest.raises(HierarchyDepthError, match=f"^{message}$"):
+            build_hierarchy(L, c, depth, toy_constants(L, c, N=N, M=M))
+
 
 class TestLimitDensity:
     SQUARES = [(Rect(0.5, 0.5, 1.0, 1.0), 1),

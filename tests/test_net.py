@@ -66,6 +66,17 @@ class TestMakePlan:
         with pytest.raises(ValueError, match=r"schedule entry 0: Rect\(.*\) is not \d x \d$"):
             NetPlan(constant_field(1.0), (entry,))
 
+    def test_entry_with_a_possibly_empty_cell_rejected(self):
+        # l/m = 0.25 clears 2(1+c) = 0.2 for a density of 0.1, but a cell's
+        # reciprocal mass 0.0625 / 0.1 holds no point; build_net used to
+        # fail on it with "empty cell in square 1"
+        plan = (ScheduleEntry(Rect(0, 0, 1, 1), 1, 4),)
+        with pytest.raises(ValueError, match=r"schedule entry 0: smallest cell mass .* 0\.625 below"):
+            NetPlan(constant_field(0.1), plan)
+        # make_plan's l/m >= max(2, 2 * max value) always passes the rule
+        for value in (0.1, 0.3, 1.0, 5.0):
+            assert build_net(make_plan(constant_field(value), 2)).counts[0].min() >= 1
+
     def test_non_square_domain_rejected(self):
         # the checkerboard lives on [0,1] x [0,1/N]; a square cannot be
         # filled from it by one similarity
