@@ -57,6 +57,10 @@ class MarkedGrid:
     N: int
     M: int
 
+    def __post_init__(self):
+        if self.N < 1 or self.M < 1:
+            raise ValueError("N and M must be >= 1")
+
     def point(self, i: int, p: int, q: int) -> Point:
         """x_pq^i = ((p + M(i-1))/(NM), q/(NM)), 1 <= i <= N, 0 <= p,q <= M."""
         NM = self.N * self.M
@@ -106,8 +110,6 @@ def _as_pairs(x0: np.ndarray, x1: np.ndarray, py: np.ndarray) -> list[tuple[Poin
 
 
 def marked_grid(N: int, M: int) -> MarkedGrid:
-    if N < 1 or M < 1:
-        raise ValueError("N and M must be >= 1")
     return MarkedGrid(N, M)
 
 

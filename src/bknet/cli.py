@@ -52,33 +52,18 @@ def _json_dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
 
 
-# the optional flags each kind of gen-density takes
-_KIND_FLAGS = {"checkerboard": {"N"}, "hierarchy": {"L", "N", "M", "depth"}, "limit": {"depth"}}
-
-
 def cmd_gen_density(args) -> int:
-    foreign = [f"--{f}" for f in ("L", "N", "M", "depth")
-               if getattr(args, f) is not None and f not in _KIND_FLAGS[args.kind]]
-    if foreign:
-        raise ValueError(f"gen-density {args.kind} does not take {', '.join(foreign)}")
     if args.kind == "checkerboard":
-        if args.N is None:
-            raise ValueError("checkerboard needs --N")
         field = density.make_checkerboard(args.N, args.c)
     elif args.kind == "hierarchy":
-        if args.L is None or args.depth is None:
-            raise ValueError("hierarchy needs --L and --depth")
-        consts = certificate.toy_constants(args.L, args.c,
-                                           N=4 if args.N is None else args.N,
-                                           M=2 if args.M is None else args.M)
+        consts = certificate.toy_constants(args.L, args.c, N=args.N, M=args.M)
         field, _ = hierarchy.build_hierarchy(args.L, args.c, args.depth, consts)
     else:
-        depth = 2 if args.depth is None else args.depth
-        if depth < 1:
+        if args.depth < 1:
             raise ValueError("--depth must be a positive integer")
         squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1),
                          2.0 ** -k, 2.0 ** -k), k)
-                   for k in range(1, depth + 1)]
+                   for k in range(1, args.depth + 1)]
         field = hierarchy.assemble_limit_density(args.c, squares)
     _write_or_print(density.field_to_json(field) + "\n", args.out)
     return 0
@@ -207,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bknet")
     sub = p.add_subparsers(dest="command")
 
-    def add(name, func, required=(), optional=(), kinds=None):
-        sp = sub.add_parser(name)
+    def add(name, func, required=(), optional=(), kinds=None, parent=sub, **defaults):
+        sp = parent.add_parser(name)
         if kinds:
             sp.add_argument("kind", choices=kinds)
         for flag in required:
@@ -216,10 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in optional:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--out")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, **defaults)
 
-    add("gen-density", cmd_gen_density, ["c"], ["L", "N", "M", "depth"],
-        kinds=["checkerboard", "hierarchy", "limit"])
+    gen_density = sub.add_parser("gen-density").add_subparsers(dest="kind", required=True)
+    add("checkerboard", cmd_gen_density, ["N", "c"], parent=gen_density)
+    add("hierarchy", cmd_gen_density, ["L", "c", "depth"], ["N", "M"], parent=gen_density, N=4, M=2)
+    add("limit", cmd_gen_density, ["c"], ["depth"], parent=gen_density, depth=2)
     add("gen-net", cmd_gen_net, ["density", "K"], ["window"])
     add("check-net", cmd_check_net, ["density", "K"], ["window"])
     add("schedule", cmd_schedule, ["L", "c"])

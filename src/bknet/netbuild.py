@@ -25,9 +25,8 @@ _BLOCK = 32
 # relative slack on that bound: the bound and the query distances are each
 # rounded, so a sample attaining the bound may read a few ulps above it
 _SLACK = 1e-12
-# _Grid: rows per bucket column width, and queries per vectorised step (the
-# step's temporaries hold a few dozen floats per query)
-_ROWS = 2
+# _Grid: queries per vectorised step (the step's temporaries hold a few
+# dozen floats per query)
 _CHUNK = 1 << 12
 _CSV_CHUNK = 1 << 14   # rows per format call of net_to_csv
 
@@ -175,42 +174,37 @@ def _near(net: Net, window: Rect) -> tuple[np.ndarray, _Grid]:
 
 class _Grid:
     """Nearest-point queries over the points `pts` (at least one), for query
-    points whose answer lies within `reach`, read from buckets.
+    points whose answer lies within `reach`, read from square buckets.
 
-    A bucket is W wide and W / _ROWS high, W = reach widened by a relative
-    1e-9 so that rounding in the bucket arithmetic loses no point at
-    distance reach.  Three empty columns and 3 _ROWS empty rows pad the
-    points' buckets, so every query with its answer within reach keeps the
-    buckets it reads inside the table.  The points are sorted by bucket,
-    column by column, and followed by +inf padding.  Rows cy - w _ROWS to
-    cy + w _ROWS of one column are then one stretch of sorted points, no
-    longer than the most any 2 w _ROWS + 1 consecutive buckets hold
-    (`_span[w]`), so the points within w W of a query in bucket (cx, cy)
-    lie in 2 w + 1 slices of that length.  A slice may run on into later
-    buckets; extra real points never change a minimum.  A squared distance
-    is dx * dx + dy * dy and a distance its sqrt, as in scipy's cKDTree, so
-    the distances equal its bit for bit."""
+    A bucket is W wide and W high, W = reach widened by a relative 1e-9 so
+    that rounding in the bucket arithmetic loses no point at distance reach.
+    Three empty columns and rows pad the points' buckets, so every query
+    with its answer within reach keeps the buckets it reads inside the
+    table.  The points are sorted by bucket, column by column, and followed
+    by +inf padding.  Rows cy - w to cy + w of one column are then one
+    stretch of sorted points, no longer than the most any 2 w + 1
+    consecutive buckets hold (`_span[w]`), so the points within w W of a
+    query in bucket (cx, cy) lie in 2 w + 1 slices of that length.  A slice
+    may run on into later buckets; extra real points never change a
+    minimum.  A squared distance is dx * dx + dy * dy and a distance its
+    sqrt, as in scipy's cKDTree, so the distances equal its bit for bit."""
 
     def __init__(self, pts: np.ndarray, reach: float):
         self.reach = reach
         self._n = len(pts)
         self._w = reach * (1.0 + 1e-9)
-        self._h = self._w / _ROWS
         self._x0 = float(pts[:, 0].min()) - 3.0 * self._w
         self._y0 = float(pts[:, 1].min()) - 3.0 * self._w
         cx, cy = self._cells(pts[:, 0], pts[:, 1])
-        self._nx, self._ny = int(cx.max()) + 4, int(cy.max()) + 3 * _ROWS + 1
+        self._nx, self._ny = int(cx.max()) + 4, int(cy.max()) + 4
         b = cx * self._ny + cy
         # 32-bit positions halve the index wherever they can hold every point
         pos = np.int32 if len(pts) < 2 ** 31 else np.intp
         order = np.argsort(b, kind="stable").astype(pos)
         start = np.zeros(self._nx * self._ny + 1, dtype=pos)
         np.cumsum(np.bincount(b, minlength=self._nx * self._ny), out=start[1:])
-        self._start, self._span, self._offsets = start, {}, {}
-        for w in (1, 2):
-            rows = 2 * w * _ROWS + 1
-            self._span[w] = int((start[rows:] - start[:-rows]).max())
-            self._offsets[w] = np.arange(-w, w + 1) * self._ny - w * _ROWS
+        self._start = start
+        self._span = {w: int((start[2 * w + 1:] - start[:-2 * w - 1]).max()) for w in (1, 2)}
         pad = np.full(self._span[2], np.inf)
         self._x = np.concatenate([pts[order, 0], pad])
         self._y = np.concatenate([pts[order, 1], pad])
@@ -218,32 +212,35 @@ class _Grid:
 
     def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (np.floor((x - self._x0) / self._w).astype(np.intp),
-                np.floor((y - self._y0) / self._h).astype(np.intp))
+                np.floor((y - self._y0) / self._w).astype(np.intp))
 
-    def _candidates(self, x: np.ndarray, y: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted positions and squared distances, each (queries, (2w + 1)
-        _span[w]), of the candidates within w W of each query (x, y)."""
-        cx, cy = self._cells(x, y)
-        st = self._start[(cx * self._ny + cy)[:, None] + self._offsets[w]]
-        idx = (st[:, :, None] + np.arange(self._span[w])).reshape(len(x), -1)
-        dx = self._x.take(idx) - x[:, None]
-        dy = self._y.take(idx) - y[:, None]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return idx, dx
+    def _scan(self, x: np.ndarray, y: np.ndarray, w: int,
+              skip: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(distance, sorted position) of a nearest candidate within w W of
+        each query (x, y), passing over sorted position skip[q] for query q."""
+        d, k = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
+        offsets = np.arange(-w, w + 1) * self._ny - w
+        for a in range(0, len(x), _CHUNK):
+            part = slice(a, a + _CHUNK)
+            cx, cy = self._cells(x[part], y[part])
+            st = self._start[(cx * self._ny + cy)[:, None] + offsets]
+            idx = (st[:, :, None] + np.arange(self._span[w])).reshape(len(st), -1)
+            dx = self._x.take(idx) - x[part, None]
+            dy = self._y.take(idx) - y[part, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            if skip is not None:
+                dx[idx == skip[part, None]] = np.inf
+            j = dx.argmin(axis=1)
+            rows = np.arange(len(j))
+            d[part], k[part] = np.sqrt(dx[rows, j]), idx[rows, j]
+        return d, k
 
     def nearest(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(distance, index) of a nearest point to each query (x, y)."""
-        d, k = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
-        for a in range(0, len(x), _CHUNK):
-            part = slice(a, a + _CHUNK)
-            idx, d2 = self._candidates(x[part], y[part], 1)
-            j = d2.argmin(axis=1)
-            rows = np.arange(len(j))
-            d[part] = np.sqrt(d2[rows, j])
-            k[part] = self._order[idx[rows, j]]
-        return d, k
+        d, k = self._scan(x, y, 1)
+        return d, self._order[k]
 
     def nearest_other(self, i: np.ndarray) -> np.ndarray:
         """The distance from each point pts[i] to its nearest other point,
@@ -253,18 +250,9 @@ class _Grid:
         rank = np.empty(self._n, dtype=np.intp)
         rank[self._order[:self._n]] = np.arange(self._n)
         pos = rank[i]
-        d = self._nearest_other(pos, 1)
-        far = np.flatnonzero(d > self.reach)
-        d[far] = self._nearest_other(pos[far], 2)
-        return d
-
-    def _nearest_other(self, pos: np.ndarray, w: int) -> np.ndarray:
-        d = np.empty(len(pos))
-        for a in range(0, len(pos), _CHUNK):
-            p = pos[a:a + _CHUNK]
-            idx, d2 = self._candidates(self._x[p], self._y[p], w)
-            d2[idx == p[:, None]] = np.inf
-            d[a:a + _CHUNK] = np.sqrt(d2.min(axis=1))
+        d, _ = self._scan(self._x[pos], self._y[pos], 1, pos)
+        far = d > self.reach
+        d[far], _ = self._scan(self._x[pos[far]], self._y[pos[far]], 2, pos[far])
         return d
 
 

@@ -37,6 +37,9 @@ class PLMap:
         want = (self.nx + 1) * (self.ny + 1)
         if self.vertices.shape != (want, 2):
             raise ValueError(f"expected {want} vertex images, got {self.vertices.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise ValueError(f"vertex image {bad[0]} has a non-finite coordinate")
 
     def vidx(self, i: int, j: int) -> int:
         return j * (self.nx + 1) + i

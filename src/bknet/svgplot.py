@@ -22,6 +22,9 @@ def _header(x0, y0, x1, y1, size):
 
 
 def net_svg(points: np.ndarray, tags: np.ndarray, size: int = 800) -> str:
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ValueError(f"point {bad[0]} has a non-finite coordinate")
     if len(points) == 0:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>'
     x0, y0 = points.min(axis=0) - 1

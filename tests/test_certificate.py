@@ -18,7 +18,7 @@ from bknet import (
     toy_constants,
 )
 from bknet import PLMap, Rect, identity_map
-from bknet.certificate import CertificateConstants, pigeonhole_row
+from bknet.certificate import CertificateConstants, MarkedGrid, pigeonhole_row
 
 
 class TestMarkedGrid:
@@ -49,6 +49,13 @@ class TestMarkedGrid:
     def test_pairs_are_horizontal(self):
         for (a, b) in marked_grid(4, 3).pairs:
             assert a[1] == b[1]
+
+    @pytest.mark.parametrize("N,M", [(0, 2), (2, 0), (-1, 2), (3, -1)])
+    def test_non_positive_N_or_M_rejected(self, N, M):
+        # the constructor itself refuses them, before any point or pair is made
+        for make in (MarkedGrid, marked_grid):
+            with pytest.raises(ValueError, match="N and M must be >= 1"):
+                make(N, M)
 
 
 class TestRegularity:

@@ -37,6 +37,23 @@ class TestGenDensity:
     def test_missing_flags_exit_2(self, tmp_path):
         assert main(["gen-density", "checkerboard", "--c", "1"]) == 2
 
+    @pytest.mark.parametrize("kind,flags", [
+        ("checkerboard", {"--N", "--c"}),
+        ("hierarchy", {"--L", "--c", "--N", "--M", "--depth"}),
+        ("limit", {"--c", "--depth"}),
+    ])
+    def test_kind_help_lists_only_its_flags(self, capsys, kind, flags):
+        assert main(["gen-density", kind, "--help"]) == 0
+        text = capsys.readouterr().out
+        shown = {w.strip("[],") for w in text.split() if w.strip("[],").startswith("--")}
+        assert shown == flags | {"--help", "--out"}
+
+    def test_flag_before_the_kind_exit_2(self, tmp_path):
+        out = tmp_path / "f.json"
+        assert main(["gen-density", "--c", "1", "checkerboard", "--N", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["gen-density", "limit", "--c", "1", "--depth", "2"]
@@ -254,7 +271,7 @@ class TestExitCodes:
         out = tmp_path / "f.json"
         assert main(["gen-density", *argv, "--out", str(out)]) == 2
         assert not out.exists()
-        assert f"gen-density {argv[0]} does not take {argv[-2]}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_gen_density_hierarchy_past_the_limit_exit_2(self, tmp_path, capsys):
         # at M = 100 level 2 would hold 4.04M segments (an 80 s build before
@@ -392,6 +409,33 @@ class TestExitCodes:
         assert main([*argv, "--in", str(path), "--out", str(out)]) == 2
         assert not out.exists()
         assert "nx must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--L", "2", "--c", "1", "--N", "4", "--M", "2"],
+        ["plot", "map"],
+    ], ids=["certify", "plot-map"])
+    @pytest.mark.parametrize("coord", ["nan", "inf"])
+    def test_map_with_a_non_finite_vertex_exit_2(self, tmp_path, capsys, argv, coord):
+        square = bknet.Rect(0.0, 0.0, 1.0, 0.25)
+        doc = json.loads(bknet.plmap_to_json(bknet.identity_map(square, 4, 2)))
+        doc["vertices"][3][0] = coord
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "vertex image 3 has a non-finite coordinate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_plot_net_non_finite_point_exit_2(self, tmp_path, capsys, coord):
+        path = tmp_path / "n.csv"
+        path.write_text(f"x,y,tag\n0.0,0.0,1\n{coord},2.0,background\n")
+        out = tmp_path / "n.svg"
+        capsys.readouterr()
+        assert main(["plot", "net", "--in", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "point 1 has a non-finite coordinate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("which", ["x", "y"])

@@ -16,6 +16,7 @@ from bknet import (
     net_to_csv,
 )
 from bknet.netbuild import NetPlan, ScheduleEntry
+from bknet.svgplot import net_svg
 
 
 def brute_force_min_distance(pts):
@@ -256,3 +257,10 @@ class TestCsv:
         p2, t2 = net_from_csv(text)
         assert np.array_equal(pts, p2)
         assert np.array_equal(tags, t2)
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_non_finite_rows_parse_and_net_svg_refuses_them(self, coord):
+        pts, tags = net_from_csv(f"x,y,tag\n0.0,0.0,1\n1.0,{coord},background\n")
+        assert pts.shape == (2, 2) and not np.isfinite(pts[1, 1])
+        with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+            net_svg(pts, tags)

@@ -493,7 +493,7 @@ class TestGridOracle:
         pts, reach = case
         grid = netbuild._Grid(pts, reach)
         ex = grid._x0 + grid._w * np.arange(grid._nx + 1)
-        ey = grid._y0 + grid._h * np.arange(grid._ny + 1)
+        ey = grid._y0 + grid._w * np.arange(grid._ny + 1)
         nudge = data.draw(st.sampled_from([0.0, 1e-12, -1e-12]))
         gx, gy = np.meshgrid(ex, ey, indexing="ij")
         self.check_nearest(pts, grid, np.column_stack([gx.ravel(), gy.ravel()]) + nudge)

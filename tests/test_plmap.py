@@ -181,3 +181,11 @@ class TestConstruction:
     def test_empty_grid_rejected_with_the_field_named(self, nx, ny, field):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             PLMap(UNIT_SQUARE, nx, ny, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_vertex_image_rejected(self, bad, axis):
+        verts = identity_map(UNIT_SQUARE, 2, 2).vertices.copy()
+        verts[4, axis] = bad
+        with pytest.raises(ValueError, match="vertex image 4 has a non-finite coordinate"):
+            PLMap(UNIT_SQUARE, 2, 2, verts)
