@@ -282,7 +282,9 @@ def evaluate_stretch(f: Callable[[Point], Sequence[float]],
     vectors between corresponding marked points of adjacent squares, and
     their regularity; flag the first pair stretched beyond (1+k)A.
 
-    f is called exactly once per marked point, in grid.points order."""
+    f is called exactly once per marked point, in grid.points order.  A
+    base stretch or pair ratio that is not finite (an image is not, or the
+    ratio overflows) is rejected with a ValueError naming it."""
     N, M = grid.N, grid.M
     NM = N * M
 
@@ -294,16 +296,23 @@ def evaluate_stretch(f: Callable[[Point], Sequence[float]],
 
     # img[q, a] is the image of (a/NM, q/NM); x_pq^i sits in column p + M(i-1)
     img = np.array([ev(p) for p in grid.points]).reshape(M + 1, NM + 1, 2)
-    A = float(np.hypot(*(img[0, NM] - img[0, 0])))
-
-    gap = 1.0 / NM
-    d = img[:, 1:] - img[:, :-1]                  # horizontal pairs, grid order
-    ratios = (np.hypot(d[..., 0], d[..., 1]) / gap).ravel()
+    # an overflow is caught below, as a non-finite A or ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = float(np.hypot(*(img[0, NM] - img[0, 0])))
+        gap = 1.0 / NM
+        d = img[:, 1:] - img[:, :-1]                  # horizontal pairs, grid order
+        ratios = (np.hypot(d[..., 0], d[..., 1]) / gap).ravel()
+        # W_pq^i: columns M apart, from the first column of every square but the last
+        w = img[:, M:] - img[:, :-M]
+    if not math.isfinite(A):
+        raise ValueError(f"base stretch A = {A} is not finite")
+    bad = np.flatnonzero(~np.isfinite(ratios))
+    if len(bad):
+        raise ValueError(f"marked pair {grid.pairs[bad[0]]} has the non-finite "
+                         f"ratio {ratios[bad[0]]}")
     over = np.flatnonzero(ratios >= (1.0 + consts.k) * A)
     flagged_index = int(over[0]) if len(over) else None
 
-    # W_pq^i: columns M apart, from the first column of every square but the last
-    w = img[:, M:] - img[:, :-M]
     cols = M * np.arange(N - 1)[:, None] + np.arange(M + 1)
     vectors = w[:, cols].transpose(1, 2, 0, 3)    # (N-1, p, q, 2)
     regular = regularity(vectors, A, N, consts.l)

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen-density, gen-net, check-net, schedule, certify, distort,
-search, plot.  Exit codes: 0 success, 2 invalid input (any ValueError),
-1 runtime error.
+Subcommands: gen-density {checkerboard,hierarchy,limit}, gen-net,
+check-net, schedule, certify, distort, search, plot {net,map}.  Each leaf
+command returns its output, and main writes it.  Exit codes: 0 success,
+2 invalid input (any ValueError, a non-finite number in JSON output
+included), 1 runtime error.
 All output is deterministic given flags and seed.
 """
 
@@ -13,7 +15,7 @@ import json
 import math
 import sys
 
-from . import certificate, density, hierarchy, netbuild, plmap, search, svgplot
+from . import certificate, density, distortion, hierarchy, netbuild, plmap, search, svgplot
 from .geometry import Rect
 
 
@@ -25,14 +27,6 @@ def _parse_window(text: str) -> Rect:
         return Rect(x0, y0, x1, y1)
     except Exception as exc:
         raise ValueError(f"bad --window '{text}': {exc}") from exc
-
-
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load(path: str, parse, what: str):
@@ -48,73 +42,63 @@ def _load(path: str, parse, what: str):
         raise ValueError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def _json_dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
+# Each leaf command maps its parsed args to its output: the text to write,
+# or a dict that main writes as JSON.
+
+def cmd_checkerboard(args) -> str:
+    return density.field_to_json(density.make_checkerboard(args.N, args.c)) + "\n"
 
 
-def cmd_gen_density(args) -> int:
-    if args.kind == "checkerboard":
-        field = density.make_checkerboard(args.N, args.c)
-    elif args.kind == "hierarchy":
-        consts = certificate.toy_constants(args.L, args.c, N=args.N, M=args.M)
-        field, _ = hierarchy.build_hierarchy(args.L, args.c, args.depth, consts)
-    else:
-        if args.depth < 1:
-            raise ValueError("--depth must be a positive integer")
-        squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1),
-                         2.0 ** -k, 2.0 ** -k), k)
-                   for k in range(1, args.depth + 1)]
-        field = hierarchy.assemble_limit_density(args.c, squares)
-    _write_or_print(density.field_to_json(field) + "\n", args.out)
-    return 0
+def cmd_hierarchy(args) -> str:
+    consts = certificate.toy_constants(args.L, args.c, N=args.N, M=args.M)
+    field, _ = hierarchy.build_hierarchy(args.L, args.c, args.depth, consts)
+    return density.field_to_json(field) + "\n"
 
 
-def _build_net(args) -> tuple[netbuild.NetPlan, netbuild.Net]:
+def cmd_limit(args) -> str:
+    if args.depth < 1:
+        raise ValueError("--depth must be a positive integer")
+    squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1), 2.0 ** -k, 2.0 ** -k), k)
+               for k in range(1, args.depth + 1)]
+    return density.field_to_json(hierarchy.assemble_limit_density(args.c, squares)) + "\n"
+
+
+def _net_and_window(args) -> tuple[netbuild.NetPlan, netbuild.Net, Rect]:
+    """The net of --density at level --K, and --window, by default the
+    scheduled squares with a margin of 2."""
     field = _load(args.density, density.field_from_json, "density")
     if args.K < 0:
         raise ValueError("--K must be a non-negative integer")
     plan = netbuild.make_plan(field, args.K)
-    return plan, netbuild.build_net(plan)
-
-
-def _default_window(plan: netbuild.NetPlan, margin: float = 2.0) -> Rect:
+    net = netbuild.build_net(plan)
+    if args.window:
+        return plan, net, _parse_window(args.window)
     hi = max((e.square.x1 for e in plan.schedule), default=8.0)
-    return Rect(-margin, -margin, hi + margin, hi + margin)
+    return plan, net, Rect(-2.0, -2.0, hi + 2.0, hi + 2.0)
 
 
-def cmd_gen_net(args) -> int:
-    plan, net = _build_net(args)
-    window = _parse_window(args.window) if args.window else _default_window(plan)
-    pts, tags = net.points_in_window(window)
-    _write_or_print(netbuild.net_to_csv(pts, tags), args.out)
-    return 0
+def cmd_gen_net(args) -> str:
+    _, net, window = _net_and_window(args)
+    return netbuild.net_to_csv(*net.points_in_window(window))
 
 
-def cmd_check_net(args) -> int:
-    plan, net = _build_net(args)
-    window = _parse_window(args.window) if args.window else _default_window(plan)
-    sep = netbuild.check_separation(net, window)
-    cov = netbuild.check_covering(net, window)
-    reports = {k: netbuild.measure_report(net, plan, k)
-               for k in range(1, len(plan.schedule) + 1)}
-    doc = {"separation_a": sep, "covering_b": cov,
-           "measure_report": reports}
-    _write_or_print(_json_dump(doc), args.out)
-    return 0
+def cmd_check_net(args) -> dict:
+    plan, net, window = _net_and_window(args)
+    return {"separation_a": netbuild.check_separation(net, window),
+            "covering_b": netbuild.check_covering(net, window),
+            "measure_report": {k: netbuild.measure_report(net, plan, k)
+                               for k in range(1, len(plan.schedule) + 1)}}
 
 
-def cmd_schedule(args) -> int:
-    consts = certificate.schedule_constants(args.L, args.c)
-    _write_or_print(_json_dump(certificate.feasibility_report(consts)), args.out)
-    return 0
+def cmd_schedule(args) -> dict:
+    return certificate.feasibility_report(certificate.schedule_constants(args.L, args.c))
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> dict:
     m = _load(args.infile, plmap.plmap_from_json, "map")
     consts = certificate.toy_constants(args.L, args.c, N=args.N, M=args.M)
-    grid = certificate.marked_grid(args.N, args.M)
-    rep = certificate.evaluate_stretch(m, grid, consts)
-    doc = {
+    rep = certificate.evaluate_stretch(m, certificate.marked_grid(args.N, args.M), consts)
+    return {
         "A": rep.A,
         "flagged": rep.any_flagged,
         "flagged_pair": rep.flagged_pair,
@@ -122,30 +106,24 @@ def cmd_certify(args) -> int:
         "max_ratio": float(rep.pair_ratios.max()),
         "regular_squares": [bool(b) for b in rep.regular_squares],
     }
-    _write_or_print(_json_dump(doc), args.out)
-    return 0
 
 
-def cmd_distort(args) -> int:
+def cmd_distort(args) -> dict:
     X, _ = _load(args.x, netbuild.net_from_csv, "points")
     Y, _ = _load(args.y, netbuild.net_from_csv, "points")
-    from . import distortion
     if args.greedy:
-        res = distortion.greedy_distortion(X, Y, restarts=args.restarts,
-                                           seed=args.seed)
+        res = distortion.greedy_distortion(X, Y, restarts=args.restarts, seed=args.seed)
     else:
         res = distortion.pair_distortion(X, Y)
-    doc = {"mapping": list(res.mapping), "lip": res.lip,
-           "lip_inv": res.lip_inv, "distortion": res.distortion}
-    _write_or_print(_json_dump(doc), args.out)
-    return 0
+    return {"mapping": list(res.mapping), "lip": res.lip,
+            "lip_inv": res.lip_inv, "distortion": res.distortion}
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> dict:
     consts = certificate.toy_constants(args.L, args.c, N=args.N, M=args.M)
     field = density.make_checkerboard(args.N, args.c)
     res = search.search_min_stretch(field, consts, args.budget, args.seed)
-    doc = {
+    return {
         "objective": res.objective,
         "trace": list(res.trace),
         "lip": res.lip,
@@ -155,17 +133,14 @@ def cmd_search(args) -> int:
         "flagged_pair": res.stretch.flagged_pair,
         "map": json.loads(plmap.plmap_to_json(res.plmap)),
     }
-    _write_or_print(_json_dump(doc), args.out)
-    return 0
 
 
-def cmd_plot(args) -> int:
-    if args.kind == "net":
-        svg = svgplot.net_svg(*_load(args.infile, netbuild.net_from_csv, "net"))
-    else:
-        svg = svgplot.plmap_svg(_load(args.infile, plmap.plmap_from_json, "map"))
-    _write_or_print(svg, args.out)
-    return 0
+def cmd_plot_net(args) -> str:
+    return svgplot.net_svg(*_load(args.infile, netbuild.net_from_csv, "net"))
+
+
+def cmd_plot_map(args) -> str:
+    return svgplot.plmap_svg(_load(args.infile, plmap.plmap_from_json, "map"))
 
 
 # flag -> add_argument keywords; every subcommand also takes --out
@@ -190,12 +165,10 @@ _FLAGS = {
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bknet")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, func, required=(), optional=(), kinds=None, parent=sub, **defaults):
+    def add(name, func, required=(), optional=(), parent=sub, **defaults):
         sp = parent.add_parser(name)
-        if kinds:
-            sp.add_argument("kind", choices=kinds)
         for flag in required:
             sp.add_argument(f"--{flag}", required=True, **_FLAGS[flag])
         for flag in optional:
@@ -203,31 +176,48 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out")
         sp.set_defaults(func=func, **defaults)
 
-    gen_density = sub.add_parser("gen-density").add_subparsers(dest="kind", required=True)
-    add("checkerboard", cmd_gen_density, ["N", "c"], parent=gen_density)
-    add("hierarchy", cmd_gen_density, ["L", "c", "depth"], ["N", "M"], parent=gen_density, N=4, M=2)
-    add("limit", cmd_gen_density, ["c"], ["depth"], parent=gen_density, depth=2)
+    def kinds(name, names):
+        """A command whose kinds are subcommands with flags of their own."""
+        sp = sub.add_parser(name)
+        kind = sp.add_subparsers(dest="kind", required=True)
+        # set after add_subparsers, which builds the kinds' prog from it
+        sp.usage = f"%(prog)s [-h] {{{names}}} [flags of the kind, after it]"
+        return kind
+
+    gen_density = kinds("gen-density", "checkerboard,hierarchy,limit")
+    add("checkerboard", cmd_checkerboard, ["N", "c"], parent=gen_density)
+    add("hierarchy", cmd_hierarchy, ["L", "c", "depth"], ["N", "M"], parent=gen_density, N=4, M=2)
+    add("limit", cmd_limit, ["c"], ["depth"], parent=gen_density, depth=2)
     add("gen-net", cmd_gen_net, ["density", "K"], ["window"])
     add("check-net", cmd_check_net, ["density", "K"], ["window"])
     add("schedule", cmd_schedule, ["L", "c"])
     add("certify", cmd_certify, ["in", "L", "c", "N", "M"])
     add("distort", cmd_distort, ["x", "y"], ["greedy", "restarts", "seed"])
     add("search", cmd_search, ["L", "c", "N", "M"], ["budget", "seed"])
-    add("plot", cmd_plot, ["in"], kinds=["net", "map"])
+    plot = kinds("plot", "net,map")
+    add("net", cmd_plot_net, ["in"], parent=plot)
+    add("map", cmd_plot_map, ["in"], parent=plot)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one leaf command and write its output, a dict as strict JSON,
+    to --out or stdout."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, dict):
+            out = json.dumps(out, indent=2, sort_keys=True, default=float,
+                             allow_nan=False) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -181,16 +181,19 @@ def make_checkerboard(N: int, c: float) -> DensityField:
     return DensityField(Rect(0.0, 0.0, 1.0, 1.0 / N), 1.0, tuple(cells))
 
 
-def _strips(ax, lam, y, top, N: int, c: float) -> list[tuple[Rect, float]]:
-    """The checkerboard's N strips over each [ax, ax + lam] x [y, top] (one
+def _strips(ax, bx, y, top, N: int, c: float) -> list[tuple[Rect, float]]:
+    """The checkerboard's N strips over each [ax, bx] x [y, top] (one
     rectangle as floats, or many as equal-length arrays), rectangle by
-    rectangle: strip j spans ax + j * lam / N to ax + (j + 1) * lam / N and
-    is valued 1 if j is even, else 1+c."""
-    ax, lam, y, top = np.atleast_1d(ax, lam, y, top)
-    xs = (ax[:, None] + np.arange(N + 1) * lam[:, None] / N).tolist()
+    rectangle: with lam = bx - ax, strip j spans ax + j * lam / N to
+    ax + (j + 1) * lam / N, except that the last strip ends at bx itself
+    (ax + N * lam / N can round away from it), and is valued 1 if j is even,
+    else 1+c."""
+    ax, bx, y, top = np.atleast_1d(ax, bx, y, top)
+    xs = ax[:, None] + np.arange(N + 1) * (bx - ax)[:, None] / N
+    xs[:, N] = bx
     vals = [1.0 if j % 2 == 0 else 1.0 + c for j in range(N)]
     return [(Rect(x[j], y0, x[j + 1], y1), vals[j])
-            for x, y0, y1 in zip(xs, y.tolist(), top.tolist()) for j in range(N)]
+            for x, y0, y1 in zip(xs.tolist(), y.tolist(), top.tolist()) for j in range(N)]
 
 
 def transplant(field: DensityField, s: Similarity) -> DensityField:

@@ -58,15 +58,6 @@ class SegmentHierarchy:
         return sum(r.area for r in self.levels[level].neighborhoods)
 
 
-def _segment_span(seg: Segment) -> tuple[float, float, float]:
-    (ax, ay), (bx, by) = seg
-    if ay != by:
-        raise ValueError("segment must be horizontal")
-    if not ax < bx:
-        raise ValueError("segment endpoints must be ordered left to right")
-    return ax, bx, ay
-
-
 def embed_in_neighborhood(seg: Segment, U: Rect, N: int, c: float,
                           M: int, L: float) -> tuple[DensityField, list[Segment], float]:
     """Plant a rescaled checkerboard over a horizontal segment.
@@ -78,15 +69,11 @@ def embed_in_neighborhood(seg: Segment, U: Rect, N: int, c: float,
     field, the rescaled marked pairs that fall inside the patch, and the
     mismatch budget eps scaled by (segment length)^2.
     """
-    patch_rect, cells, pairs, eps = _patch(seg, U, N, c, M, L)
-    return DensityField(patch_rect, 1.0, tuple(cells)), pairs, eps
-
-
-def _patch(seg: Segment, U: Rect, N: int, c: float, M: int, L: float,
-           ) -> tuple[Rect, list[tuple[Rect, float]], list[Segment], float]:
-    """embed_in_neighborhood's patch as its domain, cells, pairs and eps,
-    for one segment checked against U."""
-    ax, bx, y = _segment_span(seg)
+    (ax, y), (bx, by) = seg
+    if y != by:
+        raise ValueError("segment must be horizontal")
+    if not ax < bx:
+        raise ValueError("segment endpoints must be ordered left to right")
     lam = bx - ax
     if not (U.x0 <= ax and bx <= U.x1 and U.y0 <= y):
         raise ValueError("segment not contained in neighborhood")
@@ -94,8 +81,8 @@ def _patch(seg: Segment, U: Rect, N: int, c: float, M: int, L: float,
     if room <= 0:
         raise ValueError("neighborhood has no positive thickness above the segment")
     top = y + min(lam / N, room)
-    return (Rect(ax, y, bx, top), _strips(ax, lam, y, top, N, c),
-            _as_pairs(*_pair_rows(ax, lam, y, top, N, M)), _eps(lam, N, c, L))
+    field = DensityField(Rect(ax, y, bx, top), 1.0, tuple(_strips(ax, bx, y, top, N, c)))
+    return field, _as_pairs(*_pair_rows(ax, lam, y, top, N, M)), _eps(lam, N, c, L)
 
 
 def _eps(lam, N: int, c: float, L: float):
@@ -163,7 +150,7 @@ def build_hierarchy(L: float, c: float, depth: int,
                     f"{MAX_MATERIALIZED_N:,} can be materialized")
 
         neighborhoods = tuple(map(Rect, ax.tolist(), y.tolist(), bx.tolist(), top.tolist()))
-        field = field.replace_region(neighborhoods, _strips(ax, lam, y, top, N, c))
+        field = field.replace_region(neighborhoods, _strips(ax, bx, y, top, N, c))
         x0, x1, py = _pair_rows(ax, lam, y, top, N, M, kept=True)
         levels.append(HierarchyLevel(
             segments=tuple(_as_pairs(x0, x1, py)),

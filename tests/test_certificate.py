@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,38 @@ class TestEvaluateStretch:
                    lambda p: p):
             rep = evaluate_stretch(fn, g, self.CONSTS)
             assert 1 / L - 1e-12 <= rep.A <= L + 1e-12
+
+    def test_overflowing_ratio_is_rejected_without_a_warning(self):
+        # the image of (3/8, 0) is finite, but the gap to its neighbours
+        # overflows; the first pair through it is (2/8, 0)-(3/8, 0)
+        g = marked_grid(4, 2)
+        far = identity_map(Rect(0.0, 0.0, 1.0, 0.25), 8, 2)
+        verts = far.vertices.copy()
+        verts[3, 0] = 1e308
+        far = PLMap(far.domain, far.nx, far.ny, verts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"marked pair \(\(0\.25, 0\.0\), "
+                                                 r"\(0\.375, 0\.0\)\) has the non-finite "
+                                                 r"ratio inf"):
+                evaluate_stretch(far, g, self.CONSTS)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_image_is_rejected(self, bad):
+        g = marked_grid(4, 2)
+        target = (0.5, 0.125)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite ratio"):
+                evaluate_stretch(lambda p: (bad, p[1]) if p == target else p, g, self.CONSTS)
+
+    def test_overflowing_base_stretch_is_rejected(self):
+        # every image is finite, but the two ends are 2e308 apart
+        g = marked_grid(4, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="base stretch A = inf is not finite"):
+                evaluate_stretch(lambda p: (1e308 * (2.0 * p[0] - 1.0), p[1]), g, self.CONSTS)
 
 
 class TestClaim2Algebra:

@@ -1,8 +1,8 @@
 """The checkerboard's strips and its marked pair rows each have one builder
 (`density._strips`, `certificate._pair_rows`).  These tests pin them to the
 loops they replaced in `make_checkerboard`, `MarkedGrid.pairs` and
-`hierarchy._patch`: the same cells and edges, in the same order, with every
-float equal bit for bit."""
+`hierarchy.embed_in_neighborhood`: the same cells and edges, in the same
+order, with every float equal bit for bit."""
 
 import random
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bknet import Rect, make_checkerboard, marked_grid
-from bknet.hierarchy import _patch
+from bknet.hierarchy import embed_in_neighborhood
 
 
 def former_checkerboard_cells(N, c):
@@ -31,13 +31,14 @@ def former_grid_pairs(N, M):
 
 
 def former_patch(seg, U, N, c, M):
-    """The patch rectangle, cells and pairs as `_patch` built them in place."""
+    """The patch rectangle, cells and pairs as `embed_in_neighborhood` built
+    them in place, its last strip ending at the segment end bx."""
     (ax, y), (bx, _) = seg
     lam = bx - ax
     h = min(lam / N, U.y1 - y)
     cells = []
     for j in range(N):
-        r = Rect(ax + j * lam / N, y, ax + (j + 1) * lam / N, y + h)
+        r = Rect(ax + j * lam / N, y, bx if j == N - 1 else ax + (j + 1) * lam / N, y + h)
         cells.append((r, 1.0 if j % 2 == 0 else 1.0 + c))
     NM = N * M
     pairs = []
@@ -91,7 +92,8 @@ def test_patches_on_drawn_segments_match_the_former_loops():
         # (a clipped patch keeps only its lowest rows) to above it
         room = lam / N * rng.choice([rng.uniform(0.01, 1.5), 1.0, 2.0])
         U = Rect(ax, y, ax + lam, y + room)
-        rect, cells, pairs, _ = _patch(seg, U, N, c, M, 2.0)
+        field, pairs, _ = embed_in_neighborhood(seg, U, N, c, M, 2.0)
+        rect, cells = field.domain, field.cells
         want_rect, want_cells, want_pairs = former_patch(seg, U, N, c, M)
         assert bits(cell_rows([(rect, 1.0)])) == bits(cell_rows([(want_rect, 1.0)]))
         assert bits(cell_rows(cells)) == bits(cell_rows(want_cells))

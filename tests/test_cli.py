@@ -1,17 +1,20 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bknet
-from bknet import field_from_json, net_from_csv, plmap_from_json
-from bknet.cli import main
+from bknet import certificate, field_from_json, net_from_csv, plmap_from_json
+from bknet.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -53,6 +56,21 @@ class TestGenDensity:
         assert main(["gen-density", "--c", "1", "checkerboard", "--N", "2",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_flag_before_the_kind_shows_where_flags_go(self, capsys):
+        assert main(["gen-density", "--c", "1", "checkerboard", "--N", "2"]) == 2
+        assert ("usage: bknet gen-density [-h] {checkerboard,hierarchy,limit} "
+                "[flags of the kind, after it]") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("M", ["3", "6"])
+    def test_hierarchy_whose_strips_round_past_their_segment(self, tmp_path, M):
+        # a level-3 strip ended one ulp past the level-2 piece beside it, and
+        # the build was refused with "cells 54 and 812 overlap"
+        out = tmp_path / "h.json"
+        assert main(["gen-density", "hierarchy", "--L", "2", "--c", "1", "--N", "7",
+                     "--M", M, "--depth", "3", "--out", str(out)]) == 0
+        field = field_from_json(out.read_text())
+        assert len(field.cells) > 7
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -122,6 +140,24 @@ class TestScheduleAndCertify:
     def test_certify_missing_file_exit_2(self, tmp_path):
         assert main(["certify", "--in", str(tmp_path / "nope.json"),
                      "--L", "2", "--c", "1", "--N", "4", "--M", "2"]) == 2
+
+    def test_certify_overflowing_map_exit_2(self, tmp_path, capsys):
+        # a finite but huge vertex image: its pair ratios overflow to inf,
+        # which JSON cannot hold
+        square = bknet.Rect(0.0, 0.0, 1.0, 0.25)
+        doc = json.loads(bknet.plmap_to_json(bknet.identity_map(square, 8, 2)))
+        doc["vertices"][3][0] = "1e308"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cert.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--in", str(path), "--L", "2", "--c", "1",
+                         "--N", "4", "--M", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "marked pair ((0.25, 0.0), (0.375, 0.0)) has the non-finite ratio inf" in err
 
 
 class TestDistort:
@@ -233,10 +269,44 @@ class TestPlot:
                      "--out", str(svg)]) == 0
         assert "polygon" in svg.read_text()
 
+    @pytest.mark.parametrize("kind", ["net", "map"])
+    def test_kind_help_lists_only_in_and_out(self, capsys, kind):
+        assert main(["plot", kind, "--help"]) == 0
+        text = capsys.readouterr().out
+        shown = {w.strip("[],") for w in text.split() if w.strip("[],").startswith("--")}
+        assert shown == {"--help", "--in", "--out"}
+
+    def test_flag_before_the_kind_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "net.csv"
+        csv.write_text("x,y,tag\n0.0,0.0,1\n")
+        svg = tmp_path / "net.svg"
+        capsys.readouterr()
+        assert main(["plot", "--in", str(csv), "net", "--out", str(svg)]) == 2
+        assert not svg.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: bknet plot [-h] {net,map} [flags of the kind, after it]" in captured.err
+
 
 class TestExitCodes:
     def test_no_command(self):
         assert main([]) == 2
+
+    def test_no_command_names_what_is_missing(self, capsys):
+        assert main([]) == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_in_json_output_exit_2(self, tmp_path, capsys, monkeypatch, bad):
+        # main writes every dict as strict JSON, whichever command made it
+        monkeypatch.setattr(certificate, "feasibility_report", lambda consts: {"margin": bad})
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert main(["schedule", "--L", "2", "--c", "0.1", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not JSON compliant" in captured.err
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
@@ -453,6 +523,65 @@ class TestExitCodes:
                          *flags, "--out", str(out)]) == 2
             assert not out.exists()
             assert f"point set {which.upper()} has a non-finite" in capsys.readouterr().err
+
+
+def leaf_commands(parser):
+    """The command words of every leaf of the parser, e.g. ("plot", "net")."""
+    kinds = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not kinds:
+        return [()]
+    return [(name, *leaf) for name, sp in kinds[0].choices.items()
+            for leaf in leaf_commands(sp)]
+
+
+class TestOneWriter:
+    """main writes every leaf command's output: the bytes on stdout are the
+    bytes of the --out file."""
+
+    LEAVES = [
+        ["gen-density", "checkerboard", "--N", "4", "--c", "1"],
+        ["gen-density", "hierarchy", "--L", "2", "--c", "1", "--depth", "2"],
+        ["gen-density", "limit", "--c", "1", "--depth", "1"],
+        ["gen-net", "--density", "limit.json", "--K", "1"],
+        ["check-net", "--density", "limit.json", "--K", "1"],
+        ["schedule", "--L", "2", "--c", "0.1"],
+        ["certify", "--in", "map.json", "--L", "2", "--c", "1", "--N", "4", "--M", "2"],
+        ["distort", "--x", "a.csv", "--y", "b.csv"],
+        ["search", "--L", "2", "--c", "1", "--N", "4", "--M", "2", "--budget", "50"],
+        ["plot", "net", "--in", "a.csv"],
+        ["plot", "map", "--in", "map.json"],
+    ]
+
+    @staticmethod
+    def words(argv):
+        return tuple(argv[:next(i for i, w in enumerate(argv) if w.startswith("--"))])
+
+    def test_every_leaf_is_listed(self):
+        assert sorted(map(self.words, self.LEAVES)) == sorted(leaf_commands(build_parser()))
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        limit, search = str(d / "limit.json"), str(d / "search.json")
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "1", "--out", limit]) == 0
+        for name, window in (("a.csv", "0,0,9,1"), ("b.csv", "0,0,2,4.5")):
+            assert main(["gen-net", "--density", limit, "--K", "1", "--window", window,
+                         "--out", str(d / name)]) == 0
+        assert main(["search", "--L", "2", "--c", "1", "--N", "4", "--M", "2",
+                     "--budget", "50", "--out", search]) == 0
+        (d / "map.json").write_text(json.dumps(json.loads(Path(search).read_text())["map"]))
+        return d
+
+    @pytest.mark.parametrize("argv", LEAVES, ids=lambda argv: "-".join(TestOneWriter.words(argv)))
+    def test_stdout_is_the_out_file(self, tmp_path, capsysbinary, inputs, argv):
+        argv = [str(inputs / w) if w.endswith((".json", ".csv")) else w for w in argv]
+        out = tmp_path / "out"
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert printed and out.read_bytes() == printed
 
 
 class TestGoldenOutputs:

@@ -32,7 +32,6 @@ from bknet.hierarchy import (
     HierarchyLevel,
     MAX_MATERIALIZED_N,
     SegmentHierarchy,
-    _segment_span,
 )
 from bknet.netbuild import NetPlan, ScheduleEntry
 
@@ -109,7 +108,7 @@ def embed_build_hierarchy(L, c, depth, consts):
         new_segments, neighborhoods, patch_cells = [], [], []
         eps_level = None
         for seg in prev.segments:
-            ax, bx, y = _segment_span(seg)
+            (ax, y), (bx, _) = seg
             U = Rect(ax, y, bx, y + min((bx - ax) / N, h_cap))
             assert UNIT_SQUARE.contains_rect(U)
             patch, pairs, eps_patch = embed_in_neighborhood(seg, U, N, c, M, L)

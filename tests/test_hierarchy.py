@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -59,6 +60,19 @@ class TestEmbed:
         # only the bottom row (s=0) fits
         assert len(pairs) == N * M
         assert all(a[1] == 0.0 for a, _ in pairs)
+
+    def test_drawn_segments_are_accepted_and_the_last_strip_ends_at_bx(self):
+        # ax + N * lam / N can round past bx; the patch's last strip then
+        # left its domain, and a hierarchy level overlapped the next
+        rng = random.Random(18)
+        for _ in range(2000):
+            N, M = rng.randint(1, 64), rng.randint(1, 12)
+            ax, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            bx = ax + rng.uniform(1e-6, 4.0)
+            U = Rect(ax, y, bx, y + (bx - ax) / N)
+            patch, _, _ = embed_in_neighborhood(((ax, y), (bx, y)), U, N, 1.0, M, 2.0)
+            assert len(patch.cells) == N
+            assert patch.cells[-1][0].x1 == bx
 
 
 class TestBuildHierarchy:
