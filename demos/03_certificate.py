@@ -29,7 +29,7 @@ for L, c in ((1.1, 0.01), (2.0, 0.1), (5.0, 1.0)):
     print(f"  epsilon_caps  eps {r['eps']:.3e}  "
           f"caps {r['mu_over_N2']:.3e}/{r['c_over_8N2L2']:.3e}  "
           f"margin {r['margin']:.2%}  pass={r['pass']}")
-    print("  hierarchy depth needed to exhaust L:", required_depth(L, c))
+    print("  hierarchy depth needed to exhaust L:", required_depth(L, consts.k))
 
 # desk-scale detection: perturb one marked vertex by half a grid step
 N, M = 4, 2

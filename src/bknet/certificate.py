@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .density import _as_pairs, _grid_columns, _grid_rows
+
 Point = tuple[float, float]
 
 
@@ -74,39 +76,9 @@ class MarkedGrid:
     @property
     def pairs(self) -> list[tuple[Point, Point]]:
         """All horizontal edges ((p/NM, s/NM), ((p+1)/NM, s/NM))."""
-        return _as_pairs(*_pair_rows(0.0, 1.0, 0.0, 1.0 / self.N, self.N, self.M))
-
-
-def _marked_rows(lam, y, top, N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rectangle index, height) of each marked row y + lam * s / NM,
-    s = 0..M, at or below top, rectangle by rectangle (lam, y and top are
-    equal-length arrays)."""
-    py = y[:, None] + lam[:, None] * np.arange(M + 1) / (N * M)
-    rect, s = np.nonzero(py <= top[:, None])
-    return rect, py[rect, s]
-
-
-def _pair_rows(ax, lam, y, top, N: int, M: int,
-               kept: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The marked pairs scaled by lam from (ax, y) of each rectangle (one as
-    floats, or many as equal-length arrays), row by row: NM edges from
-    ax + lam * p / NM to ax + lam * (p + 1) / NM per row, rows lam / NM
-    apart, keeping the rows at or below top.  With `kept`, only the edges
-    of even p, which share no endpoint.  Returns the columns x0 and x1,
-    each (rows, edges per row), and the rows' heights."""
-    NM = N * M
-    ax, lam, y, top = np.atleast_1d(ax, lam, y, top)
-    rect, py = _marked_rows(lam, y, top, N, M)
-    xs = ax[rect, None] + lam[rect, None] * np.arange(NM + 1) / NM
-    step = 2 if kept else 1
-    return xs[:, :-1:step], xs[:, 1::step], py
-
-
-def _as_pairs(x0: np.ndarray, x1: np.ndarray, py: np.ndarray) -> list[tuple[Point, Point]]:
-    """_pair_rows' columns as edges ((x0, y), (x1, y)), row by row; a row's
-    edges share its height's float."""
-    ys = [v for v in py.tolist() for _ in range(x0.shape[1])]
-    return list(zip(zip(x0.ravel().tolist(), ys), zip(x1.ravel().tolist(), ys)))
+        N, M = self.N, self.M
+        return _as_pairs(_grid_columns(0.0, 1.0, N, M),
+                         *_grid_rows(0.0, 1.0, 0.0, 1.0 / N, N, M))
 
 
 def marked_grid(N: int, M: int) -> MarkedGrid:
@@ -284,8 +256,12 @@ def evaluate_stretch(f: Callable[[Point], Sequence[float]],
 
     f is called exactly once per marked point, in grid.points order.  A
     base stretch or pair ratio that is not finite (an image is not, or the
-    ratio overflows) is rejected with a ValueError naming it."""
+    ratio overflows) is rejected with a ValueError naming it, and so is a
+    grid whose (N, M) is not the constants' (N, M)."""
     N, M = grid.N, grid.M
+    if (N, M) != (consts.N, consts.M):
+        raise ValueError(f"the grid has (N, M) = {(N, M)} but the constants were "
+                         f"made for {(consts.N, consts.M)}")
     NM = N * M
 
     def ev(p: Point) -> np.ndarray:

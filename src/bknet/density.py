@@ -177,23 +177,53 @@ def make_checkerboard(N: int, c: float) -> DensityField:
         raise ValueError("N must be a positive integer")
     if not c > 0:
         raise ValueError("c must be positive")
-    cells = _strips(0.0, 1.0, 0.0, 1.0 / N, N, c)
+    cells = _strips(_grid_columns(0.0, 1.0, N, 1), 0.0, 1.0 / N, 1, c)
     return DensityField(Rect(0.0, 0.0, 1.0, 1.0 / N), 1.0, tuple(cells))
 
 
-def _strips(ax, bx, y, top, N: int, c: float) -> list[tuple[Rect, float]]:
-    """The checkerboard's N strips over each [ax, bx] x [y, top] (one
-    rectangle as floats, or many as equal-length arrays), rectangle by
-    rectangle: with lam = bx - ax, strip j spans ax + j * lam / N to
-    ax + (j + 1) * lam / N, except that the last strip ends at bx itself
-    (ax + N * lam / N can round away from it), and is valued 1 if j is even,
-    else 1+c."""
+# The grid of a checkerboard patch [ax, bx] x [y, top] with N strips of M x M
+# marked squares, lam = bx - ax: columns ax + lam * a / NM, a = 0..NM, and
+# marked rows y + lam * s / NM, s = 0..M, at or below top.  Its strip edges,
+# marked edges and marked points all lie on these lines.  Both helpers take
+# one patch as floats, or many as equal-length arrays.
+
+def _grid_columns(ax, bx, N: int, M: int) -> np.ndarray:
+    """The grid's columns, one row of NM + 1 per patch, the last exactly bx
+    (ax + lam * NM / NM can round away from it)."""
+    ax, bx = np.atleast_1d(ax, bx)
+    xs = ax[:, None] + (bx - ax)[:, None] * np.arange(N * M + 1) / (N * M)
+    xs[:, N * M] = bx
+    return xs
+
+
+def _grid_rows(ax, bx, y, top, N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(patch index, height) of each of the grid's marked rows, patch by
+    patch."""
     ax, bx, y, top = np.atleast_1d(ax, bx, y, top)
-    xs = ax[:, None] + np.arange(N + 1) * (bx - ax)[:, None] / N
-    xs[:, N] = bx
-    vals = [1.0 if j % 2 == 0 else 1.0 + c for j in range(N)]
-    return [(Rect(x[j], y0, x[j + 1], y1), vals[j])
-            for x, y0, y1 in zip(xs.tolist(), y.tolist(), top.tolist()) for j in range(N)]
+    py = y[:, None] + (bx - ax)[:, None] * np.arange(M + 1) / (N * M)
+    patch, s = np.nonzero(py <= top[:, None])
+    return patch, py[patch, s]
+
+
+def _strips(xs: np.ndarray, y, top, M: int, c: float) -> list[tuple[Rect, float]]:
+    """The checkerboard strips of each patch over [y, top], patch by patch:
+    strip j spans grid columns jM to (j + 1)M of xs and is valued 1 if j is
+    even, else 1+c."""
+    cols = xs[:, ::M].tolist()
+    vals = [1.0 if j % 2 == 0 else 1.0 + c for j in range(len(cols[0]) - 1)]
+    return [(Rect(x[j], y0, x[j + 1], y1), v)
+            for x, y0, y1 in zip(cols, np.atleast_1d(y).tolist(), np.atleast_1d(top).tolist())
+            for j, v in enumerate(vals)]
+
+
+def _as_pairs(xs: np.ndarray, patch: np.ndarray, py: np.ndarray,
+              step: int = 1) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """The marked edges ((x0, y), (x1, y)) of the grid, row by row: in each
+    marked row, from column a to a + 1 of its patch's columns xs for every
+    step-th a.  A row's edges share its height's float."""
+    x0, x1 = xs[patch, :-1:step], xs[patch, 1::step]
+    ys = [v for v in py.tolist() for _ in range(x0.shape[1])]
+    return list(zip(zip(x0.ravel().tolist(), ys), zip(x1.ravel().tolist(), ys)))
 
 
 def transplant(field: DensityField, s: Similarity) -> DensityField:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import (CertificateConstants, _as_pairs, _marked_rows, _pair_rows,
-                          schedule_constants, toy_constants)
-from .density import DensityField, _strips, constant_field
+from .certificate import CertificateConstants, schedule_constants, toy_constants
+from .density import (DensityField, _as_pairs, _grid_columns, _grid_rows, _strips,
+                      constant_field)
 from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
 
 Segment = tuple[tuple[float, float], tuple[float, float]]
@@ -81,8 +81,9 @@ def embed_in_neighborhood(seg: Segment, U: Rect, N: int, c: float,
     if room <= 0:
         raise ValueError("neighborhood has no positive thickness above the segment")
     top = y + min(lam / N, room)
-    field = DensityField(Rect(ax, y, bx, top), 1.0, tuple(_strips(ax, bx, y, top, N, c)))
-    return field, _as_pairs(*_pair_rows(ax, lam, y, top, N, M)), _eps(lam, N, c, L)
+    xs = _grid_columns(ax, bx, N, M)
+    field = DensityField(Rect(ax, y, bx, top), 1.0, tuple(_strips(xs, y, top, M, c)))
+    return field, _as_pairs(xs, *_grid_rows(ax, bx, y, top, N, M)), _eps(lam, N, c, L)
 
 
 def _eps(lam, N: int, c: float, L: float):
@@ -111,10 +112,6 @@ def build_hierarchy(L: float, c: float, depth: int,
         raise ValueError(f"consts were made for L={consts.L}, c={consts.c}, "
                          f"not for L={L}, c={c}")
     N, M = consts.N, consts.M
-    if N > MAX_MATERIALIZED_N:
-        raise HierarchyDepthError(
-            f"N={N} cannot be materialized as explicit cells: N must be at most "
-            f"{MAX_MATERIALIZED_N:,}")
 
     field = constant_field(1.0)
     levels = [HierarchyLevel(segments=(((0.0, 0.0), (1.0, 0.0)),), neighborhoods=(), epsilon=1.0)]
@@ -142,22 +139,24 @@ def build_hierarchy(L: float, c: float, depth: int,
             U = Rect(*(float(v[n]) for v in (ax, y, bx, u1)))
             raise HierarchyDepthError(f"level {level}: neighborhood {U} leaves the unit square")
         top = y + np.minimum(lam / N, u1 - y)   # the patch, clipped to U
-        kept_rows = len(_marked_rows(lam, y, top, N, M)[0])
-        for what, count in (("cells", len(lam) * N), ("segments", kept_rows * ((N * M + 1) // 2))):
+        patch, py = _grid_rows(ax, bx, y, top, N, M)
+        for what, count in (("cells", len(lam) * N), ("segments", len(patch) * ((N * M + 1) // 2))):
             if count > MAX_MATERIALIZED_N:
                 raise HierarchyDepthError(
                     f"level {level} would make {count:,} {what}: at most "
                     f"{MAX_MATERIALIZED_N:,} can be materialized")
 
         neighborhoods = tuple(map(Rect, ax.tolist(), y.tolist(), bx.tolist(), top.tolist()))
-        field = field.replace_region(neighborhoods, _strips(ax, bx, y, top, N, c))
-        x0, x1, py = _pair_rows(ax, lam, y, top, N, M, kept=True)
+        xs = _grid_columns(ax, bx, N, M)
+        field = field.replace_region(neighborhoods, _strips(xs, y, top, M, c))
         levels.append(HierarchyLevel(
-            segments=tuple(_as_pairs(x0, x1, py)),
+            segments=tuple(_as_pairs(xs, patch, py, step=2)),
             neighborhoods=neighborhoods,
             epsilon=float(_eps(lam, N, c, L).min()),
         ))
-        ax, bx, y = x0.ravel(), x1.ravel(), np.repeat(py, x0.shape[1])
+        # the kept edges, even p in each marked row, share no endpoint
+        ax, bx = xs[patch, :-1:2].ravel(), xs[patch, 1::2].ravel()
+        y = np.repeat(py, (N * M + 1) // 2)
 
     return field, SegmentHierarchy(tuple(levels))
 

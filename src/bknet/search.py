@@ -16,8 +16,8 @@ import numpy as np
 
 from .certificate import CertificateConstants, StretchReport, evaluate_stretch, marked_grid
 from .density import DensityField
-from .plmap import (PLMap, _cell_rows, _centroid_densities, _det_smax, _jacobians,
-                    identity_map, pl_metrics)
+from .geometry import Rect
+from .plmap import PLMap, _cell_rows, _centroid_densities, _det_smax, _jacobians, pl_metrics
 
 JAC_PENALTY = 1.0e3
 
@@ -125,20 +125,23 @@ class _Descent:
 
 def search_min_stretch(field: DensityField, consts: CertificateConstants,
                        budget: int, seed: int) -> SearchResult:
-    """Deterministic coordinate descent from the identity map.
+    """Deterministic coordinate descent from the identity on the marked grid.
 
-    The map lives on the (N*M) x M vertex grid of the field's domain so
-    marked points coincide with grid vertices.  Each step perturbs one
-    random vertex; moves are accepted only when the objective strictly
-    decreases, so the trace is non-increasing.
+    The map lives on the (N*M) x M vertex grid of the field's domain, which
+    must be the thin rectangle [0,1] x [0,1/N], and starts with each vertex
+    at its marked point, so marked points coincide with grid vertices.
+    Each step perturbs one random vertex; moves are accepted only when the
+    objective strictly decreases, so the trace is non-increasing.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     N, M = consts.N, consts.M
     if N > 16 or M > 8:
         raise ValueError("harness is desk-scale only (N <= 16, M <= 8)")
+    if field.domain != Rect(0.0, 0.0, 1.0, 1.0 / N):
+        raise ValueError(f"the field's domain {field.domain} is not [0,1] x [0,1/N] for N={N}")
     nx, ny = N * M, M
-    m0 = identity_map(field.domain, nx, ny)
+    m0 = PLMap(field.domain, nx, ny, np.array(marked_grid(N, M).points))
     gap = field.domain.width / nx
 
     state = _Descent(m0, _centroid_densities(field, nx, ny), consts.L)

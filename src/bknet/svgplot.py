@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .plmap import PLMap
@@ -10,15 +12,21 @@ _PALETTE = ["#444444", "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#e377c2"]
 
 
-def _header(x0, y0, x1, y1, size):
+def _header(x0: float, y0: float, x1: float, y1: float, size: int) -> str:
+    """The opening tags of a picture of [x0, x1] x [y0, y1] (Python floats),
+    size pixels along its longer side, y up.  An extent whose width, height,
+    scale or y flip (y0 + y1) is not finite cannot be drawn: ValueError."""
     w = x1 - x0
     h = y1 - y0
-    s = size / max(w, h)
+    s = size / max(w, h) if max(w, h) > 0 else math.inf
+    if not all(map(math.isfinite, (w, h, s, y0 + y1))):
+        raise ValueError(f"cannot draw the extent [{x0}, {x1}] x [{y0}, {y1}]: its width {w}, "
+                         f"height {h}, scale {s} and y flip {y0 + y1} must be finite")
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * s:.0f}" '
         f'height="{h * s:.0f}" viewBox="{x0} {y0} {w} {h}">\n'
         f'<g transform="translate(0,{y0 + y1}) scale(1,-1)">\n'
-    ), s
+    )
 
 
 def net_svg(points: np.ndarray, tags: np.ndarray, size: int = 800) -> str:
@@ -27,9 +35,10 @@ def net_svg(points: np.ndarray, tags: np.ndarray, size: int = 800) -> str:
         raise ValueError(f"point {bad[0]} has a non-finite coordinate")
     if len(points) == 0:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>'
-    x0, y0 = points.min(axis=0) - 1
-    x1, y1 = points.max(axis=0) + 1
-    head, s = _header(x0, y0, x1, y1, size)
+    # Python floats, whose arithmetic overflows to inf without a warning
+    x0, y0 = (points.min(axis=0) - 1).tolist()
+    x1, y1 = (points.max(axis=0) + 1).tolist()
+    head = _header(x0, y0, x1, y1, size)
     r = max((x1 - x0), (y1 - y0)) / size * 2.0
     parts = [head]
     for (x, y), t in zip(points, tags):
@@ -41,12 +50,11 @@ def net_svg(points: np.ndarray, tags: np.ndarray, size: int = 800) -> str:
 
 def plmap_svg(m: PLMap, size: int = 800) -> str:
     verts = m.vertices
-    x0, y0 = verts.min(axis=0)
-    x1, y1 = verts.max(axis=0)
+    x0, y0 = verts.min(axis=0).tolist()
+    x1, y1 = verts.max(axis=0).tolist()
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
-    head, s = _header(x0 - pad, y0 - pad, x1 + pad, y1 + pad, size)
     width = max(x1 - x0, y1 - y0) / size * 1.5
-    parts = [head]
+    parts = [_header(x0 - pad, y0 - pad, x1 + pad, y1 + pad, size)]
     for (a, b, c) in m.triangles():
         pa, pb, pc = verts[a], verts[b], verts[c]
         parts.append(

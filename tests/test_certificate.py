@@ -167,6 +167,12 @@ class TestEvaluateStretch:
         assert rep.regular.all()
         assert rep.regular_squares.all()
 
+    @pytest.mark.parametrize("N,M", [(8, 2), (4, 3)])
+    def test_grid_of_another_shape_rejected(self, N, M):
+        with pytest.raises(ValueError, match=rf"the grid has \(N, M\) = \(4, 2\) but the "
+                                             rf"constants were made for \({N}, {M}\)"):
+            evaluate_stretch(lambda p: p, marked_grid(4, 2), toy_constants(2.0, 1.0, N=N, M=M))
+
     def test_uniform_stretch_is_never_flagged(self):
         k = self.CONSTS.k
         g = marked_grid(4, 2)

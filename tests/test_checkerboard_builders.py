@@ -1,8 +1,11 @@
-"""The checkerboard's strips and its marked pair rows each have one builder
-(`density._strips`, `certificate._pair_rows`).  These tests pin them to the
-loops they replaced in `make_checkerboard`, `MarkedGrid.pairs` and
+"""The checkerboard's strips and its marked pair rows are read from one patch
+grid (`density._grid_columns` and `_grid_rows`, through `_strips` and
+`_as_pairs`).  These tests pin them to loops over that grid's lines in
+`make_checkerboard`, `MarkedGrid.pairs` and
 `hierarchy.embed_in_neighborhood`: the same cells and edges, in the same
-order, with every float equal bit for bit."""
+order, with every float equal bit for bit.  A patch's strip edges are its
+grid columns ax + lam * (j * M) / NM, so each marked edge lies on its
+strip's lines."""
 
 import random
 
@@ -31,23 +34,28 @@ def former_grid_pairs(N, M):
 
 
 def former_patch(seg, U, N, c, M):
-    """The patch rectangle, cells and pairs as `embed_in_neighborhood` built
-    them in place, its last strip ending at the segment end bx."""
+    """The patch rectangle, cells and pairs as loops over the patch grid's
+    columns ax + lam * a / NM, the last strip and the last marked edge
+    ending at the segment end bx."""
     (ax, y), (bx, _) = seg
     lam = bx - ax
     h = min(lam / N, U.y1 - y)
+    NM = N * M
+
+    def column(a):
+        return bx if a == NM else ax + lam * a / NM
+
     cells = []
     for j in range(N):
-        r = Rect(ax + j * lam / N, y, bx if j == N - 1 else ax + (j + 1) * lam / N, y + h)
+        r = Rect(column(j * M), y, column((j + 1) * M), y + h)
         cells.append((r, 1.0 if j % 2 == 0 else 1.0 + c))
-    NM = N * M
     pairs = []
     for s in range(M + 1):
         py = y + lam * s / NM
         if py > y + h:
             break
         for p in range(NM):
-            pairs.append(((ax + lam * p / NM, py), (ax + lam * (p + 1) / NM, py)))
+            pairs.append(((column(p), py), (column(p + 1), py)))
     return Rect(ax, y, bx, y + h), cells, pairs
 
 

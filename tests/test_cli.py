@@ -270,6 +270,25 @@ class TestPlot:
         assert "polygon" in svg.read_text()
 
     @pytest.mark.parametrize("kind", ["net", "map"])
+    def test_extent_that_overflows_exit_2(self, tmp_path, capsys, kind):
+        if kind == "net":
+            path = tmp_path / "n.csv"
+            path.write_text("x,y,tag\n1.7e308,0.0,1\n-1.7e308,1.0,background\n")
+        else:
+            doc = json.loads(bknet.plmap_to_json(
+                bknet.identity_map(bknet.Rect(0.0, 0.0, 1.0, 0.25), 4, 2)))
+            doc["vertices"][3][0], doc["vertices"][4][0] = "1.7e308", "-1.7e308"
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(doc))
+        out = tmp_path / "p.svg"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot", kind, "--in", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "cannot draw the extent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["net", "map"])
     def test_kind_help_lists_only_in_and_out(self, capsys, kind):
         assert main(["plot", kind, "--help"]) == 0
         text = capsys.readouterr().out
@@ -612,13 +631,16 @@ class TestGoldenOutputs:
         assert self.sha(out.read_bytes()) == digest
 
     # recorded at e158804, before the checkerboard strips and the marked pair
-    # rows got one builder each
+    # rows got one builder each; the N=5, M=3 build was re-recorded when the
+    # strips and marked edges came to share one patch grid: its strip edges
+    # had rounded one ulp off the grid's columns, leaving 12 cells one ulp
+    # wide among 13,744 (now 13,732 cells, none of them that thin)
     BUILDERS = [
         (["gen-density", "hierarchy", "--L", "2", "--c", "1", "--depth", "5"],
          "92aaae388bd30aebf65a62a8988afa6becc64f2a4914a05db2f493b059df179b"),
         (["gen-density", "hierarchy", "--L", "2", "--c", "1", "--depth", "4", "--N", "5",
           "--M", "3"],
-         "d0c8d3ec66c699b2099831077299ce3dfb2581cfa00138ffa7fcc9891ce0d386"),
+         "ce56f502cd107efbfc7b8c9ac37fad08d31ab008337587d41a985941c4322004"),
         (["gen-density", "checkerboard", "--N", "7", "--c", "0.3"],
          "a307ef0138aa964496bdcda8d37b22c88f37e5da2edba33e9533f63c0d0a38c0"),
         (["schedule", "--L", "2", "--c", "0.1"],

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from bknet import required_depth, schedule_constants
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -43,6 +45,11 @@ def test_certificate_demo_flags_the_planted_pair(tmp_path):
     out = run_demo("03_certificate.py", tmp_path)
     assert "flagged: True" in out
     assert "pass=False" not in out
+    # the depth at which the per-level gain k exhausts L, for each (L, c)
+    depths = [int(line.rsplit(":", 1)[1]) for line in out.splitlines()
+              if line.strip().startswith("hierarchy depth needed")]
+    assert depths == [required_depth(L, schedule_constants(L, c).k)
+                      for L, c in ((1.1, 0.01), (2.0, 0.1), (5.0, 1.0))]
 
 
 def test_distortion_search_demo_writes_its_svg_next_to_itself(tmp_path):

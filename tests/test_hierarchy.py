@@ -128,6 +128,23 @@ class TestBuildHierarchy:
         with pytest.raises(HierarchyDepthError):
             build_hierarchy(2.0, 0.1, 1)
 
+    def test_scheduled_constants_build_depth_zero(self):
+        # level 0 makes no cell, so the level cap refuses nothing
+        field, hier = build_hierarchy(2.0, 0.1, 0)
+        assert field == constant_field(1.0)
+        assert hier.levels[0].segments == (((0.0, 0.0), (1.0, 0.0)),)
+
+    @pytest.mark.parametrize("M", [3, 5, 6])
+    @pytest.mark.parametrize("N", [3, 4, 5, 7])
+    def test_no_cell_is_a_rounding_sliver(self, N, M):
+        """Strip edges and the next level's segments lie on one grid line,
+        so no neighborhood starts an ulp off a strip edge and leaves a cell
+        an ulp wide."""
+        field, _ = build_hierarchy(2.0, 1.0, 3, toy_constants(2.0, 1.0, N=N, M=M))
+        for r, _ in field.cells:
+            tol = 1e-12 * max(1.0, abs(r.x0), abs(r.y0), abs(r.x1), abs(r.y1))
+            assert r.width >= tol and r.height >= tol, r
+
     @pytest.mark.parametrize("consts", [toy_constants(3.0, 0.25), toy_constants(2.0, 0.25),
                                         toy_constants(3.0, 1.0)])
     def test_constants_for_another_L_or_c_rejected(self, consts):

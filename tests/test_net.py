@@ -258,6 +258,16 @@ class TestCsv:
         assert np.array_equal(pts, p2)
         assert np.array_equal(tags, t2)
 
+    @pytest.mark.parametrize("rows,what", [
+        ([(1.7e308, 0.0), (-1.7e308, 1.0)], "width inf"),
+        ([(0.0, 1.7e308), (1.0, -1.7e308)], "height inf"),
+        ([(0.0, 1.7e308), (1.0, 1.6e308)], "y flip inf"),   # y0 + y1 overflows
+    ], ids=["wide", "tall", "high"])
+    def test_net_svg_refuses_an_extent_it_cannot_draw(self, rows, what):
+        # the pyproject filter turns a numpy RuntimeWarning into a failure
+        with pytest.raises(ValueError, match=f"cannot draw the extent .*{what}"):
+            net_svg(np.array(rows), np.ones(len(rows), dtype=int))
+
     @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
     def test_non_finite_rows_parse_and_net_svg_refuses_them(self, coord):
         pts, tags = net_from_csv(f"x,y,tag\n0.0,0.0,1\n1.0,{coord},background\n")

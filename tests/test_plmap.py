@@ -15,6 +15,7 @@ from bknet import (
     plmap_to_json,
 )
 from bknet.plmap import DegenerateTriangleError, _jacobians
+from bknet.svgplot import plmap_svg
 
 
 def random_valid_map(rng, domain=UNIT_SQUARE, nx=5, ny=4, wobble=0.2):
@@ -189,3 +190,20 @@ class TestConstruction:
         verts[4, axis] = bad
         with pytest.raises(ValueError, match="vertex image 4 has a non-finite coordinate"):
             PLMap(UNIT_SQUARE, 2, 2, verts)
+
+
+class TestSvg:
+    def test_an_extent_that_overflows_is_refused(self):
+        m = identity_map(Rect(0.0, 0.0, 1.0, 0.25), 4, 2)
+        verts = m.vertices.copy()
+        verts[3, 0], verts[4, 0] = 1.7e308, -1.7e308
+        with pytest.raises(ValueError, match=r"cannot draw the extent \[-inf, inf\]"):
+            plmap_svg(PLMap(m.domain, 4, 2, verts))
+
+    def test_a_huge_but_finite_extent_is_drawn(self):
+        m = identity_map(Rect(0.0, 0.0, 1.0, 0.25), 4, 2)
+        verts = m.vertices.copy()
+        verts[3, 0] = 1e308
+        text = plmap_svg(PLMap(m.domain, 4, 2, verts))
+        assert 'viewBox="-5.0000000000000006e+306 ' in text
+        assert "inf" not in text and "nan" not in text

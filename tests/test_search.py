@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bknet import make_checkerboard, search_min_stretch, toy_constants
+from bknet import make_checkerboard, marked_grid, search_min_stretch, toy_constants
 
 
 FIELD = make_checkerboard(4, 1.0)
@@ -37,6 +37,20 @@ class TestSearch:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             search_min_stretch(FIELD, CONSTS, -1, seed=0)
+
+    def test_budget_zero_returns_the_marked_points_on_every_desk_shape(self):
+        off = []
+        for N in range(1, 17):
+            field = make_checkerboard(N, 1.0)
+            for M in range(1, 9):
+                res = search_min_stretch(field, toy_constants(2.0, 1.0, N=N, M=M), 0, seed=0)
+                if not np.array_equal(res.plmap.vertices, np.array(marked_grid(N, M).points)):
+                    off.append((N, M))
+        assert off == []
+
+    def test_field_off_the_thin_rectangle_rejected(self):
+        with pytest.raises(ValueError, match=r"not \[0,1\] x \[0,1/N\] for N=4"):
+            search_min_stretch(make_checkerboard(8, 1.0), CONSTS, 0, seed=0)
 
     def test_desk_scale_guard(self):
         big = toy_constants(2.0, 1.0, N=32, M=2)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bknet import distortion, greedy_distortion, make_checkerboard, pair_distortion
-from bknet import search_min_stretch, toy_constants
+from bknet import marked_grid, search_min_stretch, toy_constants
 from bknet.distortion import _CHUNK, _dist_matrix, _nn_matching, _Pairs, _two_swap
 from bknet.plmap import PLMap, _centroid_densities, _jacobians, identity_map
 from bknet.search import JAC_PENALTY, _Descent
@@ -58,9 +58,10 @@ def oracle_objective(verts, m, gap, rho, tri_area, L):
 
 
 def oracle_search(field, consts, budget, seed):
-    """(trace, vertices) of the search loop that rebuilds every step."""
+    """(trace, vertices) of the search loop that rebuilds every step,
+    started with each vertex at its marked point."""
     nx, ny = consts.N * consts.M, consts.M
-    m0 = identity_map(field.domain, nx, ny)
+    m0 = PLMap(field.domain, nx, ny, np.array(marked_grid(consts.N, consts.M).points))
     gap = field.domain.width / nx
     rho = _centroid_densities(field, nx, ny)
     tri_area = (field.domain.width / nx) * (field.domain.height / ny) / 2.0
