@@ -91,6 +91,20 @@ def _eps(lam, N: int, c: float, L: float):
     return lam * lam * 0.5 * c / (8.0 * N * N * L * L)
 
 
+def _kept_rows(lam, y, top, N: int, M: int) -> int:
+    """How many marked rows y + lam * s / NM, s = 0..M, the patches keep
+    below their tops, as _grid_rows makes and keeps them, counted without
+    making them: the height is monotone in s in floats, so each patch keeps
+    s = 0 up to a bound found by bisection."""
+    lo = np.zeros(len(lam), dtype=np.intp)      # kept: y itself is below top
+    hi = np.full(len(lam), M + 1, dtype=np.intp)  # dropped, or past the last row
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        kept = y + lam * mid / (N * M) <= top
+        lo, hi = np.where(kept, mid, lo), np.where(kept, hi, mid)
+    return int(hi.sum())
+
+
 def build_hierarchy(L: float, c: float, depth: int,
                     consts: CertificateConstants | None = None,
                     ) -> tuple[DensityField, SegmentHierarchy]:
@@ -139,13 +153,14 @@ def build_hierarchy(L: float, c: float, depth: int,
             U = Rect(*(float(v[n]) for v in (ax, y, bx, u1)))
             raise HierarchyDepthError(f"level {level}: neighborhood {U} leaves the unit square")
         top = y + np.minimum(lam / N, u1 - y)   # the patch, clipped to U
-        patch, py = _grid_rows(ax, bx, y, top, N, M)
-        for what, count in (("cells", len(lam) * N), ("segments", len(patch) * ((N * M + 1) // 2))):
+        rows = _kept_rows(lam, y, top, N, M)
+        for what, count in (("cells", len(lam) * N), ("segments", rows * ((N * M + 1) // 2))):
             if count > MAX_MATERIALIZED_N:
                 raise HierarchyDepthError(
                     f"level {level} would make {count:,} {what}: at most "
                     f"{MAX_MATERIALIZED_N:,} can be materialized")
 
+        patch, py = _grid_rows(ax, bx, y, top, N, M)
         neighborhoods = tuple(map(Rect, ax.tolist(), y.tolist(), bx.tolist(), top.tolist()))
         xs = _grid_columns(ax, bx, N, M)
         field = field.replace_region(neighborhoods, _strips(xs, y, top, M, c))

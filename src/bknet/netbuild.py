@@ -28,6 +28,9 @@ _SLACK = 1e-12
 # _Grid: queries per vectorised step (the step's temporaries hold a few
 # dozen floats per query)
 _CHUNK = 1 << 12
+# check_covering resolves blocks and runs branch and bound on the rest in
+# tiles of _TILE x _TILE blocks, so its arrays stay bounded on any window
+_TILE = 128
 _CSV_CHUNK = 1 << 14   # rows per format call of net_to_csv
 
 
@@ -350,21 +353,42 @@ def check_separation(net: Net, window: Rect) -> float:
 def check_covering(net: Net, window: Rect) -> float:
     """Covering radius under-approximation: the maximum distance to the net
     over the sample grid of step 1/64 on the window (additive error <=
-    sqrt(2)/128).  The value is exactly that grid maximum; it is found by
-    branch and bound, bounding each block of samples by its farthest corner
-    from the net point nearest a sample of it, so only a few per cent of the
-    samples are queried."""
+    sqrt(2)/128).  The value is exactly that grid maximum.
+
+    The samples form blocks of _BLOCK x _BLOCK.  A block whose nearest net
+    points all lie on one lattice is resolved in closed form (see
+    `_Lattices`): one inside a subdivision cell, or one far from every
+    scheduled square.  The other blocks, near cell seams, square edges and
+    gaps, go through branch and bound in tiles of _TILE x _TILE blocks that
+    share one running maximum: a block is bounded by its farthest corner
+    from the net point nearest a sample of it, so only a few per cent of
+    their samples are queried."""
     pts, grid = _near(net, window)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
-    # blocks of samples as half-open index ranges [i0, i1) x [j0, j1)
-    # 32-bit block indices halve the first level, one block per _BLOCK^2 samples
-    gi, gj = np.meshgrid(np.arange(0, len(xs), _BLOCK, dtype=np.int32),
-                         np.arange(0, len(ys), _BLOCK, dtype=np.int32), indexing="ij")
-    i0, j0 = gi.ravel(), gj.ravel()
+    lat = _Lattices(net, window, xs, ys)
+    worst = lat.cell_max
+    for c0 in range(0, lat.cols.n, _TILE):
+        for r0 in range(0, lat.rows.n, _TILE):
+            done, value = lat.resolve(slice(c0, min(c0 + _TILE, lat.cols.n)),
+                                      slice(r0, min(r0 + _TILE, lat.rows.n)))
+            worst = max(worst, value)
+            # the other blocks as half-open sample index ranges [i0, i1) x [j0, j1);
+            # 32-bit indices halve the arrays, one block per _BLOCK^2 samples
+            bc, br = np.nonzero(~done)
+            i0 = ((bc + c0) * _BLOCK).astype(np.int32)
+            j0 = ((br + r0) * _BLOCK).astype(np.int32)
+            worst = _branch_and_bound(grid, pts, xs, ys, i0, j0, worst)
+    return worst
+
+
+def _branch_and_bound(grid: _Grid, pts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                      i0: np.ndarray, j0: np.ndarray, worst: float) -> float:
+    """The larger of worst and the grid's maximum distance to the net over
+    the blocks of samples [i0, i0 + _BLOCK) x [j0, j0 + _BLOCK), clipped to
+    the grid."""
     i1, j1 = np.minimum(i0 + _BLOCK, len(xs)), np.minimum(j0 + _BLOCK, len(ys))
-    worst = 0.0
     while len(i0):
         ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
         d, k = grid.nearest(xs[ri], ys[rj])
@@ -379,6 +403,137 @@ def check_covering(net: Net, window: Rect) -> float:
         live = _may_exceed(p, xs, ys, i0, i1, j0, j1, worst)
         i0, i1, j0, j1 = i0[live], i1[live], j0[live], j1[live]
     return worst
+
+
+class _Axis:
+    """One axis of check_covering's sample grid, cut into blocks: block b
+    holds samples [b _BLOCK, (b + 1) _BLOCK), the last one possibly fewer,
+    and spans lo[b] to hi[b]."""
+
+    def __init__(self, s: np.ndarray):
+        self.s = s
+        self.n = -(-len(s) // _BLOCK)
+        self.lo = s[::_BLOCK]
+        self.hi = s[np.minimum(np.arange(1, self.n + 1) * _BLOCK, len(s)) - 1]
+
+    def meeting(self, a: float, b: float) -> range:
+        """The blocks whose span meets [a, b]."""
+        return range(int(np.searchsorted(self.hi, a, "left")),
+                     int(np.searchsorted(self.lo, b, "right")))
+
+    def within(self, a: float, b: float) -> range:
+        """The blocks whose span lies in [a, b]."""
+        return range(int(np.searchsorted(self.lo, a, "left")),
+                     int(np.searchsorted(self.hi, b, "right")))
+
+    def cells(self, blocks: range, edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        """For blocks inside a square whose cells are cut at `edges`: each
+        block's cell index, and its least distance to that cell's edges
+        (negative when it crosses one)."""
+        lo, hi = self.lo[blocks.start:blocks.stop], self.hi[blocks.start:blocks.stop]
+        e = np.asarray(edges)
+        i = np.clip(np.floor((lo - e[0]) / (e[1] - e[0])), 0, len(e) - 2).astype(np.intp)
+        return i, np.minimum(lo - e[i], e[i + 1] - hi)
+
+
+def _sq_gaps(s: np.ndarray, origin: float, step: float, n: int | None) -> np.ndarray:
+    """The squared gap from each sample s to the nearest lattice coordinate
+    origin + step * (a + 0.5), a in [0, n) (any integer a for n None), the
+    coordinate made as _explicit_points makes it and the gap as
+    _Grid._scan does."""
+    a = np.floor((s - origin) / step - 0.5)
+    gap = np.full(len(s), np.inf)
+    # the nearest is a or a + 1: a is off by one only next to an integer,
+    # and then that integer is the nearest
+    for k in (0.0, 1.0):
+        c = a + k if n is None else np.clip(a + k, 0, n - 1)
+        d = origin + step * (c + 0.5) - s
+        np.minimum(gap, d * d, out=gap)
+    return gap
+
+
+def _overlap(r: range, tile: slice) -> tuple[slice, slice] | None:
+    """The blocks of r in the tile, as a slice of the tile and one of r."""
+    lo, hi = max(r.start, tile.start), min(r.stop, tile.stop)
+    if lo >= hi:
+        return None
+    return slice(lo - tile.start, hi - tile.start), slice(lo - r.start, hi - r.start)
+
+
+class _Lattices:
+    """The blocks of check_covering's sample grid whose nearest net points
+    lie on one lattice, and the grid's maximum over them in closed form.
+
+    Every sample of a block at least h/sqrt(2) inside a subdivision cell, h
+    its spacing cell / n, lies within h/sqrt(2) of the cell's n x n centres
+    and no nearer any other net point.  So does every sample of a block at
+    least 1/sqrt(2) from every scheduled square, with the background lattice
+    of unit-square centres.  Both depths are widened by a relative 1e-9 and
+    a few ulps of the coordinates against rounding.  Over a product lattice
+    the squared distance dx*dx + dy*dy is least where each term is least,
+    and its maximum over a rectangle of samples is where each per-axis least
+    term, DX and DY, is largest.  Rounding of -, *, + and sqrt is monotone,
+    so sqrt(max DX + max DY) equals the grid scan's maximum over the
+    rectangle bit for bit."""
+
+    def __init__(self, net: Net, window: Rect, xs: np.ndarray, ys: np.ndarray):
+        self.cols, self.rows = _Axis(xs), _Axis(ys)
+        scale = max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1))
+        slack = 16.0 * math.ulp(scale + 2.0 * net.max_cell_spacing)
+        far = (1.0 + 1e-9) / math.sqrt(2.0) + slack
+        # per square, the blocks nearer than `far` to it; per square met,
+        # the blocks inside it with their cells and margins, and the depth
+        # each cell needs
+        self.near, self.inside = [], []
+        self.cell_max = 0.0   # the grid's maximum over the blocks inside cells
+        for e, n_arr in zip(net.plan.schedule, net.counts):
+            s = e.square
+            self.near.append((self.cols.meeting(s.x0 - far, s.x1 + far),
+                              self.rows.meeting(s.y0 - far, s.y1 + far)))
+            cols, rows = self.cols.within(s.x0, s.x1), self.rows.within(s.y0, s.y1)
+            if not (cols and rows):
+                continue
+            cell = e.side / e.m
+            depth = cell / n_arr / math.sqrt(2.0) * (1.0 + 1e-9) + slack
+            ex, ey = _cell_edges(e)
+            (ci, mx), (cj, my) = self.cols.cells(cols, ex), self.rows.cells(rows, ey)
+            self.inside.append((cols, ci, mx, rows, cj, my, depth))
+            for i in np.unique(ci).tolist():
+                for j in np.unique(cj).tolist():
+                    a = cols.start + np.flatnonzero((ci == i) & (mx >= depth[i, j]))
+                    b = rows.start + np.flatnonzero((cj == j) & (my >= depth[i, j]))
+                    if len(a) and len(b):
+                        n = int(n_arr[i, j])
+                        dx = _sq_gaps(xs[a[0] * _BLOCK:(a[-1] + 1) * _BLOCK], ex[i], cell / n, n)
+                        dy = _sq_gaps(ys[b[0] * _BLOCK:(b[-1] + 1) * _BLOCK], ey[j], cell / n, n)
+                        self.cell_max = max(self.cell_max, float(np.sqrt(dx.max() + dy.max())))
+
+    @functools.cached_property
+    def _background(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per block of each axis, the largest squared gap of its samples to
+        the background lattice."""
+        return tuple(np.maximum.reduceat(_sq_gaps(a.s, 0.0, 1.0, None), np.arange(0, len(a.s), _BLOCK))
+                     for a in (self.cols, self.rows))
+
+    def resolve(self, tc: slice, tr: slice) -> tuple[np.ndarray, float]:
+        """(done, value): the mask of the blocks of tile tc x tr resolved
+        here, and the grid's maximum over those on the background (0 if
+        none)."""
+        done = np.ones((tc.stop - tc.start, tr.stop - tr.start), dtype=bool)
+        for cols, rows in self.near:
+            a, b = _overlap(cols, tc), _overlap(rows, tr)
+            if a and b:
+                done[a[0], b[0]] = False
+        value = 0.0
+        if done.any():
+            bx, by = self._background
+            value = float(np.sqrt((bx[tc, None] + by[None, tr])[done].max()))
+        for cols, ci, mx, rows, cj, my, depth in self.inside:
+            a, b = _overlap(cols, tc), _overlap(rows, tr)
+            if a and b:
+                need = depth[ci[a[1], None], cj[None, b[1]]]
+                done[a[0], b[0]] |= (mx[a[1], None] >= need) & (my[None, b[1]] >= need)
+        return done, value
 
 
 def _may_exceed(p, xs, ys, i0, i1, j0, j1, worst):
@@ -433,13 +588,57 @@ def net_to_csv(points: np.ndarray, tags: np.ndarray) -> str:
 
 
 def net_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "x,y,tag":
-        raise ValueError("bad net CSV header")
-    pts, tags = [], []
-    for line in lines[1:]:
-        sx, sy, st = line.split(",")
-        pts.append((float(sx), float(sy)))
-        tags.append(0 if st == "background" else int(st))
-    return np.array(pts).reshape(-1, 2), np.array(tags, dtype=int)
+    """The (points, tags) of a net CSV: float coordinates, and an integer
+    or `background` (0) tag per row.  It is read in chunks of whole lines,
+    about _CSV_CHUNK rows of 32 characters each, and each chunk is parsed
+    into arrays at once; a row that does not parse is a ValueError naming
+    it."""
+    text = text.strip()
+    xs, ys, tags = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=int)]
+    done, start = 0, 0   # rows read, and where the next chunk starts
+    while start >= 0:
+        end = text.find("\n", start + 32 * _CSV_CHUNK)
+        lines = text[start:None if end < 0 else end].splitlines()
+        if start == 0:
+            if not lines or lines[0].strip() != "x,y,tag":
+                raise ValueError("bad net CSV header")
+            del lines[0]
+        if lines:
+            for out, part in zip((xs, ys, tags), _csv_rows(lines, done)):
+                out.append(part)
+        done += len(lines)
+        start = end + 1 if end >= 0 else -1
+    pts = np.empty((done, 2))
+    np.concatenate(xs, out=pts[:, 0])
+    np.concatenate(ys, out=pts[:, 1])
+    return pts, np.concatenate(tags)
 
+
+def _csv_rows(lines: list[str], done: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and tag arrays of net CSV rows `lines`, the first of them
+    row done + 1, with one split of them all: a newline field goes between
+    rows, so a row that is not three fields moves a newline off its place."""
+    cells = ",\n,".join(lines).split(",")
+    try:
+        if not (len(cells) == 4 * len(lines) - 1
+                and cells[3::4].count("\n") == len(lines) - 1):
+            raise ValueError
+        x, y, tag = cells[0::4], cells[1::4], cells[2::4]
+        value = {t: 0 if t == "background" else int(t) for t in set(tag)}
+        return (np.fromiter(map(float, x), float, len(x)),
+                np.fromiter(map(float, y), float, len(y)),
+                np.fromiter(map(value.__getitem__, tag), int, len(tag)))
+    except ValueError:
+        raise ValueError(_bad_row(lines, done)) from None
+
+
+def _bad_row(lines: list[str], done: int) -> str:
+    """The error for the first line of `lines` that is not a net CSV row,
+    `done` rows after the header."""
+    for n, line in enumerate(lines, done + 1):
+        try:
+            x, y, tag = line.split(",")
+            float(x), float(y), tag == "background" or int(tag)
+        except ValueError:
+            return f"bad net CSV row {n}: {line!r}"
+    raise AssertionError("every line parses")

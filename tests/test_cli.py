@@ -526,6 +526,19 @@ class TestExitCodes:
         assert not out.exists()
         assert "point 1 has a non-finite coordinate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["plot", "net", "--in"], ["distort", "--y", "good.csv", "--x"]],
+                             ids=["plot-net", "distort"])
+    def test_malformed_net_row_exit_2(self, tmp_path, capsys, argv):
+        (tmp_path / "good.csv").write_text("x,y,tag\n0.0,0.0,1\n1.0,0.0,1\n")
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,tag\n0.0,0.0,1\n1.0,2.0\n3.0,4.0,5,6\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        argv = [a if a != "good.csv" else str(tmp_path / a) for a in argv]
+        assert main([*argv, str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "malformed" in (err := capsys.readouterr().err) and "bad net CSV row 2: '1.0,2.0'" in err
+
     @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("which", ["x", "y"])
     def test_distort_non_finite_point_exit_2(self, tmp_path, capsys, coord, which):

@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bknet import (
     Rect,
@@ -13,7 +16,8 @@ from bknet import (
     make_checkerboard,
     toy_constants,
 )
-from bknet.hierarchy import HierarchyDepthError
+from bknet.density import _grid_rows
+from bknet.hierarchy import HierarchyDepthError, _kept_rows
 
 
 TOY = toy_constants(2.0, 1.0, N=4, M=2)
@@ -163,6 +167,34 @@ class TestBuildHierarchy:
         with pytest.raises(HierarchyDepthError, match=message + ": at most 1,000,000"):
             build_hierarchy(2.0, 1.0, 2, toy_constants(2.0, 1.0, N=N, M=M))
         build_hierarchy(2.0, 1.0, 1, toy_constants(2.0, 1.0, N=N, M=M))
+
+    def test_a_refused_level_makes_no_rows(self):
+        # level 1 would keep all 1,000,001 rows of 2,000,000 edges; the
+        # rows alone took 30.5 MB before the refusal
+        tracemalloc.start()
+        try:
+            with pytest.raises(HierarchyDepthError,
+                               match="level 1 would make 2,000,002,000,000 segments"):
+                build_hierarchy(2.0, 1.0, 1, toy_constants(2.0, 1.0, N=4, M=10 ** 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_kept_rows_count_the_rows_grid_rows_keeps(self, data):
+        N, M = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 60))
+        unit = st.floats(0.0, 1.0)
+        n = data.draw(st.integers(1, 8))
+        ax = np.array([data.draw(unit) for _ in range(n)])
+        lam = np.array([data.draw(st.floats(1e-12, 1.0)) for _ in range(n)])
+        y = np.array([data.draw(unit) for _ in range(n)])
+        # the patch's natural height lam / N, clipped to a drawn fraction of it
+        clip = np.array([data.draw(st.sampled_from([1.0, 1.0, 0.5, 1e-3]) | unit) for _ in range(n)])
+        top = y + np.minimum(lam / N, lam / N * clip + 5e-324)
+        patch, _ = _grid_rows(ax, ax + lam, y, top, N, M)
+        assert _kept_rows((ax + lam) - ax, y, top, N, M) == len(patch)
 
     @pytest.mark.parametrize("L,c,N,M,depth,message", [
         # level 3 has segments at y = 0 and y = 1; the second one's

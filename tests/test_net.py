@@ -15,6 +15,7 @@ from bknet import (
     net_from_csv,
     net_to_csv,
 )
+from bknet import netbuild
 from bknet.netbuild import NetPlan, ScheduleEntry
 from bknet.svgplot import net_svg
 
@@ -248,7 +249,70 @@ class TestMeasureReport:
             measure_report(net, plan, 2)
 
 
+def csv_by_lines(text):
+    """net_from_csv as it was before the chunked reader: one line at a time."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0].strip() != "x,y,tag":
+        raise ValueError("bad net CSV header")
+    pts, tags = [], []
+    for line in lines[1:]:
+        sx, sy, st = line.split(",")
+        pts.append((float(sx), float(sy)))
+        tags.append(0 if st == "background" else int(st))
+    return np.array(pts).reshape(-1, 2), np.array(tags, dtype=int)
+
+
 class TestCsv:
+    # a K=2 net with its background, and floats whose repr is awkward
+    ODD = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1e-300], [0.1, 1.0 / 3.0]])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
+    def test_round_trip_is_bitwise_in_any_chunking(self, chunk):
+        pts, tags = build_net(make_plan(TWO_TONE, 2)).points_in_window(Rect(-2.5, -2.0, 30.0, 21.0))
+        pts = np.vstack([pts, self.ODD])
+        tags = np.concatenate([tags, [0, 7, 123456789]])
+        text = net_to_csv(pts, tags)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_CSV_CHUNK", chunk)
+            got_pts, got_tags = net_from_csv(text)
+        assert got_pts.shape == pts.shape and got_pts.tobytes() == pts.tobytes()
+        assert got_tags.dtype == tags.dtype and np.array_equal(got_tags, tags)
+
+    @pytest.mark.parametrize("text", [
+        "x,y,tag\n", "x,y,tag", "  x,y,tag\r\n1,2,3\r\n4.5,-6,background\r\n\n",
+        "x,y,tag\r1,2,3\r4,5,6", "x,y,tag\n1, 2 ,+3\n",
+        "x,y,tag\n1e3,inf,background\n-0.0,nan,02",
+    ])
+    @pytest.mark.parametrize("chunk", [1, 1 << 14])
+    def test_equals_the_line_reader(self, text, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_CSV_CHUNK", chunk)
+            got = net_from_csv(text)
+        want = csv_by_lines(text)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "x,y\n1,2\n", "tag,x,y\n1,2,3\n"])
+    def test_bad_header(self, text):
+        with pytest.raises(ValueError, match="bad net CSV header"):
+            net_from_csv(text)
+
+    @pytest.mark.parametrize("body, row", [
+        ("1,2\n3,4,5,6", 1),          # fields shifted from one row to the next
+        ("1,2,3\n\n4,5,6", 2),        # a blank row
+        ("1,2,3\n4,x,6", 2),
+        ("1,2,3\n4,5,backgroundx", 2),
+        ("1,2,3,", 1),
+        ("1,2,3\n4,5,6\n7,8,6.5", 3),  # a tag that is not an integer
+    ])
+    @pytest.mark.parametrize("chunk", [1, 1 << 14])
+    def test_a_malformed_row_is_named(self, body, row, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_CSV_CHUNK", chunk)
+            with pytest.raises(ValueError, match=f"bad net CSV row {row}: "):
+                net_from_csv("x,y,tag\n" + body)
+
     def test_round_trip(self):
         plan = make_plan(TWO_TONE, 1)
         net = build_net(plan)

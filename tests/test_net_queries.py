@@ -27,6 +27,7 @@ from bknet import (
     Net,
     Rect,
     UNIT_SQUARE,
+    assemble_limit_density,
     build_net,
     check_covering,
     check_separation,
@@ -48,6 +49,16 @@ PLANS = {
 @functools.cache
 def net(name):
     return build_net(PLANS[name]())
+
+
+@functools.cache
+def limit_net():
+    """The benchmark's net: level K=4 of the depth-3 limit density (the
+    squares `gen-density limit --depth 3` uses); its fourth square has
+    64-wide cells."""
+    squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1), 2.0 ** -k, 2.0 ** -k), k)
+               for k in (1, 2, 3)]
+    return build_net(make_plan(assemble_limit_density(1.0, squares), 4))
 
 
 def covering_by_full_sweep(net, window):
@@ -321,6 +332,41 @@ def cell_free_windows(draw, name):
     return Rect(x0, y0, x0 + w, y0 + h)
 
 
+@st.composite
+def seam_windows(draw, n):
+    """Windows with an edge within one point spacing of a cell edge (square
+    edges among them) or of a point of the unit gap between two squares;
+    the other edges lie a side from it, or again near such a cut.  The unit
+    lattice's cuts are its unit-square edges."""
+    sched = n.plan.schedule
+    cuts = (sorted({v for e in sched for v in netbuild._cell_edges(e)[0]})
+            or [float(v) for v in range(-3, 12)])
+    gaps = [st.floats(a.square.x1, b.square.x0) for a, b in zip(sched, sched[1:])]
+    s = n.max_cell_spacing
+    near = st.floats(-s, s)
+
+    def span(a):
+        v, w = a + draw(near), draw(sides)
+        return (v, v + w) if draw(st.booleans()) else (v - w, v)
+
+    ax = draw(st.one_of(st.sampled_from(cuts), *gaps))
+    x0, x1 = span(ax)
+    # the y edge near a cut of the same square, or near the diagonal
+    ay = draw(st.sampled_from([c for c in cuts if abs(c - ax) <= 64.0] or [ax])
+              | st.floats(-2.0, 2.0).map(lambda d: ax + d))
+    y0, y1 = span(ay)
+    return Rect(x0, y0, x1, y1)
+
+
+# below 1 the density makes cells denser than the background lattice: a
+# spacing of 1/2 on the left half of each square, 1 on the right
+DENSE_TWO_TONE = DensityField(UNIT_SQUARE, 0.25, ((Rect(0.5, 0.0, 1.0, 1.0), 1.0),))
+
+SEAM_NETS = {**{name: functools.partial(net, name) for name in PLANS},
+             "limit-K4": limit_net,
+             "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3)))}
+
+
 class TestCoveringOracle:
     @pytest.mark.parametrize("name", list(PLANS))
     @settings(max_examples=40, deadline=None)
@@ -363,6 +409,72 @@ class TestFarthestCornerBound:
     ])
     def test_fixed_windows(self, window):
         self.check(net("two-tone-K3"), window)
+
+
+class TestClosedForm:
+    """check_covering resolves the blocks inside one lattice without a
+    query; the values stay the full sweep's."""
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_windows_at_seams_equal_full_sweep(self, name, data):
+        n = SEAM_NETS[name]()
+        window = data.draw(seam_windows(n))
+        assert check_covering(n, window) == covering_by_full_sweep(n, window)
+
+    @pytest.mark.parametrize("window", [
+        Rect(4.9, 8.0, 4.95, 10.0),     # left of square 2, within 1/sqrt(2)
+        Rect(6.0, 4.9, 8.0, 4.95),      # below square 2
+        Rect(4.8, 4.8, 4.95, 4.95),     # in the gap, by square 2's corner
+    ])
+    def test_windows_beside_a_square_edge_equal_full_sweep(self, window):
+        # the square's half-spaced points are nearer than the background's
+        n = SEAM_NETS["dense-two-tone-K3"]()
+        assert check_covering(n, window) == covering_by_full_sweep(n, window)
+
+    @pytest.mark.parametrize("n, window", [
+        (lambda: net("two-tone-K3"), Rect(90.0, 90.0, 100.0, 100.0)),   # a 32-wide cell
+        (limit_net, Rect(350.0, 352.0, 360.5, 359.0)),                  # a 64-wide cell
+        (lambda: net("two-tone-K3"), Rect(-40.0, -30.0, -20.0, -10.0)),  # background
+        (lambda: net("two-tone-K3"), Rect(20.0, 0.5, 27.0, 9.5)),       # beside squares 1, 2
+        (lambda: net("lattice"), Rect(-3.3, 0.1, 5.2, 7.7)),
+    ], ids=["cell", "limit-cell", "background", "between-squares", "lattice"])
+    def test_windows_inside_one_lattice_query_no_sample(self, n, window):
+        with counting_grids() as grids:
+            got = check_covering(fresh(n()), window)
+        assert grids.queried == 0
+        assert got == covering_by_full_sweep(n(), window)
+
+    @pytest.mark.parametrize("tile", [1, 3])
+    @pytest.mark.parametrize("n, window", [
+        (lambda: net("two-tone-K3"), Rect(14.37, 14.11, 18.9, 18.33)),
+        (lambda: net("two-tone-K3"), Rect(3.0, 3.0, 15.0, 15.0)),
+        (limit_net, Rect(400.0, 398.0, 410.0, 409.0)),   # over cell seams
+        (limit_net, Rect(338.5, 337.0, 343.0, 342.5)),   # squares 3 and 4 and the gap
+    ], ids=["squares-1-2", "square-1", "limit-seams", "limit-gap"])
+    def test_results_do_not_depend_on_the_tile_size(self, tile, n, window):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_TILE", tile)
+            got = check_covering(fresh(n()), window)
+        assert got == covering_by_full_sweep(n(), window)
+
+    def test_a_large_window_peaks_at_its_tiles(self):
+        n = fresh(net("two-tone-K3"))
+        window = Rect(-2.0, -2.0, 340.0, 340.0)   # every square and gap: 468,512 blocks
+        netbuild._near(n, window)   # the candidate set and its index, built beforehand
+        tracemalloc.start()
+        try:
+            got = check_covering(n, window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one tile holds 16,384 blocks, one block per 32 x 32 samples; a
+        # first level over every block at once peaked at 38 MB
+        assert peak <= 8 * 2 ** 20
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_TILE", 1 << 20)
+            assert got == check_covering(n, window)
 
 
 class TestSharedCandidates:
