@@ -107,8 +107,13 @@ class Net:
         sq = [e.square for e in self.plan.schedule] or [UNIT_SQUARE]  # none: no points
         box = Rect(min(s.x0 for s in sq), min(s.y0 for s in sq),
                    max(s.x1 for s in sq), max(s.y1 for s in sq))
-        points, tags, k = _explicit_points(self.plan, self.counts, box)
+        points, tags, k = _explicit_points(self._cells, box)
         return points[:k], tags[:k]
+
+    @functools.cached_property
+    def _cells(self) -> _Cells:
+        """The table of the net's lattices, built on first use."""
+        return _Cells(self.plan, self.counts)
 
     points = property(lambda self: self._fill[0], doc="explicit points inside the squares")
     tags = property(lambda self: self._fill[1], doc="schedule index (1-based) per explicit point")
@@ -117,8 +122,7 @@ class Net:
     def max_cell_spacing(self) -> float:
         """Largest point spacing over all subdivision cells (>= 1 for the
         background)."""
-        return float(max([1.0] + [e.side / e.m / n.min()
-                                  for e, n in zip(self.plan.schedule, self.counts)]))
+        return float(self._cells.step.max(initial=1.0))
 
     def points_in_window(self, window: Rect) -> tuple[np.ndarray, np.ndarray]:
         """Explicit points plus lazily materialized background lattice
@@ -126,20 +130,89 @@ class Net:
         points carry tag 0.  Explicit points come in the order of
         `self.points`, enumerated from the cells the window meets."""
         _check_finite(window)
-        xs = np.arange(math.floor(window.x0), math.ceil(window.x1))
-        ys = np.arange(math.floor(window.y0), math.ceil(window.y1))
-        gx, gy = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
-        keep = _in_window(gx + 0.5, gy + 0.5, window)
-        # drop centers of integer squares contained in a scheduled square
-        for e in self.plan.schedule:
-            s = e.square
-            keep &= ~((gx >= s.x0) & (gx + 1 <= s.x1) & (gy >= s.y0) & (gy + 1 <= s.y1))
-        gx, gy = gx[keep], gy[keep]
+        gx, gy = _background_squares(self._cells, window)
         # the lattice centers go into the rows after the explicit points
-        pts, tags, k = _explicit_points(self.plan, self.counts, window, len(gx))
+        pts, tags, k = _explicit_points(self._cells, window, len(gx))
         end = k + len(gx)
         pts[k:end, 0], pts[k:end, 1], tags[k:end] = gx + 0.5, gy + 0.5, 0
         return pts[:end], tags[:end]
+
+
+class _Cells:
+    """The net's lattices as one table.  It has one row per subdivision cell,
+    square by square and cell (i, j) by cell with i the outer index, which is
+    the order of `Net.points`.  Row r is cell [x0, x1] x [y0, y1] of square
+    tag (1-based), its edges from `_cell_edges`, and holds n x n points
+    x0 + step * (a + 0.5), y0 + step * (b + 0.5), a, b in [0, n), with
+    step = cell / n for the square's cell width `cell`; lo holds (x0, y0)
+    and hi (x1, y1) per row.  Per square it keeps the square (also as a row
+    of `box`), its cell width, m and its first row."""
+
+    def __init__(self, plan: NetPlan, counts):
+        self.squares = [e.square for e in plan.schedule]
+        self.box = np.array([(s.x0, s.y0, s.x1, s.y1) for s in self.squares],
+                            dtype=float).reshape(-1, 4)
+        self.cell = np.array([e.side / e.m for e in plan.schedule])
+        self.m = np.array([e.m for e in plan.schedule], dtype=np.intp)
+        self.base = np.cumsum(self.m * self.m) - self.m * self.m
+        lo, hi = [np.empty((0, 2))], [np.empty((0, 2))]
+        for e in plan.schedule:
+            xs, ys = (np.array(v) for v in _cell_edges(e))
+            lo.append(np.column_stack([np.repeat(xs[:-1], e.m), np.tile(ys[:-1], e.m)]))
+            hi.append(np.column_stack([np.repeat(xs[1:], e.m), np.tile(ys[1:], e.m)]))
+        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
+        (self.x0, self.y0), (self.x1, self.y1) = self.lo.T, self.hi.T
+        self.tag = np.repeat(np.arange(1, len(self.m) + 1), self.m * self.m)
+        self.n = np.concatenate([np.empty(0, dtype=np.intp)]
+                                + [c.ravel() for c in counts]).astype(np.intp)
+        self.step = np.repeat(self.cell, self.m * self.m) / self.n
+        self._last = None
+
+    def meeting(self, x0: float, y0: float, x1: float, y1: float) -> np.ndarray:
+        """The rows whose closed cell meets [x0, x1] x [y0, y1]."""
+        return np.flatnonzero((self.x1 >= x0) & (self.x0 <= x1) & (self.y1 >= y0) & (self.y0 <= y1))
+
+    def spans(self, window: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(r, first, count, coords): the rows r whose cell meets the window,
+        and per row and axis the lattice coordinates in the window, as in
+        `_lattice_span`.  The table keeps the last window's."""
+        if self._last is None or self._last[0] != window:
+            r = self.meeting(window.x0, window.y0, window.x1, window.y1)
+            self._last = (window, r, *_lattice_span(np.array([window.x0, window.y0]),
+                                                    np.array([window.x1, window.y1]),
+                                                    self.lo[r], self.step[r], self.n[r]))
+        return self._last[1:]
+
+    def near_square(self, x: np.ndarray, y: np.ndarray, window: Rect) -> np.ndarray:
+        """Mask of the points (x, y) in the window nearer than 1 to a
+        scheduled square along both axes; for a background centre, one of
+        the unit squares touching the square."""
+        near = np.zeros(len(x), dtype=bool)
+        for s in self.squares:
+            if (s.x0 - 1 < window.x1 and s.x1 + 1 > window.x0
+                    and s.y0 - 1 < window.y1 and s.y1 + 1 > window.y0):
+                near |= (x > s.x0 - 1) & (x < s.x1 + 1) & (y > s.y0 - 1) & (y < s.y1 + 1)
+        return near
+
+    def off_lattice(self, x: np.ndarray, y: np.ndarray, tags: np.ndarray,
+                    window: Rect) -> np.ndarray:
+        """Mask of the net points (x, y) in the window, with tags `tags`,
+        whose nearest other point may lie off their own lattice: an explicit
+        point less than its spacing inside its cell (its lattice's outer
+        ring), or a background centre nearer than 1 to a scheduled square."""
+        out = self.near_square(x, y, window)
+        e = np.flatnonzero(tags)
+        if len(e):
+            q, xe, ye = tags[e] - 1, x[e], y[e]
+            last = self.m[q] - 1
+            i = np.clip(np.floor((xe - self.box[q, 0]) / self.cell[q]), 0, last).astype(np.intp)
+            j = np.clip(np.floor((ye - self.box[q, 1]) / self.cell[q]), 0, last).astype(np.intp)
+            r = self.base[q] + i * self.m[q] + j
+            h = self.step[r]
+            # a point placed in the wrong cell lies outside it: a negative margin
+            out[e] = ((xe - self.x0[r] < h) | (self.x1[r] - xe < h)
+                      | (ye - self.y0[r] < h) | (self.y1[r] - ye < h))
+        return out
 
 
 def _check_finite(window: Rect) -> None:
@@ -152,27 +225,29 @@ def _in_window(x: np.ndarray, y: np.ndarray, window: Rect) -> np.ndarray:
     return (x >= window.x0) & (x <= window.x1) & (y >= window.y0) & (y <= window.y1)
 
 
-def _near(net: Net, window: Rect) -> tuple[np.ndarray, _Grid]:
+def _near(net: Net, window: Rect) -> tuple[np.ndarray, np.ndarray, _Grid]:
     """The net points in the window inflated by 2s, s = net.max_cell_spacing,
-    and a bucket index over them.  They hold every window point's nearest net
-    point and every window net point's nearest neighbour: each point of the
-    plane is within s/sqrt(2) of the net (of a subdivision cell's grid
-    centers, or of the lattice center of a unit square no scheduled square
-    contains), and a Voronoi neighbour of a net point is within twice that,
-    so the index needs to reach only s/sqrt(2).  The net keeps the last
-    window's set, so check_separation and then check_covering on one window
-    gather and index it once."""
+    their tags, and a bucket index over them.  They hold every window
+    point's nearest net point and every window net point's nearest
+    neighbour: each point of the plane is within s/sqrt(2) of the net (of a
+    subdivision cell's grid centers, or of the lattice center of a unit
+    square no scheduled square contains), and a Voronoi neighbour of a net
+    point is within twice that, so the index needs to reach only s/sqrt(2).
+    The window checks build it only for the points and sample blocks they
+    cannot resolve on one lattice, and the net keeps the last window's set,
+    so check_separation and then check_covering on one window gather and
+    index it at most once."""
     _check_finite(window)
     last = vars(net).get("_near_last")
     if last is not None and last[0] == window:
-        return last[1], last[2]
+        return last[1:]
     r = 2.0 * net.max_cell_spacing
-    pts, _ = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
-                                       window.x1 + r, window.y1 + r))
+    pts, tags = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
+                                          window.x1 + r, window.y1 + r))
     grid = _Grid(pts, net.max_cell_spacing / math.sqrt(2))
     # a frozen dataclass: set the memo the way functools.cached_property does
-    vars(net)["_near_last"] = (window, pts, grid)
-    return pts, grid
+    vars(net)["_near_last"] = (window, pts, tags, grid)
+    return pts, tags, grid
 
 
 class _Grid:
@@ -266,47 +341,77 @@ def _cell_edges(e: ScheduleEntry) -> tuple[list[float], list[float]]:
     return (e.square.x0 + steps).tolist(), (e.square.y0 + steps).tolist()
 
 
-def _reach(lo: float, hi: float, origin: float, step: float, n: int) -> range:
-    """The a in [0, n) whose [origin + a step, origin + (a+1) step] may meet [lo, hi]."""
-    return range(max(0, math.floor((lo - origin) / step) - 1),
-                 min(n, math.floor((hi - origin) / step) + 2))
+def _runs(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, a): a from start[r] to start[r] + length[r] - 1 for each row r
+    in turn, each a with its row."""
+    row = np.repeat(np.arange(len(start)), length)
+    a = np.arange(len(row)) - np.repeat(np.cumsum(length) - length - start, length)
+    return row, a
 
 
-def _explicit_points(plan: NetPlan, counts, window: Rect,
+def _lattice_span(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, step: np.ndarray,
+                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row and axis, the lattice coordinates origin + step * (a + 0.5),
+    a in [0, n), that lie in [lo, hi] of that axis: (first such a, their
+    count, the coordinates), first and count as (rows, 2) arrays and the
+    coordinates of row 0's x, row 0's y, row 1's x and so on one after
+    another.  Only the a whose interval [origin + a step, origin + (a+1)
+    step] may meet [lo, hi] are made."""
+    h, m = step[:, None], n[:, None]
+    first = np.minimum(np.maximum(np.floor((lo - origin) / h) - 1, 0), m).astype(np.intp).ravel()
+    stop = np.minimum(np.maximum(np.floor((hi - origin) / h) + 2, 0), m).astype(np.intp).ravel()
+    # run 2 r + k is axis k of row r
+    row, a = _runs(first, np.maximum(stop - first, 0))
+    c = origin.ravel()[row] + step[row >> 1] * (a + 0.5)
+    axis = row & 1
+    below, keep = c < lo[axis], (c >= lo[axis]) & (c <= hi[axis])
+    return ((first + np.bincount(row[below], minlength=len(first))).reshape(-1, 2),
+            np.bincount(row[keep], minlength=len(first)).reshape(-1, 2), c[keep])
+
+
+def _explicit_points(cells: _Cells, window: Rect,
                      spare: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
     """(points, tags, k): the k explicit points in the closed window and their
     tags, in `Net.points` order, as the first k rows of arrays with at least
-    `spare` rows more for the caller to fill.  Cell T holds n x n centers
-    T.x0 + step * (a + 0.5), step = T.width / n; only the cells and indices
-    within one of the window's reach are made, each written in place."""
-    blocks = []
-    for idx, (e, n_arr) in enumerate(zip(plan.schedule, counts), start=1):
-        cell = e.side / e.m
-        cols = _reach(window.x0, window.x1, e.square.x0, cell, e.m)
-        rows = _reach(window.y0, window.y1, e.square.y0, cell, e.m)
-        if not (cols and rows):
-            continue
-        xs, ys = _cell_edges(e)
-        for i in cols:
-            for j in rows:
-                n = int(n_arr[i, j])
-                step = cell / n
-                tx0, ty0 = xs[i], ys[j]
-                a = _reach(window.x0, window.x1, tx0, step, n)
-                b = _reach(window.y0, window.y1, ty0, step, n)
-                if a and b:
-                    blocks.append((idx, tx0, ty0, step, a, b))
-    size = sum(len(a) * len(b) for *_, a, b in blocks) + spare
+    `spare` rows more for the caller to fill.  The window's points of a
+    lattice are the product of its x and y coordinates in the window, each
+    written in place as one block."""
+    r, _, count, coords = cells.spans(window)
+    la, lb = count.T
+    size = int(la @ lb) + spare
     points, tags = np.empty((size, 2)), np.empty(size, dtype=int)
-    k = 0
-    for idx, tx0, ty0, step, a, b in blocks:
-        gx = np.repeat(tx0 + step * (np.arange(a.start, a.stop) + 0.5), len(b))
-        gy = np.tile(ty0 + step * (np.arange(b.start, b.stop) + 0.5), len(a))
-        keep = _in_window(gx, gy, window)
-        end = k + int(np.count_nonzero(keep))
-        points[k:end, 0], points[k:end, 1], tags[k:end] = gx[keep], gy[keep], idx
-        k = end
+    k, c = 0, 0
+    for tag, na, nb in zip(cells.tag[r].tolist(), la.tolist(), lb.tolist()):
+        if na and nb:
+            end = k + na * nb
+            block = points[k:end].reshape(na, nb, 2)
+            block[:, :, 0] = coords[c:c + na, None]
+            block[:, :, 1] = coords[c + na:c + na + nb]
+            tags[k:end] = tag
+            k = end
+        c += na + nb
     return points, tags, k
+
+
+def _background_squares(cells: _Cells, window: Rect) -> tuple[np.ndarray, np.ndarray]:
+    """(gx, gy): the unit squares [gx, gx + 1] x [gy, gy + 1] whose centre
+    lies in the closed window and that no scheduled square contains, gx
+    the outer index.  Each square clears the unit squares it contains from
+    a mask over the window's, one slice per axis."""
+    (x0, x1), (y0, y1) = (_centres(window.x0, window.x1), _centres(window.y0, window.y1))
+    keep = np.ones((max(x1 - x0, 0), max(y1 - y0, 0)), dtype=bool)
+    for s in cells.squares:
+        # the g with s.x0 <= g and g + 1 <= s.x1, and the same in y
+        keep[max(math.ceil(s.x0) - x0, 0):max(math.floor(s.x1) - x0, 0),
+             max(math.ceil(s.y0) - y0, 0):max(math.floor(s.y1) - y0, 0)] = False
+    gx, gy = np.nonzero(keep)
+    return gx + x0, gy + y0
+
+
+def _centres(lo: float, hi: float) -> tuple[int, int]:
+    """The integers g in [g0, g1) whose g + 0.5 lies in [lo, hi]."""
+    g0, g1 = math.floor(lo), math.ceil(hi)
+    return g0 + (g0 + 0.5 < lo), g1 - (g1 - 0.5 > hi)
 
 
 def build_net(plan: NetPlan) -> Net:
@@ -342,18 +447,68 @@ def build_net(plan: NetPlan) -> Net:
 
 def check_separation(net: Net, window: Rect) -> float:
     """Exact minimum pairwise distance over pairs with at least one point
-    in the window, read from the candidate set of `_near`."""
-    pts, grid = _near(net, window)
-    inside = np.flatnonzero(_in_window(pts[:, 0], pts[:, 1], window))
-    if len(inside) < 2:
+    in the window.
+
+    A net point at least its spacing h inside its subdivision cell (its
+    lattice index a and b in [1, n - 1)) lies 1.5 h or more from the cell
+    edge, and every point of another lattice lies beyond that edge, so its
+    nearest other point is a neighbour on its own row or column.  So are
+    those of a background centre at least 1 from every scheduled square,
+    at exactly 1: the squares' points lie inside them.  A row shares one y
+    and a column one x, so the scan's distance sqrt(dx*dx + dy*dy) to such
+    a neighbour has one term exactly 0: the least over these points is the
+    least adjacent-coordinate gap, taken from the coordinates as
+    `_explicit_points` makes them, and equals the scan bit for bit.  Only
+    the other window points (each lattice's outer ring, and the background
+    centres touching a square) are scanned, over the candidate set of
+    `_near`, which is built only for them."""
+    _check_finite(window)
+    cells = net._cells
+    r, first, count, _ = cells.spans(window)
+    gx, gy = _background_squares(cells, window)
+    if int(count[:, 0] @ count[:, 1]) + len(gx) < 2:
         raise ValueError("window contains fewer than 2 points")
-    return float(grid.nearest_other(inside).min())
+    best = math.inf
+    # per lattice and axis, its window points a in [first, first + count),
+    # and those of them at least a spacing inside the cell, a in [a0, a1)
+    n = cells.n[r][:, None]
+    a0, a1 = np.maximum(first, 1), np.minimum(first + count, n - 1)
+    deep = (a0 < a1).all(axis=1)
+    if deep.any():
+        best = math.sqrt(_least_sq_gap(cells.lo[r[deep]], cells.step[r[deep]],
+                                       a0[deep], a1[deep]))
+    bg_off = cells.near_square(gx + 0.5, gy + 0.5, window)
+    if not bg_off.all():
+        best = min(best, 1.0)
+    ring = (count > 0).all(axis=1) & ((first == 0) | (first + count == n)).any(axis=1)
+    if ring.any() or bg_off.any():
+        pts, tags, grid = _near(net, window)
+        inside = np.flatnonzero(_in_window(pts[:, 0], pts[:, 1], window))
+        # in chunks, so the masks' temporaries stay bounded
+        off = np.concatenate([i[cells.off_lattice(pts[i, 0], pts[i, 1], tags[i], window)]
+                              for i in np.split(inside, range(_CHUNK, len(inside), _CHUNK))])
+        best = min(best, float(grid.nearest_other(off).min()))
+    return best
+
+
+def _least_sq_gap(origin: np.ndarray, step: np.ndarray, a0: np.ndarray,
+                  a1: np.ndarray) -> float:
+    """The least squared gap d * d, d = c[a + 1] - c[a], between adjacent
+    lattice coordinates c[a] = origin + step * (a + 0.5) with a or a + 1 in
+    [a0, a1), over the rows and both axes (origin, a0 and a1 per row and
+    axis)."""
+    row, a = _runs((a0 - 1).ravel(), (a1 - a0 + 2).ravel())
+    c = origin.ravel()[row] + step[row >> 1] * (a + 0.5)
+    d = (c[1:] - c[:-1])[row[1:] == row[:-1]]
+    return float((d * d).min())
 
 
 def check_covering(net: Net, window: Rect) -> float:
-    """Covering radius under-approximation: the maximum distance to the net
-    over the sample grid of step 1/64 on the window (additive error <=
-    sqrt(2)/128).  The value is exactly that grid maximum.
+    """The maximum distance to the net over the sample grid of step 1/64 on
+    the window, exactly that grid maximum.  It is at most sqrt(2)/128 below
+    the window's covering radius.  The grid's last column and row may lie
+    up to half a step past the window's right and top edges, so the value
+    can also exceed the window's own covering radius by that much.
 
     The samples form blocks of _BLOCK x _BLOCK.  A block whose nearest net
     points all lie on one lattice is resolved in closed form (see
@@ -362,12 +517,13 @@ def check_covering(net: Net, window: Rect) -> float:
     gaps, go through branch and bound in tiles of _TILE x _TILE blocks that
     share one running maximum: a block is bounded by its farthest corner
     from the net point nearest a sample of it, so only a few per cent of
-    their samples are queried."""
-    pts, grid = _near(net, window)
+    their samples are queried.  The candidate set of `_near` is built only
+    when a tile has such a block."""
+    _check_finite(window)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
-    lat = _Lattices(net, window, xs, ys)
+    lat = _Lattices(net, xs, ys)
     worst = lat.cell_max
     for c0 in range(0, lat.cols.n, _TILE):
         for r0 in range(0, lat.rows.n, _TILE):
@@ -377,9 +533,11 @@ def check_covering(net: Net, window: Rect) -> float:
             # the other blocks as half-open sample index ranges [i0, i1) x [j0, j1);
             # 32-bit indices halve the arrays, one block per _BLOCK^2 samples
             bc, br = np.nonzero(~done)
-            i0 = ((bc + c0) * _BLOCK).astype(np.int32)
-            j0 = ((br + r0) * _BLOCK).astype(np.int32)
-            worst = _branch_and_bound(grid, pts, xs, ys, i0, j0, worst)
+            if len(bc):
+                pts, _, grid = _near(net, window)
+                i0 = ((bc + c0) * _BLOCK).astype(np.int32)
+                j0 = ((br + r0) * _BLOCK).astype(np.int32)
+                worst = _branch_and_bound(grid, pts, xs, ys, i0, j0, worst)
     return worst
 
 
@@ -416,24 +574,13 @@ class _Axis:
         self.lo = s[::_BLOCK]
         self.hi = s[np.minimum(np.arange(1, self.n + 1) * _BLOCK, len(s)) - 1]
 
-    def meeting(self, a: float, b: float) -> range:
-        """The blocks whose span meets [a, b]."""
-        return range(int(np.searchsorted(self.hi, a, "left")),
-                     int(np.searchsorted(self.lo, b, "right")))
+    def meeting(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks [start, stop) whose span meets [a, b], per pair a, b."""
+        return np.searchsorted(self.hi, a, "left"), np.searchsorted(self.lo, b, "right")
 
-    def within(self, a: float, b: float) -> range:
-        """The blocks whose span lies in [a, b]."""
-        return range(int(np.searchsorted(self.lo, a, "left")),
-                     int(np.searchsorted(self.hi, b, "right")))
-
-    def cells(self, blocks: range, edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        """For blocks inside a square whose cells are cut at `edges`: each
-        block's cell index, and its least distance to that cell's edges
-        (negative when it crosses one)."""
-        lo, hi = self.lo[blocks.start:blocks.stop], self.hi[blocks.start:blocks.stop]
-        e = np.asarray(edges)
-        i = np.clip(np.floor((lo - e[0]) / (e[1] - e[0])), 0, len(e) - 2).astype(np.intp)
-        return i, np.minimum(lo - e[i], e[i + 1] - hi)
+    def within(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks [start, stop) whose span lies in [a, b], per pair a, b."""
+        return np.searchsorted(self.lo, a, "left"), np.searchsorted(self.hi, b, "right")
 
 
 def _sq_gaps(s: np.ndarray, origin: float, step: float, n: int | None) -> np.ndarray:
@@ -441,23 +588,22 @@ def _sq_gaps(s: np.ndarray, origin: float, step: float, n: int | None) -> np.nda
     origin + step * (a + 0.5), a in [0, n) (any integer a for n None), the
     coordinate made as _explicit_points makes it and the gap as
     _Grid._scan does."""
-    a = np.floor((s - origin) / step - 0.5)
-    gap = np.full(len(s), np.inf)
+    a = s - origin
+    a /= step
+    a -= 0.5
+    np.floor(a, out=a)
     # the nearest is a or a + 1: a is off by one only next to an integer,
-    # and then that integer is the nearest
-    for k in (0.0, 1.0):
-        c = a + k if n is None else np.clip(a + k, 0, n - 1)
-        d = origin + step * (c + 0.5) - s
-        np.minimum(gap, d * d, out=gap)
-    return gap
-
-
-def _overlap(r: range, tile: slice) -> tuple[slice, slice] | None:
-    """The blocks of r in the tile, as a slice of the tile and one of r."""
-    lo, hi = max(r.start, tile.start), min(r.stop, tile.stop)
-    if lo >= hi:
-        return None
-    return slice(lo - tile.start, hi - tile.start), slice(lo - r.start, hi - r.start)
+    # and then that integer is the nearest; each becomes its squared gap
+    b = a + 1.0
+    for c in (a, b):
+        if n is not None:
+            np.minimum(np.maximum(c, 0, out=c), n - 1, out=c)
+        c += 0.5
+        c *= step
+        c += origin
+        c -= s
+        c *= c
+    return np.minimum(a, b, out=a)
 
 
 class _Lattices:
@@ -474,39 +620,36 @@ class _Lattices:
     and its maximum over a rectangle of samples is where each per-axis least
     term, DX and DY, is largest.  Rounding of -, *, + and sqrt is monotone,
     so sqrt(max DX + max DY) equals the grid scan's maximum over the
-    rectangle bit for bit."""
+    rectangle bit for bit.  The cells and their depths come from the net's
+    lattice table, `Net._cells`."""
 
-    def __init__(self, net: Net, window: Rect, xs: np.ndarray, ys: np.ndarray):
+    def __init__(self, net: Net, xs: np.ndarray, ys: np.ndarray):
         self.cols, self.rows = _Axis(xs), _Axis(ys)
-        scale = max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1))
+        cells = net._cells
+        scale = max(abs(float(v)) for v in (xs[0], ys[0], xs[-1], ys[-1]))
         slack = 16.0 * math.ulp(scale + 2.0 * net.max_cell_spacing)
         far = (1.0 + 1e-9) / math.sqrt(2.0) + slack
-        # per square, the blocks nearer than `far` to it; per square met,
-        # the blocks inside it with their cells and margins, and the depth
-        # each cell needs
-        self.near, self.inside = [], []
+        # per square, the blocks [c0, c1) x [r0, r1) nearer than `far` to it
+        c0, c1 = self.cols.meeting(cells.box[:, 0] - far, cells.box[:, 2] + far)
+        r0, r1 = self.rows.meeting(cells.box[:, 1] - far, cells.box[:, 3] + far)
+        self.near = [(a, b, c, d) for a, b, c, d in zip(c0.tolist(), c1.tolist(),
+                                                         r0.tolist(), r1.tolist())
+                     if a < b and c < d]
+        # per cell the samples meet, the blocks [a0, a1) x [b0, b1) at least
+        # its depth inside it
+        r = cells.meeting(xs[0], ys[0], xs[-1], ys[-1])
+        depth = cells.step[r] / math.sqrt(2.0) * (1.0 + 1e-9) + slack
+        a0, a1 = self.cols.within(cells.x0[r] + depth, cells.x1[r] - depth)
+        b0, b1 = self.rows.within(cells.y0[r] + depth, cells.y1[r] - depth)
+        keep = (a0 < a1) & (b0 < b1)
+        self.blocks = a0[keep], a1[keep], b0[keep], b1[keep]
         self.cell_max = 0.0   # the grid's maximum over the blocks inside cells
-        for e, n_arr in zip(net.plan.schedule, net.counts):
-            s = e.square
-            self.near.append((self.cols.meeting(s.x0 - far, s.x1 + far),
-                              self.rows.meeting(s.y0 - far, s.y1 + far)))
-            cols, rows = self.cols.within(s.x0, s.x1), self.rows.within(s.y0, s.y1)
-            if not (cols and rows):
-                continue
-            cell = e.side / e.m
-            depth = cell / n_arr / math.sqrt(2.0) * (1.0 + 1e-9) + slack
-            ex, ey = _cell_edges(e)
-            (ci, mx), (cj, my) = self.cols.cells(cols, ex), self.rows.cells(rows, ey)
-            self.inside.append((cols, ci, mx, rows, cj, my, depth))
-            for i in np.unique(ci).tolist():
-                for j in np.unique(cj).tolist():
-                    a = cols.start + np.flatnonzero((ci == i) & (mx >= depth[i, j]))
-                    b = rows.start + np.flatnonzero((cj == j) & (my >= depth[i, j]))
-                    if len(a) and len(b):
-                        n = int(n_arr[i, j])
-                        dx = _sq_gaps(xs[a[0] * _BLOCK:(a[-1] + 1) * _BLOCK], ex[i], cell / n, n)
-                        dy = _sq_gaps(ys[b[0] * _BLOCK:(b[-1] + 1) * _BLOCK], ey[j], cell / n, n)
-                        self.cell_max = max(self.cell_max, float(np.sqrt(dx.max() + dy.max())))
+        for a0, a1, b0, b1, ox, oy, h, n in zip(
+                *(v.tolist() for v in self.blocks),
+                *(v[r[keep]].tolist() for v in (cells.x0, cells.y0, cells.step, cells.n))):
+            dx = _sq_gaps(xs[a0 * _BLOCK:a1 * _BLOCK], ox, h, n)
+            dy = _sq_gaps(ys[b0 * _BLOCK:b1 * _BLOCK], oy, h, n)
+            self.cell_max = max(self.cell_max, float(np.sqrt(dx.max() + dy.max())))
 
     @functools.cached_property
     def _background(self) -> tuple[np.ndarray, np.ndarray]:
@@ -520,19 +663,17 @@ class _Lattices:
         here, and the grid's maximum over those on the background (0 if
         none)."""
         done = np.ones((tc.stop - tc.start, tr.stop - tr.start), dtype=bool)
-        for cols, rows in self.near:
-            a, b = _overlap(cols, tc), _overlap(rows, tr)
-            if a and b:
-                done[a[0], b[0]] = False
+        for c0, c1, r0, r1 in self.near:
+            done[max(c0 - tc.start, 0):max(c1 - tc.start, 0),
+                 max(r0 - tr.start, 0):max(r1 - tr.start, 0)] = False
         value = 0.0
         if done.any():
             bx, by = self._background
             value = float(np.sqrt((bx[tc, None] + by[None, tr])[done].max()))
-        for cols, ci, mx, rows, cj, my, depth in self.inside:
-            a, b = _overlap(cols, tc), _overlap(rows, tr)
-            if a and b:
-                need = depth[ci[a[1], None], cj[None, b[1]]]
-                done[a[0], b[0]] |= (mx[a[1], None] >= need) & (my[None, b[1]] >= need)
+        a0, a1, b0, b1 = self.blocks
+        hit = np.flatnonzero((a0 < tc.stop) & (a1 > tc.start) & (b0 < tr.stop) & (b1 > tr.start))
+        for c0, c1, r0, r1 in zip(*(v[hit].tolist() for v in self.blocks)):
+            done[max(c0 - tc.start, 0):c1 - tc.start, max(r0 - tr.start, 0):r1 - tr.start] = True
         return done, value
 
 

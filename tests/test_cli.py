@@ -706,6 +706,18 @@ class TestGoldenOutputs:
                          "--window", window]) == 0
             assert self.sha(capsys.readouterr().out.encode()) == digest
 
+    # check-net on the default window of the K=4 net of the depth-2 limit
+    # density: every square, gap and the background around them (the digest
+    # of 22a8eb4 and of the commits before it)
+    def test_check_net_k4_on_limit_density(self, tmp_path, capsys):
+        limit = tmp_path / "limit.json"
+        assert main(["gen-density", "limit", "--c", "1", "--depth", "2",
+                     "--out", str(limit)]) == 0
+        capsys.readouterr()
+        assert main(["check-net", "--density", str(limit), "--K", "4"]) == 0
+        assert self.sha(capsys.readouterr().out.encode()) == (
+            "9db0192eabb2e4b1d20075f5155f3600e3e675cb1b52b5c2f54e087325d40280")
+
     # distortion-lab pins, recorded at 44b5a96 (before the incremental
     # search step and the batched distortion enumeration); point sets are
     # exact rationals so every platform writes the same CSV

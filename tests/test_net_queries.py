@@ -1,15 +1,20 @@
 """The net's window queries against their exhaustive oracles.
 
 check_covering prunes the 1/64 sample grid by branch and bound, and
-Net.points_in_window enumerates explicit points from the counts of the
-cells the window meets.  Both must return exactly what the full scans
-below return.  The exact covering radius, from the Voronoi diagram of the
-net near the window, brackets check_covering from both sides.  The former
+Net.points_in_window enumerates explicit points from the net's lattice
+table, the cells the window meets and the coordinates of each in the
+window.  Both must return exactly what the full scans below return.  The
+exact covering radius, from the Voronoi diagram of the net near the
+window, brackets check_covering from both sides.  The former
 branch-and-bound loop, which bounded a block by its centre's distance plus
 the block's radius, is kept below as an oracle for the farthest-corner
 bound, and the former explicit-point enumerator, which stacked one array
-per cell, as an oracle for the in-place fill.  scipy's cKDTree is the
-oracle for the bucket index both window checks query."""
+per cell found cell by cell, as an oracle for the in-place fill.
+check_separation resolves the points at least a spacing inside their
+lattice in closed form and scans only the others; the former full scan of
+every window point over the candidate set is kept as its oracle, and must
+agree exactly on windows at cell seams, square edges and gaps.  scipy's
+cKDTree is the oracle for the bucket index both window checks query."""
 
 import contextlib
 import dataclasses
@@ -82,12 +87,24 @@ def covering_by_full_sweep(net, window):
     return worst
 
 
+def separation_by_full_scan(net, window):
+    """check_separation as it was before the closed form: every window
+    point's nearest other point, scanned over the candidate set of `_near`
+    on a fresh copy of the net."""
+    pts, _, grid = netbuild._near(fresh(net), window)
+    inside = np.flatnonzero((pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
+                            & (pts[:, 1] >= window.y0) & (pts[:, 1] <= window.y1))
+    if len(inside) < 2:
+        raise ValueError("window contains fewer than 2 points")
+    return float(grid.nearest_other(inside).min())
+
+
 def covering_by_centre_bound(net, window):
     """(value, samples queried) of check_covering's former loop over the same
     candidate set: a block is kept while d + r, d its centre sample's
     distance to the net and r its farthest sample from that centre, times
     1 + _SLACK reaches the largest distance seen so far."""
-    pts, _ = netbuild._near(net, window)
+    pts, _, _ = netbuild._near(net, window)
     tree = cKDTree(pts)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
@@ -238,19 +255,26 @@ def points_by_full_scan(net, window):
     return np.vstack(pts), np.concatenate(tags)
 
 
+def reach(lo, hi, origin, step, n):
+    """The a in [0, n) whose [origin + a step, origin + (a+1) step] may meet [lo, hi]."""
+    return range(max(0, math.floor((lo - origin) / step) - 1),
+                 min(n, math.floor((hi - origin) / step) + 2))
+
+
 def explicit_points_by_stacking(plan, counts, window):
-    """netbuild._explicit_points as it was before the in-place fill: one
-    array pair per cell the window reaches, stacked at the end."""
+    """netbuild._explicit_points as it was before the in-place fill and the
+    lattice table: one array pair per cell the window reaches, found cell by
+    cell, stacked at the end."""
     points, tags = [np.zeros((0, 2))], [np.zeros(0, dtype=int)]
     for idx, (e, n_arr) in enumerate(zip(plan.schedule, counts), start=1):
         cell = e.side / e.m
-        for i in netbuild._reach(window.x0, window.x1, e.square.x0, cell, e.m):
-            for j in netbuild._reach(window.y0, window.y1, e.square.y0, cell, e.m):
+        for i in reach(window.x0, window.x1, e.square.x0, cell, e.m):
+            for j in reach(window.y0, window.y1, e.square.y0, cell, e.m):
                 n = int(n_arr[i, j])
                 step = cell / n
                 tx0, ty0 = e.square.x0 + i * cell, e.square.y0 + j * cell
-                a = netbuild._reach(window.x0, window.x1, tx0, step, n)
-                b = netbuild._reach(window.y0, window.y1, ty0, step, n)
+                a = reach(window.x0, window.x1, tx0, step, n)
+                b = reach(window.y0, window.y1, ty0, step, n)
                 if a and b:
                     gx = np.repeat(tx0 + step * (np.arange(a.start, a.stop) + 0.5), len(b))
                     gy = np.tile(ty0 + step * (np.arange(b.start, b.stop) + 0.5), len(a))
@@ -477,6 +501,103 @@ class TestClosedForm:
             assert got == check_covering(n, window)
 
 
+class TestClosedFormSeparation:
+    """check_separation resolves the window points at least a spacing inside
+    their lattice without a scan; the values stay the full scan's."""
+
+    @staticmethod
+    def check(n, window):
+        try:
+            want = separation_by_full_scan(n, window)
+        except ValueError:
+            with pytest.raises(ValueError, match="fewer than 2 points"):
+                check_separation(fresh(n), window)
+            return
+        assert check_separation(fresh(n), window) == want
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_windows_at_seams_equal_full_scan(self, name, data):
+        n = SEAM_NETS[name]()
+        self.check(n, data.draw(seam_windows(n)))
+
+    @pytest.mark.parametrize("name", list(PLANS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_windows_equal_full_scan(self, name, data):
+        self.check(net(name), data.draw(windows(name)))
+
+    @pytest.mark.parametrize("name", ["two-tone-K2", "two-tone-K3", "constant-4-K1"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_edges_on_cell_boundaries_and_grid_lines(self, name, data):
+        self.check(net(name), data.draw(edge_windows(name)))
+
+    @pytest.mark.parametrize("window", [
+        Rect(4.9, 8.0, 4.95, 10.0),     # left of square 2, within 1
+        Rect(6.0, 4.4, 8.0, 4.95),      # below square 2
+        Rect(4.0, 4.0, 5.5, 5.5),       # the gap, by square 2's corner
+        Rect(3.5, 5.5, 6.5, 6.5),       # over square 2's left edge
+    ])
+    def test_windows_beside_a_square_edge_equal_full_scan(self, window):
+        # the square's half-spaced points are nearer than the background's
+        self.check(SEAM_NETS["dense-two-tone-K3"](), window)
+
+    @pytest.mark.parametrize("n, window", [
+        (lambda: net("two-tone-K3"), Rect(90.0, 90.0, 100.0, 100.0)),   # a 32-wide cell
+        (limit_net, Rect(350.0, 352.0, 360.5, 359.0)),                  # a 64-wide cell
+        (lambda: net("two-tone-K3"), Rect(-40.0, -30.0, -20.0, -10.0)),  # background
+        (lambda: net("two-tone-K3"), Rect(20.0, 0.5, 27.0, 9.5)),       # beside squares 1, 2
+        (lambda: net("lattice"), Rect(-3.3, 0.1, 5.2, 7.7)),
+    ], ids=["cell", "limit-cell", "background", "between-squares", "lattice"])
+    def test_windows_inside_one_lattice_build_no_grid(self, n, window):
+        with counting_grids() as grids:
+            fresh_net = fresh(n())
+            sep = check_separation(fresh_net, window)
+            cov = check_covering(fresh_net, window)
+        assert grids.built == 0
+        assert "_near_last" not in vars(fresh_net)
+        assert sep == separation_by_full_scan(n(), window)
+        assert cov == covering_by_full_sweep(n(), window)
+
+    def test_a_large_lattice_window_scans_no_point(self):
+        # 128 x 256 centres, each with its nearest other point 1 away
+        with counting_grids() as grids:
+            assert check_separation(fresh(net("lattice")), Rect(0.0, 0.0, 128.0, 256.0)) == 1.0
+        assert grids.built == 0
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    def test_off_lattice_marks_each_lattice_outer_ring(self, name):
+        # Net.points holds each cell's n x n points in one run, a-major
+        n = SEAM_NETS[name]()
+        cells = n._cells
+        want = np.concatenate([np.zeros(0, dtype=bool)] + [
+            np.pad(np.zeros((k - 2, k - 2), dtype=bool), 1, constant_values=True).ravel()
+            for k in cells.n.tolist()])
+        box = Rect(-1.0, -1.0, 1.0 + max((e.square.x1 for e in n.plan.schedule), default=0),
+                   1.0 + max((e.square.y1 for e in n.plan.schedule), default=0))
+        got = cells.off_lattice(n.points[:, 0], n.points[:, 1], n.tags, box)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    def test_off_lattice_marks_background_centres_nearer_than_1_to_a_square(self, name):
+        n = SEAM_NETS[name]()
+        hi = 2.0 + max((e.square.x1 for e in n.plan.schedule), default=8.0)
+        window = Rect(-2.0, -2.0, hi, hi)
+        pts, tags = n.points_in_window(window)
+        bg = pts[tags == 0]
+        want = np.zeros(len(bg), dtype=bool)
+        for e in n.plan.schedule:
+            s = e.square
+            dx = np.maximum(np.maximum(s.x0 - bg[:, 0], bg[:, 0] - s.x1), 0.0)
+            dy = np.maximum(np.maximum(s.y0 - bg[:, 1], bg[:, 1] - s.y1), 0.0)
+            want |= np.hypot(dx, dy) < 1.0
+        got = n._cells.off_lattice(bg[:, 0], bg[:, 1], np.zeros(len(bg), dtype=int), window)
+        assert np.array_equal(n._cells.near_square(bg[:, 0], bg[:, 1], window), got)
+        assert np.array_equal(got, want)
+
+
 class TestSharedCandidates:
     def test_both_checks_build_one_tree(self):
         n = fresh(net("two-tone-K3"))
@@ -509,7 +630,7 @@ class TestQueryChunks:
         n = net("two-tone-K3")
         want = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
                 for w in self.WINDOWS]
-        pts, grid = netbuild._near(fresh(n), self.WINDOWS[0])
+        pts, _, grid = netbuild._near(fresh(n), self.WINDOWS[0])
         every = np.arange(len(pts))
         want_nearest = grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125)
         want_other = grid.nearest_other(every)
@@ -525,7 +646,7 @@ class TestQueryChunks:
         # the unit lattice holds 128 x 256 centres in this window: many chunks
         n = fresh(net("lattice"))
         with counting_grids() as grids:
-            assert check_separation(n, Rect(0.0, 0.0, 128.0, 256.0)) == 1.0
+            assert separation_by_full_scan(n, Rect(0.0, 0.0, 128.0, 256.0)) == 1.0
         assert grids.batches == [128 * 256]
         assert 128 * 256 > 4 * netbuild._CHUNK
 
@@ -732,7 +853,7 @@ class TestInPlaceFill:
         window = data.draw(st.one_of(kinds))
         spare = data.draw(st.integers(0, 5))
         n = net(name)
-        pts, tags, k = netbuild._explicit_points(n.plan, n.counts, window, spare)
+        pts, tags, k = netbuild._explicit_points(n._cells, window, spare)
         assert len(pts) == len(tags) >= k + spare
         assert_same_arrays((pts[:k], tags[:k]),
                            explicit_points_by_stacking(n.plan, n.counts, window))
@@ -743,7 +864,7 @@ class TestInPlaceFill:
     def test_windows_that_meet_no_cell(self, name, data):
         n = net(name)
         window = data.draw(cell_free_windows(name))
-        _, _, k = netbuild._explicit_points(n.plan, n.counts, window)
+        _, _, k = netbuild._explicit_points(n._cells, window)
         assert k == 0
         assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
 
