@@ -94,40 +94,28 @@ class PLMetrics:
     cell_image_areas: np.ndarray  # (ny, nx) signed image areas
 
 
-def _cell_rows(a00, a10, a01, a11, dx: float, dy: float):
-    """One row of the affine differentials of a cell's two triangles, from
-    one image coordinate at the cell's corners q00, q10, q01, q11:
-    (lower d/dx, lower d/dy, upper d/dx, upper d/dy).  Elementwise, so it
-    takes arrays (every cell at once) or floats (one cell)."""
-    e1, e2, e3 = a10 - a00, a11 - a00, a01 - a00
-    # lower (q00, q10, q11): ref edges (dx,0), (dx,dy)
-    # upper (q00, q11, q01): ref edges (dx,dy), (0,dy)
-    return e1 / dx, (e2 - e1) / dy, (e2 - e3) / dx, e3 / dy
-
-
-def _det_smax(d00, d01, d10, d11, sqrt=np.sqrt, maximum=np.maximum):
-    """Determinant and largest singular value of the differential
-    [[d00, d01], [d10, d11]], in closed form.  Elementwise on arrays, or
-    on floats with sqrt=math.sqrt and maximum=max."""
-    det = d00 * d11 - d01 * d10
-    frob2 = d00 * d00 + d01 * d01 + d10 * d10 + d11 * d11
-    disc = sqrt(maximum(frob2 * frob2 - 4.0 * (det * det), 0.0))
-    return det, sqrt((frob2 + disc) / 2.0)
-
-
 def _jacobians(m: PLMap) -> tuple[np.ndarray, np.ndarray]:
-    """Determinant and largest singular value of every triangle's
-    differential, in triangles() order."""
+    """Determinant and largest singular value (closed form) of every
+    triangle's differential, in triangles() order.  `search._Descent`
+    repeats these float operations, in this order, for one vertex's
+    triangles."""
     V = m.vertices.reshape(m.ny + 1, m.nx + 1, 2)
     dx = m.domain.width / m.nx
     dy = m.domain.height / m.ny
-    # (cell j, cell i, lower/upper, d/dx or d/dy, image coordinate); the
-    # corner views carry both coordinates, so one _cell_rows call fills D
+    q00, q10, q01, q11 = V[:-1, :-1], V[:-1, 1:], V[1:, :-1], V[1:, 1:]
+    e1, e2, e3 = q10 - q00, q11 - q00, q01 - q00
+    # (cell j, cell i, lower/upper, d/dx or d/dy, image coordinate)
     D = np.empty((m.ny, m.nx, 2, 2, 2))
-    D[:, :, 0, 0], D[:, :, 0, 1], D[:, :, 1, 0], D[:, :, 1, 1] = _cell_rows(
-        V[:-1, :-1], V[:-1, 1:], V[1:, :-1], V[1:, 1:], dx, dy)
-    dets, smax = _det_smax(D[..., 0, 0], D[..., 1, 0], D[..., 0, 1], D[..., 1, 1])
-    return dets.ravel(), smax.ravel()
+    # lower (q00, q10, q11): ref edges (dx,0), (dx,dy)
+    # upper (q00, q11, q01): ref edges (dx,dy), (0,dy)
+    D[:, :, 0, 0], D[:, :, 0, 1] = e1 / dx, (e2 - e1) / dy
+    D[:, :, 1, 0], D[:, :, 1, 1] = (e2 - e3) / dx, e3 / dy
+    # the differential [[d00, d01], [d10, d11]]
+    d00, d01, d10, d11 = D[..., 0, 0], D[..., 1, 0], D[..., 0, 1], D[..., 1, 1]
+    det = d00 * d11 - d01 * d10
+    frob2 = d00 * d00 + d01 * d01 + d10 * d10 + d11 * d11
+    disc = np.sqrt(np.maximum(frob2 * frob2 - 4.0 * (det * det), 0.0))
+    return det.ravel(), np.sqrt((frob2 + disc) / 2.0).ravel()
 
 
 def _centroid_densities(field: DensityField, nx: int, ny: int) -> np.ndarray:

@@ -9,7 +9,7 @@ checkerboard must stretch some marked pair.
 
 from __future__ import annotations
 
-import math
+from math import hypot, sqrt
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .certificate import CertificateConstants, StretchReport, evaluate_stretch, marked_grid
 from .density import DensityField
 from .geometry import Rect
-from .plmap import PLMap, _cell_rows, _centroid_densities, _det_smax, _jacobians, pl_metrics
+from .plmap import PLMap, _centroid_densities, _jacobians, pl_metrics
 
 JAC_PENALTY = 1.0e3
 
@@ -32,94 +32,202 @@ class SearchResult:
     mismatch_area: float
 
 
+_U = 2.0 ** -53                 # unit roundoff of a float
+# math.hypot and np.hypot are each within one ulp (2u) of the exact
+# length, so np.hypot >= math.hypot * (1 - 4u); a product with this
+# factor, rounded, stays below math.hypot * (1 - 7u)
+_HYPOT_LO = 1.0 - 8 * _U
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error bound of k
+    roundings in a row."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _vertex_table(nx: int, ny: int) -> list:
+    """For each vertex of the nx x ny grid, in vertex order: its triangles,
+    as (triangle, q00, q11, third corner, lower) with the third corner q10
+    of a lower triangle (q00, q10, q11) or q01 of an upper one (q00, q11,
+    q01), and its marked pairs, as (pair, left vertex)."""
+    nx1 = nx + 1
+    table = []
+    for j in range(ny + 1):
+        for i in range(nx1):
+            tris = []
+            # cells with corner v, and whether their lower and upper
+            # triangles hold v
+            for ci, cj, lower, upper in ((i - 1, j - 1, True, True), (i, j - 1, False, True),
+                                         (i - 1, j, True, False), (i, j, True, True)):
+                if 0 <= ci < nx and 0 <= cj < ny:
+                    a = cj * nx1 + ci
+                    t = 2 * (cj * nx + ci)
+                    if lower:
+                        tris.append((t, a, a + nx1 + 1, a + 1, True))
+                    if upper:
+                        tris.append((t + 1, a, a + nx1 + 1, a + nx1, False))
+            pairs = tuple((j * nx + e, j * nx1 + e) for e in (i - 1, i) if 0 <= e < nx)
+            table.append((tuple(tris), pairs))
+    return table
+
+
 class _Descent:
     """The accepted map of the search, kept per triangle (det, largest
     singular value, penalty term |det - rho| * tri_area) and per marked
     pair (stretch ratio; the marked pairs are the horizontal edges of the
-    vertex grid).  A one-vertex move recomputes only the at most six
-    triangles and two ratios that touch the vertex, in float arithmetic
-    with the same IEEE operations as `_jacobians`; the max and the sum
-    still run over the full arrays, so every objective is bitwise the one
-    a full recomputation gives."""
+    vertex grid), with `psum` and `rmax` the floats `pen.sum()` and
+    `ratios.max()` returned and `nmax` the number of pairs at `rmax`.
+
+    A one-vertex move recomputes only the at most six triangles and two
+    pairs that touch the vertex (`_vertex_table`), in float arithmetic
+    with the IEEE operations of `plmap._jacobians`, and is rejected when a
+    triangle fails the orientation or Lipschitz check.  From a finite
+    objective the move is then screened, and rejected when
+
+        lb = r + JAC_PENALTY * ((psum + d) - g * (psum + w)) >= obj,
+
+    where d and w are the float sums of new - old and new + old over the
+    changed penalty terms, g = gamma_{2n+16} for n triangles, and r is the
+    largest of the changed pairs' math.hypot(...) * _HYPOT_LO / dx and, if
+    a pair the move keeps is at `rmax`, `rmax`.  r is at most the new
+    ratio maximum.  The terms are >= 0, so `pen.sum()` over the n old or
+    the n new terms, added in any order, is within gamma_{n-1} of their
+    exact sum, relative (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 4.4).  To first order in u, relative to psum + w, the
+    two full sums give 2(n - 1) u, the changed terms' six differences and
+    five additions 6u, and the roundings of psum + d and of the final
+    subtraction u each: 2n + 6 in all.  The roundings of w, psum + w and
+    g * (psum + w) only shrink the margin by a relative 3u, and the
+    remaining 10 of the 2n + 16 cover those and every second-order term,
+    far beyond the desk limit of n = 2048 triangles.  Rounding is
+    monotone, so lb, evaluated with the objective's own operations, is at
+    most the objective.  A move that passes the screen, and every move
+    from a +inf objective, takes the exact path (`_exact`).  Every
+    objective is therefore bitwise the one a full recomputation gives."""
 
     def __init__(self, m: PLMap, rho: np.ndarray, L: float):
         """m: the start; rho: the density at every triangle centroid; L:
         the Lipschitz cap.  A marked pair's ratio is its image length over
         the grid step dx."""
-        self.nx, self.ny, self.rho, self.L = m.nx, m.ny, rho.tolist(), L
+        self.rho, self.L = rho.tolist(), L
         self.dx = m.domain.width / m.nx
         self.dy = m.domain.height / m.ny
         self.tri_area = self.dx * self.dy / 2.0
         self.xs, self.ys = m.vertices[:, 0].tolist(), m.vertices[:, 1].tolist()
+        self.table = _vertex_table(m.nx, m.ny)
         self.dets, self.smax = _jacobians(m)
         self.pen = np.abs(self.dets - rho) * self.tri_area
         V = m.vertices.reshape(m.ny + 1, m.nx + 1, 2)
         diffs = V[:, 1:] - V[:, :-1]
         self.ratios = (np.hypot(diffs[..., 0], diffs[..., 1]) / self.dx).ravel()
+        # Python floats mirroring pen and ratios, read by the screen
+        self.penl, self.ratiosl = self.pen.tolist(), self.ratios.tolist()
+        self.psum, self.rmax = float(self.pen.sum()), float(self.ratios.max())
+        self.nmax = int(np.count_nonzero(self.ratios == self.rmax))
+        self.margin = _gamma(2 * len(self.pen) + 16)
         # +inf when the Lipschitz cap or orientation is violated
         if np.any(self.dets <= 0) or self.smax.max() > L:
             self.obj = np.inf
         else:
-            self.obj = float(self.ratios.max()) + JAC_PENALTY * float(self.pen.sum())
+            self.obj = self.rmax + JAC_PENALTY * self.psum
 
     def vertices(self) -> np.ndarray:
         return np.column_stack([self.xs, self.ys])
 
     def move(self, v: int, px: float, py: float) -> bool:
         """Move vertex v to (px, py) if that strictly lowers the objective."""
-        xs, ys = self.xs, self.ys
+        xs, ys, dx, dy, L = self.xs, self.ys, self.dx, self.dy, self.L
+        rho, penl, ta = self.rho, self.penl, self.tri_area
+        tris, pairs = self.table[v]
         old = xs[v], ys[v]
         xs[v], ys[v] = px, py
-        if self._lowers_objective(v):
+        new = []     # (triangle, det, smax, penalty term)
+        d = w = 0.0  # float sums of new - old and new + old penalty terms
+        for t, a, b, c, lower in tris:
+            x00, y00 = xs[a], ys[a]
+            e2x, e2y = xs[b] - x00, ys[b] - y00
+            ex, ey = xs[c] - x00, ys[c] - y00
+            if lower:   # (ex, ey) = q10 - q00
+                d00, d01, d10, d11 = ex / dx, (e2x - ex) / dy, ey / dx, (e2y - ey) / dy
+            else:       # (ex, ey) = q01 - q00
+                d00, d01, d10, d11 = (e2x - ex) / dx, ex / dy, (e2y - ey) / dx, ey / dy
+            det = d00 * d11 - d01 * d10
+            frob2 = d00 * d00 + d01 * d01 + d10 * d10 + d11 * d11
+            disc = frob2 * frob2 - 4.0 * (det * det)
+            s = sqrt((frob2 + sqrt(0.0 if disc < 0.0 else disc)) / 2.0)
+            # every other triangle keeps its det > 0 from the accepted
+            # state, and its smax <= L unless the objective is +inf (a
+            # start above the cap)
+            if det <= 0 or s > L:
+                xs[v], ys[v] = old
+                return False
+            p = abs(det - rho[t]) * ta
+            o = penl[t]
+            d += p - o
+            w += p + o
+            new.append((t, det, s, p))
+        rmax, ratiosl, obj = self.rmax, self.ratiosl, self.obj
+        held = 0     # changed pairs at rmax
+        r = 0.0
+        for e, a in pairs:
+            if ratiosl[e] == rmax:
+                held += 1
+            h = hypot(xs[a + 1] - xs[a], ys[a + 1] - ys[a]) * _HYPOT_LO / dx
+            if h > r:
+                r = h
+        if held < self.nmax and rmax > r:
+            r = rmax
+        psum = self.psum
+        if (obj == np.inf or r + JAC_PENALTY * ((psum + d) - self.margin * (psum + w)) < obj) \
+                and self._exact(new, pairs, held):
             return True
         xs[v], ys[v] = old
         return False
 
-    def _lowers_objective(self, v: int) -> bool:
-        """Keep the (already written) position of vertex v if the objective
-        strictly decreases."""
-        nx, ny, nx1 = self.nx, self.ny, self.nx + 1
-        j, i = divmod(v, nx1)
-        xs, ys, dx, dy = self.xs, self.ys, self.dx, self.dy
-        # cells with corner v, and which of their triangles hold v
-        # (bit 1: lower (q00, q10, q11), bit 2: upper (q00, q11, q01))
-        new = []   # (triangle, det, smax)
-        for ci, cj, tris in ((i - 1, j - 1, 3), (i, j - 1, 2), (i - 1, j, 1), (i, j, 3)):
-            if 0 <= ci < nx and 0 <= cj < ny:
-                a = cj * nx1 + ci
-                b = a + nx1
-                x = _cell_rows(xs[a], xs[a + 1], xs[b], xs[b + 1], dx, dy)
-                y = _cell_rows(ys[a], ys[a + 1], ys[b], ys[b + 1], dx, dy)
-                t = 2 * (cj * nx + ci)
-                if tris & 1:
-                    new.append((t, *_det_smax(x[0], x[1], y[0], y[1], math.sqrt, max)))
-                if tris & 2:
-                    new.append((t + 1, *_det_smax(x[2], x[3], y[2], y[3], math.sqrt, max)))
-        # every other triangle keeps its det > 0 from the accepted state,
-        # and its smax <= L unless the objective is +inf (a start above
-        # the cap)
-        if any(det <= 0 or s > self.L for _, det, s in new):
-            return False
+    def _exact(self, new, pairs, held) -> bool:
+        """The full objective after the move already written into xs, ys
+        (`new` its triangles, `held` the changed pairs that were at rmax):
+        writes the new terms and ratios (np.hypot) into `pen` and `ratios`
+        in place, takes `pen.sum()` and, when the changed pairs held every
+        maximum, `ratios.max()`, keeps the move if the objective strictly
+        decreases and restores both arrays otherwise."""
         if self.obj == np.inf:
             smax = self.smax.copy()
-            for t, _, s in new:
+            for t, _, s, _ in new:
                 smax[t] = s
             if smax.max() > self.L:
                 return False
-        pen = self.pen.copy()
-        for t, det, _ in new:
-            pen[t] = abs(det - self.rho[t]) * self.tri_area
-        ratios = self.ratios.copy()
-        for e in (i - 1, i):
-            if 0 <= e < nx:
-                a = j * nx1 + e
-                ratios[j * nx + e] = np.hypot(xs[a + 1] - xs[a], ys[a + 1] - ys[a]) / dx
-        obj = float(ratios.max()) + JAC_PENALTY * float(pen.sum())
+        xs, ys, dx = self.xs, self.ys, self.dx
+        pen, ratios, penl, ratiosl = self.pen, self.ratios, self.penl, self.ratiosl
+        for t, _, _, p in new:
+            pen[t] = p
+        rs = []
+        for e, a in pairs:
+            ratios[e] = np.hypot(xs[a + 1] - xs[a], ys[a + 1] - ys[a]) / dx
+            rs.append(float(ratios[e]))
+        # unless the changed pairs held every maximum, a kept pair is
+        # still at rmax
+        rmax = float(ratios.max()) if held == self.nmax else max(self.rmax, *rs)
+        psum = float(pen.sum())
+        obj = rmax + JAC_PENALTY * psum
         if not obj < self.obj:
+            for t, _, _, _ in new:
+                pen[t] = penl[t]
+            for e, _ in pairs:
+                ratios[e] = ratiosl[e]
             return False
-        for t, det, s in new:
-            self.dets[t], self.smax[t] = det, s
-        self.pen, self.ratios, self.obj = pen, ratios, obj
+        dets, smax = self.dets, self.smax
+        for t, det, s, p in new:
+            dets[t], smax[t], penl[t] = det, s, p
+        for (e, _), r in zip(pairs, rs):
+            ratiosl[e] = r
+        if held == self.nmax:
+            self.nmax = int(np.count_nonzero(ratios == rmax))
+        elif rmax == self.rmax:
+            self.nmax += rs.count(rmax) - held
+        else:
+            self.nmax = rs.count(rmax)
+        self.psum, self.rmax, self.obj = psum, rmax, obj
         return True
 
 
@@ -149,11 +257,14 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
     rng = np.random.default_rng(seed)
     nvert = len(m0.vertices)
     base_step = 0.5 * gap
+    # three draws per step, in this order: vertex, direction, step length
+    integers, normal, random = rng.integers, rng.standard_normal, rng.random
+    move, xs, ys = state.move, state.xs, state.ys
     for it in range(budget):
-        v = int(rng.integers(nvert))
-        ux, uy = rng.standard_normal(2).tolist()
-        scale = base_step * float(rng.random()) * 0.97 ** (it / 50.0)
-        if state.move(v, state.xs[v] + scale * ux, state.ys[v] + scale * uy):
+        v = int(integers(nvert))
+        ux, uy = normal(2).tolist()
+        scale = base_step * float(random()) * 0.97 ** (it / 50.0)
+        if move(v, xs[v] + scale * ux, ys[v] + scale * uy):
             trace.append(state.obj)
 
     final = PLMap(field.domain, nx, ny, state.vertices())

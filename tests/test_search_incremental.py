@@ -18,7 +18,7 @@ from bknet import distortion, greedy_distortion, make_checkerboard, pair_distort
 from bknet import marked_grid, search_min_stretch, toy_constants
 from bknet.distortion import _CHUNK, _dist_matrix, _nn_matching, _Pairs, _two_swap
 from bknet.plmap import PLMap, _centroid_densities, _jacobians, identity_map
-from bknet.search import JAC_PENALTY, _Descent
+from bknet.search import _HYPOT_LO, JAC_PENALTY, _Descent, _vertex_table
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,166 @@ class TestSearchStep:
         assert np.array_equal(state.vertices(), before[0])
         assert state.obj == before[1]
         assert_state_matches_full(state, m0, gap, rho, tri_area)
+
+
+def assert_summaries_match(state):
+    """The screen's floats are those of the kept arrays."""
+    assert state.psum == float(state.pen.sum())
+    assert state.rmax == float(state.ratios.max())
+    assert state.nmax == int(np.count_nonzero(state.ratios == state.rmax))
+    assert state.penl == state.pen.tolist()
+    assert state.ratiosl == state.ratios.tolist()
+
+
+def descended(N, M, seed, steps=300):
+    """A state some random moves away from the identity, so that the
+    marked pairs no longer tie at one ratio."""
+    state, setup = descent_for(N, M, 2.0)
+    rng = np.random.default_rng(seed)
+    gap = setup[1]
+    for _ in range(steps):
+        v = int(rng.integers(len(setup[0].vertices)))
+        ux, uy = rng.standard_normal(2).tolist()
+        scale = 0.5 * gap * float(rng.random())
+        state.move(v, state.xs[v] + scale * ux, state.ys[v] + scale * uy)
+    assert state.obj < np.inf
+    return state, setup
+
+
+def vertex_class(v, nx, ny):
+    j, i = divmod(v, nx + 1)
+    on_x, on_y = i in (0, nx), j in (0, ny)
+    return "corner" if on_x and on_y else "edge" if on_x or on_y else "interior"
+
+
+_exact = _Descent._exact
+
+
+def ulps_away(x, k, toward):
+    for _ in range(k):
+        x = math.nextafter(x, toward)
+    return x
+
+
+class TestVertexTable:
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (1, 3), (4, 2), (6, 3)])
+    def test_entries_are_the_grid_triangles_and_pairs(self, nx, ny):
+        tris = identity_map(make_checkerboard(1, 1.0).domain, nx, ny).triangles()
+        table = _vertex_table(nx, ny)
+        assert len(table) == (nx + 1) * (ny + 1)
+        for v, (entries, pairs) in enumerate(table):
+            assert sorted(t for t, *_ in entries) == np.flatnonzero((tris == v).any(axis=1)).tolist()
+            for t, q00, q11, third, lower in entries:
+                # lower (q00, q10, q11), upper (q00, q11, q01)
+                want = (q00, third, q11) if lower else (q00, q11, third)
+                assert tuple(tris[t]) == want
+                assert lower == (t % 2 == 0)
+            j, i = divmod(v, nx + 1)
+            assert pairs == tuple((j * nx + e, j * (nx + 1) + e) for e in (i - 1, i) if 0 <= e < nx)
+
+
+class TestRejectionScreen:
+    """Moves of a few ulps, and a move to the vertex's own position, change
+    the objective by rounding alone, inside the screen's margin, so the
+    exact path decides them; the decision and the kept state must still be
+    those of a full recomputation."""
+
+    @pytest.mark.parametrize("kind", ["corner", "edge", "interior"])
+    @pytest.mark.parametrize("N,M,seed", [(2, 2, 0), (2, 2, 1), (3, 2, 2)])
+    def test_moves_of_a_few_ulps(self, monkeypatch, kind, N, M, seed):
+        state, (m0, gap, rho, tri_area) = descended(N, M, seed)
+        exact = []
+        monkeypatch.setattr(_Descent, "_exact",
+                            lambda self, *args: exact.append(1) or _exact(self, *args))
+        verts = [v for v in range(len(m0.vertices)) if vertex_class(v, m0.nx, m0.ny) == kind]
+        moves = 0
+        for v in verts:
+            for k in range(1, 5):
+                for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
+                    px = ulps_away(state.xs[v], k * abs(sx), sx * np.inf)
+                    py = ulps_away(state.ys[v], k * abs(sy), sy * np.inf)
+                    move_and_check(state, m0, gap, rho, tri_area, v, px, py)
+                    assert_summaries_match(state)
+                    moves += 1
+        # nearly every such move is inside the margin
+        assert 10 * len(exact) >= 9 * moves
+
+    @pytest.mark.parametrize("kind", ["corner", "edge", "interior"])
+    def test_move_to_the_own_position_is_rejected(self, kind):
+        state, (m0, gap, rho, tri_area) = descended(3, 2, 5)
+        for v in range(len(m0.vertices)):
+            if vertex_class(v, m0.nx, m0.ny) == kind:
+                before = state.obj
+                assert not move_and_check(state, m0, gap, rho, tri_area,
+                                          v, state.xs[v], state.ys[v])
+                assert state.obj == before
+                assert_summaries_match(state)
+
+    def test_moves_off_the_maximum_pair(self):
+        """Shrinking a pair at the ratio maximum, alone there or tied with
+        the pair beside it, lowers the maximum only when no kept pair
+        holds it."""
+        for seed in range(4):
+            state, (m0, gap, rho, tri_area) = descended(2, 1, seed, steps=100)
+            for _ in range(20):
+                e = int(np.argmax(state.ratios))
+                j, i = divmod(e, m0.nx)
+                right = j * (m0.nx + 1) + i + 1   # the pair's right end
+                toward = state.xs[right - 1]
+                for k in (1, 2, 4):
+                    move_and_check(state, m0, gap, rho, tri_area, right,
+                                   ulps_away(state.xs[right], k, toward), state.ys[right])
+                    assert_summaries_match(state)
+                move_and_check(state, m0, gap, rho, tri_area, right,
+                               state.xs[right] - 1e-4 * gap, state.ys[right])
+                assert_summaries_match(state)
+
+    @pytest.mark.parametrize("N,M", [(1, 2), (2, 1), (2, 2), (3, 1)])
+    def test_ties_at_the_maximum(self, N, M):
+        """From the identity, where pairs tie at the ratio maximum: moves
+        along the pairs, which shrink one of the vertex's pairs and stretch
+        the other, and across them, which keep both near the maximum, keep
+        the count of pairs at it."""
+        state, (m0, gap, rho, tri_area) = descent_for(N, M, 2.0)
+        assert state.nmax > 1
+        for _ in range(2):
+            for v in range(len(m0.vertices)):
+                for toward in (-np.inf, np.inf):
+                    for k in (1, 2, 3):
+                        for px, py in ((ulps_away(state.xs[v], k, toward), state.ys[v]),
+                                       (state.xs[v], ulps_away(state.ys[v], k, toward))):
+                            move_and_check(state, m0, gap, rho, tri_area, v, px, py)
+                            assert_summaries_match(state)
+                    for scale in (1e-9, 1e-6):
+                        step = math.copysign(scale * gap, toward)
+                        for px, py in ((state.xs[v] + step, state.ys[v]),
+                                       (state.xs[v], state.ys[v] + step)):
+                            move_and_check(state, m0, gap, rho, tri_area, v, px, py)
+                            assert_summaries_match(state)
+
+    def test_hypot_lower_factor(self):
+        """The screen's ratio bound: math.hypot times _HYPOT_LO never
+        exceeds np.hypot."""
+        rng = np.random.default_rng(0)
+        n = 20000
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 3, n)
+        b = a * rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-10, 0, n)
+        lo = np.array([math.hypot(x, y) * _HYPOT_LO for x, y in zip(a.tolist(), b.tolist())])
+        assert (lo <= np.hypot(a, b)).all()
+
+
+class TestDeskLimit:
+    @pytest.mark.parametrize("seed", [2, 25])
+    def test_search_matches_full_recomputation_at_n16_m8(self, seed):
+        """N=16, M=8: 2,048 triangles, the largest the search takes, where
+        the screen's margin is loosest."""
+        field = make_checkerboard(16, 1.0)
+        consts = toy_constants(2.0, 1.0, N=16, M=8)
+        res = search_min_stretch(field, consts, 300, seed)
+        trace, verts = oracle_search(field, consts, 300, seed)
+        assert len(trace) > 1
+        assert res.trace == tuple(trace)
+        assert np.array_equal(res.plmap.vertices, verts)
 
 
 # ---------------------------------------------------------------------------
