@@ -9,8 +9,8 @@ checkerboard must stretch some marked pair.
 
 from __future__ import annotations
 
-from math import hypot, sqrt
 from dataclasses import dataclass
+from math import hypot, sqrt
 
 import numpy as np
 

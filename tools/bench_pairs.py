@@ -38,14 +38,10 @@ BUILD = ROOT / ".bench_build"
 RUN_TIMEOUT_S = 900
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def export(rev: str) -> tuple[str, Path]:
     """The full sha of rev and a fresh export of its committed files."""
-    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout.strip()
     tree = BUILD / sha[:12]
     shutil.rmtree(tree, ignore_errors=True)
     tree.mkdir(parents=True)
