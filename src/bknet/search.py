@@ -96,14 +96,15 @@ class _Descent:
     Algorithms, eq. 4.4).  To first order in u, relative to psum + w, the
     two full sums give 2(n - 1) u, the changed terms' six differences and
     five additions 6u, and the roundings of psum + d and of the final
-    subtraction u each: 2n + 6 in all.  The roundings of w, psum + w and
-    g * (psum + w) only shrink the margin by a relative 3u, and the
-    remaining 10 of the 2n + 16 cover those and every second-order term,
-    far beyond the desk limit of n = 2048 triangles.  Rounding is
-    monotone, so lb, evaluated with the objective's own operations, is at
-    most the objective.  A move that passes the screen, and every move
-    from a +inf objective, takes the exact path (`_exact`).  Every
-    objective is therefore bitwise the one a full recomputation gives."""
+    subtraction u each: 2n + 6 in all.  The roundings of w (gamma_6),
+    psum + w and g * (psum + w) shrink the margin itself by at most a
+    relative 8u, a second-order loss; the remaining 10 of the 2n + 16
+    cover it and every other second-order term, far beyond the desk
+    limit of n = 2048 triangles.  Rounding is monotone, so lb, evaluated
+    with the objective's own operations, is at most the objective.  A move
+    that passes the screen, and every move from a +inf objective, takes
+    the exact path (`_exact`).  Every objective is therefore bitwise the
+    one a full recomputation gives."""
 
     def __init__(self, m: PLMap, rho: np.ndarray, L: float):
         """m: the start; rho: the density at every triangle centroid; L:
