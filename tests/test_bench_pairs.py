@@ -112,7 +112,8 @@ def stub_repo(tmp_path, monkeypatch):
     (repo / "src" / "bknet").mkdir(parents=True)
     (repo / "src" / "bknet" / "__init__.py").write_text("")
     (repo / "perfbench").mkdir()
-    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 38,
+                                                     "end_to_end": END_TO_END}))
     subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
     base = commit_stub(repo, 1.0)
     head = commit_stub(repo, 1.5)
@@ -123,8 +124,7 @@ def stub_repo(tmp_path, monkeypatch):
 
 def test_bench_file_from_two_exported_commits(stub_repo, capsys):
     repo, base, head = stub_repo
-    argv = ["--base", base, "--head", head, "--seeds", "2-4", "--seconds", "1",
-            "--workload", "w1"]
+    argv = ["--base", base, "--head", head, "--seeds", "2-4", "--workload", "w1"]
     assert bench_pairs.main(argv) == 0
     out = repo / f"BENCH_{head[:7]}.json"
     doc = json.loads(out.read_text())
@@ -141,9 +141,14 @@ def test_bench_file_from_two_exported_commits(stub_repo, capsys):
     for sha in (base, head):
         assert (repo / ".bench_build" / sha[:12] / "perfbench" / "out"
                 / "result-w1-s4-t0.json").is_file()
-    # a second workload joins the same file
-    assert bench_pairs.main(argv[:-1] + ["w2"]) == 0
-    assert set(json.loads(out.read_text())["workloads"]) == {"w1", "w2"}
+    assert doc["seconds"] == 38
+    # a second workload joins the same file, on its own seeds
+    assert bench_pairs.main(["--base", base, "--head", head, "--seeds", "5,6",
+                             "--workload", "w2"]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc["workloads"]) == {"w1", "w2"}
+    assert doc["workloads"]["w2"]["seeds"] == [5, 6]
+    assert doc["workloads"]["w1"]["seeds"] == [2, 3, 4]
 
 
 def test_a_tree_without_its_own_bknet_is_refused(stub_repo):

@@ -5,7 +5,8 @@
 
 Both commits are exported with `git archive` under .bench_build/ and each
 runs its own, unchanged `perfbench/run.py --workload W --seed S
---seconds 38`.  One seed is one pair; the side that runs first alternates
+--seconds T`, with T the `run_seconds` of BENCHMARK.json (38).  One seed
+is one pair; the side that runs first alternates
 from pair to pair.  A run counts only if it exits 0 (its workers exit 2
 when `import bknet` resolves outside their checkout), reports every item
 correct and wrote its record into its own tree's perfbench/out; before the
@@ -16,8 +17,9 @@ The output holds the machine and, per workload and side, the median and
 quartiles of every end-to-end metric of BENCHMARK.json plus the
 wall-clock set-up time, and per metric the pairs the head won and lost
 (ties count for neither), the change of the median against the base's
-median, the base's quartile spread, and the metric's bound.  Running again
-with the same base, head and output file adds or replaces workloads.
+median, the base's quartile spread, and the metric's bound.  One call runs
+one workload; calling again with the same base and head adds or replaces
+a workload in the same file, each on its own seeds.
 """
 
 from __future__ import annotations
@@ -170,34 +172,31 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="the parent commit")
     ap.add_argument("--head", default="HEAD", help="the change (default HEAD)")
-    ap.add_argument("--workload", required=True, action="append")
+    ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds,
                     help="one pair per seed, as 21-30 or 21,23")
-    ap.add_argument("--seconds", type=float, default=38.0)
-    ap.add_argument("--out", type=Path, default=None,
-                    help="default: BENCH_<head short sha>.json in the repository root")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     (base_sha, base_tree), (head_sha, head_tree) = export(args.base), export(args.head)
     trees = {"base": base_tree, "head": head_tree}
     for tree in trees.values():
         check_import(tree)
-    out = args.out or ROOT / f"BENCH_{head_sha[:7]}.json"
-    doc = {"base": base_sha, "head": head_sha, "seconds": args.seconds, "workloads": {}}
+    out = ROOT / f"BENCH_{head_sha[:7]}.json"
+    doc = {"base": base_sha, "head": head_sha, "seconds": seconds, "workloads": {}}
     if out.is_file():
         old = json.loads(out.read_text())
-        if (old["base"], old["head"], old["seconds"]) != (base_sha, head_sha, args.seconds):
+        if (old["base"], old["head"], old["seconds"]) != (base_sha, head_sha, seconds):
             print(f"{out} holds other commits or run lengths", file=sys.stderr)
             return 2
         doc = old
-    for workload in args.workload:
-        runs = run_pairs(trees, workload, args.seeds, args.seconds)
-        doc["machine"] = machine(runs)
-        doc["workloads"][workload] = dict(summarise(runs, spec["end_to_end"]), runs=[
-            {k: r[k] for k in ("pair", "seed", "side", "metrics", "wall_setup_s", "attempted")}
-            for r in runs])
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    runs = run_pairs(trees, args.workload, args.seeds, seconds)
+    doc["machine"] = machine(runs)
+    doc["workloads"][args.workload] = dict(summarise(runs, spec["end_to_end"]), runs=[
+        {k: r[k] for k in ("pair", "seed", "side", "metrics", "wall_setup_s", "attempted")}
+        for r in runs])
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0
 
