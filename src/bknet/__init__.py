@@ -48,7 +48,6 @@ from .netbuild import (
 )
 from .plmap import (
     PLMap,
-    cell_image_areas_shoelace,
     identity_map,
     pl_metrics,
     plmap_from_json,

@@ -45,10 +45,6 @@ class Rect:
         """Closed containment (used for domain preconditions)."""
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
-    def contains_point_half_open(self, x: float, y: float) -> bool:
-        """Half-open containment [x0,x1) x [y0,y1) (cell membership)."""
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
     def contains_rect(self, other: "Rect") -> bool:
         return (self.x0 <= other.x0 and other.x1 <= self.x1
                 and self.y0 <= other.y0 and other.y1 <= self.y1)

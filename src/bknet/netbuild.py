@@ -145,16 +145,15 @@ class _Cells:
     tag (1-based), its edges from `_cell_edges`, and holds n x n points
     x0 + step * (a + 0.5), y0 + step * (b + 0.5), a, b in [0, n), with
     step = cell / n for the square's cell width `cell`; lo holds (x0, y0)
-    and hi (x1, y1) per row.  Per square it keeps the square (also as a row
-    of `box`), its cell width, m and its first row."""
+    and hi (x1, y1) per row.  It also keeps the squares, and each as a row
+    of `box`."""
 
     def __init__(self, plan: NetPlan, counts):
         self.squares = [e.square for e in plan.schedule]
         self.box = np.array([(s.x0, s.y0, s.x1, s.y1) for s in self.squares],
                             dtype=float).reshape(-1, 4)
-        self.cell = np.array([e.side / e.m for e in plan.schedule])
-        self.m = np.array([e.m for e in plan.schedule], dtype=np.intp)
-        self.base = np.cumsum(self.m * self.m) - self.m * self.m
+        cell = np.array([e.side / e.m for e in plan.schedule])
+        m = np.array([e.m for e in plan.schedule], dtype=np.intp)
         lo, hi = [np.empty((0, 2))], [np.empty((0, 2))]
         for e in plan.schedule:
             xs, ys = (np.array(v) for v in _cell_edges(e))
@@ -162,10 +161,10 @@ class _Cells:
             hi.append(np.column_stack([np.repeat(xs[1:], e.m), np.tile(ys[1:], e.m)]))
         self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
         (self.x0, self.y0), (self.x1, self.y1) = self.lo.T, self.hi.T
-        self.tag = np.repeat(np.arange(1, len(self.m) + 1), self.m * self.m)
+        self.tag = np.repeat(np.arange(1, len(m) + 1), m * m)
         self.n = np.concatenate([np.empty(0, dtype=np.intp)]
                                 + [c.ravel() for c in counts]).astype(np.intp)
-        self.step = np.repeat(self.cell, self.m * self.m) / self.n
+        self.step = np.repeat(cell, m * m) / self.n
         self._last = None
 
     def meeting(self, x0: float, y0: float, x1: float, y1: float) -> np.ndarray:
@@ -194,60 +193,35 @@ class _Cells:
                 near |= (x > s.x0 - 1) & (x < s.x1 + 1) & (y > s.y0 - 1) & (y < s.y1 + 1)
         return near
 
-    def off_lattice(self, x: np.ndarray, y: np.ndarray, tags: np.ndarray,
-                    window: Rect) -> np.ndarray:
-        """Mask of the net points (x, y) in the window, with tags `tags`,
-        whose nearest other point may lie off their own lattice: an explicit
-        point less than its spacing inside its cell (its lattice's outer
-        ring), or a background centre nearer than 1 to a scheduled square."""
-        out = self.near_square(x, y, window)
-        e = np.flatnonzero(tags)
-        if len(e):
-            q, xe, ye = tags[e] - 1, x[e], y[e]
-            last = self.m[q] - 1
-            i = np.clip(np.floor((xe - self.box[q, 0]) / self.cell[q]), 0, last).astype(np.intp)
-            j = np.clip(np.floor((ye - self.box[q, 1]) / self.cell[q]), 0, last).astype(np.intp)
-            r = self.base[q] + i * self.m[q] + j
-            h = self.step[r]
-            # a point placed in the wrong cell lies outside it: a negative margin
-            out[e] = ((xe - self.x0[r] < h) | (self.x1[r] - xe < h)
-                      | (ye - self.y0[r] < h) | (self.y1[r] - ye < h))
-        return out
-
 
 def _check_finite(window: Rect) -> None:
     if not all(math.isfinite(v) for v in (window.x0, window.y0, window.x1, window.y1)):
         raise ValueError(f"window {window} has a non-finite coordinate")
 
 
-def _in_window(x: np.ndarray, y: np.ndarray, window: Rect) -> np.ndarray:
-    """Mask of the points (x, y) inside the closed window."""
-    return (x >= window.x0) & (x <= window.x1) & (y >= window.y0) & (y <= window.y1)
-
-
-def _near(net: Net, window: Rect) -> tuple[np.ndarray, np.ndarray, _Grid]:
+def _near(net: Net, window: Rect) -> tuple[np.ndarray, _Grid]:
     """The net points in the window inflated by 2s, s = net.max_cell_spacing,
-    their tags, and a bucket index over them.  They hold every window
-    point's nearest net point and every window net point's nearest
-    neighbour: each point of the plane is within s/sqrt(2) of the net (of a
-    subdivision cell's grid centers, or of the lattice center of a unit
-    square no scheduled square contains), and a Voronoi neighbour of a net
-    point is within twice that, so the index needs to reach only s/sqrt(2).
-    The window checks build it only for the points and sample blocks they
-    cannot resolve on one lattice, and the net keeps the last window's set,
-    so check_separation and then check_covering on one window gather and
-    index it at most once."""
+    and a bucket index over them.  They hold every window point's nearest
+    net point and every window net point's nearest neighbour: each point of
+    the plane is within s/sqrt(2) of the net (of a subdivision cell's grid
+    centers, or of the lattice center of a unit square no scheduled square
+    contains), and a Voronoi neighbour of a net point is within twice that,
+    so the index needs to reach only s/sqrt(2).  The window checks build it
+    only for the points and sample blocks they cannot resolve on one
+    lattice, and the net keeps the last window's set, so check_separation
+    and then check_covering on one window gather and index it at most
+    once."""
     _check_finite(window)
     last = vars(net).get("_near_last")
     if last is not None and last[0] == window:
         return last[1:]
     r = 2.0 * net.max_cell_spacing
-    pts, tags = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
-                                          window.x1 + r, window.y1 + r))
+    pts, _ = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
+                                       window.x1 + r, window.y1 + r))
     grid = _Grid(pts, net.max_cell_spacing / math.sqrt(2))
     # a frozen dataclass: set the memo the way functools.cached_property does
-    vars(net)["_near_last"] = (window, pts, tags, grid)
-    return pts, tags, grid
+    vars(net)["_near_last"] = (window, pts, grid)
+    return pts, grid
 
 
 class _Grid:
@@ -269,7 +243,6 @@ class _Grid:
 
     def __init__(self, pts: np.ndarray, reach: float):
         self.reach = reach
-        self._n = len(pts)
         self._w = reach * (1.0 + 1e-9)
         self._x0 = float(pts[:, 0].min()) - 3.0 * self._w
         self._y0 = float(pts[:, 1].min()) - 3.0 * self._w
@@ -282,11 +255,11 @@ class _Grid:
         start = np.zeros(self._nx * self._ny + 1, dtype=pos)
         np.cumsum(np.bincount(b, minlength=self._nx * self._ny), out=start[1:])
         self._start = start
-        self._span = {w: int((start[2 * w + 1:] - start[:-2 * w - 1]).max()) for w in (1, 2)}
+        self._span = {w: int((start[2 * w + 1:] - start[:-2 * w - 1]).max()) for w in (0, 1, 2)}
         pad = np.full(self._span[2], np.inf)
         self._x = np.concatenate([pts[order, 0], pad])
         self._y = np.concatenate([pts[order, 1], pad])
-        self._order = np.concatenate([order, np.full(len(pad), self._n, dtype=pos)])
+        self._order = np.concatenate([order, np.full(len(pad), len(pts), dtype=pos)])
 
     def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (np.floor((x - self._x0) / self._w).astype(np.intp),
@@ -320,17 +293,20 @@ class _Grid:
         d, k = self._scan(x, y, 1)
         return d, self._order[k]
 
-    def nearest_other(self, i: np.ndarray) -> np.ndarray:
-        """The distance from each point pts[i] to its nearest other point,
-        for points whose nearest neighbour lies within 2 reach.  The
-        candidates within W decide it when that distance is at most reach;
-        only the other points are queried again within 2 W."""
-        rank = np.empty(self._n, dtype=np.intp)
-        rank[self._order[:self._n]] = np.arange(self._n)
-        pos = rank[i]
-        d, _ = self._scan(self._x[pos], self._y[pos], 1, pos)
+    def nearest_other(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The distance from each query (x, y), one of the points, to its
+        nearest other point, for points whose nearest neighbour lies within
+        2 reach.  A scan of each query's own bucket finds its sorted
+        position, at distance 0; a query that is not one of the points is a
+        RuntimeError.  The candidates within W, that position passed over,
+        decide it when the distance is at most reach; only the other
+        queries are scanned again within 2 W."""
+        d, pos = self._scan(x, y, 0)
+        if d.any():
+            raise RuntimeError("nearest_other: a query is not one of the points")
+        d, _ = self._scan(x, y, 1, pos)
         far = d > self.reach
-        d[far], _ = self._scan(self._x[pos[far]], self._y[pos[far]], 2, pos[far])
+        d[far], _ = self._scan(x[far], y[far], 2, pos[far])
         return d
 
 
@@ -459,12 +435,14 @@ def check_separation(net: Net, window: Rect) -> float:
     a neighbour has one term exactly 0: the least over these points is the
     least adjacent-coordinate gap, taken from the coordinates as
     `_explicit_points` makes them, and equals the scan bit for bit.  Only
-    the other window points (each lattice's outer ring, and the background
-    centres touching a square) are scanned, over the candidate set of
-    `_near`, which is built only for them."""
+    the other window points are scanned: each lattice's outer ring (index
+    0 or n - 1 on an axis), listed from the lattice table's rows and
+    coordinates in the window (`_ring`), and the background centres
+    touching a square.  They are queried by their coordinates over the
+    candidate set of `_near`, which is built only for them."""
     _check_finite(window)
     cells = net._cells
-    r, first, count, _ = cells.spans(window)
+    r, first, count, coords = cells.spans(window)
     gx, gy = _background_squares(cells, window)
     if int(count[:, 0] @ count[:, 1]) + len(gx) < 2:
         raise ValueError("window contains fewer than 2 points")
@@ -480,15 +458,35 @@ def check_separation(net: Net, window: Rect) -> float:
     bg_off = cells.near_square(gx + 0.5, gy + 0.5, window)
     if not bg_off.all():
         best = min(best, 1.0)
-    ring = (count > 0).all(axis=1) & ((first == 0) | (first + count == n)).any(axis=1)
-    if ring.any() or bg_off.any():
-        pts, tags, grid = _near(net, window)
-        inside = np.flatnonzero(_in_window(pts[:, 0], pts[:, 1], window))
-        # in chunks, so the masks' temporaries stay bounded
-        off = np.concatenate([i[cells.off_lattice(pts[i, 0], pts[i, 1], tags[i], window)]
-                              for i in np.split(inside, range(_CHUNK, len(inside), _CHUNK))])
-        best = min(best, float(grid.nearest_other(off).min()))
+    # per lattice with window points and axis, whether index 0 and n - 1 are among them
+    some = (count > 0).all(axis=1)[:, None]
+    lo, hi = some & (first == 0), some & (first + count == n) & (n > 1)
+    if lo.any() or hi.any() or bg_off.any():
+        x, y = _ring(lo, hi, count, coords)
+        x, y = np.concatenate([x, gx[bg_off] + 0.5]), np.concatenate([y, gy[bg_off] + 0.5])
+        _, grid = _near(net, window)
+        best = min(best, float(grid.nearest_other(x, y).min()))
     return best
+
+
+def _ring(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
+          coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y): the window points of each lattice whose index is 0 or n - 1
+    on an axis, from `_Cells.spans`' count and coords and, per row and axis,
+    whether index 0 (lo) and n - 1 (hi) lie in the window.  They are runs
+    of coordinates: per row the columns a = 0 and n - 1, then the rows
+    b = 0 and n - 1 without those columns, so each point comes once and the
+    work is the ring's, not the window's."""
+    start = (np.cumsum(count) - count.ravel()).reshape(-1, 2)
+    end = start + count
+    xy = [], []
+    for k, v0, v1 in ((0, start[:, 1], end[:, 1]),
+                      (1, start[:, 0] + lo[:, 0], end[:, 0] - hi[:, 0])):
+        e = np.concatenate([np.flatnonzero(lo[:, k]), np.flatnonzero(hi[:, k])])
+        run, a = _runs(v0[e], (v1 - v0)[e])
+        xy[k].append(coords[np.concatenate([start[lo[:, k], k], end[hi[:, k], k] - 1])[run]])
+        xy[1 - k].append(coords[a])
+    return np.concatenate(xy[0]), np.concatenate(xy[1])
 
 
 def _least_sq_gap(origin: np.ndarray, step: np.ndarray, a0: np.ndarray,
@@ -534,7 +532,7 @@ def check_covering(net: Net, window: Rect) -> float:
             # 32-bit indices halve the arrays, one block per _BLOCK^2 samples
             bc, br = np.nonzero(~done)
             if len(bc):
-                pts, _, grid = _near(net, window)
+                pts, grid = _near(net, window)
                 i0 = ((bc + c0) * _BLOCK).astype(np.int32)
                 j0 = ((br + r0) * _BLOCK).astype(np.int32)
                 worst = _branch_and_bound(grid, pts, xs, ys, i0, j0, worst)

@@ -159,20 +159,6 @@ def pl_metrics(m: PLMap, field: DensityField) -> PLMetrics:
     )
 
 
-def cell_image_areas_shoelace(m: PLMap) -> np.ndarray:
-    """Signed image area of every cell via the shoelace formula on the
-    image quadrilateral; independent of the determinant route."""
-    out = np.empty((m.ny, m.nx))
-    for j in range(m.ny):
-        for i in range(m.nx):
-            quad = m.vertices[[m.vidx(i, j), m.vidx(i + 1, j),
-                               m.vidx(i + 1, j + 1), m.vidx(i, j + 1)]]
-            x = quad[:, 0]
-            y = quad[:, 1]
-            out[j, i] = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    return out
-
-
 def plmap_to_json(m: PLMap) -> str:
     doc = {
         "nx": m.nx,

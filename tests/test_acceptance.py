@@ -19,7 +19,6 @@ from bknet import (
     UNIT_SQUARE,
     build_hierarchy,
     build_net,
-    cell_image_areas_shoelace,
     check_covering,
     check_separation,
     constant_field,
@@ -38,6 +37,7 @@ from bknet import (
     toy_constants,
 )
 from bknet.plmap import PLMap
+from oracles import cell_image_areas_shoelace
 
 TWO_TONE = DensityField(UNIT_SQUARE, 1.0, ((Rect(0.5, 0.0, 1.0, 1.0), 2.0),))
 

@@ -26,6 +26,7 @@ from bknet import (
     transplant,
 )
 from bknet.plmap import _centroid_densities
+from oracles import contains_point_half_open
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ def loop_integrate(field, r):
 
 def loop_value_at(field, x, y):
     for r, v in field.cells:
-        if r.contains_point_half_open(x, y):
+        if contains_point_half_open(r, x, y):
             return v
     return field.default
 

@@ -13,8 +13,11 @@ per cell found cell by cell, as an oracle for the in-place fill.
 check_separation resolves the points at least a spacing inside their
 lattice in closed form and scans only the others; the former full scan of
 every window point over the candidate set is kept as its oracle, and must
-agree exactly on windows at cell seams, square edges and gaps.  scipy's
-cKDTree is the oracle for the bucket index both window checks query."""
+agree exactly on windows at cell seams, square edges and gaps.  The
+points it scans are listed from the lattice table; the former classifier,
+which placed each window point in a cell by its coordinates, is kept as
+the oracle for that set.  scipy's cKDTree is the oracle for the bucket
+index both window checks query."""
 
 import contextlib
 import dataclasses
@@ -91,12 +94,45 @@ def separation_by_full_scan(net, window):
     """check_separation as it was before the closed form: every window
     point's nearest other point, scanned over the candidate set of `_near`
     on a fresh copy of the net."""
-    pts, _, grid = netbuild._near(fresh(net), window)
+    pts, grid = netbuild._near(fresh(net), window)
     inside = np.flatnonzero((pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
                             & (pts[:, 1] >= window.y0) & (pts[:, 1] <= window.y1))
     if len(inside) < 2:
         raise ValueError("window contains fewer than 2 points")
-    return float(grid.nearest_other(inside).min())
+    return float(grid.nearest_other(pts[inside, 0], pts[inside, 1]).min())
+
+
+def ring_by_classifying(net, window):
+    """check_separation's former scan set: the window points of `_near`'s
+    candidate set, each explicit one placed in a cell of its square by
+    floor division of its coordinates and kept when it lies less than its
+    spacing inside that cell (a point placed in the wrong cell lies outside
+    it), each background centre kept when `near_square` marks it."""
+    r = 2.0 * net.max_cell_spacing
+    pts, tags = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
+                                          window.x1 + r, window.y1 + r))
+    x, y = pts[:, 0], pts[:, 1]
+    cells = net._cells
+    out = cells.near_square(x, y, window)
+    e = np.flatnonzero(tags)
+    if len(e):
+        m = np.array([s.m for s in net.plan.schedule])
+        cell = np.array([s.side / s.m for s in net.plan.schedule])
+        base = np.cumsum(m * m) - m * m
+        q, xe, ye = tags[e] - 1, x[e], y[e]
+        i = np.clip(np.floor((xe - cells.box[q, 0]) / cell[q]), 0, m[q] - 1).astype(np.intp)
+        j = np.clip(np.floor((ye - cells.box[q, 1]) / cell[q]), 0, m[q] - 1).astype(np.intp)
+        row = base[q] + i * m[q] + j
+        h = cells.step[row]
+        out[e] = ((xe - cells.x0[row] < h) | (cells.x1[row] - xe < h)
+                  | (ye - cells.y0[row] < h) | (cells.y1[row] - ye < h))
+    inside = (x >= window.x0) & (x <= window.x1) & (y >= window.y0) & (y <= window.y1)
+    return pts[inside & out]
+
+
+def as_sorted_complex(pts):
+    """The points (x, y) as the sorted complex numbers x + iy."""
+    return np.sort(pts[:, 0] + 1j * pts[:, 1])
 
 
 def covering_by_centre_bound(net, window):
@@ -104,7 +140,7 @@ def covering_by_centre_bound(net, window):
     candidate set: a block is kept while d + r, d its centre sample's
     distance to the net and r its farthest sample from that centre, times
     1 + _SLACK reaches the largest distance seen so far."""
-    pts, _, _ = netbuild._near(net, window)
+    pts, _ = netbuild._near(net, window)
     tree = cKDTree(pts)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
@@ -134,10 +170,12 @@ def covering_by_centre_bound(net, window):
 
 class CountingGrid(netbuild._Grid):
     """A netbuild._Grid that counts its builds and the points it is queried
-    at, and records the size of each query."""
+    at, and records the size of each query and the points of each
+    nearest_other query."""
     built = 0
     queried = 0
     batches = []
+    others = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -148,18 +186,19 @@ class CountingGrid(netbuild._Grid):
         CountingGrid.batches.append(len(x))
         return super().nearest(x, y)
 
-    def nearest_other(self, i):
-        CountingGrid.queried += len(i)
-        CountingGrid.batches.append(len(i))
-        return super().nearest_other(i)
+    def nearest_other(self, x, y):
+        CountingGrid.queried += len(x)
+        CountingGrid.batches.append(len(x))
+        CountingGrid.others.append(np.column_stack([x, y]))
+        return super().nearest_other(x, y)
 
 
 @contextlib.contextmanager
 def counting_grids():
     """netbuild builds CountingGrids inside the block, with both counts at 0
-    and no batch recorded."""
+    and no batch or point recorded."""
     CountingGrid.built = CountingGrid.queried = 0
-    CountingGrid.batches = []
+    CountingGrid.batches, CountingGrid.others = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netbuild, "_Grid", CountingGrid)
         yield CountingGrid
@@ -568,7 +607,7 @@ class TestClosedFormSeparation:
         assert grids.built == 0
 
     @pytest.mark.parametrize("name", list(SEAM_NETS))
-    def test_off_lattice_marks_each_lattice_outer_ring(self, name):
+    def test_ring_lists_each_lattice_outer_ring_once(self, name):
         # Net.points holds each cell's n x n points in one run, a-major
         n = SEAM_NETS[name]()
         cells = n._cells
@@ -577,11 +616,28 @@ class TestClosedFormSeparation:
             for k in cells.n.tolist()])
         box = Rect(-1.0, -1.0, 1.0 + max((e.square.x1 for e in n.plan.schedule), default=0),
                    1.0 + max((e.square.y1 for e in n.plan.schedule), default=0))
-        got = cells.off_lattice(n.points[:, 0], n.points[:, 1], n.tags, box)
+        r, first, count, coords = cells.spans(box)
+        n_r = cells.n[r][:, None]
+        x, y = netbuild._ring(first == 0, (first + count == n_r) & (n_r > 1), count, coords)
+        got = np.isin(n.points[:, 0] + 1j * n.points[:, 1], x + 1j * y)
         assert np.array_equal(got, want)
+        assert len(x) == want.sum()   # no point twice
+
+    def test_one_point_lattices_are_scanned_once(self):
+        # cells 1 wide of one point each: index 0 is also n - 1
+        n = build_net(netbuild.NetPlan(constant_field(0.5), (
+            netbuild.ScheduleEntry(Rect(0.0, 0.0, 4.0, 4.0), 4, 4),)))
+        assert n._cells.n.tolist() == [1] * 16
+        window = Rect(-1.0, -1.0, 5.0, 5.0)
+        with counting_grids() as grids:
+            got = check_separation(fresh(n), window)
+        assert got == separation_by_full_scan(n, window) == 1.0
+        got = np.concatenate(grids.others)
+        assert np.array_equal(as_sorted_complex(got),
+                              as_sorted_complex(ring_by_classifying(n, window)))
 
     @pytest.mark.parametrize("name", list(SEAM_NETS))
-    def test_off_lattice_marks_background_centres_nearer_than_1_to_a_square(self, name):
+    def test_near_square_marks_background_centres_nearer_than_1_to_a_square(self, name):
         n = SEAM_NETS[name]()
         hi = 2.0 + max((e.square.x1 for e in n.plan.schedule), default=8.0)
         window = Rect(-2.0, -2.0, hi, hi)
@@ -593,9 +649,24 @@ class TestClosedFormSeparation:
             dx = np.maximum(np.maximum(s.x0 - bg[:, 0], bg[:, 0] - s.x1), 0.0)
             dy = np.maximum(np.maximum(s.y0 - bg[:, 1], bg[:, 1] - s.y1), 0.0)
             want |= np.hypot(dx, dy) < 1.0
-        got = n._cells.off_lattice(bg[:, 0], bg[:, 1], np.zeros(len(bg), dtype=int), window)
-        assert np.array_equal(n._cells.near_square(bg[:, 0], bg[:, 1], window), got)
+        got = n._cells.near_square(bg[:, 0], bg[:, 1], window)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["limit-K4", "dense-two-tone-K3"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scans_the_points_the_former_classifier_marked(self, name, data):
+        n = SEAM_NETS[name]()
+        window = data.draw(seam_windows(n))
+        want = ring_by_classifying(n, window)
+        with counting_grids() as grids:
+            try:
+                check_separation(fresh(n), window)
+            except ValueError:
+                want = want[:0]   # fewer than 2 points: nothing is scanned
+        got = np.concatenate([np.empty((0, 2))] + grids.others)
+        assert grids.queried == len(got)
+        assert np.array_equal(as_sorted_complex(got), as_sorted_complex(want))
 
 
 class TestSharedCandidates:
@@ -630,16 +701,15 @@ class TestQueryChunks:
         n = net("two-tone-K3")
         want = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
                 for w in self.WINDOWS]
-        pts, _, grid = netbuild._near(fresh(n), self.WINDOWS[0])
-        every = np.arange(len(pts))
+        pts, grid = netbuild._near(fresh(n), self.WINDOWS[0])
         want_nearest = grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125)
-        want_other = grid.nearest_other(every)
+        want_other = grid.nearest_other(pts[:, 0], pts[:, 1])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(netbuild, "_CHUNK", chunk)
             got = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
                    for w in self.WINDOWS]
             assert_same_arrays(grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125), want_nearest)
-            assert_same_arrays([grid.nearest_other(every)], [want_other])
+            assert_same_arrays([grid.nearest_other(pts[:, 0], pts[:, 1])], [want_other])
         assert got == want
 
     def test_a_batch_is_one_query(self):
@@ -705,7 +775,13 @@ class TestGridOracle:
         grid = netbuild._Grid(pts, reach)
         i = np.array(data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1)))
         d, _ = cKDTree(pts).query(pts[i], k=2)
-        assert np.array_equal(grid.nearest_other(i), d[:, 1])
+        assert np.array_equal(grid.nearest_other(pts[i, 0], pts[i, 1]), d[:, 1])
+
+    def test_nearest_other_rejects_a_query_that_is_not_a_point(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        grid = netbuild._Grid(pts, 1.0)
+        with pytest.raises(RuntimeError, match="not one of the points"):
+            grid.nearest_other(np.array([0.0, 0.5]), np.array([0.0, 0.25]))
 
     @settings(max_examples=300, deadline=None)
     @given(case=grid_cases(), data=st.data())
