@@ -5,7 +5,8 @@ expansion and the largest contraction over all pairs; it is
 scale-invariant and equals 1 exactly when the bijection is a similarity.
 pair_distortion enumerates all bijections (exact, tiny inputs only);
 greedy_distortion scales further with seeded nearest-neighbor matchings
-plus 2-swap local search.
+plus 2-swap local search, which evaluates only the swaps that move an
+end of a largest- or smallest-ratio pair: no other swap can improve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class DistortionResult:
 
 # pair entries evaluated at once when a batch of bijections is compared:
 # bounds the temporaries of the exact search (8! bijections x 28 pairs)
-# and of a 2-swap row, 64 KB per array
+# and of a batch of candidate 2-swaps, 64 KB per array
 _CHUNK = 1 << 13
 
 
@@ -115,33 +116,44 @@ def _nn_matching(X: np.ndarray, Y: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _two_swap(pairs: _Pairs, sigma: np.ndarray) -> np.ndarray:
-    """First-improvement 2-swap descent.  For each a, the swaps (a, b)
-    with b past the last accepted one are evaluated against the current
-    sigma in one batch; the first that improves is taken, exactly as a
-    loop over b would."""
-    n = len(sigma)
+    """First-improvement 2-swap descent over the swaps (a, b), a < b, in
+    the order of their pair indices.  A swap that moves no end of a
+    largest-ratio and of a smallest-ratio pair keeps both ratios bit for
+    bit, so its lip, its 1 / min and (rounding is monotone) their product
+    cannot fall.  Only the at most 4n - 10 swaps touching those ends
+    (cand, remade after each accepted swap) are evaluated, in batches, so
+    the first that improves is the one a loop over every swap takes."""
+    n, iu, ju = len(sigma), pairs.iu, pairs.ju
+
+    def touching_ends() -> np.ndarray:
+        r = pairs.DY[sigma[iu], sigma[ju]] / pairs.dx
+        hot = np.zeros(n, dtype=bool)
+        k = [r.argmax(), r.argmin()]
+        hot[iu[k]] = hot[ju[k]] = True
+        return np.flatnonzero(hot[iu] | hot[ju])
+
     cur = pairs.result(sigma).distortion
+    cand = touching_ends()
     improved = True
     while improved:
-        improved = False
-        for a in range(n):
-            b0 = a + 1
-            while b0 < n:
-                bs = np.arange(b0, min(n, b0 + pairs.rows))
-                S = np.repeat(sigma[None], len(bs), axis=0)
-                k = np.arange(len(bs))
-                S[k, a], S[k, bs] = sigma[bs], sigma[a]
-                lip, inv = pairs.evaluate(S)
-                vals = lip * inv
-                hit = np.flatnonzero(vals < cur - 1e-15)
-                if len(hit):
-                    b = int(bs[hit[0]])
-                    sigma[a], sigma[b] = sigma[b], sigma[a]
-                    cur = float(vals[hit[0]])
-                    improved = True
-                    b0 = b + 1
-                else:
-                    b0 += len(bs)
+        improved, i = False, 0
+        while i < len(cand):
+            ks = cand[i:i + pairs.rows]
+            S = np.repeat(sigma[None], len(ks), axis=0)
+            rows = np.arange(len(ks))
+            S[rows, iu[ks]], S[rows, ju[ks]] = sigma[ju[ks]], sigma[iu[ks]]
+            lip, inv = pairs.evaluate(S)
+            vals = lip * inv
+            hit = np.flatnonzero(vals < cur - 1e-15)
+            if len(hit):
+                k = int(ks[hit[0]])
+                sigma[[iu[k], ju[k]]] = sigma[[ju[k], iu[k]]]
+                cur = float(vals[hit[0]])
+                improved = True
+                cand = touching_ends()
+                i = int(np.searchsorted(cand, k + 1))
+            else:
+                i += len(ks)
     return sigma
 
 

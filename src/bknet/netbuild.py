@@ -458,12 +458,15 @@ def check_separation(net: Net, window: Rect) -> float:
     bg_off = cells.near_square(gx + 0.5, gy + 0.5, window)
     if not bg_off.all():
         best = min(best, 1.0)
+    # only the centres touching a square are scanned: drop the window's
+    # other squares before _near builds its candidate set
+    gx, gy = gx[bg_off] + 0.5, gy[bg_off] + 0.5
     # per lattice with window points and axis, whether index 0 and n - 1 are among them
     some = (count > 0).all(axis=1)[:, None]
     lo, hi = some & (first == 0), some & (first + count == n) & (n > 1)
-    if lo.any() or hi.any() or bg_off.any():
+    if lo.any() or hi.any() or len(gx):
         x, y = _ring(lo, hi, count, coords)
-        x, y = np.concatenate([x, gx[bg_off] + 0.5]), np.concatenate([y, gy[bg_off] + 0.5])
+        x, y = np.concatenate([x, gx]), np.concatenate([y, gy])
         _, grid = _near(net, window)
         best = min(best, float(grid.nearest_other(x, y).min()))
     return best

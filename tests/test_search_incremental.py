@@ -567,6 +567,48 @@ class TestGreedyDistortion:
             distortion._CHUNK = saved
         assert np.array_equal(got, want)
 
+    @given(st.data(), st.one_of(st.integers(1, 60), st.integers(1, 1 << 14)))
+    @settings(max_examples=60, deadline=None)
+    def test_two_swap_on_ties(self, data, chunk):
+        """Integer points tie many pairs at the largest and at the smallest
+        ratio, so the extremal pairs whose ends are screened are picked
+        among ties; in batches of any size, down to one swap."""
+        n = data.draw(st.integers(2, 40))
+        cell = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+        X, Y = (np.array(data.draw(st.lists(cell, min_size=n, max_size=n, unique=True)), float)
+                for _ in range(2))
+        sigma = np.array(data.draw(st.permutations(range(n))))
+        DX, DY = _dist_matrix(X), _dist_matrix(Y)
+        iu, ju = np.triu_indices(n, k=1)
+        want = oracle_two_swap(DX, DY, sigma.copy(), iu, ju)
+        distortion._CHUNK, saved = chunk, distortion._CHUNK
+        try:
+            got = _two_swap(_Pairs(X, Y), sigma.copy())
+        finally:
+            distortion._CHUNK = saved
+        assert np.array_equal(got, want)
+
+    def test_a_pass_evaluates_only_the_swaps_touching_extremal_pairs(self, monkeypatch):
+        """From a local minimum, one pass takes no swap and evaluates at
+        most the 4n - 10 swaps that move an end of the two extremal pairs,
+        not all n(n - 1)/2."""
+        n = 64
+        rng = np.random.default_rng(3)
+        X, Y = rng.uniform(0, 10, (n, 2)), rng.uniform(0, 10, (n, 2))
+        pairs = _Pairs(X, Y)
+        sigma = _two_swap(pairs, _nn_matching(X, Y, np.arange(n)))
+        rows = []
+        evaluate = _Pairs.evaluate
+
+        def spy(self, S):
+            rows.append(len(S))
+            return evaluate(self, S)
+
+        monkeypatch.setattr(_Pairs, "evaluate", spy)
+        assert np.array_equal(_two_swap(pairs, sigma.copy()), sigma)
+        # the first row is the starting sigma's own distortion
+        assert rows[0] == 1 and 0 < sum(rows[1:]) <= 4 * n - 10
+
     def test_thirty_three_points(self):
         X = [((k * 37) % 101 / 10, (k * 53) % 103 / 10) for k in range(33)]
         Y = [((k * 41) % 97 / 9, (k * 29) % 89 / 11) for k in range(33)]
