@@ -199,29 +199,30 @@ def _check_finite(window: Rect) -> None:
         raise ValueError(f"window {window} has a non-finite coordinate")
 
 
-def _near(net: Net, window: Rect) -> tuple[np.ndarray, _Grid]:
-    """The net points in the window inflated by 2s, s = net.max_cell_spacing,
-    and a bucket index over them.  They hold every window point's nearest
+def _near(net: Net, window: Rect) -> _Grid:
+    """A bucket index over the net points in the window inflated by 2s,
+    s = net.max_cell_spacing.  They hold every window point's nearest
     net point and every window net point's nearest neighbour: each point of
     the plane is within s/sqrt(2) of the net (of a subdivision cell's grid
     centers, or of the lattice center of a unit square no scheduled square
     contains), and a Voronoi neighbour of a net point is within twice that,
     so the index needs to reach only s/sqrt(2).  The window checks build it
     only for the points and sample blocks they cannot resolve on one
-    lattice, and the net keeps the last window's set, so check_separation
+    lattice, and the net keeps the last window's index, so check_separation
     and then check_covering on one window gather and index it at most
     once."""
     _check_finite(window)
     last = vars(net).get("_near_last")
     if last is not None and last[0] == window:
-        return last[1:]
+        return last[1]
     r = 2.0 * net.max_cell_spacing
-    pts, _ = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
-                                       window.x1 + r, window.y1 + r))
+    # only the points: their tags are freed before the index is built
+    pts = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
+                                    window.x1 + r, window.y1 + r))[0]
     grid = _Grid(pts, net.max_cell_spacing / math.sqrt(2))
     # a frozen dataclass: set the memo the way functools.cached_property does
-    vars(net)["_near_last"] = (window, pts, grid)
-    return pts, grid
+    vars(net)["_near_last"] = (window, grid)
+    return grid
 
 
 class _Grid:
@@ -259,7 +260,6 @@ class _Grid:
         pad = np.full(self._span[2], np.inf)
         self._x = np.concatenate([pts[order, 0], pad])
         self._y = np.concatenate([pts[order, 1], pad])
-        self._order = np.concatenate([order, np.full(len(pad), len(pts), dtype=pos)])
 
     def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (np.floor((x - self._x0) / self._w).astype(np.intp),
@@ -289,9 +289,10 @@ class _Grid:
         return d, k
 
     def nearest(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(distance, index) of a nearest point to each query (x, y)."""
+        """(distance, coordinates as an (n, 2) array) of a nearest point to
+        each query (x, y)."""
         d, k = self._scan(x, y, 1)
-        return d, self._order[k]
+        return d, np.column_stack([self._x[k], self._y[k]])
 
     def nearest_other(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The distance from each query (x, y), one of the points, to its
@@ -467,8 +468,7 @@ def check_separation(net: Net, window: Rect) -> float:
     if lo.any() or hi.any() or len(gx):
         x, y = _ring(lo, hi, count, coords)
         x, y = np.concatenate([x, gx]), np.concatenate([y, gy])
-        _, grid = _near(net, window)
-        best = min(best, float(grid.nearest_other(x, y).min()))
+        best = min(best, float(_near(net, window).nearest_other(x, y).min()))
     return best
 
 
@@ -535,14 +535,13 @@ def check_covering(net: Net, window: Rect) -> float:
             # 32-bit indices halve the arrays, one block per _BLOCK^2 samples
             bc, br = np.nonzero(~done)
             if len(bc):
-                pts, grid = _near(net, window)
                 i0 = ((bc + c0) * _BLOCK).astype(np.int32)
                 j0 = ((br + r0) * _BLOCK).astype(np.int32)
-                worst = _branch_and_bound(grid, pts, xs, ys, i0, j0, worst)
+                worst = _branch_and_bound(_near(net, window), xs, ys, i0, j0, worst)
     return worst
 
 
-def _branch_and_bound(grid: _Grid, pts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+def _branch_and_bound(grid: _Grid, xs: np.ndarray, ys: np.ndarray,
                       i0: np.ndarray, j0: np.ndarray, worst: float) -> float:
     """The larger of worst and the grid's maximum distance to the net over
     the blocks of samples [i0, i0 + _BLOCK) x [j0, j0 + _BLOCK), clipped to
@@ -550,13 +549,12 @@ def _branch_and_bound(grid: _Grid, pts: np.ndarray, xs: np.ndarray, ys: np.ndarr
     i1, j1 = np.minimum(i0 + _BLOCK, len(xs)), np.minimum(j0 + _BLOCK, len(ys))
     while len(i0):
         ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
-        d, k = grid.nearest(xs[ri], ys[rj])
+        d, p = grid.nearest(xs[ri], ys[rj])
         worst = max(worst, float(d.max()))
         # a block is done when it is one sample, or when no sample of it can
         # lie farther from the net than worst; the quarters of the others
         # inherit the net point nearest their parent's centre sample, and
         # are pruned by the same bound on their own box before their query
-        p = pts[k]
         live = ((i1 - i0 > 1) | (j1 - j0 > 1)) & _may_exceed(p, xs, ys, i0, i1, j0, j1, worst)
         i0, i1, j0, j1, p = _quarters(i0[live], i1[live], j0[live], j1[live], p[live])
         live = _may_exceed(p, xs, ys, i0, i1, j0, j1, worst)

@@ -72,17 +72,18 @@ def _vertex_table(nx: int, ny: int) -> list:
 
 
 class _Descent:
-    """The accepted map of the search, kept per triangle (det, largest
-    singular value, penalty term |det - rho| * tri_area) and per marked
-    pair (stretch ratio; the marked pairs are the horizontal edges of the
-    vertex grid), with `psum` and `rmax` the floats `pen.sum()` and
-    `ratios.max()` returned and `nmax` the number of pairs at `rmax`.
+    """The accepted map of the search, kept per triangle (penalty term
+    |det - rho| * tri_area) and per marked pair (stretch ratio; the marked
+    pairs are the horizontal edges of the vertex grid), with `psum` and
+    `rmax` the floats `pen.sum()` and `ratios.max()` returned and `nmax`
+    the number of pairs at `rmax`.  Every triangle of the start, and so of
+    every accepted map, keeps its orientation and the Lipschitz cap.
 
     A one-vertex move recomputes only the at most six triangles and two
     pairs that touch the vertex (`_vertex_table`), in float arithmetic
     with the IEEE operations of `plmap._jacobians`, and is rejected when a
-    triangle fails the orientation or Lipschitz check.  From a finite
-    objective the move is then screened, and rejected when
+    triangle fails the orientation or Lipschitz check.  The move is then
+    screened, and rejected when
 
         lb = r + JAC_PENALTY * ((psum + d) - g * (psum + w)) >= obj,
 
@@ -102,22 +103,28 @@ class _Descent:
     cover it and every other second-order term, far beyond the desk
     limit of n = 2048 triangles.  Rounding is monotone, so lb, evaluated
     with the objective's own operations, is at most the objective.  A move
-    that passes the screen, and every move from a +inf objective, takes
-    the exact path (`_exact`).  Every objective is therefore bitwise the
-    one a full recomputation gives."""
+    that passes the screen takes the exact path (`_exact`).  Every
+    objective is therefore bitwise the one a full recomputation gives."""
 
     def __init__(self, m: PLMap, rho: np.ndarray, L: float):
         """m: the start; rho: the density at every triangle centroid; L:
         the Lipschitz cap.  A marked pair's ratio is its image length over
-        the grid step dx."""
+        the grid step dx.  A start that folds a triangle or exceeds the cap
+        is a ValueError: no move can leave it."""
+        dets, smax = _jacobians(m)
+        if np.any(dets <= 0):
+            raise ValueError("the start map folds a triangle (det <= 0)")
+        lip = float(smax.max())
+        if lip > L:
+            raise ValueError(f"the start map's largest singular value {lip!r} "
+                             f"exceeds the Lipschitz cap L={L!r}")
         self.rho, self.L = rho.tolist(), L
         self.dx = m.domain.width / m.nx
         self.dy = m.domain.height / m.ny
         self.tri_area = self.dx * self.dy / 2.0
         self.xs, self.ys = m.vertices[:, 0].tolist(), m.vertices[:, 1].tolist()
         self.table = _vertex_table(m.nx, m.ny)
-        self.dets, self.smax = _jacobians(m)
-        self.pen = np.abs(self.dets - rho) * self.tri_area
+        self.pen = np.abs(dets - rho) * self.tri_area
         V = m.vertices.reshape(m.ny + 1, m.nx + 1, 2)
         diffs = V[:, 1:] - V[:, :-1]
         self.ratios = (np.hypot(diffs[..., 0], diffs[..., 1]) / self.dx).ravel()
@@ -126,11 +133,7 @@ class _Descent:
         self.psum, self.rmax = float(self.pen.sum()), float(self.ratios.max())
         self.nmax = int(np.count_nonzero(self.ratios == self.rmax))
         self.margin = _gamma(2 * len(self.pen) + 16)
-        # +inf when the Lipschitz cap or orientation is violated
-        if np.any(self.dets <= 0) or self.smax.max() > L:
-            self.obj = np.inf
-        else:
-            self.obj = self.rmax + JAC_PENALTY * self.psum
+        self.obj = self.rmax + JAC_PENALTY * self.psum
 
     def vertices(self) -> np.ndarray:
         return np.column_stack([self.xs, self.ys])
@@ -142,7 +145,7 @@ class _Descent:
         tris, pairs = self.table[v]
         old = xs[v], ys[v]
         xs[v], ys[v] = px, py
-        new = []     # (triangle, det, smax, penalty term)
+        new = []     # (triangle, penalty term)
         d = w = 0.0  # float sums of new - old and new + old penalty terms
         for t, a, b, c, lower in tris:
             x00, y00 = xs[a], ys[a]
@@ -156,9 +159,8 @@ class _Descent:
             frob2 = d00 * d00 + d01 * d01 + d10 * d10 + d11 * d11
             disc = frob2 * frob2 - 4.0 * (det * det)
             s = sqrt((frob2 + sqrt(0.0 if disc < 0.0 else disc)) / 2.0)
-            # every other triangle keeps its det > 0 from the accepted
-            # state, and its smax <= L unless the objective is +inf (a
-            # start above the cap)
+            # every other triangle keeps its det > 0 and smax <= L from
+            # the accepted state
             if det <= 0 or s > L:
                 xs[v], ys[v] = old
                 return False
@@ -166,7 +168,7 @@ class _Descent:
             o = penl[t]
             d += p - o
             w += p + o
-            new.append((t, det, s, p))
+            new.append((t, p))
         rmax, ratiosl, obj = self.rmax, self.ratiosl, self.obj
         held = 0     # changed pairs at rmax
         r = 0.0
@@ -179,7 +181,7 @@ class _Descent:
         if held < self.nmax and rmax > r:
             r = rmax
         psum = self.psum
-        if (obj == np.inf or r + JAC_PENALTY * ((psum + d) - self.margin * (psum + w)) < obj) \
+        if r + JAC_PENALTY * ((psum + d) - self.margin * (psum + w)) < obj \
                 and self._exact(new, pairs, held):
             return True
         xs[v], ys[v] = old
@@ -192,15 +194,9 @@ class _Descent:
         in place, takes `pen.sum()` and, when the changed pairs held every
         maximum, `ratios.max()`, keeps the move if the objective strictly
         decreases and restores both arrays otherwise."""
-        if self.obj == np.inf:
-            smax = self.smax.copy()
-            for t, _, s, _ in new:
-                smax[t] = s
-            if smax.max() > self.L:
-                return False
         xs, ys, dx = self.xs, self.ys, self.dx
         pen, ratios, penl, ratiosl = self.pen, self.ratios, self.penl, self.ratiosl
-        for t, _, _, p in new:
+        for t, p in new:
             pen[t] = p
         rs = []
         for e, a in pairs:
@@ -212,14 +208,13 @@ class _Descent:
         psum = float(pen.sum())
         obj = rmax + JAC_PENALTY * psum
         if not obj < self.obj:
-            for t, _, _, _ in new:
+            for t, _ in new:
                 pen[t] = penl[t]
             for e, _ in pairs:
                 ratios[e] = ratiosl[e]
             return False
-        dets, smax = self.dets, self.smax
-        for t, det, s, p in new:
-            dets[t], smax[t], penl[t] = det, s, p
+        for t, p in new:
+            penl[t] = p
         for (e, _), r in zip(pairs, rs):
             ratiosl[e] = r
         if held == self.nmax:
@@ -240,7 +235,8 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
     must be the thin rectangle [0,1] x [0,1/N], and starts with each vertex
     at its marked point, so marked points coincide with grid vertices.
     Each step perturbs one random vertex; moves are accepted only when the
-    objective strictly decreases, so the trace is non-increasing.
+    objective strictly decreases, so the trace is non-increasing.  A start
+    whose computed largest singular value exceeds consts.L is a ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

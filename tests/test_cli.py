@@ -204,6 +204,18 @@ class TestSearchCommand:
         assert all(t2 <= t1 for t1, t2 in zip(trace, trace[1:]))
         plmap_from_json(json.dumps(doc["map"]))  # embedded map parses
 
+    def test_start_above_the_cap_exit_2(self, tmp_path, capsys):
+        # the N=5, M=7 marked grid's computed largest singular value is
+        # above this cap: the search refuses the start, and nothing is written
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert main(["search", "--L", "1.000000001", "--c", "1", "--N", "5", "--M", "7",
+                     "--budget", "100", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the Lipschitz cap L=1.000000001" in captured.err
+
 
 class TestRuntimeNeedsNoScipy:
     """scipy is only a test dependency: the library and the CLI never import it."""

@@ -90,11 +90,19 @@ def covering_by_full_sweep(net, window):
     return worst
 
 
+def candidates(net, window):
+    """The points `_near` indexes for the window: the net points in the
+    window inflated by 2 net.max_cell_spacing."""
+    r = 2.0 * net.max_cell_spacing
+    return net.points_in_window(Rect(window.x0 - r, window.y0 - r,
+                                     window.x1 + r, window.y1 + r))[0]
+
+
 def separation_by_full_scan(net, window):
     """check_separation as it was before the closed form: every window
     point's nearest other point, scanned over the candidate set of `_near`
     on a fresh copy of the net."""
-    pts, grid = netbuild._near(fresh(net), window)
+    pts, grid = candidates(net, window), netbuild._near(fresh(net), window)
     inside = np.flatnonzero((pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
                             & (pts[:, 1] >= window.y0) & (pts[:, 1] <= window.y1))
     if len(inside) < 2:
@@ -140,8 +148,7 @@ def covering_by_centre_bound(net, window):
     candidate set: a block is kept while d + r, d its centre sample's
     distance to the net and r its farthest sample from that centre, times
     1 + _SLACK reaches the largest distance seen so far."""
-    pts, _ = netbuild._near(net, window)
-    tree = cKDTree(pts)
+    tree = cKDTree(candidates(net, window))
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
@@ -684,6 +691,22 @@ class TestSharedCandidates:
             for query in (check_covering, check_separation):
                 assert query(n, window) == query(fresh(n), window)
 
+    def test_candidate_build_frees_the_tags_and_keeps_no_points(self):
+        n = build_net(make_plan(TWO_TONE, 4))
+        window = Rect(-2.0, -2.0, 1400.0, 1400.0)   # every square: 1,698,938 candidates
+        nbytes = candidates(n, window).nbytes      # and the lattice table, built beforehand
+        tracemalloc.start()
+        try:
+            netbuild._near(n, window)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 4.48 and 1.23 nbytes; with the tags alive through the index build
+        # the peak was 4.98 nbytes, and with the points kept beside the
+        # index 2.48 nbytes stayed
+        assert peak <= 4.75 * nbytes
+        assert kept <= 1.5 * nbytes
+
     def test_nets_queried_on_equal_windows_match_fresh_calls(self):
         nets = [fresh(net("two-tone-K2")), fresh(net("constant-4-K1"))]
         for n in nets + nets:
@@ -701,7 +724,7 @@ class TestQueryChunks:
         n = net("two-tone-K3")
         want = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
                 for w in self.WINDOWS]
-        pts, grid = netbuild._near(fresh(n), self.WINDOWS[0])
+        pts, grid = candidates(n, self.WINDOWS[0]), netbuild._near(fresh(n), self.WINDOWS[0])
         want_nearest = grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125)
         want_other = grid.nearest_other(pts[:, 0], pts[:, 1])
         with pytest.MonkeyPatch.context() as mp:
@@ -741,17 +764,19 @@ def grid_cases(draw):
 
 
 class TestGridOracle:
-    """The bucket index against cKDTree: distances bit for bit, and an
-    index of a point at that distance, for queries whose nearest point lies
-    within reach, on bucket edges among them."""
+    """The bucket index against cKDTree: distances bit for bit, and a point
+    at that distance, for queries whose nearest point lies within reach, on
+    bucket edges among them."""
 
     @staticmethod
     def check_nearest(pts, grid, q):
         want, _ = cKDTree(pts).query(q, k=1)
         q, want = q[want <= grid.reach], want[want <= grid.reach]
-        d, k = grid.nearest(q[:, 0], q[:, 1])
+        d, p = grid.nearest(q[:, 0], q[:, 1])
         assert np.array_equal(d, want)
-        dx, dy = pts[k, 0] - q[:, 0], pts[k, 1] - q[:, 1]
+        assert p.shape == q.shape
+        assert np.isin(p[:, 0] + 1j * p[:, 1], pts[:, 0] + 1j * pts[:, 1]).all()
+        dx, dy = p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]
         assert np.array_equal(np.sqrt(dx * dx + dy * dy), d)
 
     def test_a_query_exactly_reach_away_over_a_rounded_bucket_edge(self):
@@ -766,7 +791,7 @@ class TestGridOracle:
         assert math.floor((q - lo) / reach) - math.floor((p - lo) / reach) == 2
         grid = netbuild._Grid(pts, reach)
         self.check_nearest(pts, grid, np.array([[q, 0.0]]))
-        assert grid.nearest(np.array([q]), np.array([0.0]))[1].tolist() == [1]
+        assert grid.nearest(np.array([q]), np.array([0.0]))[1].tolist() == [[p, 0.0]]
 
     @settings(max_examples=300, deadline=None)
     @given(case=grid_cases(), data=st.data())

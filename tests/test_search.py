@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from bknet import make_checkerboard, marked_grid, search_min_stretch, toy_constants
+from bknet import PLMap, make_checkerboard, marked_grid, search_min_stretch, toy_constants
+from bknet.plmap import _jacobians
 
 
 FIELD = make_checkerboard(4, 1.0)
@@ -56,3 +59,14 @@ class TestSearch:
         big = toy_constants(2.0, 1.0, N=32, M=2)
         with pytest.raises(ValueError):
             search_min_stretch(make_checkerboard(32, 1.0), big, 10, seed=0)
+
+    def test_start_above_the_cap_rejected(self):
+        # the marked grid's computed largest singular value at N=5, M=7 is
+        # a few 1e-9 above 1, so a cap between them refuses the start
+        field, L = make_checkerboard(5, 1.0), 1.000000001
+        start = PLMap(field.domain, 35, 7, np.array(marked_grid(5, 7).points))
+        lip = float(_jacobians(start)[1].max())
+        assert lip > L
+        with pytest.raises(ValueError, match=re.escape(
+                f"largest singular value {lip!r} exceeds the Lipschitz cap L={L!r}")):
+            search_min_stretch(field, toy_constants(L, 1.0, N=5, M=7), 100, 0)

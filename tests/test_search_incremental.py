@@ -8,6 +8,7 @@ Every comparison is bitwise (==, array_equal), not approximate.
 """
 
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -161,9 +162,7 @@ def descent_for(N, M, L, c=1.0):
 
 def assert_state_matches_full(state, m0, gap, rho, tri_area):
     verts = state.vertices()
-    dets, smax = _jacobians(PLMap(m0.domain, m0.nx, m0.ny, verts))
-    assert np.array_equal(state.dets, dets)
-    assert np.array_equal(state.smax, smax)
+    dets, _ = _jacobians(PLMap(m0.domain, m0.nx, m0.ny, verts))
     assert np.array_equal(state.pen, np.abs(dets - rho) * tri_area)
     V = verts.reshape(m0.ny + 1, m0.nx + 1, 2)
     diffs = V[:, 1:] - V[:, :-1]
@@ -249,35 +248,29 @@ class TestSearchStep:
                 assert_state_matches_full(state, m0, gap, rho, tri_area)
         assert_state_matches_full(state, m0, gap, rho, tri_area)
 
-    @pytest.mark.parametrize("N,M", [(1, 1), (2, 1)])
-    @pytest.mark.parametrize("L", [0.5, 1.0 - 2 ** -52])
-    def test_identity_above_the_cap(self, N, M, L):
-        """The search itself takes L > 1; the step does not rely on it."""
-        state, (m0, gap, rho, tri_area) = descent_for(N, M, L)
-        assert state.obj == np.inf
-        rng = np.random.default_rng(1)
-        for v in range(len(m0.vertices)):
-            for scale in (0.3 * gap, 1e-3 * gap):
-                ux, uy = rng.standard_normal(2).tolist()
-                move_and_check(state, m0, gap, rho, tri_area,
-                               v, state.xs[v] + scale * ux, state.ys[v] + scale * uy)
-
-    def test_start_above_the_cap_elsewhere(self):
-        """A start whose objective is +inf because of a triangle the move
-        does not touch: the step then checks every triangle."""
-        _, (m0, gap, rho, tri_area) = descent_for(4, 1, 2.0)
+    @pytest.mark.parametrize("N, M, L, moved, error", [
+        (1, 1, 0.5, (), "exceeds the Lipschitz cap L=0.5"),
+        (2, 1, 1.0 - 2 ** -52, (), "exceeds the Lipschitz cap L=0.9999999999999998"),
+        # vertex 9, the top right corner, two gaps right: its cell stretched threefold
+        (4, 1, 2.0, (9, 2.0, 0.0), "exceeds the Lipschitz cap L=2.0"),
+        # vertex 4, the middle of the top edge, far below the bottom row
+        (2, 1, 2.0, (4, 0.0, -10.0), "folds a triangle"),
+    ], ids=["identity-L0.5", "identity-L1-ulp", "far-corner-L2", "folded"])
+    def test_start_above_the_cap_or_folded_refused(self, N, M, L, moved, error):
+        """No move can leave a start whose objective would be +inf, so the
+        descent refuses it, naming the largest singular value and the cap."""
+        _, (m0, gap, rho, _) = descent_for(N, M, 2.0)
         verts = m0.vertices.copy()
-        far = 9                         # vertex (4, 1), the top right corner
-        verts[far, 0] += 2.0 * gap      # its cell stretched threefold
+        if moved:
+            v, sx, y = moved
+            verts[v] += (sx * gap, y)
         start = PLMap(m0.domain, m0.nx, m0.ny, verts)
-        state = _Descent(start, rho, 2.0)
-        assert state.obj == np.inf
-        for v in range(len(verts)):
-            assert not move_and_check(state, m0, gap, rho, tri_area,
-                                      v, state.xs[v] + 1e-3 * gap, state.ys[v])
-        # moving the far corner back brings every triangle under the cap
-        assert move_and_check(state, m0, gap, rho, tri_area, far, *m0.vertices[far].tolist())
-        assert state.obj < np.inf
+        dets, smax = _jacobians(start)
+        if error.startswith("exceeds"):
+            assert (dets > 0).all() and smax.max() > L
+            error = f"largest singular value {float(smax.max())!r} {error}"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            _Descent(start, rho, L)
 
     def test_orientation_flip_rejected(self):
         state, (m0, gap, rho, tri_area) = descent_for(2, 1, 2.0)
