@@ -5,11 +5,14 @@ interior-disjoint rectangular cells with their own values.  Evaluation
 uses the half-open convention [left, right) x [bottom, top) so every
 point of the domain gets exactly one value; integration is exact because
 all pieces are constants on rectangles.  `cells` is the public tuple;
-checks, reads and writes go through float columns built from it once.
+checks, reads and writes go through float columns built from it once, and
+the point lookups through a slab table built from those on the first
+lookup.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -59,41 +62,55 @@ class DensityField:
         return (_boxes(r for r, _ in self.cells),
                 np.array([v for _, v in self.cells], dtype=float))
 
+    @functools.cached_property
+    def _slabs(self) -> "_Slabs | None":
+        """The table both lookups read, built on the first of them; None
+        where it would hold more than 4n + 1024 entries for n cells, and the
+        field then keeps the scan over every cell.  The distinct cell y
+        edges `ys` cut the plane into slabs [ys[s], ys[s + 1]), and a cell
+        has one entry in each slab its [y0, y1) covers, by slab and then x0."""
+        box, val = self._columns
+        ys = np.unique(box[:, 1::2])
+        lo = np.searchsorted(ys, box[:, 1])
+        span = np.searchsorted(ys, box[:, 3]) - lo
+        total = int(span.sum())
+        if total > 4 * len(val) + 1024:
+            return None
+        cell = np.repeat(np.arange(len(val)), span)
+        slab = np.arange(total) - np.repeat(np.cumsum(span) - span - lo, span)
+        order = np.lexsort((box[cell, 0], slab))
+        cell = cell[order]
+        return _Slabs(ys, slab[order], box[cell, 0], box[cell, 2], val[cell])
+
     def value_at(self, x: float, y: float) -> float:
-        """The value at one point of the closed domain, by values_at's rule:
-        the cells are interior-disjoint and half-open, so at most one holds
-        the point."""
+        """The value at one point of the closed domain: the cell that holds
+        it, half-open, else the default.  The cells are interior-disjoint,
+        so at most one holds the point; bisections in the slab table find
+        it."""
         if not self.domain.contains_point(x, y):
             raise DomainError(f"point ({x}, {y}) outside domain {self.domain}")
-        box, val = self._columns
-        if len(val):
-            hit = _holds(box, x, y)
-            n = hit.argmax()
-            if hit[n]:
-                return float(val[n])
-        return float(self.default)
+        t = self._slabs
+        if t is None:
+            return _scan(*self._columns, self.default, x, y)
+        return t.value_at(x, y, float(self.default))
 
     def values_at(self, xs, ys) -> np.ndarray:
         """Values at many points, half-open like value_at but without its
-        domain check: the first cell containing a point wins, otherwise the
-        default.  The result has the shape of xs."""
+        domain check: the cell holding a point, otherwise the default, so
+        NaN, infinite and outside points get the default.  value_at's
+        decision, by searchsorted on the slab table.  The result has the
+        shape of xs."""
         x = np.asarray(xs, dtype=float)
         y = np.asarray(ys, dtype=float)
         if x.shape != y.shape:
             raise ValueError(f"xs and ys differ in shape: {x.shape} and {y.shape}")
-        box, val = self._columns
         out = np.full(x.size, float(self.default))
-        if len(val):
-            px, py = x.reshape(-1, 1), y.reshape(-1, 1)
-            # chunks of points stay under _PAIR_CHUNK point-cell pairs, and
-            # replace_region's candidate pairs likewise (both read this
-            # module's name, so tests can patch it)
-            step = max(1, _PAIR_CHUNK // len(val))
-            for s in range(0, x.size, step):
-                cx, cy = px[s:s + step], py[s:s + step]
-                hit = _holds(box, cx, cy)
-                found = np.flatnonzero(hit.any(axis=1))
-                out[s + found] = val[hit[found].argmax(axis=1)]
+        t = self._slabs
+        if t is None:
+            for k, (a, b) in enumerate(zip(x.ravel().tolist(), y.ravel().tolist())):
+                out[k] = _scan(*self._columns, self.default, a, b)
+        else:
+            t.values_at(x.ravel(), y.ravel(), out)
         return out.reshape(x.shape)
 
     def values(self) -> set[float]:
@@ -121,6 +138,8 @@ class DensityField:
         cell misses every piece of it, so the others are skipped."""
         box = self._columns[0]
         n_cells = len(box)
+        # chunks of candidate pairs stay under _PAIR_CHUNK, read through this
+        # module's name so tests can patch it
         pairs = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [
             np.sort(np.column_stack(ab), axis=1)
             for ab in _meeting_pairs(np.concatenate([box, _boxes(regions)]), _PAIR_CHUNK)])
@@ -143,10 +162,55 @@ class DensityField:
         return DensityField(self.domain, self.default, tuple(kept))
 
 
-def _holds(box: np.ndarray, x, y) -> np.ndarray:
-    """Mask of the boxes (rows x0, y0, x1, y1) whose half-open extent
-    [x0, x1) x [y0, y1) holds the point (x, y); broadcasts over x and y."""
-    return (box[:, 0] <= x) & (x < box[:, 2]) & (box[:, 1] <= y) & (y < box[:, 3])
+def _scan(box: np.ndarray, val: np.ndarray, default: float, x: float, y: float) -> float:
+    """The value at (x, y) from a scan over every box (rows x0, y0, x1, y1)
+    for one whose half-open [x0, x1) x [y0, y1) holds it: the lookups' path
+    on a field whose slab table would be too large."""
+    hit = (box[:, 0] <= x) & (x < box[:, 2]) & (box[:, 1] <= y) & (y < box[:, 3])
+    n = hit.argmax()
+    return float(val[n]) if hit[n] else float(default)
+
+
+class _Slabs:
+    """A field's cells by horizontal slab: given the distinct cell y edges
+    `ys`, and per entry, by slab and then x0, its slab, x0, x1 and value.
+    The cells of slab s = [ys[s], ys[s + 1]) span its full height and are
+    interior-disjoint, so their [x0, x1) are disjoint: a point of the slab
+    lies in at most one, the entry with the last x0 at or below the point's
+    x, when the point is left of its x1."""
+
+    def __init__(self, ys: np.ndarray, slab: np.ndarray, x0: np.ndarray, x1: np.ndarray,
+                 val: np.ndarray):
+        # value_at bisects Python lists, slab s's entries start[s]:start[s + 1]
+        start = np.searchsorted(slab, np.arange(len(ys)))
+        self.lists = tuple(a.tolist() for a in (ys, start, x0, x1, val))
+        # values_at searches one sorted integer key per entry: slab * len(xs)
+        # + the rank of x0 among the distinct x0s `xs`
+        self.xs, rank = np.unique(x0, return_inverse=True)
+        self.ys, self.key, self.x1, self.val = ys, slab * len(self.xs) + rank.ravel(), x1, val
+
+    def value_at(self, x: float, y: float, default: float) -> float:
+        ys, start, x0, x1, val = self.lists
+        s = bisect.bisect_right(ys, y)    # the point's slab is s - 1
+        if 0 < s < len(ys):
+            a = start[s - 1]
+            j = bisect.bisect_right(x0, x, a, start[s]) - 1
+            if j >= a and x < x1[j]:
+                return val[j]
+        return default
+
+    def values_at(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Write the values of the points held by entries into out."""
+        if not len(self.key):
+            return
+        low = (np.searchsorted(self.ys, y, side="right") - 1) * len(self.xs)
+        j = np.searchsorted(self.key, low + np.searchsorted(self.xs, x, side="right") - 1,
+                            side="right") - 1
+        # the last key at or below the point's is in its slab when it is not
+        # below the slab's first key; j = -1 reads the last entry, which
+        # j >= 0 then rejects
+        hit = (j >= 0) & (self.key[j] >= low) & (x < self.x1[j])
+        out[hit] = self.val[j[hit]]
 
 
 def _integrate(box: np.ndarray, val: np.ndarray, default: float,

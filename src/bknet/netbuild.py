@@ -250,11 +250,13 @@ class _Grid:
         cx, cy = self._cells(pts[:, 0], pts[:, 1])
         self._nx, self._ny = int(cx.max()) + 4, int(cy.max()) + 4
         b = cx * self._ny + cy
+        del cx, cy
         # 32-bit positions halve the index wherever they can hold every point
         pos = np.int32 if len(pts) < 2 ** 31 else np.intp
         order = np.argsort(b, kind="stable").astype(pos)
         start = np.zeros(self._nx * self._ny + 1, dtype=pos)
         np.cumsum(np.bincount(b, minlength=self._nx * self._ny), out=start[1:])
+        del b
         self._start = start
         self._span = {w: int((start[2 * w + 1:] - start[:-2 * w - 1]).max()) for w in (0, 1, 2)}
         pad = np.full(self._span[2], np.inf)

@@ -1,6 +1,7 @@
 """Oracles that only the tests use, kept out of the library: half-open
-cell membership for a Rect, and each cell's image area from the shoelace
-formula, which shares no code with the determinant route of pl_metrics."""
+cell membership for a Rect, each cell's image area from the shoelace
+formula, which shares no code with the determinant route of pl_metrics,
+and a density lookup that scans every cell."""
 
 import numpy as np
 
@@ -23,4 +24,21 @@ def cell_image_areas_shoelace(m) -> np.ndarray:
             x = quad[:, 0]
             y = quad[:, 1]
             out[j, i] = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    return out
+
+
+def scan_values_at(field, xs, ys) -> np.ndarray:
+    """DensityField.values_at by a scan over every cell, the formula the slab
+    table replaced: the first cell whose half-open [x0, x1) x [y0, y1) holds a
+    point gives its value, otherwise the default, so NaN, infinite and
+    outside points get the default."""
+    x = np.asarray(xs, dtype=float).reshape(-1, 1)
+    y = np.asarray(ys, dtype=float).reshape(-1, 1)
+    out = np.full(x.size, float(field.default))
+    if field.cells:
+        box = np.array([[r.x0, r.y0, r.x1, r.y1] for r, _ in field.cells])
+        val = np.array([v for _, v in field.cells], dtype=float)
+        hit = (box[:, 0] <= x) & (x < box[:, 2]) & (box[:, 1] <= y) & (y < box[:, 3])
+        found = hit.any(axis=1)
+        out[found] = val[hit[found].argmax(axis=1)]
     return out
