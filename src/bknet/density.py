@@ -70,7 +70,7 @@ class DensityField:
         edges `ys` cut the plane into slabs [ys[s], ys[s + 1]), and a cell
         has one entry in each slab its [y0, y1) covers, by slab and then x0."""
         box, val = self._columns
-        ys = np.unique(box[:, 1::2])
+        ys = _distinct(box[:, 1::2])
         lo = np.searchsorted(ys, box[:, 1])
         span = np.searchsorted(ys, box[:, 3]) - lo
         total = int(span.sum())
@@ -171,6 +171,13 @@ def _scan(box: np.ndarray, val: np.ndarray, default: float, x: float, y: float) 
     return float(val[n]) if hit[n] else float(default)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, sorted.  np.unique would do, but its first
+    call in a process adds over a megabyte of resident memory."""
+    a = np.sort(a, axis=None)
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
 class _Slabs:
     """A field's cells by horizontal slab: given the distinct cell y edges
     `ys`, and per entry, by slab and then x0, its slab, x0, x1 and value.
@@ -186,8 +193,9 @@ class _Slabs:
         self.lists = tuple(a.tolist() for a in (ys, start, x0, x1, val))
         # values_at searches one sorted integer key per entry: slab * len(xs)
         # + the rank of x0 among the distinct x0s `xs`
-        self.xs, rank = np.unique(x0, return_inverse=True)
-        self.ys, self.key, self.x1, self.val = ys, slab * len(self.xs) + rank.ravel(), x1, val
+        self.xs = _distinct(x0)
+        self.key = slab * len(self.xs) + np.searchsorted(self.xs, x0)
+        self.ys, self.x1, self.val = ys, x1, val
 
     def value_at(self, x: float, y: float, default: float) -> float:
         ys, start, x0, x1, val = self.lists
