@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (Rect, Similarity, UNIT_SQUARE, _PAIR_CHUNK, _boxes, _meeting_pairs,
-                       first_overlap)
+                       _runs, first_overlap)
 
 
 class DomainError(ValueError):
@@ -76,8 +76,7 @@ class DensityField:
         total = int(span.sum())
         if total > 4 * len(val) + 1024:
             return None
-        cell = np.repeat(np.arange(len(val)), span)
-        slab = np.arange(total) - np.repeat(np.cumsum(span) - span - lo, span)
+        cell, slab = _runs(lo, span)
         order = np.lexsort((box[cell, 0], slab))
         cell = cell[order]
         return _Slabs(ys, slab[order], box[cell, 0], box[cell, 2], val[cell])

@@ -91,6 +91,14 @@ def _boxes(rects) -> np.ndarray:
     return np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=float).reshape(-1, 4)
 
 
+def _runs(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, a): a from start[r] to start[r] + length[r] - 1 for each row r
+    in turn, each a with its row."""
+    row = np.repeat(np.arange(len(start)), length)
+    a = np.arange(len(row)) - np.repeat(np.cumsum(length) - length - start, length)
+    return row, a
+
+
 def _meeting_pairs(box: np.ndarray, chunk: int = _PAIR_CHUNK):
     """Yield index arrays (a, b) of the boxes (rows x0, y0, x1, y1) whose
     interiors meet, each pair once, in chunks of about `chunk` candidates (a
@@ -104,9 +112,8 @@ def _meeting_pairs(box: np.ndarray, chunk: int = _PAIR_CHUNK):
     first = 0
     while first < n:
         last = max(first + 1, int(np.searchsorted(starts, starts[first] + chunk, side="right")) - 1)
-        c = cnt[first:last]
-        a = np.repeat(np.arange(first, last), c)
-        b = a + 1 + np.arange(len(a)) - np.repeat(starts[first:last] - starts[first], c)
+        a, b = _runs(np.arange(first + 1, last + 1), cnt[first:last])
+        a += first
         meet = (s[b, 1] < s[a, 3]) & (s[a, 1] < s[b, 3])
         yield order[a[meet]], order[b[meet]]
         first = last

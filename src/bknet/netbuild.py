@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityField, _integrate
-from .geometry import Rect, Similarity, UNIT_SQUARE, first_overlap
+from .geometry import Rect, Similarity, UNIT_SQUARE, _runs, first_overlap
 
 
 # check_covering queries one sample per block of _BLOCK x _BLOCK grid
@@ -318,14 +318,6 @@ def _cell_edges(e: ScheduleEntry) -> tuple[list[float], list[float]]:
     [xs[i], xs[i+1]] x [ys[j], ys[j+1]], edge i at square.x0 + i * (side / m)."""
     steps = np.arange(e.m + 1) * (e.side / e.m)
     return (e.square.x0 + steps).tolist(), (e.square.y0 + steps).tolist()
-
-
-def _runs(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, a): a from start[r] to start[r] + length[r] - 1 for each row r
-    in turn, each a with its row."""
-    row = np.repeat(np.arange(len(start)), length)
-    a = np.arange(len(row)) - np.repeat(np.cumsum(length) - length - start, length)
-    return row, a
 
 
 def _lattice_span(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, step: np.ndarray,

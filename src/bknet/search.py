@@ -74,10 +74,10 @@ def _vertex_table(nx: int, ny: int) -> list:
 class _Descent:
     """The accepted map of the search, kept per triangle (penalty term
     |det - rho| * tri_area) and per marked pair (stretch ratio; the marked
-    pairs are the horizontal edges of the vertex grid), with `psum` and
-    `rmax` the floats `pen.sum()` and `ratios.max()` returned and `nmax`
-    the number of pairs at `rmax`.  Every triangle of the start, and so of
-    every accepted map, keeps its orientation and the Lipschitz cap.
+    pairs are the horizontal edges of the vertex grid, in the list
+    `ratiosl`), with `psum` and `rmax` the floats `pen.sum()` and
+    `max(ratiosl)` returned.  Every triangle of the start, and so of every
+    accepted map, keeps its orientation and the Lipschitz cap.
 
     A one-vertex move recomputes only the at most six triangles and two
     pairs that touch the vertex (`_vertex_table`), in float arithmetic
@@ -89,12 +89,12 @@ class _Descent:
 
     where d and w are the float sums of new - old and new + old over the
     changed penalty terms, g = gamma_{2n+16} for n triangles, and r is the
-    largest of the changed pairs' math.hypot(...) * _HYPOT_LO / dx and, if
-    a pair the move keeps is at `rmax`, `rmax`.  r is at most the new
-    ratio maximum.  The terms are >= 0, so `pen.sum()` over the n old or
-    the n new terms, added in any order, is within gamma_{n-1} of their
-    exact sum, relative (Higham, Accuracy and Stability of Numerical
-    Algorithms, eq. 4.4).  To first order in u, relative to psum + w, the
+    largest of the changed pairs' math.hypot(...) * _HYPOT_LO / dx and,
+    if no changed pair was at `rmax`, `rmax`.  r is at most the new ratio
+    maximum.  The terms are >= 0, so `pen.sum()` over the n old or the n
+    new terms, added in any order, is within gamma_{n-1} of their exact
+    sum, relative (Higham, Accuracy and Stability of Numerical Algorithms,
+    eq. 4.4).  To first order in u, relative to psum + w, the
     two full sums give 2(n - 1) u, the changed terms' six differences and
     five additions 6u, and the roundings of psum + d and of the final
     subtraction u each: 2n + 6 in all.  The roundings of w (gamma_6),
@@ -125,13 +125,11 @@ class _Descent:
         self.xs, self.ys = m.vertices[:, 0].tolist(), m.vertices[:, 1].tolist()
         self.table = _vertex_table(m.nx, m.ny)
         self.pen = np.abs(dets - rho) * self.tri_area
+        self.penl = self.pen.tolist()   # Python floats mirroring pen, read by the screen
         V = m.vertices.reshape(m.ny + 1, m.nx + 1, 2)
         diffs = V[:, 1:] - V[:, :-1]
-        self.ratios = (np.hypot(diffs[..., 0], diffs[..., 1]) / self.dx).ravel()
-        # Python floats mirroring pen and ratios, read by the screen
-        self.penl, self.ratiosl = self.pen.tolist(), self.ratios.tolist()
-        self.psum, self.rmax = float(self.pen.sum()), float(self.ratios.max())
-        self.nmax = int(np.count_nonzero(self.ratios == self.rmax))
+        self.ratiosl = (np.hypot(diffs[..., 0], diffs[..., 1]) / self.dx).ravel().tolist()
+        self.psum, self.rmax = float(self.pen.sum()), max(self.ratiosl)
         self.margin = _gamma(2 * len(self.pen) + 16)
         self.obj = self.rmax + JAC_PENALTY * self.psum
 
@@ -178,7 +176,7 @@ class _Descent:
             h = hypot(xs[a + 1] - xs[a], ys[a + 1] - ys[a]) * _HYPOT_LO / dx
             if h > r:
                 r = h
-        if held < self.nmax and rmax > r:
+        if not held and rmax > r:
             r = rmax
         psum = self.psum
         if r + JAC_PENALTY * ((psum + d) - self.margin * (psum + w)) < obj \
@@ -190,39 +188,31 @@ class _Descent:
     def _exact(self, new, pairs, held) -> bool:
         """The full objective after the move already written into xs, ys
         (`new` its triangles, `held` the changed pairs that were at rmax):
-        writes the new terms and ratios (np.hypot) into `pen` and `ratios`
-        in place, takes `pen.sum()` and, when the changed pairs held every
-        maximum, `ratios.max()`, keeps the move if the objective strictly
-        decreases and restores both arrays otherwise."""
+        writes the new terms and ratios (np.hypot) into `pen` and
+        `ratiosl` in place, takes `pen.sum()` and, unless no changed pair
+        was at rmax, `max(ratiosl)`, keeps the move if the objective
+        strictly decreases and restores both otherwise."""
         xs, ys, dx = self.xs, self.ys, self.dx
-        pen, ratios, penl, ratiosl = self.pen, self.ratios, self.penl, self.ratiosl
+        pen, penl, ratiosl = self.pen, self.penl, self.ratiosl
         for t, p in new:
             pen[t] = p
+        olds = [ratiosl[e] for e, _ in pairs]
         rs = []
         for e, a in pairs:
-            ratios[e] = np.hypot(xs[a + 1] - xs[a], ys[a + 1] - ys[a]) / dx
-            rs.append(float(ratios[e]))
-        # unless the changed pairs held every maximum, a kept pair is
-        # still at rmax
-        rmax = float(ratios.max()) if held == self.nmax else max(self.rmax, *rs)
+            ratiosl[e] = float(np.hypot(xs[a + 1] - xs[a], ys[a + 1] - ys[a])) / dx
+            rs.append(ratiosl[e])
+        # when no changed pair was at rmax, a kept pair still is
+        rmax = max(ratiosl) if held else max(self.rmax, *rs)
         psum = float(pen.sum())
         obj = rmax + JAC_PENALTY * psum
         if not obj < self.obj:
             for t, _ in new:
                 pen[t] = penl[t]
-            for e, _ in pairs:
-                ratios[e] = ratiosl[e]
+            for (e, _), r in zip(pairs, olds):
+                ratiosl[e] = r
             return False
         for t, p in new:
             penl[t] = p
-        for (e, _), r in zip(pairs, rs):
-            ratiosl[e] = r
-        if held == self.nmax:
-            self.nmax = int(np.count_nonzero(ratios == rmax))
-        elif rmax == self.rmax:
-            self.nmax += rs.count(rmax) - held
-        else:
-            self.nmax = rs.count(rmax)
         self.psum, self.rmax, self.obj = psum, rmax, obj
         return True
 

@@ -10,15 +10,17 @@ from .plmap import PLMap
 
 _PALETTE = ["#444444", "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#e377c2"]
+_SIZE = 800
 
 
-def _header(x0: float, y0: float, x1: float, y1: float, size: int) -> str:
+def _header(x0: float, y0: float, x1: float, y1: float) -> str:
     """The opening tags of a picture of [x0, x1] x [y0, y1] (Python floats),
-    size pixels along its longer side, y up.  An extent whose width, height,
-    scale or y flip (y0 + y1) is not finite cannot be drawn: ValueError."""
+    _SIZE pixels along its longer side, y up.  An extent whose width,
+    height, scale or y flip (y0 + y1) is not finite cannot be drawn:
+    ValueError."""
     w = x1 - x0
     h = y1 - y0
-    s = size / max(w, h) if max(w, h) > 0 else math.inf
+    s = _SIZE / max(w, h) if max(w, h) > 0 else math.inf
     if not all(map(math.isfinite, (w, h, s, y0 + y1))):
         raise ValueError(f"cannot draw the extent [{x0}, {x1}] x [{y0}, {y1}]: its width {w}, "
                          f"height {h}, scale {s} and y flip {y0 + y1} must be finite")
@@ -29,7 +31,7 @@ def _header(x0: float, y0: float, x1: float, y1: float, size: int) -> str:
     )
 
 
-def net_svg(points: np.ndarray, tags: np.ndarray, size: int = 800) -> str:
+def net_svg(points: np.ndarray, tags: np.ndarray) -> str:
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if len(bad):
         raise ValueError(f"point {bad[0]} has a non-finite coordinate")
@@ -38,8 +40,8 @@ def net_svg(points: np.ndarray, tags: np.ndarray, size: int = 800) -> str:
     # Python floats, whose arithmetic overflows to inf without a warning
     x0, y0 = (points.min(axis=0) - 1).tolist()
     x1, y1 = (points.max(axis=0) + 1).tolist()
-    head = _header(x0, y0, x1, y1, size)
-    r = max((x1 - x0), (y1 - y0)) / size * 2.0
+    head = _header(x0, y0, x1, y1)
+    r = max((x1 - x0), (y1 - y0)) / _SIZE * 2.0
     parts = [head]
     for (x, y), t in zip(points, tags):
         color = _PALETTE[int(t) % len(_PALETTE)]
@@ -48,13 +50,13 @@ def net_svg(points: np.ndarray, tags: np.ndarray, size: int = 800) -> str:
     return "".join(parts)
 
 
-def plmap_svg(m: PLMap, size: int = 800) -> str:
+def plmap_svg(m: PLMap) -> str:
     verts = m.vertices
     x0, y0 = verts.min(axis=0).tolist()
     x1, y1 = verts.max(axis=0).tolist()
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
-    width = max(x1 - x0, y1 - y0) / size * 1.5
-    parts = [_header(x0 - pad, y0 - pad, x1 + pad, y1 + pad, size)]
+    width = max(x1 - x0, y1 - y0) / _SIZE * 1.5
+    parts = [_header(x0 - pad, y0 - pad, x1 + pad, y1 + pad)]
     for (a, b, c) in m.triangles():
         pa, pb, pc = verts[a], verts[b], verts[c]
         parts.append(

@@ -747,9 +747,14 @@ class TestGoldenOutputs:
         (["--L", "2", "--c", "1", "--N", "8", "--M", "4", "--budget", "2000",
           "--seed", "7"],
          "8464c2d8d73ba7c679592992e81c76bb15604d488eefaa6b8ef66f716d394113"),
+        # the desk limit, 2,048 triangles, where the screen's margin is
+        # loosest; 395 accepted moves
+        (["--L", "2", "--c", "1", "--N", "16", "--M", "8", "--budget", "10000",
+          "--seed", "42"],
+         "8d912d94c6b630532e932bd8b5990d8d70f703eb1199c1dd8ac748b5d2318243"),
     ]
 
-    @pytest.mark.parametrize("argv,digest", SEARCH, ids=["readme", "N8-M4"])
+    @pytest.mark.parametrize("argv,digest", SEARCH, ids=["readme", "N8-M4", "N16-M8"])
     def test_search(self, tmp_path, argv, digest):
         out = tmp_path / "s.json"
         assert main(["search", *argv, "--out", str(out)]) == 0

@@ -260,11 +260,10 @@ class TestValuesAt:
         with pytest.raises(ValueError, match="shape"):
             field.values_at([0.1, 0.2], [0.1])
 
-    def test_chunked_lookup_matches(self, monkeypatch):
+    def test_values_at_on_a_depth3_hierarchy(self):
         field = toy_hierarchy(4, 3)[0]
         pts = probes(field, np.random.default_rng(3))
         want = [loop_value_at(field, x, y) for x, y in pts]
-        monkeypatch.setattr(density_mod, "_PAIR_CHUNK", 5 * len(field.cells) + 3)
         assert field.values_at([x for x, _ in pts], [y for _, y in pts]).tolist() == want
 
     @pytest.mark.parametrize("make", [lambda: make_checkerboard(4, 1.0),
