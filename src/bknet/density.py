@@ -63,35 +63,50 @@ class DensityField:
                 np.array([v for _, v in self.cells], dtype=float))
 
     @functools.cached_property
-    def _slabs(self) -> "_Slabs | None":
-        """The table both lookups read, built on the first of them; None
-        where it would hold more than 4n + 1024 entries for n cells, and the
-        field then keeps the scan over every cell.  The distinct cell y
-        edges `ys` cut the plane into slabs [ys[s], ys[s + 1]), and a cell
-        has one entry in each slab its [y0, y1) covers, by slab and then x0."""
+    def _slabs(self) -> "tuple[tuple, tuple] | None":
+        """The table both lookups read, built on the first of them: (ys, xs,
+        key, x1, val) as arrays, which values_at searches, and as lists,
+        which value_at bisects; None where it would hold more than 4n + 1024
+        entries for n cells, and the field then keeps the scan over every
+        cell.  The distinct cell y edges `ys` cut the plane into slabs
+        [ys[s], ys[s + 1]), and a cell has one entry in each slab its
+        [y0, y1) covers, with its x1 and value, keyed slab * len(xs) + the
+        rank of its x0 among the distinct cell x0s `xs`, in key order.  The
+        cells of a slab span its full height and are interior-disjoint, so
+        their [x0, x1) are disjoint: no two share an x0, so the keys are
+        distinct, and a point of the slab lies in at most one entry, the one
+        with the last key at or below the point's, when that key is in the
+        point's slab and the point is left of its x1."""
         box, val = self._columns
         ys = _distinct(box[:, 1::2])
         lo = np.searchsorted(ys, box[:, 1])
         span = np.searchsorted(ys, box[:, 3]) - lo
-        total = int(span.sum())
-        if total > 4 * len(val) + 1024:
+        if int(span.sum()) > 4 * len(val) + 1024:
             return None
         cell, slab = _runs(lo, span)
-        order = np.lexsort((box[cell, 0], slab))
+        xs = _distinct(box[:, 0])
+        key = slab * len(xs) + np.searchsorted(xs, box[cell, 0])
+        order = np.argsort(key)
         cell = cell[order]
-        return _Slabs(ys, slab[order], box[cell, 0], box[cell, 2], val[cell])
+        table = (ys, xs, key[order], box[cell, 2], val[cell])
+        return table, tuple(a.tolist() for a in table)
 
     def value_at(self, x: float, y: float) -> float:
         """The value at one point of the closed domain: the cell that holds
         it, half-open, else the default.  The cells are interior-disjoint,
-        so at most one holds the point; bisections in the slab table find
-        it."""
+        so at most one holds the point; three bisections in the slab table
+        find it."""
         if not self.domain.contains_point(x, y):
             raise DomainError(f"point ({x}, {y}) outside domain {self.domain}")
         t = self._slabs
         if t is None:
             return _scan(*self._columns, self.default, x, y)
-        return t.value_at(x, y, float(self.default))
+        ys, xs, key, x1, val = t[1]
+        low = (bisect.bisect_right(ys, y) - 1) * len(xs)    # the point's slab's first key
+        j = bisect.bisect_right(key, low + bisect.bisect_right(xs, x) - 1) - 1
+        if j >= 0 and key[j] >= low and x < x1[j]:
+            return val[j]
+        return float(self.default)
 
     def values_at(self, xs, ys) -> np.ndarray:
         """Values at many points, half-open like value_at but without its
@@ -103,14 +118,21 @@ class DensityField:
         y = np.asarray(ys, dtype=float)
         if x.shape != y.shape:
             raise ValueError(f"xs and ys differ in shape: {x.shape} and {y.shape}")
+        shape, x, y = x.shape, x.ravel(), y.ravel()
         out = np.full(x.size, float(self.default))
         t = self._slabs
         if t is None:
-            for k, (a, b) in enumerate(zip(x.ravel().tolist(), y.ravel().tolist())):
+            for k, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
                 out[k] = _scan(*self._columns, self.default, a, b)
-        else:
-            t.values_at(x.ravel(), y.ravel(), out)
-        return out.reshape(x.shape)
+        elif len(t[0][2]):
+            y_edges, x0s, key, x1, val = t[0]
+            low = (np.searchsorted(y_edges, y, side="right") - 1) * len(x0s)
+            j = np.searchsorted(key, low + np.searchsorted(x0s, x, side="right") - 1,
+                                side="right") - 1
+            # j = -1 reads the last entry, which j >= 0 then rejects
+            hit = (j >= 0) & (key[j] >= low) & (x < x1[j])
+            out[hit] = val[j[hit]]
+        return out.reshape(shape)
 
     def values(self) -> set[float]:
         return {self.default} | {v for _, v in self.cells}
@@ -175,49 +197,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     call in a process adds over a megabyte of resident memory."""
     a = np.sort(a, axis=None)
     return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
-
-
-class _Slabs:
-    """A field's cells by horizontal slab: given the distinct cell y edges
-    `ys`, and per entry, by slab and then x0, its slab, x0, x1 and value.
-    The cells of slab s = [ys[s], ys[s + 1]) span its full height and are
-    interior-disjoint, so their [x0, x1) are disjoint: a point of the slab
-    lies in at most one, the entry with the last x0 at or below the point's
-    x, when the point is left of its x1."""
-
-    def __init__(self, ys: np.ndarray, slab: np.ndarray, x0: np.ndarray, x1: np.ndarray,
-                 val: np.ndarray):
-        # value_at bisects Python lists, slab s's entries start[s]:start[s + 1]
-        start = np.searchsorted(slab, np.arange(len(ys)))
-        self.lists = tuple(a.tolist() for a in (ys, start, x0, x1, val))
-        # values_at searches one sorted integer key per entry: slab * len(xs)
-        # + the rank of x0 among the distinct x0s `xs`
-        self.xs = _distinct(x0)
-        self.key = slab * len(self.xs) + np.searchsorted(self.xs, x0)
-        self.ys, self.x1, self.val = ys, x1, val
-
-    def value_at(self, x: float, y: float, default: float) -> float:
-        ys, start, x0, x1, val = self.lists
-        s = bisect.bisect_right(ys, y)    # the point's slab is s - 1
-        if 0 < s < len(ys):
-            a = start[s - 1]
-            j = bisect.bisect_right(x0, x, a, start[s]) - 1
-            if j >= a and x < x1[j]:
-                return val[j]
-        return default
-
-    def values_at(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        """Write the values of the points held by entries into out."""
-        if not len(self.key):
-            return
-        low = (np.searchsorted(self.ys, y, side="right") - 1) * len(self.xs)
-        j = np.searchsorted(self.key, low + np.searchsorted(self.xs, x, side="right") - 1,
-                            side="right") - 1
-        # the last key at or below the point's is in its slab when it is not
-        # below the slab's first key; j = -1 reads the last entry, which
-        # j >= 0 then rejects
-        hit = (j >= 0) & (self.key[j] >= low) & (x < self.x1[j])
-        out[hit] = self.val[j[hit]]
 
 
 def _integrate(box: np.ndarray, val: np.ndarray, default: float,

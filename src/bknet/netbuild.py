@@ -146,7 +146,7 @@ class _Cells:
     x0 + step * (a + 0.5), y0 + step * (b + 0.5), a, b in [0, n), with
     step = cell / n for the square's cell width `cell`; lo holds (x0, y0)
     and hi (x1, y1) per row.  It also keeps the squares, and each as a row
-    of `box`."""
+    of `box`, and the last window's spans and `_near` index."""
 
     def __init__(self, plan: NetPlan, counts):
         self.squares = [e.square for e in plan.schedule]
@@ -165,7 +165,7 @@ class _Cells:
         self.n = np.concatenate([np.empty(0, dtype=np.intp)]
                                 + [c.ravel() for c in counts]).astype(np.intp)
         self.step = np.repeat(cell, m * m) / self.n
-        self._last = None
+        self._last = self._near = None
 
     def meeting(self, x0: float, y0: float, x1: float, y1: float) -> np.ndarray:
         """The rows whose closed cell meets [x0, x1] x [y0, y1]."""
@@ -208,11 +208,11 @@ def _near(net: Net, window: Rect) -> _Grid:
     contains), and a Voronoi neighbour of a net point is within twice that,
     so the index needs to reach only s/sqrt(2).  The window checks build it
     only for the points and sample blocks they cannot resolve on one
-    lattice, and the net keeps the last window's index, so check_separation
-    and then check_covering on one window gather and index it at most
-    once."""
+    lattice, and the lattice table keeps the last window's index beside its
+    spans, so check_separation and then check_covering on one window gather
+    and index it at most once."""
     _check_finite(window)
-    last = vars(net).get("_near_last")
+    last = net._cells._near
     if last is not None and last[0] == window:
         return last[1]
     r = 2.0 * net.max_cell_spacing
@@ -220,8 +220,7 @@ def _near(net: Net, window: Rect) -> _Grid:
     pts = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
                                     window.x1 + r, window.y1 + r))[0]
     grid = _Grid(pts, net.max_cell_spacing / math.sqrt(2))
-    # a frozen dataclass: set the memo the way functools.cached_property does
-    vars(net)["_near_last"] = (window, grid)
+    net._cells._near = (window, grid)
     return grid
 
 

@@ -44,12 +44,6 @@ class PLMap:
     def vidx(self, i: int, j: int) -> int:
         return j * (self.nx + 1) + i
 
-    def grid_x(self, i: int) -> float:
-        return self.domain.x0 + self.domain.width * i / self.nx
-
-    def grid_y(self, j: int) -> float:
-        return self.domain.y0 + self.domain.height * j / self.ny
-
     def triangles(self) -> np.ndarray:
         """Vertex-index triples; two per cell, lower then upper."""
         w = self.nx + 1

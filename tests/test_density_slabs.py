@@ -112,6 +112,7 @@ class TestGuillotineFields:
         pts += [(min(d.x1, d.x0 + u * d.width), min(d.y1, d.y0 + v * d.height))
                 for u, v in fractions]
         assert_lookups_match_loop(field, pts)
+        assert (np.diff(field._slabs[0][2]) > 0).all()
 
     @given(guillotine_fields())
     @settings(max_examples=200, deadline=None)
@@ -143,7 +144,7 @@ class TestEntryBound:
         field = strips_beside_bands(k)
         assert (field._slabs is not None) == table
         if table:
-            assert len(field._slabs.key) == k * k + k
+            assert len(field._slabs[0][2]) == k * k + k
         assert_lookups_match_loop(field, edge_probes(field))
 
     @pytest.mark.parametrize("make", REAL)
@@ -151,11 +152,12 @@ class TestEntryBound:
         field = make()
         n = len(field.cells)
         assert field._slabs is not None
-        assert n <= len(field._slabs.key) <= 4 * n + 1024
+        assert n <= len(field._slabs[0][2]) <= 4 * n + 1024
+        assert (np.diff(field._slabs[0][2]) > 0).all()
 
     def test_depth4_limit_has_about_one_entry_per_cell(self):
         field = limit_density(4)
-        assert len(field._slabs.key) <= 1.1 * len(field.cells)
+        assert len(field._slabs[0][2]) <= 1.1 * len(field.cells)
 
 
 class TestLaziness:

@@ -603,7 +603,7 @@ class TestClosedFormSeparation:
             sep = check_separation(fresh_net, window)
             cov = check_covering(fresh_net, window)
         assert grids.built == 0
-        assert "_near_last" not in vars(fresh_net)
+        assert fresh_net._cells._near is None
         assert sep == separation_by_full_scan(n(), window)
         assert cov == covering_by_full_sweep(n(), window)
 

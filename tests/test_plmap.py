@@ -62,8 +62,7 @@ class TestJacobians:
         m0 = identity_map(dom, nx, ny)
         rng = np.random.default_rng(seed)
         m = PLMap(dom, nx, ny, rng.standard_normal(m0.vertices.shape))
-        ref = np.array([(m.grid_x(v % (nx + 1)), m.grid_y(v // (nx + 1)))
-                        for v in range(len(m.vertices))])
+        ref = m0.vertices
         want_det, want_smax = [], []
         for t in triangles_oracle(m):
             P = (ref[t[1:]] - ref[t[0]]).T
@@ -132,9 +131,10 @@ class TestEvaluation:
     def test_interpolates_vertices_exactly(self):
         rng = np.random.default_rng(4)
         m = random_valid_map(rng, nx=4, ny=3)
+        ref = identity_map(m.domain, 4, 3).vertices
         for j in range(4):
             for i in range(5):
-                p = (m.grid_x(i), m.grid_y(j))
+                p = ref[m.vidx(i, j)]
                 assert np.allclose(m(p), m.vertices[m.vidx(i, j)], atol=1e-14)
 
     def test_affine_inside_triangle(self):
