@@ -15,23 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, _integrate
+from .density import DensityField, _distinct, _integrate
 from .geometry import Rect, Similarity, UNIT_SQUARE, _runs, first_overlap
 
 
-# check_covering queries one sample per block of _BLOCK x _BLOCK grid
-# samples, then quarters a block only while it could still hold the maximum
+# check_covering resolves its sample grid in blocks of _BLOCK x _BLOCK
 _BLOCK = 32
-# relative slack on that bound: the bound and the query distances are each
-# rounded, so a sample attaining the bound may read a few ulps above it
-_SLACK = 1e-12
+# blocks it bounds per quarter and evaluates at once: at most
+# _BLOCK_CHUNK * _BLOCK^2 squared distances, 0.5 MB
+_BLOCK_CHUNK = 64
+# blocks at seams, square edges and gaps it bounds at once
+_SEAM_BATCH = 1 << 12
 # _Grid: queries per vectorised step (the step's temporaries hold a few
 # dozen floats per query)
 _CHUNK = 1 << 12
-# check_covering resolves blocks and runs branch and bound on the rest in
-# tiles of _TILE x _TILE blocks, so its arrays stay bounded on any window
+# check_covering resolves blocks in tiles of _TILE x _TILE blocks, so its
+# arrays stay bounded on any window
 _TILE = 128
-_CSV_CHUNK = 1 << 14   # rows per format call of net_to_csv
+_CSV_CHUNK = 1 << 14   # rows net_to_csv formats at once
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,10 @@ def _near(net: Net, window: Rect) -> _Grid:
     the plane is within s/sqrt(2) of the net (of a subdivision cell's grid
     centers, or of the lattice center of a unit square no scheduled square
     contains), and a Voronoi neighbour of a net point is within twice that,
-    so the index needs to reach only s/sqrt(2).  The window checks build it
-    only for the points and sample blocks they cannot resolve on one
-    lattice, and the lattice table keeps the last window's index beside its
-    spans, so check_separation and then check_covering on one window gather
-    and index it at most once."""
+    so the index needs to reach only s/sqrt(2).  check_separation builds it
+    only for the points it cannot resolve on one lattice, and the lattice
+    table keeps the last window's index beside its spans, so one window
+    gathers and indexes it at most once."""
     _check_finite(window)
     last = net._cells._near
     if last is not None and last[0] == window:
@@ -504,54 +504,41 @@ def check_covering(net: Net, window: Rect) -> float:
     up to half a step past the window's right and top edges, so the value
     can also exceed the window's own covering radius by that much.
 
-    The samples form blocks of _BLOCK x _BLOCK.  A block whose nearest net
-    points all lie on one lattice is resolved in closed form (see
-    `_Lattices`): one inside a subdivision cell, or one far from every
-    scheduled square.  The other blocks, near cell seams, square edges and
-    gaps, go through branch and bound in tiles of _TILE x _TILE blocks that
-    share one running maximum: a block is bounded by its farthest corner
-    from the net point nearest a sample of it, so only a few per cent of
-    their samples are queried.  The candidate set of `_near` is built only
-    when a tile has such a block."""
+    The samples form blocks of _BLOCK x _BLOCK, resolved in tiles of _TILE
+    x _TILE blocks.  A block whose nearest net points all lie on one lattice
+    is resolved in closed form (see `_Lattices`): one inside a subdivision
+    cell, or one far from every scheduled square.  Every tile's other
+    blocks, near cell seams, square edges and gaps, are collected first, so
+    the running maximum holds all closed-form values before any of them is
+    bounded; each is then resolved over the few product lattices near it
+    (`_Lattices.seam_max`).  No sample is queried and no candidate set is
+    built."""
     _check_finite(window)
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
     ys = np.arange(window.y0, window.y1 + step / 2, step)
     lat = _Lattices(net, xs, ys)
     worst = lat.cell_max
+    # the other blocks by column and row (32-bit), in runs of adjacent
+    # tiles down one column of tiles, so that a batch stays in one place
+    runs = []
     for c0 in range(0, lat.cols.n, _TILE):
+        run = []
         for r0 in range(0, lat.rows.n, _TILE):
             done, value = lat.resolve(slice(c0, min(c0 + _TILE, lat.cols.n)),
                                       slice(r0, min(r0 + _TILE, lat.rows.n)))
             worst = max(worst, value)
-            # the other blocks as half-open sample index ranges [i0, i1) x [j0, j1);
-            # 32-bit indices halve the arrays, one block per _BLOCK^2 samples
+            if done.all():
+                run = []
+                continue
+            if not run:
+                runs.append(run)
             bc, br = np.nonzero(~done)
-            if len(bc):
-                i0 = ((bc + c0) * _BLOCK).astype(np.int32)
-                j0 = ((br + r0) * _BLOCK).astype(np.int32)
-                worst = _branch_and_bound(_near(net, window), xs, ys, i0, j0, worst)
-    return worst
-
-
-def _branch_and_bound(grid: _Grid, xs: np.ndarray, ys: np.ndarray,
-                      i0: np.ndarray, j0: np.ndarray, worst: float) -> float:
-    """The larger of worst and the grid's maximum distance to the net over
-    the blocks of samples [i0, i0 + _BLOCK) x [j0, j0 + _BLOCK), clipped to
-    the grid."""
-    i1, j1 = np.minimum(i0 + _BLOCK, len(xs)), np.minimum(j0 + _BLOCK, len(ys))
-    while len(i0):
-        ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
-        d, p = grid.nearest(xs[ri], ys[rj])
-        worst = max(worst, float(d.max()))
-        # a block is done when it is one sample, or when no sample of it can
-        # lie farther from the net than worst; the quarters of the others
-        # inherit the net point nearest their parent's centre sample, and
-        # are pruned by the same bound on their own box before their query
-        live = ((i1 - i0 > 1) | (j1 - j0 > 1)) & _may_exceed(p, xs, ys, i0, i1, j0, j1, worst)
-        i0, i1, j0, j1, p = _quarters(i0[live], i1[live], j0[live], j1[live], p[live])
-        live = _may_exceed(p, xs, ys, i0, i1, j0, j1, worst)
-        i0, i1, j0, j1 = i0[live], i1[live], j0[live], j1[live]
+            run.append(((bc + c0).astype(np.int32), (br + r0).astype(np.int32)))
+    for run in runs:
+        bc, br = (np.concatenate(v) for v in zip(*run))
+        for s in range(0, len(bc), _SEAM_BATCH):
+            worst = lat.seam_max(bc[s:s + _SEAM_BATCH], br[s:s + _SEAM_BATCH], worst)
     return worst
 
 
@@ -575,11 +562,12 @@ class _Axis:
         return np.searchsorted(self.lo, a, "left"), np.searchsorted(self.hi, b, "right")
 
 
-def _sq_gaps(s: np.ndarray, origin: float, step: float, n: int | None) -> np.ndarray:
+def _sq_gaps(s: np.ndarray, origin, step, n) -> np.ndarray:
     """The squared gap from each sample s to the nearest lattice coordinate
     origin + step * (a + 0.5), a in [0, n) (any integer a for n None), the
     coordinate made as _explicit_points makes it and the gap as
-    _Grid._scan does."""
+    _Grid._scan does.  origin, step and n are numbers, or arrays that
+    broadcast against s."""
     a = s - origin
     a /= step
     a -= 0.5
@@ -613,7 +601,10 @@ class _Lattices:
     term, DX and DY, is largest.  Rounding of -, *, + and sqrt is monotone,
     so sqrt(max DX + max DY) equals the grid scan's maximum over the
     rectangle bit for bit.  The cells and their depths come from the net's
-    lattice table, `Net._cells`."""
+    lattice table, `Net._cells`.  The other blocks, at seams, square edges
+    and gaps, have their nearest points on the few lattices within `reach`
+    of them, and `seam_max` resolves them exactly as the least over
+    those."""
 
     def __init__(self, net: Net, xs: np.ndarray, ys: np.ndarray):
         self.cols, self.rows = _Axis(xs), _Axis(ys)
@@ -642,6 +633,10 @@ class _Lattices:
             dx = _sq_gaps(xs[a0 * _BLOCK:a1 * _BLOCK], ox, h, n)
             dy = _sq_gaps(ys[b0 * _BLOCK:b1 * _BLOCK], oy, h, n)
             self.cell_max = max(self.cell_max, float(np.sqrt(dx.max() + dy.max())))
+        # every point of the plane lies within s/sqrt(2) of the net, s the
+        # largest spacing; widened as the depths are
+        self.reach = net.max_cell_spacing * (1.0 + 1e-9) / math.sqrt(2.0) + slack
+        self._cells = cells
 
     @functools.cached_property
     def _background(self) -> tuple[np.ndarray, np.ndarray]:
@@ -668,25 +663,114 @@ class _Lattices:
             done[max(c0 - tc.start, 0):c1 - tc.start, max(r0 - tr.start, 0):r1 - tr.start] = True
         return done, value
 
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, ...]:
+        """(origin, step, n, b0, b1): the lattices holding every net point
+        within `reach` of a sample, and per lattice and axis the blocks
+        [b0, b1) within reach of its box.  They are the cells' rows within
+        reach, and the background's unit-square centres in the samples'
+        integer box widened by reach, cut into rectangles by the unit
+        squares each scheduled square contains, each a product lattice of
+        step 1.  origin, n, b0 and b1
+        have a column per axis, step one entry per lattice."""
+        cells, reach = self._cells, self.reach
+        xs, ys = self.cols.s, self.rows.s
+        r = cells.meeting(xs[0] - reach, ys[0] - reach, xs[-1] + reach, ys[-1] + reach)
+        pieces = [Rect(math.floor(xs[0] - reach), math.floor(ys[0] - reach),
+                       math.ceil(xs[-1] + reach), math.ceil(ys[-1] + reach))]
+        for sq in cells.squares:
+            # the unit squares it contains, as _background_squares clears them
+            x0, y0, x1, y1 = math.ceil(sq.x0), math.ceil(sq.y0), math.floor(sq.x1), math.floor(sq.y1)
+            if x0 < x1 and y0 < y1:
+                pieces = [q for p in pieces for q in p.subtract(Rect(x0, y0, x1, y1))]
+        bg = np.array([(p.x0, p.y0, p.x1, p.y1) for p in pieces], dtype=float).reshape(-1, 4)
+        box = np.concatenate([np.column_stack([cells.lo[r], cells.hi[r]]), bg])
+        step = np.concatenate([cells.step[r], np.ones(len(bg))])
+        n = np.concatenate([np.column_stack([cells.n[r], cells.n[r]]),
+                            (bg[:, 2:] - bg[:, :2]).astype(np.intp)])
+        b0, b1 = np.empty((len(box), 2), dtype=np.intp), np.empty((len(box), 2), dtype=np.intp)
+        b0[:, 0], b1[:, 0] = self.cols.meeting(box[:, 0] - reach, box[:, 2] + reach)
+        b0[:, 1], b1[:, 1] = self.rows.meeting(box[:, 1] - reach, box[:, 3] + reach)
+        return box[:, :2], step, n, b0, b1
 
-def _may_exceed(p, xs, ys, i0, i1, j0, j1, worst):
-    """Mask of the blocks whose farthest corner from p, times 1 + _SLACK,
-    reaches worst.  No sample x of a block lies farther from the net than
-    |x - p|, and no farther from p than the block's farthest corner."""
-    ub = np.hypot(np.maximum(np.abs(p[:, 0] - xs[i0]), np.abs(xs[i1 - 1] - p[:, 0])),
-                  np.maximum(np.abs(p[:, 1] - ys[j0]), np.abs(ys[j1 - 1] - p[:, 1])))
-    return ub * (1.0 + _SLACK) >= worst
+    @functools.cached_property
+    def _blocks(self) -> np.ndarray:
+        """The samples of every column block, then of every row block, one
+        row each, a short last block filled up with its last sample."""
+        out = np.empty((self.cols.n + self.rows.n, _BLOCK))
+        start = 0
+        for a in (self.cols, self.rows):
+            flat = out[start:start + a.n].reshape(-1)
+            flat[:len(a.s)], flat[len(a.s):] = a.s, a.s[-1]
+            start += a.n
+        return out
 
-
-def _quarters(i0, i1, j0, j1, p):
-    """The non-empty quarters of index blocks [i0, i1) x [j0, j1), each with
-    its parent's row of p; a block one sample wide is halved along the other
-    axis only."""
-    im, jm = (i0 + i1 + 1) // 2, (j0 + j1 + 1) // 2
-    qi0, qi1 = np.concatenate([i0, i0, im, im]), np.concatenate([im, im, i1, i1])
-    qj0, qj1 = np.concatenate([j0, jm, j0, jm]), np.concatenate([jm, j1, jm, j1])
-    keep = (qi0 < qi1) & (qj0 < qj1)
-    return qi0[keep], qi1[keep], qj0[keep], qj1[keep], np.tile(p, (4, 1))[keep]
+    def seam_max(self, bc: np.ndarray, br: np.ndarray, worst: float) -> float:
+        """The larger of worst and the grid's maximum over the blocks (bc[j],
+        br[j]), each resolved over the lattices of `_table` within reach of
+        it.  Over one lattice a sample's squared distance is DX + DY, as in
+        the closed form; over a block's lattices it is the least of theirs,
+        so the block's maximum is at most the least over them of max DX +
+        max DY.  A block whose bound is at most worst * worst cannot exceed
+        worst (sqrt(w * w) is w in floats).  The others, the largest bounds
+        first and _BLOCK_CHUNK blocks at a time, are bounded again per
+        quarter x quarter of a block, and the quarters that may still
+        exceed worst are evaluated sample by sample."""
+        origin, step, n, b0, b1 = self._table
+        lo, hi = np.array([bc.min(), br.min()]), np.array([bc.max(), br.max()]) + 1
+        near = np.flatnonzero(((b0 < hi) & (b1 > lo)).all(axis=1))
+        # the batch's columns lo[0] .. hi[0] - 1, then its rows, as slots 0,
+        # 1, ...: per slot its axis and block, and per block of the batch
+        # the slots of its column (sc) and of its row (sr)
+        w = hi[0] - lo[0]
+        axis = (np.arange(w + hi[1] - lo[1]) >= w).astype(np.intp)
+        block = np.arange(len(axis)) + lo[axis] - w * axis
+        sc, sr = bc - lo[0], br - lo[1] + w
+        # the squared gaps of the samples of each slot a block uses to each
+        # near lattice within reach of it, one row of g per pair, the row
+        # of near lattice i at slot j being row[i, j]
+        used = np.zeros(len(axis), dtype=bool)
+        used[sc] = used[sr] = True
+        i, j = np.nonzero(used & (block >= b0[near][:, axis]) & (block < b1[near][:, axis]))
+        k = near[i]
+        g = _sq_gaps(self._blocks[block[j] + self.cols.n * axis[j]], origin[k, axis[j]][:, None],
+                     step[k][:, None], n[k, axis[j]][:, None])
+        row = np.empty((len(near), len(axis)), dtype=np.intp)
+        row[i, j] = np.arange(len(i))
+        # per near lattice and block, max DX + max DY, +inf out of reach
+        peak = np.full(row.shape, np.inf)
+        peak[i, j] = g.max(axis=1)
+        peak = peak[:, sc] + peak[:, sr]
+        bound = peak.min(axis=0)
+        live = np.flatnonzero(bound > worst * worst)
+        live = live[np.argsort(bound[live])[::-1]]
+        g = g.reshape(len(g), 4, _BLOCK // 4)   # in quarters of a block
+        for s in range(0, len(live), _BLOCK_CHUNK):
+            q = live[s:s + _BLOCK_CHUNK]
+            q = q[bound[q] > worst * worst]
+            if not len(q):
+                break
+            # the chunk's (block, lattice) pairs within reach, block by
+            # block, and per block its m-th pair (its last, past its count)
+            blk, i = np.nonzero(np.isfinite(peak[:, q]).T)
+            gx, gy = g[row[i, sc[q[blk]]]], g[row[i, sr[q[blk]]]]
+            count = np.bincount(blk, minlength=len(q))
+            pair = (np.cumsum(count) - count)[:, None] + np.minimum(
+                np.arange(count.max()), count[:, None] - 1)
+            # the same bound per quarter x quarter of each block, and the
+            # samples of the quarters that may still exceed worst
+            mx, my = gx.max(axis=2), gy.max(axis=2)
+            sub = mx[pair[:, 0], :, None] + my[pair[:, 0], None, :]
+            for m in pair.T[1:]:
+                np.minimum(sub, mx[m, :, None] + my[m, None, :], out=sub)
+            e, a, b = np.nonzero(sub > worst * worst)
+            if len(e):
+                pair = pair[e]
+                d = gx[pair[:, 0], a, :, None] + gy[pair[:, 0], b, None, :]
+                for m in pair.T[1:]:
+                    np.minimum(d, gx[m, a, :, None] + gy[m, b, None, :], out=d)
+                worst = max(worst, float(np.sqrt(d.max())))
+        return worst
 
 
 def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
@@ -710,13 +794,23 @@ def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:
 # CSV I/O
 
 def net_to_csv(points: np.ndarray, tags: np.ndarray) -> str:
+    """The net CSV of (points, tags): a header, then per point its x and y
+    as `repr` writes them and its tag, `background` for 0.  Per
+    _CSV_CHUNK rows, each distinct coordinate (by its bit pattern, so -0.0
+    stays apart from 0.0) and each distinct tag is formatted once."""
     pts, tags = np.asarray(points, dtype=float).reshape(-1, 2), np.asarray(tags)
     parts = ["x,y,tag\n"]
     for s in range(0, len(pts), _CSV_CHUNK):   # one chunk's Python objects at a time
-        x, y = pts[s:s + _CSV_CHUNK].T.tolist()
-        tag = ["background" if t == 0 else int(t) for t in tags[s:s + _CSV_CHUNK].tolist()]
-        flat = [v for row in zip(x, y, tag) for v in row]
-        parts.append(("{!r},{!r},{}\n" * len(x)).format(*flat))
+        bits, tag = pts[s:s + _CSV_CHUNK].view(np.int64), tags[s:s + _CSV_CHUNK]
+        row = np.empty((len(bits), 6), dtype=object)
+        row[:, 1], row[:, 3], row[:, 5] = ",", ",", "\n"
+        u = _distinct(bits)
+        row[:, 0:3:2] = np.array(list(map(repr, u.view(float).tolist())),
+                                 dtype=object)[np.searchsorted(u, bits)]
+        u = _distinct(tag)
+        row[:, 4] = np.array(["background" if t == 0 else str(int(t)) for t in u.tolist()],
+                             dtype=object)[np.searchsorted(u, tag)]
+        parts.append("".join(row.ravel().tolist()))
     return "".join(parts)
 
 

@@ -1,7 +1,8 @@
 """Oracles that only the tests use, kept out of the library: half-open
 cell membership for a Rect, each cell's image area from the shoelace
 formula, which shares no code with the determinant route of pl_metrics,
-and a density lookup that scans every cell."""
+a density lookup that scans every cell, and the net CSV writer that
+formats every row's values."""
 
 import numpy as np
 
@@ -42,3 +43,14 @@ def scan_values_at(field, xs, ys) -> np.ndarray:
         found = hit.any(axis=1)
         out[found] = val[hit[found].argmax(axis=1)]
     return out
+
+
+def csv_by_format(points, tags) -> str:
+    """net_to_csv as it was before it formatted each distinct value once:
+    every row's x and y through repr and its tag (`background` for 0) in
+    one format call."""
+    pts, tags = np.asarray(points, dtype=float).reshape(-1, 2), np.asarray(tags)
+    x, y = pts.T.tolist()
+    tag = ["background" if t == 0 else int(t) for t in tags.tolist()]
+    flat = [v for row in zip(x, y, tag) for v in row]
+    return "x,y,tag\n" + ("{!r},{!r},{}\n" * len(x)).format(*flat)

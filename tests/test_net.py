@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bknet import (
     DensityField,
@@ -18,6 +19,7 @@ from bknet import (
 from bknet import netbuild
 from bknet.netbuild import NetPlan, ScheduleEntry
 from bknet.svgplot import net_svg
+from oracles import csv_by_format
 
 
 def brute_force_min_distance(pts):
@@ -312,6 +314,25 @@ class TestCsv:
             mp.setattr(netbuild, "_CSV_CHUNK", chunk)
             with pytest.raises(ValueError, match=f"bad net CSV row {row}: "):
                 net_from_csv("x,y,tag\n" + body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writes_what_the_former_formatter_wrote(self, data):
+        # a few distinct values, repeated: signed zeros, subnormals, the
+        # extremes, non-finite values and any others
+        value = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                                 0.1, 1.0 / 3.0, 1.7976931348623157e308, float("inf"),
+                                 float("nan")]) | st.floats()
+        pool = data.draw(st.lists(value, min_size=1, max_size=6))
+        n = data.draw(st.integers(0, 40))
+        pts = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=2 * n, max_size=2 * n)),
+                       dtype=float).reshape(-1, 2)
+        tags = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 7, 123456789]),
+                                           min_size=n, max_size=n)), dtype=int)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netbuild, "_CSV_CHUNK", data.draw(st.sampled_from([1, 2, 3, 5, 1 << 14])))
+            got = net_to_csv(pts, tags)
+        assert got == csv_by_format(pts, tags)
 
     def test_round_trip(self):
         plan = make_plan(TWO_TONE, 1)

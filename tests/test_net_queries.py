@@ -1,15 +1,17 @@
 """The net's window queries against their exhaustive oracles.
 
-check_covering prunes the 1/64 sample grid by branch and bound, and
-Net.points_in_window enumerates explicit points from the net's lattice
-table, the cells the window meets and the coordinates of each in the
-window.  Both must return exactly what the full scans below return.  The
-exact covering radius, from the Voronoi diagram of the net near the
-window, brackets check_covering from both sides.  The former
-branch-and-bound loop, which bounded a block by its centre's distance plus
-the block's radius, is kept below as an oracle for the farthest-corner
-bound, and the former explicit-point enumerator, which stacked one array
-per cell found cell by cell, as an oracle for the in-place fill.
+check_covering resolves the 1/64 sample grid from the lattice table, every
+block over the product lattices near it, without a query, and
+Net.points_in_window enumerates explicit points from the same table, the
+cells the window meets and the coordinates of each in the window.  Both
+must return exactly what the full scans below return.  The exact covering
+radius, from the Voronoi diagram of the net near the window, brackets
+check_covering from both sides.  A former branch-and-bound loop, which
+bounded a block by its centre's distance plus the block's radius and
+queried the samples it could not prune, is kept below as an oracle that
+check_covering must match with no more queries (it makes none), and the
+former explicit-point enumerator, which stacked one array per cell found
+cell by cell, as an oracle for the in-place fill.
 check_separation resolves the points at least a spacing inside their
 lattice in closed form and scans only the others; the former full scan of
 every window point over the candidate set is kept as its oracle, and must
@@ -17,7 +19,7 @@ agree exactly on windows at cell seams, square edges and gaps.  The
 points it scans are listed from the lattice table; the former classifier,
 which placed each window point in a cell by its coordinates, is kept as
 the oracle for that set.  scipy's cKDTree is the oracle for the bucket
-index both window checks query."""
+index check_separation queries."""
 
 import contextlib
 import dataclasses
@@ -144,10 +146,14 @@ def as_sorted_complex(pts):
 
 
 def covering_by_centre_bound(net, window):
-    """(value, samples queried) of check_covering's former loop over the same
-    candidate set: a block is kept while d + r, d its centre sample's
-    distance to the net and r its farthest sample from that centre, times
-    1 + _SLACK reaches the largest distance seen so far."""
+    """(value, samples queried) of check_covering's former loop over the
+    candidate set of `_near`: a block is kept while d + r, d its centre
+    sample's distance to the net and r its farthest sample from that
+    centre, times 1 + slack reaches the largest distance seen so far.  The
+    relative slack 1e-12 covers rounding: the bound and the query distances
+    are each rounded, so a sample attaining the bound may read a few ulps
+    above it."""
+    slack = 1e-12
     tree = cKDTree(candidates(net, window))
     step = 1.0 / 64.0
     xs = np.arange(window.x0, window.x1 + step / 2, step)
@@ -165,7 +171,7 @@ def covering_by_centre_bound(net, window):
         worst = max(worst, float(d.max()))
         r = np.hypot(np.maximum(xs[ri] - xs[i0], xs[i1 - 1] - xs[ri]),
                      np.maximum(ys[rj] - ys[j0], ys[j1 - 1] - ys[rj]))
-        live = (r > 0) & ((d + r) * (1.0 + netbuild._SLACK) >= worst)
+        live = (r > 0) & ((d + r) * (1.0 + slack) >= worst)
         i0, i1, j0, j1 = i0[live], i1[live], j0[live], j1[live]
         im, jm = (i0 + i1 + 1) // 2, (j0 + j1 + 1) // 2
         i0, i1, j0, j1 = (np.concatenate([i0, i0, im, im]), np.concatenate([im, im, i1, i1]),
@@ -482,8 +488,9 @@ class TestFarthestCornerBound:
 
 
 class TestClosedForm:
-    """check_covering resolves the blocks inside one lattice without a
-    query; the values stay the full sweep's."""
+    """check_covering resolves every block without a query: inside one
+    lattice in closed form, at seams, square edges and gaps over the
+    lattices near it; the values stay the full sweep's."""
 
     @pytest.mark.parametrize("name", list(SEAM_NETS))
     @settings(max_examples=40, deadline=None)
@@ -501,6 +508,44 @@ class TestClosedForm:
     def test_windows_beside_a_square_edge_equal_full_sweep(self, window):
         # the square's half-spaced points are nearer than the background's
         n = SEAM_NETS["dense-two-tone-K3"]()
+        assert check_covering(n, window) == covering_by_full_sweep(n, window)
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_windows_at_seams_build_no_grid(self, name, data):
+        n = SEAM_NETS[name]()
+        window = data.draw(seam_windows(n))
+        with counting_grids() as grids:
+            got = check_covering(fresh(n), window)
+        assert grids.built == grids.queried == 0
+        assert got == covering_by_full_sweep(n, window)
+
+    @pytest.mark.parametrize("window", [
+        Rect(20.6, 20.6, 22.4, 22.4),   # both corners across the gap
+        Rect(21.1, 15.0, 21.9, 23.0),   # up the gap, right of square 2
+        Rect(19.5, 21.2, 23.5, 21.8),   # along the gap, above square 2, below square 3
+        Rect(20.9, 21.4, 21.6, 22.1),   # square 2's corner and square 3's edge
+    ])
+    def test_windows_on_the_background_between_squares_2_and_3(self, window):
+        # the background's unit-square centres there make an L around each
+        # square's corner, cut into rectangles by the two squares
+        n = SEAM_NETS["dense-two-tone-K3"]()
+        with counting_grids() as grids:
+            got = check_covering(fresh(n), window)
+        assert grids.built == grids.queried == 0
+        assert got == covering_by_full_sweep(n, window)
+
+    @pytest.mark.parametrize("window", [
+        Rect(4.2, 2.8, 5.2, 3.2),       # across the right edge
+        Rect(0.2, 3.8, 1.2, 5.8),       # across the top edge and corner
+        Rect(-0.5, -0.5, 5.5, 5.5),     # around the square
+    ])
+    def test_a_square_off_the_integer_grid(self, window):
+        # the background keeps the centres of the unit squares the square
+        # only partly covers, some of them inside it
+        n = build_net(netbuild.NetPlan(constant_field(1.0), (
+            netbuild.ScheduleEntry(Rect(0.5, 0.5, 4.5, 4.5), 4, 2),)))
         assert check_covering(n, window) == covering_by_full_sweep(n, window)
 
     @pytest.mark.parametrize("n, window", [
