@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityField, _distinct, _integrate
-from .geometry import Rect, Similarity, UNIT_SQUARE, _runs, first_overlap
+from .geometry import Rect, Similarity, UNIT_SQUARE, _meeting_pairs, _runs, first_overlap
 
 
 # check_covering resolves its sample grid in blocks of _BLOCK x _BLOCK
@@ -26,9 +26,9 @@ _BLOCK = 32
 _BLOCK_CHUNK = 64
 # blocks at seams, square edges and gaps it bounds at once
 _SEAM_BATCH = 1 << 12
-# _Grid: queries per vectorised step (the step's temporaries hold a few
-# dozen floats per query)
-_CHUNK = 1 << 12
+# check_separation: (query, lattice) pairs it evaluates at once (a few
+# dozen bytes of temporaries each)
+_PAIR_BATCH = 1 << 15
 # check_covering resolves blocks in tiles of _TILE x _TILE blocks, so its
 # arrays stay bounded on any window
 _TILE = 128
@@ -131,7 +131,9 @@ class Net:
         points carry tag 0.  Explicit points come in the order of
         `self.points`, enumerated from the cells the window meets."""
         _check_finite(window)
-        gx, gy = _background_squares(self._cells, window)
+        keep, x0, y0 = _background_mask(self._cells, window)
+        gx, gy = np.nonzero(keep)
+        gx, gy = gx + x0, gy + y0
         # the lattice centers go into the rows after the explicit points
         pts, tags, k = _explicit_points(self._cells, window, len(gx))
         end = k + len(gx)
@@ -147,7 +149,7 @@ class _Cells:
     x0 + step * (a + 0.5), y0 + step * (b + 0.5), a, b in [0, n), with
     step = cell / n for the square's cell width `cell`; lo holds (x0, y0)
     and hi (x1, y1) per row.  It also keeps the squares, and each as a row
-    of `box`, and the last window's spans and `_near` index."""
+    of `box`, and the last window's spans."""
 
     def __init__(self, plan: NetPlan, counts):
         self.squares = [e.square for e in plan.schedule]
@@ -166,7 +168,7 @@ class _Cells:
         self.n = np.concatenate([np.empty(0, dtype=np.intp)]
                                 + [c.ravel() for c in counts]).astype(np.intp)
         self.step = np.repeat(cell, m * m) / self.n
-        self._last = self._near = None
+        self._last = None
 
     def meeting(self, x0: float, y0: float, x1: float, y1: float) -> np.ndarray:
         """The rows whose closed cell meets [x0, x1] x [y0, y1]."""
@@ -183,133 +185,10 @@ class _Cells:
                                                     self.lo[r], self.step[r], self.n[r]))
         return self._last[1:]
 
-    def near_square(self, x: np.ndarray, y: np.ndarray, window: Rect) -> np.ndarray:
-        """Mask of the points (x, y) in the window nearer than 1 to a
-        scheduled square along both axes; for a background centre, one of
-        the unit squares touching the square."""
-        near = np.zeros(len(x), dtype=bool)
-        for s in self.squares:
-            if (s.x0 - 1 < window.x1 and s.x1 + 1 > window.x0
-                    and s.y0 - 1 < window.y1 and s.y1 + 1 > window.y0):
-                near |= (x > s.x0 - 1) & (x < s.x1 + 1) & (y > s.y0 - 1) & (y < s.y1 + 1)
-        return near
-
 
 def _check_finite(window: Rect) -> None:
     if not all(math.isfinite(v) for v in (window.x0, window.y0, window.x1, window.y1)):
         raise ValueError(f"window {window} has a non-finite coordinate")
-
-
-def _near(net: Net, window: Rect) -> _Grid:
-    """A bucket index over the net points in the window inflated by 2s,
-    s = net.max_cell_spacing.  They hold every window point's nearest
-    net point and every window net point's nearest neighbour: each point of
-    the plane is within s/sqrt(2) of the net (of a subdivision cell's grid
-    centers, or of the lattice center of a unit square no scheduled square
-    contains), and a Voronoi neighbour of a net point is within twice that,
-    so the index needs to reach only s/sqrt(2).  check_separation builds it
-    only for the points it cannot resolve on one lattice, and the lattice
-    table keeps the last window's index beside its spans, so one window
-    gathers and indexes it at most once."""
-    _check_finite(window)
-    last = net._cells._near
-    if last is not None and last[0] == window:
-        return last[1]
-    r = 2.0 * net.max_cell_spacing
-    # only the points: their tags are freed before the index is built
-    pts = net.points_in_window(Rect(window.x0 - r, window.y0 - r,
-                                    window.x1 + r, window.y1 + r))[0]
-    grid = _Grid(pts, net.max_cell_spacing / math.sqrt(2))
-    net._cells._near = (window, grid)
-    return grid
-
-
-class _Grid:
-    """Nearest-point queries over the points `pts` (at least one), for query
-    points whose answer lies within `reach`, read from square buckets.
-
-    A bucket is W wide and W high, W = reach widened by a relative 1e-9 so
-    that rounding in the bucket arithmetic loses no point at distance reach.
-    Three empty columns and rows pad the points' buckets, so every query
-    with its answer within reach keeps the buckets it reads inside the
-    table.  The points are sorted by bucket, column by column, and followed
-    by +inf padding.  Rows cy - w to cy + w of one column are then one
-    stretch of sorted points, no longer than the most any 2 w + 1
-    consecutive buckets hold (`_span[w]`), so the points within w W of a
-    query in bucket (cx, cy) lie in 2 w + 1 slices of that length.  A slice
-    may run on into later buckets; extra real points never change a
-    minimum.  A squared distance is dx * dx + dy * dy and a distance its
-    sqrt, as in scipy's cKDTree, so the distances equal its bit for bit."""
-
-    def __init__(self, pts: np.ndarray, reach: float):
-        self.reach = reach
-        self._w = reach * (1.0 + 1e-9)
-        self._x0 = float(pts[:, 0].min()) - 3.0 * self._w
-        self._y0 = float(pts[:, 1].min()) - 3.0 * self._w
-        cx, cy = self._cells(pts[:, 0], pts[:, 1])
-        self._nx, self._ny = int(cx.max()) + 4, int(cy.max()) + 4
-        b = cx * self._ny + cy
-        del cx, cy
-        # 32-bit positions halve the index wherever they can hold every point
-        pos = np.int32 if len(pts) < 2 ** 31 else np.intp
-        order = np.argsort(b, kind="stable").astype(pos)
-        start = np.zeros(self._nx * self._ny + 1, dtype=pos)
-        np.cumsum(np.bincount(b, minlength=self._nx * self._ny), out=start[1:])
-        del b
-        self._start = start
-        self._span = {w: int((start[2 * w + 1:] - start[:-2 * w - 1]).max()) for w in (0, 1, 2)}
-        pad = np.full(self._span[2], np.inf)
-        self._x = np.concatenate([pts[order, 0], pad])
-        self._y = np.concatenate([pts[order, 1], pad])
-
-    def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (np.floor((x - self._x0) / self._w).astype(np.intp),
-                np.floor((y - self._y0) / self._w).astype(np.intp))
-
-    def _scan(self, x: np.ndarray, y: np.ndarray, w: int,
-              skip: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(distance, sorted position) of a nearest candidate within w W of
-        each query (x, y), passing over sorted position skip[q] for query q."""
-        d, k = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
-        offsets = np.arange(-w, w + 1) * self._ny - w
-        for a in range(0, len(x), _CHUNK):
-            part = slice(a, a + _CHUNK)
-            cx, cy = self._cells(x[part], y[part])
-            st = self._start[(cx * self._ny + cy)[:, None] + offsets]
-            idx = (st[:, :, None] + np.arange(self._span[w])).reshape(len(st), -1)
-            dx = self._x.take(idx) - x[part, None]
-            dy = self._y.take(idx) - y[part, None]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            if skip is not None:
-                dx[idx == skip[part, None]] = np.inf
-            j = dx.argmin(axis=1)
-            rows = np.arange(len(j))
-            d[part], k[part] = np.sqrt(dx[rows, j]), idx[rows, j]
-        return d, k
-
-    def nearest(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(distance, coordinates as an (n, 2) array) of a nearest point to
-        each query (x, y)."""
-        d, k = self._scan(x, y, 1)
-        return d, np.column_stack([self._x[k], self._y[k]])
-
-    def nearest_other(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The distance from each query (x, y), one of the points, to its
-        nearest other point, for points whose nearest neighbour lies within
-        2 reach.  A scan of each query's own bucket finds its sorted
-        position, at distance 0; a query that is not one of the points is a
-        RuntimeError.  The candidates within W, that position passed over,
-        decide it when the distance is at most reach; only the other
-        queries are scanned again within 2 W."""
-        d, pos = self._scan(x, y, 0)
-        if d.any():
-            raise RuntimeError("nearest_other: a query is not one of the points")
-        d, _ = self._scan(x, y, 1, pos)
-        far = d > self.reach
-        d[far], _ = self._scan(x[far], y[far], 2, pos[far])
-        return d
 
 
 def _cell_edges(e: ScheduleEntry) -> tuple[list[float], list[float]]:
@@ -363,25 +242,71 @@ def _explicit_points(cells: _Cells, window: Rect,
     return points, tags, k
 
 
-def _background_squares(cells: _Cells, window: Rect) -> tuple[np.ndarray, np.ndarray]:
-    """(gx, gy): the unit squares [gx, gx + 1] x [gy, gy + 1] whose centre
-    lies in the closed window and that no scheduled square contains, gx
-    the outer index.  Each square clears the unit squares it contains from
-    a mask over the window's, one slice per axis."""
+def _background_mask(cells: _Cells, window: Rect) -> tuple[np.ndarray, int, int]:
+    """(keep, x0, y0): keep[i, j] is whether the unit square [x0 + i, x0 +
+    i + 1] x [y0 + j, y0 + j + 1] has its centre in the closed window and
+    no scheduled square contains it.  Each square clears the unit squares
+    it contains from a mask over the window's, one slice per axis."""
     (x0, x1), (y0, y1) = (_centres(window.x0, window.x1), _centres(window.y0, window.y1))
     keep = np.ones((max(x1 - x0, 0), max(y1 - y0, 0)), dtype=bool)
     for s in cells.squares:
         # the g with s.x0 <= g and g + 1 <= s.x1, and the same in y
         keep[max(math.ceil(s.x0) - x0, 0):max(math.floor(s.x1) - x0, 0),
              max(math.ceil(s.y0) - y0, 0):max(math.floor(s.y1) - y0, 0)] = False
-    gx, gy = np.nonzero(keep)
-    return gx + x0, gy + y0
+    return keep, x0, y0
 
 
-def _centres(lo: float, hi: float) -> tuple[int, int]:
-    """The integers g in [g0, g1) whose g + 0.5 lies in [lo, hi]."""
+def _near_squares(cells: _Cells, keep: np.ndarray, x0: int, y0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centres (x, y), made as `Net.points_in_window` makes them, of the
+    unit squares kept in a `_background_mask` (keep, x0, y0) that lie
+    nearer than 1 to a scheduled square along both axes, each once.  Each
+    square reads and then clears its slice of keep, which afterwards marks
+    only the centres at least 1 from every square."""
+    xs, ys = [np.empty(0)], [np.empty(0)]
+    for s in cells.squares:
+        (a0, a1), (b0, b1) = (_centres(s.x0 - 1, s.x1 + 1, closed=False),
+                              _centres(s.y0 - 1, s.y1 + 1, closed=False))
+        a0, a1, b0, b1 = max(a0 - x0, 0), max(a1 - x0, 0), max(b0 - y0, 0), max(b1 - y0, 0)
+        part = keep[a0:a1, b0:b1]
+        if part.size:
+            gx, gy = np.nonzero(part)
+            xs.append(gx + (a0 + x0) + 0.5)
+            ys.append(gy + (b0 + y0) + 0.5)
+            part[:] = False
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _centres(lo: float, hi: float, closed: bool = True) -> tuple[int, int]:
+    """The integers g in [g0, g1) whose g + 0.5 lies in [lo, hi], or in
+    (lo, hi) when not closed."""
     g0, g1 = math.floor(lo), math.ceil(hi)
-    return g0 + (g0 + 0.5 < lo), g1 - (g1 - 0.5 > hi)
+    if closed:
+        return g0 + (g0 + 0.5 < lo), g1 - (g1 - 0.5 > hi)
+    return g0 + (g0 + 0.5 <= lo), g1 - (g1 - 0.5 >= hi)
+
+
+def _near_lattices(cells: _Cells, x0: float, y0: float, x1: float,
+                   y1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, box, step, n): product lattices holding every net point in
+    [x0, x1] x [y0, y1].  They are the lattice table's rows whose cell meets
+    it, then the background's unit-square centres in its integer box, cut
+    into rectangles by the unit squares each scheduled square contains,
+    each a product lattice of step 1.  Per lattice, box holds its rectangle
+    x0, y0, x1, y1, whose corner (x0, y0) is its origin, and n has a column
+    per axis; rows are the table rows of the first len(rows) lattices."""
+    r = cells.meeting(x0, y0, x1, y1)
+    pieces = [Rect(math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1))]
+    for sq in cells.squares:
+        # the unit squares it contains, as _background_mask clears them
+        a0, b0, a1, b1 = math.ceil(sq.x0), math.ceil(sq.y0), math.floor(sq.x1), math.floor(sq.y1)
+        if a0 < a1 and b0 < b1:
+            pieces = [q for p in pieces for q in p.subtract(Rect(a0, b0, a1, b1))]
+    bg = np.array([(p.x0, p.y0, p.x1, p.y1) for p in pieces], dtype=float).reshape(-1, 4)
+    box = np.concatenate([np.column_stack([cells.lo[r], cells.hi[r]]), bg])
+    step = np.concatenate([cells.step[r], np.ones(len(bg))])
+    n = np.concatenate([np.column_stack([cells.n[r], cells.n[r]]),
+                        (bg[:, 2:] - bg[:, :2]).astype(np.intp)])
+    return r, box, step, n
 
 
 def build_net(plan: NetPlan) -> Net:
@@ -419,82 +344,135 @@ def check_separation(net: Net, window: Rect) -> float:
     """Exact minimum pairwise distance over pairs with at least one point
     in the window.
 
-    A net point at least its spacing h inside its subdivision cell (its
-    lattice index a and b in [1, n - 1)) lies 1.5 h or more from the cell
-    edge, and every point of another lattice lies beyond that edge, so its
-    nearest other point is a neighbour on its own row or column.  So are
-    those of a background centre at least 1 from every scheduled square,
-    at exactly 1: the squares' points lie inside them.  A row shares one y
-    and a column one x, so the scan's distance sqrt(dx*dx + dy*dy) to such
-    a neighbour has one term exactly 0: the least over these points is the
-    least adjacent-coordinate gap, taken from the coordinates as
-    `_explicit_points` makes them, and equals the scan bit for bit.  Only
-    the other window points are scanned: each lattice's outer ring (index
-    0 or n - 1 on an axis), listed from the lattice table's rows and
-    coordinates in the window (`_ring`), and the background centres
-    touching a square.  They are queried by their coordinates over the
-    candidate set of `_near`, which is built only for them."""
+    A net point's nearest point of its own lattice is a neighbour on its
+    row or column.  A row shares one y and a column one x, so the scan's
+    distance sqrt(dx*dx + dy*dy) to such a neighbour has one term exactly
+    0: over the window's points of a lattice, the least is the least
+    adjacent-coordinate gap over the window's index range widened by one
+    index on each side, taken from the coordinates as `_explicit_points`
+    makes them, and equals the scan bit for bit.  A point at least its
+    spacing h inside its subdivision cell (lattice index a and b in [1, n -
+    1)) lies 1.5 h or more from the cell edge, and every point of another
+    lattice lies beyond that edge, so nothing nearer exists.  A background
+    centre at least 1 from every scheduled square has its nearest other
+    points at exactly 1: the squares' points lie inside them.
+
+    Only the other window points are queried for points of other
+    lattices: each lattice's outer ring (index 0 or n - 1 on an axis),
+    listed from the lattice table's rows and coordinates in the window
+    (`_ring`), and the background centres nearer than 1 to a square
+    (`_near_squares`).  Each such point's nearest other point lies within R
+    = sqrt(2) s, s = net.max_cell_spacing: every point of the plane is
+    within s/sqrt(2) of the net, so a Voronoi neighbour is within twice
+    that.  R is widened by a relative 1e-9 and a few ulps against rounding.
+    The lattices within R of the window are those of `_near_lattices`, and
+    `_cross_nearest` resolves the queries over them.  A background
+    centre's own rectangle of that table gives exactly 1 when it holds 2
+    centres along an axis, and its other rectangles count as other
+    lattices."""
     _check_finite(window)
     cells = net._cells
     r, first, count, coords = cells.spans(window)
-    gx, gy = _background_squares(cells, window)
-    if int(count[:, 0] @ count[:, 1]) + len(gx) < 2:
+    keep, gx0, gy0 = _background_mask(cells, window)
+    if int(count[:, 0] @ count[:, 1]) + int(np.count_nonzero(keep)) < 2:
         raise ValueError("window contains fewer than 2 points")
     best = math.inf
-    # per lattice and axis, its window points a in [first, first + count),
-    # and those of them at least a spacing inside the cell, a in [a0, a1)
+    # per lattice with window points and axis, the window's indices [first,
+    # first + count) and their neighbours, [a0, a1)
     n = cells.n[r][:, None]
-    a0, a1 = np.maximum(first, 1), np.minimum(first + count, n - 1)
-    deep = (a0 < a1).all(axis=1)
-    if deep.any():
-        best = math.sqrt(_least_sq_gap(cells.lo[r[deep]], cells.step[r[deep]],
-                                       a0[deep], a1[deep]))
-    bg_off = cells.near_square(gx + 0.5, gy + 0.5, window)
-    if not bg_off.all():
-        best = min(best, 1.0)
-    # only the centres touching a square are scanned: drop the window's
-    # other squares before _near builds its candidate set
-    gx, gy = gx[bg_off] + 0.5, gy[bg_off] + 0.5
-    # per lattice with window points and axis, whether index 0 and n - 1 are among them
     some = (count > 0).all(axis=1)[:, None]
+    gaps = (some & (n > 1)).ravel()
+    if gaps.any():
+        a0, a1 = np.maximum(first - 1, 0), np.minimum(first + count + 1, n)
+        best = math.sqrt(_least_sq_gap(cells.lo[r[gaps]], cells.step[r[gaps]], a0[gaps], a1[gaps]))
+    qx, qy = _near_squares(cells, keep, gx0, gy0)
+    if keep.any():
+        best = min(best, 1.0)
+    # per lattice and axis, whether index 0 and n - 1 are among the window's
     lo, hi = some & (first == 0), some & (first + count == n) & (n > 1)
-    if lo.any() or hi.any() or len(gx):
-        x, y = _ring(lo, hi, count, coords)
-        x, y = np.concatenate([x, gx]), np.concatenate([y, gy])
-        best = min(best, float(_near(net, window).nearest_other(x, y).min()))
-    return best
+    if not (lo.any() or hi.any() or len(qx)):
+        return best
+    x, y, row = _ring(lo, hi, count, coords)
+    s = net.max_cell_spacing
+    scale = max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1))
+    reach = math.sqrt(2.0) * s * (1.0 + 1e-9) + 16.0 * math.ulp(scale + 2.0 * s)
+    rows, box, step, size = _near_lattices(cells, window.x0 - reach, window.y0 - reach,
+                                           window.x1 + reach, window.y1 + reach)
+    # each background centre's rectangle, the one that holds it
+    bg = box[len(rows):]
+    piece = len(rows) + np.nonzero((bg[:, 0] < qx[:, None]) & (qx[:, None] < bg[:, 2])
+                                   & (bg[:, 1] < qy[:, None]) & (qy[:, None] < bg[:, 3]))[1]
+    if (size[piece] > 1).any():
+        best = min(best, 1.0)
+    own = np.concatenate([np.searchsorted(rows, r[row]), piece])
+    return min(best, _cross_nearest(box, step, size, reach, np.concatenate([x, qx]),
+                                    np.concatenate([y, qy]), own))
 
 
 def _ring(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
-          coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y): the window points of each lattice whose index is 0 or n - 1
-    on an axis, from `_Cells.spans`' count and coords and, per row and axis,
-    whether index 0 (lo) and n - 1 (hi) lie in the window.  They are runs
-    of coordinates: per row the columns a = 0 and n - 1, then the rows
-    b = 0 and n - 1 without those columns, so each point comes once and the
-    work is the ring's, not the window's."""
+          coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, row): the window points of each lattice whose index is 0 or
+    n - 1 on an axis, and the row of `_Cells.spans` each belongs to, from
+    its count and coords and, per row and axis, whether index 0 (lo) and
+    n - 1 (hi) lie in the window.  They are runs of coordinates: per row
+    the columns a = 0 and n - 1, then the rows b = 0 and n - 1 without
+    those columns, so each point comes once and the work is the ring's,
+    not the window's."""
     start = (np.cumsum(count) - count.ravel()).reshape(-1, 2)
     end = start + count
-    xy = [], []
+    xy, rows = ([], []), []
     for k, v0, v1 in ((0, start[:, 1], end[:, 1]),
                       (1, start[:, 0] + lo[:, 0], end[:, 0] - hi[:, 0])):
         e = np.concatenate([np.flatnonzero(lo[:, k]), np.flatnonzero(hi[:, k])])
         run, a = _runs(v0[e], (v1 - v0)[e])
         xy[k].append(coords[np.concatenate([start[lo[:, k], k], end[hi[:, k], k] - 1])[run]])
         xy[1 - k].append(coords[a])
-    return np.concatenate(xy[0]), np.concatenate(xy[1])
+        rows.append(e[run])
+    return np.concatenate(xy[0]), np.concatenate(xy[1]), np.concatenate(rows)
 
 
 def _least_sq_gap(origin: np.ndarray, step: np.ndarray, a0: np.ndarray,
                   a1: np.ndarray) -> float:
     """The least squared gap d * d, d = c[a + 1] - c[a], between adjacent
-    lattice coordinates c[a] = origin + step * (a + 0.5) with a or a + 1 in
-    [a0, a1), over the rows and both axes (origin, a0 and a1 per row and
+    lattice coordinates c[a] = origin + step * (a + 0.5) with a and a + 1
+    in [a0, a1), over the rows and both axes (origin, a0 and a1 per row and
     axis)."""
-    row, a = _runs((a0 - 1).ravel(), (a1 - a0 + 2).ravel())
+    row, a = _runs(a0.ravel(), (a1 - a0).ravel())
     c = origin.ravel()[row] + step[row >> 1] * (a + 0.5)
     d = (c[1:] - c[:-1])[row[1:] == row[:-1]]
     return float((d * d).min())
+
+
+def _cross_nearest(box: np.ndarray, step: np.ndarray, n: np.ndarray, reach: float,
+                   x: np.ndarray, y: np.ndarray, own: np.ndarray) -> float:
+    """The least distance from a query (x[j], y[j]), a point of lattice
+    own[j] of a `_near_lattices` table (box, step, n), to the points of the
+    table's other lattices whose box lies nearer than reach to that
+    lattice's box (inf if there are none).  The pairs of lattices are
+    `_meeting_pairs` of the boxes widened by reach / 2, and the (query,
+    lattice) pairs they give are evaluated _PAIR_BATCH at a time.  On a
+    product lattice a query's squared distance dx*dx + dy*dy is least where
+    each term is least, DX and DY from `_sq_gaps`, so sqrt(min(DX + DY))
+    equals the scan's distance bit for bit."""
+    wide = box + np.array([-0.5, -0.5, 0.5, 0.5]) * reach
+    a, b = (np.concatenate(v) for v in zip(*_meeting_pairs(wide)))
+    src = np.concatenate([a, b])
+    other = np.concatenate([b, a])[np.argsort(src)]
+    deg = np.bincount(src, minlength=len(box))
+    # query j has the pairs [end[j] - per[j], end[j]) of all, and pair p
+    # of them is lattice other[first[j] + p]
+    per = deg[own]
+    end = np.cumsum(per)
+    first = (np.cumsum(deg) - deg)[own] - (end - per)
+    least = math.inf
+    for p0 in range(0, int(end[-1]), _PAIR_BATCH):
+        p = np.arange(p0, min(p0 + _PAIR_BATCH, int(end[-1])))
+        j = np.searchsorted(end, p, side="right")
+        k = other[first[j] + p]
+        d = _sq_gaps(x[j], box[k, 0], step[k], n[k, 0])
+        d += _sq_gaps(y[j], box[k, 1], step[k], n[k, 1])
+        least = min(least, float(d.min()))
+    return math.sqrt(least)
 
 
 def check_covering(net: Net, window: Rect) -> float:
@@ -565,9 +543,11 @@ class _Axis:
 def _sq_gaps(s: np.ndarray, origin, step, n) -> np.ndarray:
     """The squared gap from each sample s to the nearest lattice coordinate
     origin + step * (a + 0.5), a in [0, n) (any integer a for n None), the
-    coordinate made as _explicit_points makes it and the gap as
-    _Grid._scan does.  origin, step and n are numbers, or arrays that
-    broadcast against s."""
+    coordinate made as _explicit_points makes it and the gap squared as a
+    scan over the points squares dx or dy, so that the sum of an x and a y
+    gap is the scan's squared distance bit for bit.  s is a sample of
+    check_covering or a net point check_separation queries.  origin, step
+    and n are numbers, or arrays that broadcast against s."""
     a = s - origin
     a /= step
     a -= 0.5
@@ -665,29 +645,14 @@ class _Lattices:
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, ...]:
-        """(origin, step, n, b0, b1): the lattices holding every net point
-        within `reach` of a sample, and per lattice and axis the blocks
-        [b0, b1) within reach of its box.  They are the cells' rows within
-        reach, and the background's unit-square centres in the samples'
-        integer box widened by reach, cut into rectangles by the unit
-        squares each scheduled square contains, each a product lattice of
-        step 1.  origin, n, b0 and b1
-        have a column per axis, step one entry per lattice."""
-        cells, reach = self._cells, self.reach
-        xs, ys = self.cols.s, self.rows.s
-        r = cells.meeting(xs[0] - reach, ys[0] - reach, xs[-1] + reach, ys[-1] + reach)
-        pieces = [Rect(math.floor(xs[0] - reach), math.floor(ys[0] - reach),
-                       math.ceil(xs[-1] + reach), math.ceil(ys[-1] + reach))]
-        for sq in cells.squares:
-            # the unit squares it contains, as _background_squares clears them
-            x0, y0, x1, y1 = math.ceil(sq.x0), math.ceil(sq.y0), math.floor(sq.x1), math.floor(sq.y1)
-            if x0 < x1 and y0 < y1:
-                pieces = [q for p in pieces for q in p.subtract(Rect(x0, y0, x1, y1))]
-        bg = np.array([(p.x0, p.y0, p.x1, p.y1) for p in pieces], dtype=float).reshape(-1, 4)
-        box = np.concatenate([np.column_stack([cells.lo[r], cells.hi[r]]), bg])
-        step = np.concatenate([cells.step[r], np.ones(len(bg))])
-        n = np.concatenate([np.column_stack([cells.n[r], cells.n[r]]),
-                            (bg[:, 2:] - bg[:, :2]).astype(np.intp)])
+        """(origin, step, n, b0, b1): the lattices of `_near_lattices` over
+        the samples widened by `reach`, which hold every net point within
+        reach of a sample, and per lattice and axis the blocks [b0, b1)
+        within reach of its box.  origin, n, b0 and b1 have a column per
+        axis, step one entry per lattice."""
+        reach, xs, ys = self.reach, self.cols.s, self.rows.s
+        _, box, step, n = _near_lattices(self._cells, xs[0] - reach, ys[0] - reach,
+                                         xs[-1] + reach, ys[-1] + reach)
         b0, b1 = np.empty((len(box), 2), dtype=np.intp), np.empty((len(box), 2), dtype=np.intp)
         b0[:, 0], b1[:, 0] = self.cols.meeting(box[:, 0] - reach, box[:, 2] + reach)
         b0[:, 1], b1[:, 1] = self.rows.meeting(box[:, 1] - reach, box[:, 3] + reach)

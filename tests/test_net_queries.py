@@ -12,14 +12,15 @@ queried the samples it could not prune, is kept below as an oracle that
 check_covering must match with no more queries (it makes none), and the
 former explicit-point enumerator, which stacked one array per cell found
 cell by cell, as an oracle for the in-place fill.
-check_separation resolves the points at least a spacing inside their
-lattice in closed form and scans only the others; the former full scan of
-every window point over the candidate set is kept as its oracle, and must
-agree exactly on windows at cell seams, square edges and gaps.  The
-points it scans are listed from the lattice table; the former classifier,
-which placed each window point in a cell by its coordinates, is kept as
-the oracle for that set.  scipy's cKDTree is the oracle for the bucket
-index check_separation queries."""
+check_separation resolves every window point's neighbours on its own
+lattice in closed form, and queries only the lattice rings and the
+background centres near a square for points of the other lattices near
+them, from the same lattice table; the full scan of every window point
+over the candidate set with scipy's cKDTree is its oracle, and must agree
+exactly on windows at cell seams, square edges and gaps.  The points it
+queries are listed from the lattice table; the former classifier, which
+placed each window point in a cell by its coordinates, is kept as the
+oracle for that set."""
 
 import contextlib
 import dataclasses
@@ -93,27 +94,40 @@ def covering_by_full_sweep(net, window):
 
 
 def candidates(net, window):
-    """The points `_near` indexes for the window: the net points in the
-    window inflated by 2 net.max_cell_spacing."""
+    """The net points in the window inflated by 2 s, s =
+    net.max_cell_spacing.  They hold every window point's nearest net point
+    and every window net point's nearest neighbour: each point of the plane
+    is within s/sqrt(2) of the net, and a Voronoi neighbour of a net point
+    is within twice that."""
     r = 2.0 * net.max_cell_spacing
     return net.points_in_window(Rect(window.x0 - r, window.y0 - r,
                                      window.x1 + r, window.y1 + r))[0]
 
 
 def separation_by_full_scan(net, window):
-    """check_separation as it was before the closed form: every window
-    point's nearest other point, scanned over the candidate set of `_near`
-    on a fresh copy of the net."""
-    pts, grid = candidates(net, window), netbuild._near(fresh(net), window)
+    """check_separation as a full scan: every window point's nearest other
+    point, its second neighbour in cKDTree over the candidate set."""
+    pts = candidates(net, window)
     inside = np.flatnonzero((pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
                             & (pts[:, 1] >= window.y0) & (pts[:, 1] <= window.y1))
     if len(inside) < 2:
         raise ValueError("window contains fewer than 2 points")
-    return float(grid.nearest_other(pts[inside, 0], pts[inside, 1]).min())
+    d, _ = cKDTree(pts).query(pts[inside], k=2)
+    return float(d[:, 1].min())
+
+
+def near_square(net, x, y):
+    """Mask of the points (x, y) nearer than 1 to a scheduled square along
+    both axes."""
+    near = np.zeros(len(x), dtype=bool)
+    for e in net.plan.schedule:
+        s = e.square
+        near |= (x > s.x0 - 1) & (x < s.x1 + 1) & (y > s.y0 - 1) & (y < s.y1 + 1)
+    return near
 
 
 def ring_by_classifying(net, window):
-    """check_separation's former scan set: the window points of `_near`'s
+    """check_separation's former scan set: the window points of the
     candidate set, each explicit one placed in a cell of its square by
     floor division of its coordinates and kept when it lies less than its
     spacing inside that cell (a point placed in the wrong cell lies outside
@@ -123,7 +137,7 @@ def ring_by_classifying(net, window):
                                           window.x1 + r, window.y1 + r))
     x, y = pts[:, 0], pts[:, 1]
     cells = net._cells
-    out = cells.near_square(x, y, window)
+    out = near_square(net, x, y)
     e = np.flatnonzero(tags)
     if len(e):
         m = np.array([s.m for s in net.plan.schedule])
@@ -147,7 +161,7 @@ def as_sorted_complex(pts):
 
 def covering_by_centre_bound(net, window):
     """(value, samples queried) of check_covering's former loop over the
-    candidate set of `_near`: a block is kept while d + r, d its centre
+    candidate set: a block is kept while d + r, d its centre
     sample's distance to the net and r its farthest sample from that
     centre, times 1 + slack reaches the largest distance seen so far.  The
     relative slack 1e-12 covers rounding: the bound and the query distances
@@ -181,40 +195,20 @@ def covering_by_centre_bound(net, window):
     return worst, queried
 
 
-class CountingGrid(netbuild._Grid):
-    """A netbuild._Grid that counts its builds and the points it is queried
-    at, and records the size of each query and the points of each
-    nearest_other query."""
-    built = 0
-    queried = 0
-    batches = []
-    others = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        CountingGrid.built += 1
-
-    def nearest(self, x, y):
-        CountingGrid.queried += len(x)
-        CountingGrid.batches.append(len(x))
-        return super().nearest(x, y)
-
-    def nearest_other(self, x, y):
-        CountingGrid.queried += len(x)
-        CountingGrid.batches.append(len(x))
-        CountingGrid.others.append(np.column_stack([x, y]))
-        return super().nearest_other(x, y)
-
-
 @contextlib.contextmanager
-def counting_grids():
-    """netbuild builds CountingGrids inside the block, with both counts at 0
-    and no batch or point recorded."""
-    CountingGrid.built = CountingGrid.queried = 0
-    CountingGrid.batches, CountingGrid.others = [], []
+def recording_cross_queries():
+    """A list that collects, inside the block, the points (an (n, 2) array
+    per call) check_separation queries for points of other lattices."""
+    calls = []
+    cross = netbuild._cross_nearest
+
+    def record(box, step, n, reach, x, y, own):
+        calls.append(np.column_stack([x, y]))
+        return cross(box, step, n, reach, x, y, own)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netbuild, "_Grid", CountingGrid)
-        yield CountingGrid
+        mp.setattr(netbuild, "_cross_nearest", record)
+        yield calls
 
 
 def fresh(net):
@@ -438,9 +432,17 @@ def seam_windows(draw, n):
 # spacing of 1/2 on the left half of each square, 1 on the right
 DENSE_TWO_TONE = DensityField(UNIT_SQUARE, 0.25, ((Rect(0.5, 0.0, 1.0, 1.0), 1.0),))
 
+# squares off the integer grid: the background keeps the centres of the
+# unit squares they only partly cover, on their edges (the first square)
+# or inside them (the second); each cell's spacing is 1
+OFF_GRID = netbuild.NetPlan(constant_field(1.0), (
+    netbuild.ScheduleEntry(Rect(0.5, 0.5, 4.5, 4.5), 4, 2),
+    netbuild.ScheduleEntry(Rect(6.25, 5.75, 22.25, 21.75), 16, 4)))
+
 SEAM_NETS = {**{name: functools.partial(net, name) for name in PLANS},
              "limit-K4": limit_net,
-             "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3)))}
+             "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3))),
+             "off-grid": functools.cache(lambda: build_net(OFF_GRID))}
 
 
 class TestCoveringOracle:
@@ -465,11 +467,9 @@ class TestCoveringOracle:
 class TestFarthestCornerBound:
     @staticmethod
     def check(n, window):
-        want, want_queried = covering_by_centre_bound(n, window)
-        with counting_grids() as grids:
-            got = check_covering(fresh(n), window)
-        assert got == want
-        assert grids.queried <= want_queried
+        # check_covering queries no sample at all
+        want, _ = covering_by_centre_bound(n, window)
+        assert check_covering(fresh(n), window) == want
 
     @pytest.mark.parametrize("name", list(PLANS))
     @settings(max_examples=40, deadline=None)
@@ -510,17 +510,6 @@ class TestClosedForm:
         n = SEAM_NETS["dense-two-tone-K3"]()
         assert check_covering(n, window) == covering_by_full_sweep(n, window)
 
-    @pytest.mark.parametrize("name", list(SEAM_NETS))
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_windows_at_seams_build_no_grid(self, name, data):
-        n = SEAM_NETS[name]()
-        window = data.draw(seam_windows(n))
-        with counting_grids() as grids:
-            got = check_covering(fresh(n), window)
-        assert grids.built == grids.queried == 0
-        assert got == covering_by_full_sweep(n, window)
-
     @pytest.mark.parametrize("window", [
         Rect(20.6, 20.6, 22.4, 22.4),   # both corners across the gap
         Rect(21.1, 15.0, 21.9, 23.0),   # up the gap, right of square 2
@@ -531,10 +520,7 @@ class TestClosedForm:
         # the background's unit-square centres there make an L around each
         # square's corner, cut into rectangles by the two squares
         n = SEAM_NETS["dense-two-tone-K3"]()
-        with counting_grids() as grids:
-            got = check_covering(fresh(n), window)
-        assert grids.built == grids.queried == 0
-        assert got == covering_by_full_sweep(n, window)
+        assert check_covering(fresh(n), window) == covering_by_full_sweep(n, window)
 
     @pytest.mark.parametrize("window", [
         Rect(4.2, 2.8, 5.2, 3.2),       # across the right edge
@@ -547,6 +533,7 @@ class TestClosedForm:
         n = build_net(netbuild.NetPlan(constant_field(1.0), (
             netbuild.ScheduleEntry(Rect(0.5, 0.5, 4.5, 4.5), 4, 2),)))
         assert check_covering(n, window) == covering_by_full_sweep(n, window)
+        TestClosedFormSeparation.check(n, window)
 
     @pytest.mark.parametrize("n, window", [
         (lambda: net("two-tone-K3"), Rect(90.0, 90.0, 100.0, 100.0)),   # a 32-wide cell
@@ -556,10 +543,7 @@ class TestClosedForm:
         (lambda: net("lattice"), Rect(-3.3, 0.1, 5.2, 7.7)),
     ], ids=["cell", "limit-cell", "background", "between-squares", "lattice"])
     def test_windows_inside_one_lattice_query_no_sample(self, n, window):
-        with counting_grids() as grids:
-            got = check_covering(fresh(n()), window)
-        assert grids.queried == 0
-        assert got == covering_by_full_sweep(n(), window)
+        assert check_covering(fresh(n()), window) == covering_by_full_sweep(n(), window)
 
     @pytest.mark.parametrize("tile", [1, 3])
     @pytest.mark.parametrize("n, window", [
@@ -577,7 +561,7 @@ class TestClosedForm:
     def test_a_large_window_peaks_at_its_tiles(self):
         n = fresh(net("two-tone-K3"))
         window = Rect(-2.0, -2.0, 340.0, 340.0)   # every square and gap: 468,512 blocks
-        netbuild._near(n, window)   # the candidate set and its index, built beforehand
+        n._cells   # the lattice table, built beforehand
         tracemalloc.start()
         try:
             got = check_covering(n, window)
@@ -593,8 +577,10 @@ class TestClosedForm:
 
 
 class TestClosedFormSeparation:
-    """check_separation resolves the window points at least a spacing inside
-    their lattice without a scan; the values stay the full scan's."""
+    """check_separation resolves every window point's own-lattice neighbours
+    in closed form and queries only the ring points and the background
+    centres near a square for the other lattices; the values stay the full
+    scan's."""
 
     @staticmethod
     def check(n, window):
@@ -642,21 +628,20 @@ class TestClosedFormSeparation:
         (lambda: net("two-tone-K3"), Rect(20.0, 0.5, 27.0, 9.5)),       # beside squares 1, 2
         (lambda: net("lattice"), Rect(-3.3, 0.1, 5.2, 7.7)),
     ], ids=["cell", "limit-cell", "background", "between-squares", "lattice"])
-    def test_windows_inside_one_lattice_build_no_grid(self, n, window):
-        with counting_grids() as grids:
+    def test_windows_inside_one_lattice_make_no_cross_query(self, n, window):
+        with recording_cross_queries() as calls:
             fresh_net = fresh(n())
             sep = check_separation(fresh_net, window)
             cov = check_covering(fresh_net, window)
-        assert grids.built == 0
-        assert fresh_net._cells._near is None
+        assert calls == []
         assert sep == separation_by_full_scan(n(), window)
         assert cov == covering_by_full_sweep(n(), window)
 
     def test_a_large_lattice_window_scans_no_point(self):
         # 128 x 256 centres, each with its nearest other point 1 away
-        with counting_grids() as grids:
+        with recording_cross_queries() as calls:
             assert check_separation(fresh(net("lattice")), Rect(0.0, 0.0, 128.0, 256.0)) == 1.0
-        assert grids.built == 0
+        assert calls == []
 
     @pytest.mark.parametrize("name", list(SEAM_NETS))
     def test_ring_lists_each_lattice_outer_ring_once(self, name):
@@ -670,10 +655,13 @@ class TestClosedFormSeparation:
                    1.0 + max((e.square.y1 for e in n.plan.schedule), default=0))
         r, first, count, coords = cells.spans(box)
         n_r = cells.n[r][:, None]
-        x, y = netbuild._ring(first == 0, (first + count == n_r) & (n_r > 1), count, coords)
+        x, y, row = netbuild._ring(first == 0, (first + count == n_r) & (n_r > 1), count, coords)
         got = np.isin(n.points[:, 0] + 1j * n.points[:, 1], x + 1j * y)
         assert np.array_equal(got, want)
         assert len(x) == want.sum()   # no point twice
+        # each with the row of its cell
+        k = r[row]
+        assert ((cells.x0[k] < x) & (x < cells.x1[k]) & (cells.y0[k] < y) & (y < cells.y1[k])).all()
 
     def test_one_point_lattices_are_scanned_once(self):
         # cells 1 wide of one point each: index 0 is also n - 1
@@ -681,28 +669,91 @@ class TestClosedFormSeparation:
             netbuild.ScheduleEntry(Rect(0.0, 0.0, 4.0, 4.0), 4, 4),)))
         assert n._cells.n.tolist() == [1] * 16
         window = Rect(-1.0, -1.0, 5.0, 5.0)
-        with counting_grids() as grids:
+        with recording_cross_queries() as calls:
             got = check_separation(fresh(n), window)
         assert got == separation_by_full_scan(n, window) == 1.0
-        got = np.concatenate(grids.others)
+        got = np.concatenate(calls)
         assert np.array_equal(as_sorted_complex(got),
                               as_sorted_complex(ring_by_classifying(n, window)))
 
     @pytest.mark.parametrize("name", list(SEAM_NETS))
-    def test_near_square_marks_background_centres_nearer_than_1_to_a_square(self, name):
+    def test_near_squares_lists_background_centres_nearer_than_1_to_a_square(self, name):
         n = SEAM_NETS[name]()
         hi = 2.0 + max((e.square.x1 for e in n.plan.schedule), default=8.0)
-        window = Rect(-2.0, -2.0, hi, hi)
-        pts, tags = n.points_in_window(window)
-        bg = pts[tags == 0]
-        want = np.zeros(len(bg), dtype=bool)
-        for e in n.plan.schedule:
+        for window in (Rect(-2.0, -2.0, hi, hi), Rect(-0.7, 0.4, hi - 1.3, hi - 0.6)):
+            pts, tags = n.points_in_window(window)
+            bg = pts[tags == 0]
+            want = near_square(n, bg[:, 0], bg[:, 1])
+            if name != "off-grid":   # on integer squares, the centres within 1 of one
+                touch = np.zeros(len(bg), dtype=bool)
+                for e in n.plan.schedule:
+                    s = e.square
+                    dx = np.maximum(np.maximum(s.x0 - bg[:, 0], bg[:, 0] - s.x1), 0.0)
+                    dy = np.maximum(np.maximum(s.y0 - bg[:, 1], bg[:, 1] - s.y1), 0.0)
+                    touch |= np.hypot(dx, dy) < 1.0
+                assert np.array_equal(touch, want)
+            keep, x0, y0 = netbuild._background_mask(n._cells, window)
+            x, y = netbuild._near_squares(n._cells, keep, x0, y0)
+            assert len(x) == want.sum()   # each once
+            assert np.array_equal(as_sorted_complex(np.column_stack([x, y])),
+                                  as_sorted_complex(bg[want]))
+            # the mask keeps the others
+            gx, gy = np.nonzero(keep)
+            assert np.array_equal(as_sorted_complex(np.column_stack([gx + x0 + 0.5, gy + y0 + 0.5])),
+                                  as_sorted_complex(bg[~want]))
+
+    @staticmethod
+    def lattice_points(box, step, size, k):
+        """Every point of lattice k of a `_near_lattices` table, made as
+        `_sq_gaps` makes its coordinates."""
+        xs, ys = ((np.arange(size[k, a]) + 0.5) * step[k] + box[k, a] for a in (0, 1))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @staticmethod
+    def seam_regions(n):
+        """Small regions over each square's corners and the gaps beside them."""
+        for e in n.plan.schedule or [netbuild.ScheduleEntry(Rect(0.0, 0.0, 4.0, 4.0), 4, 1)]:
             s = e.square
-            dx = np.maximum(np.maximum(s.x0 - bg[:, 0], bg[:, 0] - s.x1), 0.0)
-            dy = np.maximum(np.maximum(s.y0 - bg[:, 1], bg[:, 1] - s.y1), 0.0)
-            want |= np.hypot(dx, dy) < 1.0
-        got = n._cells.near_square(bg[:, 0], bg[:, 1], window)
-        assert np.array_equal(got, want)
+            for x, y in ((s.x0, s.y0), (s.x1, s.y1), (s.x0, s.y1)):
+                yield Rect(x - 2.3, y - 1.7, x + 1.9, y + 2.1)
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    def test_near_lattices_hold_the_points_of_their_region(self, name):
+        n = SEAM_NETS[name]()
+        for region in self.seam_regions(n):
+            rows, box, step, size = netbuild._near_lattices(
+                n._cells, region.x0, region.y0, region.x1, region.y1)
+            pts = np.concatenate([self.lattice_points(box, step, size, k) for k in range(len(box))])
+            inside = ((pts[:, 0] >= region.x0) & (pts[:, 0] <= region.x1)
+                      & (pts[:, 1] >= region.y0) & (pts[:, 1] <= region.y1))
+            # each point once, on one lattice
+            assert np.array_equal(as_sorted_complex(pts[inside]),
+                                  as_sorted_complex(n.points_in_window(region)[0]))
+            assert np.array_equal(box[:len(rows)], np.column_stack([n._cells.lo[rows], n._cells.hi[rows]]))
+
+    @pytest.mark.parametrize("name", [name for name in SEAM_NETS if name != "lattice"])
+    def test_cross_nearest_equals_a_scan_of_the_other_lattices(self, name):
+        # the queries: about 40 points of each lattice in the window, its
+        # first and last among them
+        n = SEAM_NETS[name]()
+        reach = math.sqrt(2.0) * n.max_cell_spacing * (1.0 + 1e-9)
+        for window in self.seam_regions(n):
+            rows, box, step, size = netbuild._near_lattices(
+                n._cells, window.x0 - reach, window.y0 - reach, window.x1 + reach, window.y1 + reach)
+            points = [self.lattice_points(box, step, size, k) for k in range(len(box))]
+            for k, pts in enumerate(points):
+                pts = pts[(pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
+                          & (pts[:, 1] >= window.y0) & (pts[:, 1] <= window.y1)]
+                if not len(pts):
+                    continue
+                pts = pts[np.unique(np.linspace(0, len(pts) - 1, 40).astype(int))]
+                want, _ = cKDTree(np.concatenate(points[:k] + points[k + 1:])).query(pts)
+                for q, d in zip(pts, want.tolist()):
+                    got = netbuild._cross_nearest(box, step, size, reach, q[:1], q[1:],
+                                                  np.array([k]))
+                    # a nearer point lies on a lattice within reach; a farther one may not
+                    assert got == d if d < reach else got >= d
 
     @pytest.mark.parametrize("name", ["limit-K4", "dense-two-tone-K3"])
     @settings(max_examples=40, deadline=None)
@@ -711,24 +762,17 @@ class TestClosedFormSeparation:
         n = SEAM_NETS[name]()
         window = data.draw(seam_windows(n))
         want = ring_by_classifying(n, window)
-        with counting_grids() as grids:
+        with recording_cross_queries() as calls:
             try:
                 check_separation(fresh(n), window)
             except ValueError:
-                want = want[:0]   # fewer than 2 points: nothing is scanned
-        got = np.concatenate([np.empty((0, 2))] + grids.others)
-        assert grids.queried == len(got)
+                want = want[:0]   # fewer than 2 points: nothing is queried
+        assert len(calls) <= 1
+        got = np.concatenate([np.empty((0, 2))] + calls)
         assert np.array_equal(as_sorted_complex(got), as_sorted_complex(want))
 
 
 class TestSharedCandidates:
-    def test_both_checks_build_one_tree(self):
-        n = fresh(net("two-tone-K3"))
-        with counting_grids() as grids:
-            check_separation(n, Rect(14.37, 14.11, 18.9, 18.33))
-            check_covering(n, Rect(14.37, 14.11, 18.9, 18.33))
-        assert grids.built == 1
-
     def test_interleaved_windows_match_fresh_calls(self):
         n = fresh(net("two-tone-K3"))
         a, b = Rect(14.37, 14.11, 18.9, 18.33), Rect(-0.7, -0.3, 1.3, 17.55)
@@ -736,22 +780,21 @@ class TestSharedCandidates:
             for query in (check_covering, check_separation):
                 assert query(n, window) == query(fresh(n), window)
 
-    def test_candidate_build_frees_the_tags_and_keeps_no_points(self):
+    def test_separation_peaks_far_below_the_points(self):
         n = build_net(make_plan(TWO_TONE, 4))
-        window = Rect(-2.0, -2.0, 1400.0, 1400.0)   # every square: 1,698,938 candidates
-        nbytes = candidates(n, window).nbytes      # and the lattice table, built beforehand
+        window = Rect(-2.0, -2.0, 1400.0, 1400.0)   # every square: 1,698,938 points
+        n._cells   # the lattice table, built beforehand
         tracemalloc.start()
         try:
-            netbuild._near(n, window)
+            got = check_separation(n, window)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 2.98 and 1.23 nbytes; with the bucket arrays alive through the
-        # sort the peak was 4.48 nbytes, with the tags alive through the
-        # index build 4.98 nbytes, and with the points kept beside the index
-        # 2.48 nbytes stayed
-        assert peak <= 3.25 * nbytes
-        assert kept <= 1.5 * nbytes
+        assert got == 1.0
+        # 9.7 MB measured; the candidate set of the points around the window
+        # and a bucket index over it peaked at 80 MB and kept 32 MB
+        assert peak <= 16 * 2 ** 20
+        assert kept <= 2 ** 20
 
     def test_nets_queried_on_equal_windows_match_fresh_calls(self):
         nets = [fresh(net("two-tone-K2")), fresh(net("constant-4-K1"))]
@@ -768,115 +811,12 @@ class TestQueryChunks:
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_results_do_not_depend_on_the_chunk_size(self, chunk):
         n = net("two-tone-K3")
-        want = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
-                for w in self.WINDOWS]
-        pts, grid = candidates(n, self.WINDOWS[0]), netbuild._near(fresh(n), self.WINDOWS[0])
-        want_nearest = grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125)
-        want_other = grid.nearest_other(pts[:, 0], pts[:, 1])
+        want = [(separation_by_full_scan(n, w), check_covering(fresh(n), w)) for w in self.WINDOWS]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(netbuild, "_CHUNK", chunk)
+            mp.setattr(netbuild, "_PAIR_BATCH", chunk)
             got = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
                    for w in self.WINDOWS]
-            assert_same_arrays(grid.nearest(pts[:, 0] + 0.25, pts[:, 1] - 0.125), want_nearest)
-            assert_same_arrays([grid.nearest_other(pts[:, 0], pts[:, 1])], [want_other])
         assert got == want
-
-    def test_a_batch_is_one_query(self):
-        # the unit lattice holds 128 x 256 centres in this window: many chunks
-        n = fresh(net("lattice"))
-        with counting_grids() as grids:
-            assert separation_by_full_scan(n, Rect(0.0, 0.0, 128.0, 256.0)) == 1.0
-        assert grids.batches == [128 * 256]
-        assert 128 * 256 > 4 * netbuild._CHUNK
-
-
-@st.composite
-def grid_cases(draw):
-    """(points, reach): up to 40 points, some of them exact or near
-    duplicates of others, and a reach of at least half the largest
-    nearest-neighbour distance and 1/32 of the points' extent."""
-    coord = st.floats(-50.0, 50.0, allow_nan=False)
-    base = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
-    near = st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6])
-    copies = [(x + draw(near), y + draw(near))
-              for x, y in draw(st.lists(st.sampled_from(base), max_size=10))]
-    pts = np.array(base + copies)
-    if len(pts) == 1:
-        pts = np.vstack([pts, pts + draw(st.floats(1e-9, 10.0))])
-    d, _ = cKDTree(pts).query(pts, k=2)
-    extent = float(np.ptp(pts, axis=0).max())
-    reach = max(float(d[:, 1].max()) / 2.0, extent / 32.0, 1e-6)
-    return pts, reach * draw(st.sampled_from([1.0, 1.0, 1.5, 4.0]))
-
-
-class TestGridOracle:
-    """The bucket index against cKDTree: distances bit for bit, and a point
-    at that distance, for queries whose nearest point lies within reach, on
-    bucket edges among them."""
-
-    @staticmethod
-    def check_nearest(pts, grid, q):
-        want, _ = cKDTree(pts).query(q, k=1)
-        q, want = q[want <= grid.reach], want[want <= grid.reach]
-        d, p = grid.nearest(q[:, 0], q[:, 1])
-        assert np.array_equal(d, want)
-        assert p.shape == q.shape
-        assert np.isin(p[:, 0] + 1j * p[:, 1], pts[:, 0] + 1j * pts[:, 1]).all()
-        dx, dy = p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]
-        assert np.array_equal(np.sqrt(dx * dx + dy * dy), d)
-
-    def test_a_query_exactly_reach_away_over_a_rounded_bucket_edge(self):
-        # with buckets exactly reach wide, (q - lo) / reach rounds up to an
-        # integer while (p - lo) / reach rounds down, so p's bucket is two
-        # away from q's; the widened bucket keeps p in q's neighbourhood
-        m, p, r = -4.492441793121074, 0.3647114972650627, 1.619051096795379
-        q = p + r
-        pts = np.array([[m, 0.0], [p, 0.0], [p + 2.5 * r, 0.0]])
-        reach = q - p
-        lo = m - 3.0 * reach
-        assert math.floor((q - lo) / reach) - math.floor((p - lo) / reach) == 2
-        grid = netbuild._Grid(pts, reach)
-        self.check_nearest(pts, grid, np.array([[q, 0.0]]))
-        assert grid.nearest(np.array([q]), np.array([0.0]))[1].tolist() == [[p, 0.0]]
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=grid_cases(), data=st.data())
-    def test_nearest_other_matches_the_second_neighbour(self, case, data):
-        pts, reach = case
-        grid = netbuild._Grid(pts, reach)
-        i = np.array(data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1)))
-        d, _ = cKDTree(pts).query(pts[i], k=2)
-        assert np.array_equal(grid.nearest_other(pts[i, 0], pts[i, 1]), d[:, 1])
-
-    def test_nearest_other_rejects_a_query_that_is_not_a_point(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        grid = netbuild._Grid(pts, 1.0)
-        with pytest.raises(RuntimeError, match="not one of the points"):
-            grid.nearest_other(np.array([0.0, 0.5]), np.array([0.0, 0.25]))
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=grid_cases(), data=st.data())
-    def test_nearest_matches_at_random_queries(self, case, data):
-        pts, reach = case
-        grid = netbuild._Grid(pts, reach)
-        lo, hi = pts.min(axis=0) - reach, pts.max(axis=0) + reach
-        q = np.array(data.draw(st.lists(
-            st.tuples(st.floats(lo[0], hi[0]), st.floats(lo[1], hi[1])), min_size=1)))
-        self.check_nearest(pts, grid, q)
-        # the points themselves, and points a few ulps off them
-        for t in (0.0, 1e-15, -1e-15):
-            self.check_nearest(pts, grid, pts * [1 + t, 1 - t])
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=grid_cases(), data=st.data())
-    def test_nearest_matches_on_bucket_edges(self, case, data):
-        pts, reach = case
-        grid = netbuild._Grid(pts, reach)
-        ex = grid._x0 + grid._w * np.arange(grid._nx + 1)
-        ey = grid._y0 + grid._w * np.arange(grid._ny + 1)
-        nudge = data.draw(st.sampled_from([0.0, 1e-12, -1e-12]))
-        gx, gy = np.meshgrid(ex, ey, indexing="ij")
-        self.check_nearest(pts, grid, np.column_stack([gx.ravel(), gy.ravel()]) + nudge)
 
 
 class TestExactCovering:
