@@ -256,7 +256,8 @@ def _background_mask(cells: _Cells, window: Rect) -> tuple[np.ndarray, int, int]
     return keep, x0, y0
 
 
-def _near_squares(cells: _Cells, keep: np.ndarray, x0: int, y0: int) -> tuple[np.ndarray, np.ndarray]:
+def _near_squares(cells: _Cells, keep: np.ndarray, x0: int,
+                  y0: int) -> tuple[np.ndarray, np.ndarray]:
     """The centres (x, y), made as `Net.points_in_window` makes them, of the
     unit squares kept in a `_background_mask` (keep, x0, y0) that lie
     nearer than 1 to a scheduled square along both axes, each once.  Each

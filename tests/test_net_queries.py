@@ -661,7 +661,8 @@ class TestClosedFormSeparation:
         assert len(x) == want.sum()   # no point twice
         # each with the row of its cell
         k = r[row]
-        assert ((cells.x0[k] < x) & (x < cells.x1[k]) & (cells.y0[k] < y) & (y < cells.y1[k])).all()
+        assert ((cells.x0[k] < x) & (x < cells.x1[k])
+                & (cells.y0[k] < y) & (y < cells.y1[k])).all()
 
     def test_one_point_lattices_are_scanned_once(self):
         # cells 1 wide of one point each: index 0 is also n - 1
@@ -699,7 +700,8 @@ class TestClosedFormSeparation:
                                   as_sorted_complex(bg[want]))
             # the mask keeps the others
             gx, gy = np.nonzero(keep)
-            assert np.array_equal(as_sorted_complex(np.column_stack([gx + x0 + 0.5, gy + y0 + 0.5])),
+            far = np.column_stack([gx + x0 + 0.5, gy + y0 + 0.5])
+            assert np.array_equal(as_sorted_complex(far),
                                   as_sorted_complex(bg[~want]))
 
     @staticmethod
@@ -724,13 +726,15 @@ class TestClosedFormSeparation:
         for region in self.seam_regions(n):
             rows, box, step, size = netbuild._near_lattices(
                 n._cells, region.x0, region.y0, region.x1, region.y1)
-            pts = np.concatenate([self.lattice_points(box, step, size, k) for k in range(len(box))])
+            pts = np.concatenate([self.lattice_points(box, step, size, k)
+                                  for k in range(len(box))])
             inside = ((pts[:, 0] >= region.x0) & (pts[:, 0] <= region.x1)
                       & (pts[:, 1] >= region.y0) & (pts[:, 1] <= region.y1))
             # each point once, on one lattice
             assert np.array_equal(as_sorted_complex(pts[inside]),
                                   as_sorted_complex(n.points_in_window(region)[0]))
-            assert np.array_equal(box[:len(rows)], np.column_stack([n._cells.lo[rows], n._cells.hi[rows]]))
+            assert np.array_equal(box[:len(rows)],
+                                  np.column_stack([n._cells.lo[rows], n._cells.hi[rows]]))
 
     @pytest.mark.parametrize("name", [name for name in SEAM_NETS if name != "lattice"])
     def test_cross_nearest_equals_a_scan_of_the_other_lattices(self, name):
@@ -740,7 +744,8 @@ class TestClosedFormSeparation:
         reach = math.sqrt(2.0) * n.max_cell_spacing * (1.0 + 1e-9)
         for window in self.seam_regions(n):
             rows, box, step, size = netbuild._near_lattices(
-                n._cells, window.x0 - reach, window.y0 - reach, window.x1 + reach, window.y1 + reach)
+                n._cells, window.x0 - reach, window.y0 - reach,
+                window.x1 + reach, window.y1 + reach)
             points = [self.lattice_points(box, step, size, k) for k in range(len(box))]
             for k, pts in enumerate(points):
                 pts = pts[(pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
