@@ -10,6 +10,7 @@ the squares, materializes its points per query window.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,19 +20,9 @@ from .density import DensityField, _distinct, _integrate
 from .geometry import Rect, Similarity, UNIT_SQUARE, _meeting_pairs, _runs, first_overlap
 
 
-# check_covering resolves its sample grid in blocks of _BLOCK x _BLOCK
-_BLOCK = 32
-# blocks it bounds per quarter and evaluates at once: at most
-# _BLOCK_CHUNK * _BLOCK^2 squared distances, 0.5 MB
-_BLOCK_CHUNK = 64
-# blocks at seams, square edges and gaps it bounds at once
-_SEAM_BATCH = 1 << 12
-# check_separation: (query, lattice) pairs it evaluates at once (a few
-# dozen bytes of temporaries each)
+# (query, lattice) pairs of both window checks, and (candidate, point) pairs
+# of check_covering, evaluated at once (a few dozen bytes of temporaries each)
 _PAIR_BATCH = 1 << 15
-# check_covering resolves blocks in tiles of _TILE x _TILE blocks, so its
-# arrays stay bounded on any window
-_TILE = 128
 _CSV_CHUNK = 1 << 14   # rows net_to_csv formats at once
 
 
@@ -52,8 +43,11 @@ class NetPlan:
         c = top - 1.0   # the density's amplitude
         prev_side, prev_ratio = 0, math.inf
         for n, e in enumerate(self.schedule):
-            if not e.square.width == e.square.height == e.side:
-                raise ValueError(f"schedule entry {n}: {e.square} is not {e.side} x {e.side}")
+            sq = e.square
+            if not all(float(v).is_integer() for v in (sq.x0, sq.y0, sq.x1, sq.y1)):
+                raise ValueError(f"schedule entry {n}: {sq} has a corner off the integer grid")
+            if not sq.width == sq.height == e.side:
+                raise ValueError(f"schedule entry {n}: {sq} is not {e.side} x {e.side}")
             if e.side <= prev_side:
                 raise ValueError("square sides must be strictly increasing")
             ratio = e.m / e.side
@@ -152,9 +146,10 @@ class _Cells:
     of `box`, and the last window's spans."""
 
     def __init__(self, plan: NetPlan, counts):
-        self.squares = [e.square for e in plan.schedule]
-        self.box = np.array([(s.x0, s.y0, s.x1, s.y1) for s in self.squares],
-                            dtype=float).reshape(-1, 4)
+        self.box = np.array([(e.square.x0, e.square.y0, e.square.x1, e.square.y1)
+                             for e in plan.schedule], dtype=float).reshape(-1, 4)
+        # the integer corners NetPlan requires, read as ints
+        self.squares = [Rect(*c) for c in self.box.astype(int).tolist()]
         cell = np.array([e.side / e.m for e in plan.schedule])
         m = np.array([e.m for e in plan.schedule], dtype=np.intp)
         lo, hi = [np.empty((0, 2))], [np.empty((0, 2))]
@@ -251,8 +246,7 @@ def _background_mask(cells: _Cells, window: Rect) -> tuple[np.ndarray, int, int]
     keep = np.ones((max(x1 - x0, 0), max(y1 - y0, 0)), dtype=bool)
     for s in cells.squares:
         # the g with s.x0 <= g and g + 1 <= s.x1, and the same in y
-        keep[max(math.ceil(s.x0) - x0, 0):max(math.floor(s.x1) - x0, 0),
-             max(math.ceil(s.y0) - y0, 0):max(math.floor(s.y1) - y0, 0)] = False
+        keep[max(s.x0 - x0, 0):max(s.x1 - x0, 0), max(s.y0 - y0, 0):max(s.y1 - y0, 0)] = False
     return keep, x0, y0
 
 
@@ -265,9 +259,9 @@ def _near_squares(cells: _Cells, keep: np.ndarray, x0: int,
     only the centres at least 1 from every square."""
     xs, ys = [np.empty(0)], [np.empty(0)]
     for s in cells.squares:
-        (a0, a1), (b0, b1) = (_centres(s.x0 - 1, s.x1 + 1, closed=False),
-                              _centres(s.y0 - 1, s.y1 + 1, closed=False))
-        a0, a1, b0, b1 = max(a0 - x0, 0), max(a1 - x0, 0), max(b0 - y0, 0), max(b1 - y0, 0)
+        # the g with g + 0.5 in (s.x0 - 1, s.x1 + 1), and the same in y
+        a0, a1 = max(s.x0 - 1 - x0, 0), max(s.x1 + 1 - x0, 0)
+        b0, b1 = max(s.y0 - 1 - y0, 0), max(s.y1 + 1 - y0, 0)
         part = keep[a0:a1, b0:b1]
         if part.size:
             gx, gy = np.nonzero(part)
@@ -277,13 +271,10 @@ def _near_squares(cells: _Cells, keep: np.ndarray, x0: int,
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def _centres(lo: float, hi: float, closed: bool = True) -> tuple[int, int]:
-    """The integers g in [g0, g1) whose g + 0.5 lies in [lo, hi], or in
-    (lo, hi) when not closed."""
+def _centres(lo: float, hi: float) -> tuple[int, int]:
+    """The integers g in [g0, g1) whose g + 0.5 lies in [lo, hi]."""
     g0, g1 = math.floor(lo), math.ceil(hi)
-    if closed:
-        return g0 + (g0 + 0.5 < lo), g1 - (g1 - 0.5 > hi)
-    return g0 + (g0 + 0.5 <= lo), g1 - (g1 - 0.5 >= hi)
+    return g0 + (g0 + 0.5 < lo), g1 - (g1 - 0.5 > hi)
 
 
 def _near_lattices(cells: _Cells, x0: float, y0: float, x1: float,
@@ -299,9 +290,7 @@ def _near_lattices(cells: _Cells, x0: float, y0: float, x1: float,
     pieces = [Rect(math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1))]
     for sq in cells.squares:
         # the unit squares it contains, as _background_mask clears them
-        a0, b0, a1, b1 = math.ceil(sq.x0), math.ceil(sq.y0), math.floor(sq.x1), math.floor(sq.y1)
-        if a0 < a1 and b0 < b1:
-            pieces = [q for p in pieces for q in p.subtract(Rect(a0, b0, a1, b1))]
+        pieces = [q for p in pieces for q in p.subtract(sq)]
     bg = np.array([(p.x0, p.y0, p.x1, p.y1) for p in pieces], dtype=float).reshape(-1, 4)
     box = np.concatenate([np.column_stack([cells.lo[r], cells.hi[r]]), bg])
     step = np.concatenate([cells.step[r], np.ones(len(bg))])
@@ -406,8 +395,8 @@ def check_separation(net: Net, window: Rect) -> float:
     if (size[piece] > 1).any():
         best = min(best, 1.0)
     own = np.concatenate([np.searchsorted(rows, r[row]), piece])
-    return min(best, _cross_nearest(box, step, size, reach, np.concatenate([x, qx]),
-                                    np.concatenate([y, qy]), own))
+    return min(best, float(_cross_nearest(box, step, size, reach, np.concatenate([x, qx]),
+                                          np.concatenate([y, qy]), own).min()))
 
 
 def _ring(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
@@ -445,10 +434,10 @@ def _least_sq_gap(origin: np.ndarray, step: np.ndarray, a0: np.ndarray,
 
 
 def _cross_nearest(box: np.ndarray, step: np.ndarray, n: np.ndarray, reach: float,
-                   x: np.ndarray, y: np.ndarray, own: np.ndarray) -> float:
-    """The least distance from a query (x[j], y[j]), a point of lattice
-    own[j] of a `_near_lattices` table (box, step, n), to the points of the
-    table's other lattices whose box lies nearer than reach to that
+                   x: np.ndarray, y: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per query (x[j], y[j]), a point of lattice own[j] of a
+    `_near_lattices` table (box, step, n), the least distance to the points
+    of the table's other lattices whose box lies nearer than reach to that
     lattice's box (inf if there are none).  The pairs of lattices are
     `_meeting_pairs` of the boxes widened by reach / 2, and the (query,
     lattice) pairs they give are evaluated _PAIR_BATCH at a time.  On a
@@ -465,90 +454,26 @@ def _cross_nearest(box: np.ndarray, step: np.ndarray, n: np.ndarray, reach: floa
     per = deg[own]
     end = np.cumsum(per)
     first = (np.cumsum(deg) - deg)[own] - (end - per)
-    least = math.inf
+    least = np.full(len(x), np.inf)
     for p0 in range(0, int(end[-1]), _PAIR_BATCH):
         p = np.arange(p0, min(p0 + _PAIR_BATCH, int(end[-1])))
         j = np.searchsorted(end, p, side="right")
         k = other[first[j] + p]
         d = _sq_gaps(x[j], box[k, 0], step[k], n[k, 0])
         d += _sq_gaps(y[j], box[k, 1], step[k], n[k, 1])
-        least = min(least, float(d.min()))
-    return math.sqrt(least)
-
-
-def check_covering(net: Net, window: Rect) -> float:
-    """The maximum distance to the net over the sample grid of step 1/64 on
-    the window, exactly that grid maximum.  It is at most sqrt(2)/128 below
-    the window's covering radius.  The grid's last column and row may lie
-    up to half a step past the window's right and top edges, so the value
-    can also exceed the window's own covering radius by that much.
-
-    The samples form blocks of _BLOCK x _BLOCK, resolved in tiles of _TILE
-    x _TILE blocks.  A block whose nearest net points all lie on one lattice
-    is resolved in closed form (see `_Lattices`): one inside a subdivision
-    cell, or one far from every scheduled square.  Every tile's other
-    blocks, near cell seams, square edges and gaps, are collected first, so
-    the running maximum holds all closed-form values before any of them is
-    bounded; each is then resolved over the few product lattices near it
-    (`_Lattices.seam_max`).  No sample is queried and no candidate set is
-    built."""
-    _check_finite(window)
-    step = 1.0 / 64.0
-    xs = np.arange(window.x0, window.x1 + step / 2, step)
-    ys = np.arange(window.y0, window.y1 + step / 2, step)
-    lat = _Lattices(net, xs, ys)
-    worst = lat.cell_max
-    # the other blocks by column and row (32-bit), in runs of adjacent
-    # tiles down one column of tiles, so that a batch stays in one place
-    runs = []
-    for c0 in range(0, lat.cols.n, _TILE):
-        run = []
-        for r0 in range(0, lat.rows.n, _TILE):
-            done, value = lat.resolve(slice(c0, min(c0 + _TILE, lat.cols.n)),
-                                      slice(r0, min(r0 + _TILE, lat.rows.n)))
-            worst = max(worst, value)
-            if done.all():
-                run = []
-                continue
-            if not run:
-                runs.append(run)
-            bc, br = np.nonzero(~done)
-            run.append(((bc + c0).astype(np.int32), (br + r0).astype(np.int32)))
-    for run in runs:
-        bc, br = (np.concatenate(v) for v in zip(*run))
-        for s in range(0, len(bc), _SEAM_BATCH):
-            worst = lat.seam_max(bc[s:s + _SEAM_BATCH], br[s:s + _SEAM_BATCH], worst)
-    return worst
-
-
-class _Axis:
-    """One axis of check_covering's sample grid, cut into blocks: block b
-    holds samples [b _BLOCK, (b + 1) _BLOCK), the last one possibly fewer,
-    and spans lo[b] to hi[b]."""
-
-    def __init__(self, s: np.ndarray):
-        self.s = s
-        self.n = -(-len(s) // _BLOCK)
-        self.lo = s[::_BLOCK]
-        self.hi = s[np.minimum(np.arange(1, self.n + 1) * _BLOCK, len(s)) - 1]
-
-    def meeting(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks [start, stop) whose span meets [a, b], per pair a, b."""
-        return np.searchsorted(self.hi, a, "left"), np.searchsorted(self.lo, b, "right")
-
-    def within(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks [start, stop) whose span lies in [a, b], per pair a, b."""
-        return np.searchsorted(self.lo, a, "left"), np.searchsorted(self.hi, b, "right")
+        # a query's pairs are one run of p
+        run = np.flatnonzero(np.diff(j, prepend=-1))
+        least[j[run]] = np.minimum(least[j[run]], np.minimum.reduceat(d, run))
+    return np.sqrt(least, out=least)
 
 
 def _sq_gaps(s: np.ndarray, origin, step, n) -> np.ndarray:
-    """The squared gap from each sample s to the nearest lattice coordinate
-    origin + step * (a + 0.5), a in [0, n) (any integer a for n None), the
-    coordinate made as _explicit_points makes it and the gap squared as a
-    scan over the points squares dx or dy, so that the sum of an x and a y
-    gap is the scan's squared distance bit for bit.  s is a sample of
-    check_covering or a net point check_separation queries.  origin, step
-    and n are numbers, or arrays that broadcast against s."""
+    """The squared gap from each coordinate s to the nearest lattice
+    coordinate origin + step * (a + 0.5), a in [0, n), the coordinate made
+    as _explicit_points makes it and the gap squared as a scan over the
+    points squares dx or dy, so that the sum of an x and a y gap is the
+    scan's squared distance bit for bit.  origin, step and n are numbers,
+    or arrays that broadcast against s."""
     a = s - origin
     a /= step
     a -= 0.5
@@ -557,8 +482,7 @@ def _sq_gaps(s: np.ndarray, origin, step, n) -> np.ndarray:
     # and then that integer is the nearest; each becomes its squared gap
     b = a + 1.0
     for c in (a, b):
-        if n is not None:
-            np.minimum(np.maximum(c, 0, out=c), n - 1, out=c)
+        np.minimum(np.maximum(c, 0, out=c), n - 1, out=c)
         c += 0.5
         c *= step
         c += origin
@@ -567,176 +491,151 @@ def _sq_gaps(s: np.ndarray, origin, step, n) -> np.ndarray:
     return np.minimum(a, b, out=a)
 
 
-class _Lattices:
-    """The blocks of check_covering's sample grid whose nearest net points
-    lie on one lattice, and the grid's maximum over them in closed form.
+def check_covering(net: Net, window: Rect) -> float:
+    """The covering radius of the closed window: the largest distance from
+    a point of it to the net, to the rounding of the coordinates.
 
-    Every sample of a block at least h/sqrt(2) inside a subdivision cell, h
-    its spacing cell / n, lies within h/sqrt(2) of the cell's n x n centres
-    and no nearer any other net point.  So does every sample of a block at
-    least 1/sqrt(2) from every scheduled square, with the background lattice
-    of unit-square centres.  Both depths are widened by a relative 1e-9 and
-    a few ulps of the coordinates against rounding.  Over a product lattice
-    the squared distance dx*dx + dy*dy is least where each term is least,
-    and its maximum over a rectangle of samples is where each per-axis least
-    term, DX and DY, is largest.  Rounding of -, *, + and sqrt is monotone,
-    so sqrt(max DX + max DY) equals the grid scan's maximum over the
-    rectangle bit for bit.  The cells and their depths come from the net's
-    lattice table, `Net._cells`.  The other blocks, at seams, square edges
-    and gaps, have their nearest points on the few lattices within `reach`
-    of them, and `seam_max` resolves them exactly as the least over
-    those."""
+    Every point of the plane lies within reach = s/sqrt(2) of the net, s =
+    net.max_cell_spacing (reach widened by a relative 1e-9 and a few ulps),
+    so the lattices of `_near_lattices` over the window widened by reach
+    hold every window point's nearest net point.  Their boxes cut the
+    window into regions, each within h/sqrt(2) of its box's own lattice, h
+    its spacing.  On a product lattice the squared distance DX + DY is
+    largest where each per-axis term is, at an end of the region or at a
+    midpoint between consecutive coordinates (`_widest_gaps`), so U =
+    sqrt(max DX + max DY) bounds the region's distances to the net.  The
+    distance to all the lattices there is one the window attains: the own
+    lattice's at a midpoint on both axes, which lies h inside the box, else
+    from `_cross_nearest`.  The radius is the largest of these unless a
+    region's U exceeds it by over 2 ulps; only such regions go to
+    `_arrangement_max`, the largest U first."""
+    _check_finite(window)
+    s = net.max_cell_spacing
+    ulp = math.ulp(max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1)) + 2.0 * s)
+    reach = s * (1.0 + 1e-9) / math.sqrt(2.0) + 16.0 * ulp
+    _, box, step, n = _near_lattices(net._cells, window.x0 - reach, window.y0 - reach,
+                                     window.x1 + reach, window.y1 + reach)
+    lo = np.maximum(box[:, :2], [window.x0, window.y0])
+    hi = np.minimum(box[:, 2:], [window.x1, window.y1])
+    k = np.flatnonzero((lo <= hi).all(axis=1))
+    lo, hi, origin, size = lo[k], hi[k], box[k, :2], n[k]
+    g_lo, g_hi = _sq_gaps(np.stack([lo, hi]), origin, step[k, None], size)
+    g_mid, mid = _widest_gaps(lo, hi, origin, step[k], size)
+    g_end, inside = np.maximum(g_lo, g_hi), g_mid >= 0
+    bound = np.sqrt(np.maximum(g_end, g_mid).sum(axis=1))
+    value = np.sqrt(np.where(inside, g_mid, g_end).sum(axis=1))
+    q = np.flatnonzero(~inside.all(axis=1))
+    if len(q):
+        at = np.where(inside, mid, np.where(g_lo >= g_hi, lo, hi))[q].T
+        value[q] = np.minimum(value[q], _cross_nearest(box, step, n, reach, *at, k[q]))
+    worst = float(value.max())
+    for r in np.argsort(-bound, kind="stable").tolist():
+        if bound[r] <= worst + 2.0 * ulp:
+            break
+        worst = _arrangement_max(box, step, n, lo[r], hi[r], bound[r] + 2.0 * ulp, worst)
+    return worst
 
-    def __init__(self, net: Net, xs: np.ndarray, ys: np.ndarray):
-        self.cols, self.rows = _Axis(xs), _Axis(ys)
-        cells = net._cells
-        scale = max(abs(float(v)) for v in (xs[0], ys[0], xs[-1], ys[-1]))
-        slack = 16.0 * math.ulp(scale + 2.0 * net.max_cell_spacing)
-        far = (1.0 + 1e-9) / math.sqrt(2.0) + slack
-        # per square, the blocks [c0, c1) x [r0, r1) nearer than `far` to it
-        c0, c1 = self.cols.meeting(cells.box[:, 0] - far, cells.box[:, 2] + far)
-        r0, r1 = self.rows.meeting(cells.box[:, 1] - far, cells.box[:, 3] + far)
-        self.near = [(a, b, c, d) for a, b, c, d in zip(c0.tolist(), c1.tolist(),
-                                                         r0.tolist(), r1.tolist())
-                     if a < b and c < d]
-        # per cell the samples meet, the blocks [a0, a1) x [b0, b1) at least
-        # its depth inside it
-        r = cells.meeting(xs[0], ys[0], xs[-1], ys[-1])
-        depth = cells.step[r] / math.sqrt(2.0) * (1.0 + 1e-9) + slack
-        a0, a1 = self.cols.within(cells.x0[r] + depth, cells.x1[r] - depth)
-        b0, b1 = self.rows.within(cells.y0[r] + depth, cells.y1[r] - depth)
-        keep = (a0 < a1) & (b0 < b1)
-        self.blocks = a0[keep], a1[keep], b0[keep], b1[keep]
-        self.cell_max = 0.0   # the grid's maximum over the blocks inside cells
-        for a0, a1, b0, b1, ox, oy, h, n in zip(
-                *(v.tolist() for v in self.blocks),
-                *(v[r[keep]].tolist() for v in (cells.x0, cells.y0, cells.step, cells.n))):
-            dx = _sq_gaps(xs[a0 * _BLOCK:a1 * _BLOCK], ox, h, n)
-            dy = _sq_gaps(ys[b0 * _BLOCK:b1 * _BLOCK], oy, h, n)
-            self.cell_max = max(self.cell_max, float(np.sqrt(dx.max() + dy.max())))
-        # every point of the plane lies within s/sqrt(2) of the net, s the
-        # largest spacing; widened as the depths are
-        self.reach = net.max_cell_spacing * (1.0 + 1e-9) / math.sqrt(2.0) + slack
-        self._cells = cells
 
-    @functools.cached_property
-    def _background(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per block of each axis, the largest squared gap of its samples to
-        the background lattice."""
-        return tuple(np.maximum.reduceat(_sq_gaps(a.s, 0.0, 1.0, None), np.arange(0, len(a.s), _BLOCK))
-                     for a in (self.cols, self.rows))
+def _widest_gaps(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, step: np.ndarray,
+                 n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gap, mid): per row and axis, the largest squared half gap ((c[a +
+    1] - c[a]) / 2)^2 between lattice coordinates c[a] = origin + step * (a
+    + 0.5), a in [0, n), whose midpoint lies in [lo, hi], and that
+    midpoint (gap -1 where none does)."""
+    h = step[:, None]
+    a0 = np.maximum(np.floor((lo - origin) / h) - 1, 0)
+    a1 = np.minimum(np.floor((hi - origin) / h) + 1, n - 1)
+    # run 2 r + k is axis k of row r
+    row, a = _runs(a0.astype(np.intp).ravel(), np.maximum(a1 - a0, 0).astype(np.intp).ravel())
+    o, hr = origin.ravel()[row], step[row >> 1]
+    c0, c1 = o + hr * (a + 0.5), o + hr * (a + 1.5)
+    m = (c0 + c1) / 2
+    keep = (lo.ravel()[row] <= m) & (m <= hi.ravel()[row])
+    row, m, g = row[keep], m[keep], ((c1[keep] - c0[keep]) / 2) ** 2
+    # the largest gap of each row comes last in its run
+    last = np.lexsort((g, row))
+    last = last[np.diff(row[last], append=-1) != 0]
+    gap, mid = np.full(lo.size, -1.0), np.zeros(lo.size)
+    gap[row[last]], mid[row[last]] = g[last], m[last]
+    return gap.reshape(lo.shape), mid.reshape(lo.shape)
 
-    def resolve(self, tc: slice, tr: slice) -> tuple[np.ndarray, float]:
-        """(done, value): the mask of the blocks of tile tc x tr resolved
-        here, and the grid's maximum over those on the background (0 if
-        none)."""
-        done = np.ones((tc.stop - tc.start, tr.stop - tr.start), dtype=bool)
-        for c0, c1, r0, r1 in self.near:
-            done[max(c0 - tc.start, 0):max(c1 - tc.start, 0),
-                 max(r0 - tr.start, 0):max(r1 - tr.start, 0)] = False
-        value = 0.0
-        if done.any():
-            bx, by = self._background
-            value = float(np.sqrt((bx[tc, None] + by[None, tr])[done].max()))
-        a0, a1, b0, b1 = self.blocks
-        hit = np.flatnonzero((a0 < tc.stop) & (a1 > tc.start) & (b0 < tr.stop) & (b1 > tr.start))
-        for c0, c1, r0, r1 in zip(*(v[hit].tolist() for v in self.blocks)):
-            done[max(c0 - tc.start, 0):c1 - tc.start, max(r0 - tr.start, 0):r1 - tr.start] = True
-        return done, value
 
-    @functools.cached_property
-    def _table(self) -> tuple[np.ndarray, ...]:
-        """(origin, step, n, b0, b1): the lattices of `_near_lattices` over
-        the samples widened by `reach`, which hold every net point within
-        reach of a sample, and per lattice and axis the blocks [b0, b1)
-        within reach of its box.  origin, n, b0 and b1 have a column per
-        axis, step one entry per lattice."""
-        reach, xs, ys = self.reach, self.cols.s, self.rows.s
-        _, box, step, n = _near_lattices(self._cells, xs[0] - reach, ys[0] - reach,
-                                         xs[-1] + reach, ys[-1] + reach)
-        b0, b1 = np.empty((len(box), 2), dtype=np.intp), np.empty((len(box), 2), dtype=np.intp)
-        b0[:, 0], b1[:, 0] = self.cols.meeting(box[:, 0] - reach, box[:, 2] + reach)
-        b0[:, 1], b1[:, 1] = self.rows.meeting(box[:, 1] - reach, box[:, 3] + reach)
-        return box[:, :2], step, n, b0, b1
+def _arrangement_max(box: np.ndarray, step: np.ndarray, n: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, near: float, worst: float) -> float:
+    """The larger of worst and the largest distance to the net over the
+    rectangle [lo, hi], from a `_near_lattices` table (box, step, n) that
+    holds every net point within `near` of it, as far as any of its points
+    lies from the net.  Each axis is cut at the midpoints between the
+    coordinates of every lattice whose box lies within near of it, so in a
+    cell of that arrangement each has one nearest point.  Cells where the
+    least distance from those to the cell's farthest corner cannot exceed
+    worst are skipped; the others go to `_cell_max` with the points nearer
+    the cell than that bound, the largest bound first, about _PAIR_BATCH
+    (candidate, point) pairs at a time."""
+    k = np.flatnonzero(((box[:, :2] - near <= hi) & (box[:, 2:] + near >= lo)).all(axis=1))
+    # per axis the cells' intervals [e0, e1], and per lattice and interval its
+    # nearest coordinate q and squared gaps to the far end and to the interval
+    axes = []
+    for a in (0, 1):
+        o, h, m = box[k, a], step[k], n[k, a]
+        j0 = np.clip(np.floor((lo[a] - o) / h), 1, m)
+        j1 = np.clip(np.floor((hi[a] - o) / h) + 2, 1, m)
+        row, j = _runs(j0.astype(np.intp), (j1 - j0).astype(np.intp))
+        c = o[row] + h[row] * j
+        e = np.unique(np.concatenate([[lo[a], hi[a]], c[(c > lo[a]) & (c < hi[a])]]))
+        e0, e1 = (e[:-1], e[1:]) if len(e) > 1 else (e, e)
+        i = np.clip(np.floor(((e0 + e1) / 2 - o[:, None]) / h[:, None]), 0, m[:, None] - 1)
+        q = o[:, None] + h[:, None] * (i + 0.5)
+        d0, d1 = (e0 - q) ** 2, (e1 - q) ** 2
+        axes.append((e0, e1, q, np.maximum(d0, d1),
+                     np.where((e0 <= q) & (q <= e1), 0.0, np.minimum(d0, d1))))
+    (x0, x1, qx, fx, nx), (y0, y1, qy, fy, ny) = axes
+    b = np.full((len(x0), len(y0)), np.inf)
+    for u, v in zip(fx, fy):
+        np.minimum(b, u[:, None] + v, out=b)
+    ci, cj = np.nonzero(b > worst * worst)
+    order = np.argsort(-b[ci, cj], kind="stable")
+    ci, cj, b = ci[order], cj[order], b[ci, cj][order]
+    close = nx[:, ci] + ny[:, cj]
+    m = int((close <= b).sum(axis=0).max(initial=1))
+    pick = np.argsort(close, axis=0, kind="stable")[:m]
+    batch = max(1, _PAIR_BATCH // ((4 + 4 * math.comb(m, 2) + math.comb(m, 3)) * m))
+    for s in range(0, len(ci), batch):
+        if b[s] <= worst * worst:
+            break
+        c, r, p = ci[s:s + batch], cj[s:s + batch], pick[:, s:s + batch]
+        worst = max(worst, _cell_max(x0[c], x1[c], y0[r], y1[r], qx[p, c], qy[p, r]))
+    return worst
 
-    @functools.cached_property
-    def _blocks(self) -> np.ndarray:
-        """The samples of every column block, then of every row block, one
-        row each, a short last block filled up with its last sample."""
-        out = np.empty((self.cols.n + self.rows.n, _BLOCK))
-        start = 0
-        for a in (self.cols, self.rows):
-            flat = out[start:start + a.n].reshape(-1)
-            flat[:len(a.s)], flat[len(a.s):] = a.s, a.s[-1]
-            start += a.n
-        return out
 
-    def seam_max(self, bc: np.ndarray, br: np.ndarray, worst: float) -> float:
-        """The larger of worst and the grid's maximum over the blocks (bc[j],
-        br[j]), each resolved over the lattices of `_table` within reach of
-        it.  Over one lattice a sample's squared distance is DX + DY, as in
-        the closed form; over a block's lattices it is the least of theirs,
-        so the block's maximum is at most the least over them of max DX +
-        max DY.  A block whose bound is at most worst * worst cannot exceed
-        worst (sqrt(w * w) is w in floats).  The others, the largest bounds
-        first and _BLOCK_CHUNK blocks at a time, are bounded again per
-        quarter x quarter of a block, and the quarters that may still
-        exceed worst are evaluated sample by sample."""
-        origin, step, n, b0, b1 = self._table
-        lo, hi = np.array([bc.min(), br.min()]), np.array([bc.max(), br.max()]) + 1
-        near = np.flatnonzero(((b0 < hi) & (b1 > lo)).all(axis=1))
-        # the batch's columns lo[0] .. hi[0] - 1, then its rows, as slots 0,
-        # 1, ...: per slot its axis and block, and per block of the batch
-        # the slots of its column (sc) and of its row (sr)
-        w = hi[0] - lo[0]
-        axis = (np.arange(w + hi[1] - lo[1]) >= w).astype(np.intp)
-        block = np.arange(len(axis)) + lo[axis] - w * axis
-        sc, sr = bc - lo[0], br - lo[1] + w
-        # the squared gaps of the samples of each slot a block uses to each
-        # near lattice within reach of it, one row of g per pair, the row
-        # of near lattice i at slot j being row[i, j]
-        used = np.zeros(len(axis), dtype=bool)
-        used[sc] = used[sr] = True
-        i, j = np.nonzero(used & (block >= b0[near][:, axis]) & (block < b1[near][:, axis]))
-        k = near[i]
-        g = _sq_gaps(self._blocks[block[j] + self.cols.n * axis[j]], origin[k, axis[j]][:, None],
-                     step[k][:, None], n[k, axis[j]][:, None])
-        row = np.empty((len(near), len(axis)), dtype=np.intp)
-        row[i, j] = np.arange(len(i))
-        # per near lattice and block, max DX + max DY, +inf out of reach
-        peak = np.full(row.shape, np.inf)
-        peak[i, j] = g.max(axis=1)
-        peak = peak[:, sc] + peak[:, sr]
-        bound = peak.min(axis=0)
-        live = np.flatnonzero(bound > worst * worst)
-        live = live[np.argsort(bound[live])[::-1]]
-        g = g.reshape(len(g), 4, _BLOCK // 4)   # in quarters of a block
-        for s in range(0, len(live), _BLOCK_CHUNK):
-            q = live[s:s + _BLOCK_CHUNK]
-            q = q[bound[q] > worst * worst]
-            if not len(q):
-                break
-            # the chunk's (block, lattice) pairs within reach, block by
-            # block, and per block its m-th pair (its last, past its count)
-            blk, i = np.nonzero(np.isfinite(peak[:, q]).T)
-            gx, gy = g[row[i, sc[q[blk]]]], g[row[i, sr[q[blk]]]]
-            count = np.bincount(blk, minlength=len(q))
-            pair = (np.cumsum(count) - count)[:, None] + np.minimum(
-                np.arange(count.max()), count[:, None] - 1)
-            # the same bound per quarter x quarter of each block, and the
-            # samples of the quarters that may still exceed worst
-            mx, my = gx.max(axis=2), gy.max(axis=2)
-            sub = mx[pair[:, 0], :, None] + my[pair[:, 0], None, :]
-            for m in pair.T[1:]:
-                np.minimum(sub, mx[m, :, None] + my[m, None, :], out=sub)
-            e, a, b = np.nonzero(sub > worst * worst)
-            if len(e):
-                pair = pair[e]
-                d = gx[pair[:, 0], a, :, None] + gy[pair[:, 0], b, None, :]
-                for m in pair.T[1:]:
-                    np.minimum(d, gx[m, a, :, None] + gy[m, b, None, :], out=d)
-                worst = max(worst, float(np.sqrt(d.max())))
-        return worst
+def _cell_max(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray, px: np.ndarray,
+              py: np.ndarray) -> float:
+    """The largest least distance from a point of a cell [x0[c], x1[c]] x
+    [y0[c], y1[c]] to its points (px[i, c], py[i, c]): at a corner, where
+    the bisector of two points crosses an edge, or at the circumcentre of
+    three inside the cell.  A candidate outside its cell (or not finite)
+    is replaced by the corner (x0, y0)."""
+    i, j = np.triu_indices(len(px), 1)
+    a, b, c = np.array(list(itertools.combinations(range(len(px)), 3)),
+                       dtype=np.intp).reshape(-1, 3).T
+    # the bisectors on the vertical edges ex and the horizontal edges ey,
+    # and the circumcentres from the first point of each three
+    ex, ey = np.stack([x0, x1])[:, None], np.stack([y0, y1])[:, None]
+    mx, my, dx, dy = (px[i] + px[j]) / 2, (py[i] + py[j]) / 2, px[j] - px[i], py[j] - py[i]
+    bx, by, ux, uy = px[b] - px[a], py[b] - py[a], px[c] - px[a], py[c] - py[a]
+    b2, u2, d = bx * bx + by * by, ux * ux + uy * uy, 2.0 * (bx * uy - by * ux)
+    shape = (-1, len(x0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on_x, on_y = my - (ex - mx) * dx / dy, mx - (ey - my) * dy / dx
+        cx = np.concatenate([np.stack([x0, x0, x1, x1]), np.repeat(ex, len(i), 1).reshape(shape),
+                             on_y.reshape(shape), px[a] + (uy * b2 - by * u2) / d])
+        cy = np.concatenate([np.stack([y0, y1, y0, y1]), on_x.reshape(shape),
+                             np.repeat(ey, len(i), 1).reshape(shape),
+                             py[a] + (bx * u2 - ux * b2) / d])
+    ok = (x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1)
+    cx, cy = np.where(ok, cx, x0), np.where(ok, cy, y0)
+    d = ((cx[:, None] - px) ** 2 + (cy[:, None] - py) ** 2).min(axis=1)
+    return math.sqrt(float(d.max()))
 
 
 def measure_report(net: Net, plan: NetPlan, k: int) -> list[dict]:

@@ -691,18 +691,18 @@ class TestGoldenOutputs:
         assert main(["check-net", "--density", str(limit), "--K", "2",
                      "--window", "0,0,16,16"]) == 0
         assert self.sha(capsys.readouterr().out.encode()) == (
-            "e16f8bf29c69a56c5026eb3fce7ecebab0a960569c7d9a2cd770d12084c64ddb")
+            "df338a22b170464966fdf31f42a147ebbd3f872906e28b827c837325882a1de7")
 
     # windows on the K=3 net of the depth-2 limit density: one straddles
     # squares 1 ([0,16]^2) and 2 ([17,81]^2), one lies on the background
-    # lattice; sample counts per side are not multiples of 32
+    # lattice; check-net's covering_b is each window's exact covering radius
     K3_WINDOWS = [
         ("13.3,12.9,19.7,19.45",
          "c7fa0c35b7c4234454630819c6b34a83e3b2d4dea939ef5888311495a76e2ec2",
-         "3756473b043f2f164c8942060ef2461b3c0943e338afb559e84d4fa8696d270c"),
+         "c294b58c72effc9436e6de37e7b581f8a89b0be13f865078375beaf4bdb538ea"),
         ("40.2,2.1,46.55,7.9",
          "d57cd4b8fa710deb4d240541f2bdcfd4c600cd3cb377bd49d843968ce234ab39",
-         "9b800f181c2a8d41d9453b1f0461d8988334f7286960eb3b44bd90bc78b7db91"),
+         "c9b2a0bad378b0d2507150230c53a33b510642abe9dcf6b547f7126168a92da9"),
     ]
 
     @pytest.mark.parametrize("window,gen_digest,check_digest", K3_WINDOWS,
@@ -719,8 +719,8 @@ class TestGoldenOutputs:
             assert self.sha(capsys.readouterr().out.encode()) == digest
 
     # check-net on the default window of the K=4 net of the depth-2 limit
-    # density: every square, gap and the background around them (the digest
-    # of 22a8eb4 and of the commits before it)
+    # density: every square, gap and the background around them; covering_b
+    # is the half diagonal of the widest cells' sub-squares, 1.0056629776876111
     def test_check_net_k4_on_limit_density(self, tmp_path, capsys):
         limit = tmp_path / "limit.json"
         assert main(["gen-density", "limit", "--c", "1", "--depth", "2",
@@ -728,7 +728,7 @@ class TestGoldenOutputs:
         capsys.readouterr()
         assert main(["check-net", "--density", str(limit), "--K", "4"]) == 0
         assert self.sha(capsys.readouterr().out.encode()) == (
-            "9db0192eabb2e4b1d20075f5155f3600e3e675cb1b52b5c2f54e087325d40280")
+            "15488adb48ff488a7f57ef72481258eac1e4328125dd45d0d1e16f5e13b613cb")
 
     # distortion-lab pins, recorded at 44b5a96 (before the incremental
     # search step and the batched distortion enumeration); point sets are

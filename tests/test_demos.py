@@ -27,7 +27,7 @@ def run_demo(name, tmp_path):
 @pytest.mark.parametrize("name, expected, writes_svg", [
     ("01_checkerboard_density.py", ["integral over domain: 0.375 (expected 0.375 )",
                                     "JSON round trip OK"], False),
-    ("02_separated_net.py", ["separation a = 1.0000, covering b = 1.1292"], True),
+    ("02_separated_net.py", ["separation a = 1.0000, covering b = 1.1314"], True),
     ("04_hierarchy.py", ["density values within [1, 1+c]: True",
                          "limit density cells: 68  amplitude: 1.0"], False),
 ], ids=["01", "02", "04"])

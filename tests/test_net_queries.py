@@ -1,19 +1,16 @@
 """The net's window queries against their exhaustive oracles.
 
-check_covering resolves the 1/64 sample grid from the lattice table, every
-block over the product lattices near it, without a query, and
-Net.points_in_window enumerates explicit points from the same table, the
-cells the window meets and the coordinates of each in the window.  Both
-must return exactly what the full scans below return.  The exact covering
-radius, from the Voronoi diagram of the net near the window, brackets
-check_covering from both sides.  A former branch-and-bound loop, which
-bounded a block by its centre's distance plus the block's radius and
-queried the samples it could not prune, is kept below as an oracle that
-check_covering must match with no more queries (it makes none), and the
-former explicit-point enumerator, which stacked one array per cell found
-cell by cell, as an oracle for the in-place fill.
-check_separation resolves every window point's neighbours on its own
-lattice in closed form, and queries only the lattice rings and the
+check_covering returns the covering radius of the closed window, from
+per-lattice bounds over the lattice table and, where those do not settle
+it, an exact arrangement of the few lattices near a region; the exact
+radius from the Voronoi diagram of the net near the window is its oracle,
+to a few ulps of the coordinates.  Net.points_in_window enumerates
+explicit points from the same table, the cells the window meets and the
+coordinates of each in the window, and must return exactly what the full
+scan below returns; the former explicit-point enumerator, which stacked
+one array per cell found cell by cell, is the oracle for the in-place
+fill.  check_separation resolves every window point's neighbours on its
+own lattice in closed form, and queries only the lattice rings and the
 background centres near a square for points of the other lattices near
 them, from the same lattice table; the full scan of every window point
 over the candidate set with scipy's cKDTree is its oracle, and must agree
@@ -70,27 +67,6 @@ def limit_net():
     squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1), 2.0 ** -k, 2.0 ** -k), k)
                for k in (1, 2, 3)]
     return build_net(make_plan(assemble_limit_density(1.0, squares), 4))
-
-
-def covering_by_full_sweep(net, window):
-    """check_covering as an exhaustive sweep: every sample of the 1/64
-    grid is queried, in chunks of about 2M."""
-    step = 1.0 / 64.0
-    radius = 2.0 * max(1.0, net.max_cell_spacing) + 2.0
-    big = Rect(window.x0 - radius, window.y0 - radius,
-               window.x1 + radius, window.y1 + radius)
-    pts, _ = net.points_in_window(big)
-    tree = cKDTree(pts)
-    xs = np.arange(window.x0, window.x1 + step / 2, step)
-    ys = np.arange(window.y0, window.y1 + step / 2, step)
-    worst = 0.0
-    chunk = max(1, int(2_000_000 / max(1, len(ys))))
-    for start in range(0, len(xs), chunk):
-        gx, gy = np.meshgrid(xs[start:start + chunk], ys, indexing="ij")
-        q = np.column_stack([gx.ravel(), gy.ravel()])
-        d, _ = tree.query(q, k=1)
-        worst = max(worst, float(d.max()))
-    return worst
 
 
 def candidates(net, window):
@@ -159,42 +135,6 @@ def as_sorted_complex(pts):
     return np.sort(pts[:, 0] + 1j * pts[:, 1])
 
 
-def covering_by_centre_bound(net, window):
-    """(value, samples queried) of check_covering's former loop over the
-    candidate set: a block is kept while d + r, d its centre
-    sample's distance to the net and r its farthest sample from that
-    centre, times 1 + slack reaches the largest distance seen so far.  The
-    relative slack 1e-12 covers rounding: the bound and the query distances
-    are each rounded, so a sample attaining the bound may read a few ulps
-    above it."""
-    slack = 1e-12
-    tree = cKDTree(candidates(net, window))
-    step = 1.0 / 64.0
-    xs = np.arange(window.x0, window.x1 + step / 2, step)
-    ys = np.arange(window.y0, window.y1 + step / 2, step)
-    gi, gj = np.meshgrid(np.arange(0, len(xs), netbuild._BLOCK),
-                         np.arange(0, len(ys), netbuild._BLOCK), indexing="ij")
-    i0, j0 = gi.ravel(), gj.ravel()
-    i1 = np.minimum(i0 + netbuild._BLOCK, len(xs))
-    j1 = np.minimum(j0 + netbuild._BLOCK, len(ys))
-    worst, queried = 0.0, 0
-    while len(i0):
-        ri, rj = (i0 + i1) // 2, (j0 + j1) // 2
-        d, _ = tree.query(np.column_stack([xs[ri], ys[rj]]), k=1)
-        queried += len(ri)
-        worst = max(worst, float(d.max()))
-        r = np.hypot(np.maximum(xs[ri] - xs[i0], xs[i1 - 1] - xs[ri]),
-                     np.maximum(ys[rj] - ys[j0], ys[j1 - 1] - ys[rj]))
-        live = (r > 0) & ((d + r) * (1.0 + slack) >= worst)
-        i0, i1, j0, j1 = i0[live], i1[live], j0[live], j1[live]
-        im, jm = (i0 + i1 + 1) // 2, (j0 + j1 + 1) // 2
-        i0, i1, j0, j1 = (np.concatenate([i0, i0, im, im]), np.concatenate([im, im, i1, i1]),
-                          np.concatenate([j0, jm, j0, jm]), np.concatenate([jm, j1, jm, j1]))
-        keep = (i0 < i1) & (j0 < j1)
-        i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
-    return worst, queried
-
-
 @contextlib.contextmanager
 def recording_cross_queries():
     """A list that collects, inside the block, the points (an (n, 2) array
@@ -208,6 +148,22 @@ def recording_cross_queries():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netbuild, "_cross_nearest", record)
+        yield calls
+
+
+@contextlib.contextmanager
+def recording_arrangements():
+    """A list that collects, inside the block, the rectangles (lo, hi)
+    check_covering resolves by the exact arrangement."""
+    calls = []
+    arrangement = netbuild._arrangement_max
+
+    def record(box, step, n, lo, hi, near, worst):
+        calls.append((lo, hi))
+        return arrangement(box, step, n, lo, hi, near, worst)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netbuild, "_arrangement_max", record)
         yield calls
 
 
@@ -266,16 +222,6 @@ def ray_meets(origin, direction, window):
             a, b = sorted(((lo - o) / d, (hi - o) / d))
             t0, t1 = max(t0, a), min(t1, b)
     return t0 <= t1
-
-
-def sample_span(window):
-    """The rectangle check_covering's 1/64 sample grid spans.  Its last
-    column or row may lie past x1 or y1, by under half a step."""
-    step = 1.0 / 64.0
-    xs = np.arange(window.x0, window.x1 + step / 2, step)
-    ys = np.arange(window.y0, window.y1 + step / 2, step)
-    return Rect(window.x0, window.y0, max(window.x1, float(xs[-1])),
-                max(window.y1, float(ys[-1])))
 
 
 def points_by_full_scan(net, window):
@@ -432,83 +378,91 @@ def seam_windows(draw, n):
 # spacing of 1/2 on the left half of each square, 1 on the right
 DENSE_TWO_TONE = DensityField(UNIT_SQUARE, 0.25, ((Rect(0.5, 0.0, 1.0, 1.0), 1.0),))
 
-# squares off the integer grid: the background keeps the centres of the
-# unit squares they only partly cover, on their edges (the first square)
-# or inside them (the second); each cell's spacing is 1
-OFF_GRID = netbuild.NetPlan(constant_field(1.0), (
-    netbuild.ScheduleEntry(Rect(0.5, 0.5, 4.5, 4.5), 4, 2),
-    netbuild.ScheduleEntry(Rect(6.25, 5.75, 22.25, 21.75), 16, 4)))
+# squares off the integer grid, which NetPlan refuses: the background
+# would keep the centres of the unit squares they only partly cover, on
+# their edges (the first square) or inside them (the second)
+OFF_GRID = (netbuild.ScheduleEntry(Rect(0.5, 0.5, 4.5, 4.5), 4, 2),
+            netbuild.ScheduleEntry(Rect(6.25, 5.75, 22.25, 21.75), 16, 4))
 
 SEAM_NETS = {**{name: functools.partial(net, name) for name in PLANS},
              "limit-K4": limit_net,
-             "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3))),
-             "off-grid": functools.cache(lambda: build_net(OFF_GRID))}
+             "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3)))}
 
 
-class TestCoveringOracle:
-    @pytest.mark.parametrize("name", list(PLANS))
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_equals_full_sweep(self, name, data):
-        window = data.draw(windows(name))
-        assert check_covering(net(name), window) == covering_by_full_sweep(net(name), window)
-
-    @pytest.mark.parametrize("window", [
-        Rect(0.1, 0.2, 0.105, 3.3),          # one sample across
-        Rect(15.01, 15.3, 15.02, 19.7),      # two across, over square edges
-        Rect(-0.7, -0.3, 1.3, 17.55),        # 129 x 1143 samples
-        Rect(14.37, 14.11, 18.9, 18.33),     # squares 1 and 2 and the gap
-    ])
-    def test_fixed_windows(self, window):
-        got = check_covering(net("two-tone-K3"), window)
-        assert got == covering_by_full_sweep(net("two-tone-K3"), window)
-
-
-class TestFarthestCornerBound:
+class TestExactCovering:
     @staticmethod
     def check(n, window):
-        # check_covering queries no sample at all
-        want, _ = covering_by_centre_bound(n, window)
-        assert check_covering(fresh(n), window) == want
+        got = check_covering(n, window)
+        exact = covering_exact(n, window)
+        # Voronoi vertices and the net's coordinates are rounded to the
+        # coordinates' ulp
+        tol = 8 * math.ulp(max(abs(window.x0), abs(window.x1),
+                               abs(window.y0), abs(window.y1)) + 8.0)
+        assert abs(got - exact) <= tol
+        # the bound behind the single candidate radius of the window checks
+        assert exact <= n.max_cell_spacing / math.sqrt(2) + tol
 
     @pytest.mark.parametrize("name", list(PLANS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_equals_centre_bound_with_no_more_queries(self, name, data):
+    def test_equals_exact_radius(self, name, data):
         self.check(net(name), data.draw(windows(name)))
 
     @pytest.mark.parametrize("window", [
         Rect(0.1, 0.2, 0.105, 3.3),
-        Rect(15.01, 15.3, 15.02, 19.7),
+        Rect(15.01, 15.3, 15.02, 19.7),      # 0.01 wide, over square edges
         Rect(-0.7, -0.3, 1.3, 17.55),
-        Rect(14.37, 14.11, 18.9, 18.33),
+        Rect(14.37, 14.11, 18.9, 18.33),     # squares 1 and 2 and the gap
     ])
     def test_fixed_windows(self, window):
         self.check(net("two-tone-K3"), window)
 
+    @pytest.mark.parametrize("n, window, want", [
+        (limit_net, Rect(144.42480071086857, 139.08432530913456,
+                         152.42480071086857, 147.08432530913456), 0.7668530054339455),
+        (limit_net, Rect(651.1753024122776, 650.7606208641763,
+                         659.1753024122776, 658.7606208641763), 0.8245963650132518),
+        (lambda: net("two-tone-K3"), Rect(15.01, 15.3, 15.02, 19.7), 0.7528321280456561),
+    ], ids=["limit-144", "limit-651", "two-tone-K3-edges"])
+    def test_windows_the_bounds_leave_open(self, n, window, want):
+        # no region's own lattice attains the radius where the others leave
+        # it, so the arrangement resolves one
+        with recording_arrangements() as calls:
+            self.check(fresh(n()), window)
+        assert calls
+        assert covering_exact(n(), window) == want
+
+    def test_criterion_01_window_is_settled_by_the_bounds(self):
+        plan = make_plan(TWO_TONE, 3)
+        window = Rect(-2.0, -2.0, plan.schedule[1].square.x1 + 2.0,
+                      plan.schedule[1].square.y1 + 2.0)
+        with recording_arrangements() as calls:
+            got = check_covering(build_net(plan), window)
+        assert calls == []
+        # the half diagonal of the 1.6-spaced cells' sub-squares
+        assert got == pytest.approx(1.6 / math.sqrt(2), rel=1e-14)
+
 
 class TestClosedForm:
-    """check_covering resolves every block without a query: inside one
-    lattice in closed form, at seams, square edges and gaps over the
-    lattices near it; the values stay the full sweep's."""
+    """check_covering settles each region inside one lattice from its own
+    lattice's bounds, and the regions at seams, square edges and gaps
+    over the lattices near them; the values stay the exact radius."""
 
     @pytest.mark.parametrize("name", list(SEAM_NETS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_windows_at_seams_equal_full_sweep(self, name, data):
+    def test_windows_at_seams_equal_exact_radius(self, name, data):
         n = SEAM_NETS[name]()
-        window = data.draw(seam_windows(n))
-        assert check_covering(n, window) == covering_by_full_sweep(n, window)
+        TestExactCovering.check(n, data.draw(seam_windows(n)))
 
     @pytest.mark.parametrize("window", [
         Rect(4.9, 8.0, 4.95, 10.0),     # left of square 2, within 1/sqrt(2)
         Rect(6.0, 4.9, 8.0, 4.95),      # below square 2
         Rect(4.8, 4.8, 4.95, 4.95),     # in the gap, by square 2's corner
     ])
-    def test_windows_beside_a_square_edge_equal_full_sweep(self, window):
+    def test_windows_beside_a_square_edge_equal_exact_radius(self, window):
         # the square's half-spaced points are nearer than the background's
-        n = SEAM_NETS["dense-two-tone-K3"]()
-        assert check_covering(n, window) == covering_by_full_sweep(n, window)
+        TestExactCovering.check(SEAM_NETS["dense-two-tone-K3"](), window)
 
     @pytest.mark.parametrize("window", [
         Rect(20.6, 20.6, 22.4, 22.4),   # both corners across the gap
@@ -519,21 +473,7 @@ class TestClosedForm:
     def test_windows_on_the_background_between_squares_2_and_3(self, window):
         # the background's unit-square centres there make an L around each
         # square's corner, cut into rectangles by the two squares
-        n = SEAM_NETS["dense-two-tone-K3"]()
-        assert check_covering(fresh(n), window) == covering_by_full_sweep(n, window)
-
-    @pytest.mark.parametrize("window", [
-        Rect(4.2, 2.8, 5.2, 3.2),       # across the right edge
-        Rect(0.2, 3.8, 1.2, 5.8),       # across the top edge and corner
-        Rect(-0.5, -0.5, 5.5, 5.5),     # around the square
-    ])
-    def test_a_square_off_the_integer_grid(self, window):
-        # the background keeps the centres of the unit squares the square
-        # only partly covers, some of them inside it
-        n = build_net(netbuild.NetPlan(constant_field(1.0), (
-            netbuild.ScheduleEntry(Rect(0.5, 0.5, 4.5, 4.5), 4, 2),)))
-        assert check_covering(n, window) == covering_by_full_sweep(n, window)
-        TestClosedFormSeparation.check(n, window)
+        TestExactCovering.check(fresh(SEAM_NETS["dense-two-tone-K3"]()), window)
 
     @pytest.mark.parametrize("n, window", [
         (lambda: net("two-tone-K3"), Rect(90.0, 90.0, 100.0, 100.0)),   # a 32-wide cell
@@ -542,38 +482,56 @@ class TestClosedForm:
         (lambda: net("two-tone-K3"), Rect(20.0, 0.5, 27.0, 9.5)),       # beside squares 1, 2
         (lambda: net("lattice"), Rect(-3.3, 0.1, 5.2, 7.7)),
     ], ids=["cell", "limit-cell", "background", "between-squares", "lattice"])
-    def test_windows_inside_one_lattice_query_no_sample(self, n, window):
-        assert check_covering(fresh(n()), window) == covering_by_full_sweep(n(), window)
+    def test_windows_inside_one_lattice_need_no_arrangement(self, n, window):
+        with recording_arrangements() as calls:
+            TestExactCovering.check(fresh(n()), window)
+        assert calls == []
 
-    @pytest.mark.parametrize("tile", [1, 3])
     @pytest.mark.parametrize("n, window", [
         (lambda: net("two-tone-K3"), Rect(14.37, 14.11, 18.9, 18.33)),
         (lambda: net("two-tone-K3"), Rect(3.0, 3.0, 15.0, 15.0)),
         (limit_net, Rect(400.0, 398.0, 410.0, 409.0)),   # over cell seams
         (limit_net, Rect(338.5, 337.0, 343.0, 342.5)),   # squares 3 and 4 and the gap
     ], ids=["squares-1-2", "square-1", "limit-seams", "limit-gap"])
-    def test_results_do_not_depend_on_the_tile_size(self, tile, n, window):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(netbuild, "_TILE", tile)
-            got = check_covering(fresh(n()), window)
-        assert got == covering_by_full_sweep(n(), window)
+    def test_windows_over_seams_and_gaps(self, n, window):
+        TestExactCovering.check(fresh(n()), window)
 
-    def test_a_large_window_peaks_at_its_tiles(self):
+    def test_a_large_window_peaks_below_8_mb(self):
         n = fresh(net("two-tone-K3"))
-        window = Rect(-2.0, -2.0, 340.0, 340.0)   # every square and gap: 468,512 blocks
+        window = Rect(-2.0, -2.0, 340.0, 340.0)   # every square and gap
         n._cells   # the lattice table, built beforehand
         tracemalloc.start()
         try:
-            got = check_covering(n, window)
+            check_covering(n, window)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one tile holds 16,384 blocks, one block per 32 x 32 samples; a
-        # first level over every block at once peaked at 38 MB
+        # the 1/64 sample grid this replaced peaked at 38 MB with one first
+        # level over all its blocks, and at 8 MB in tiles of them
         assert peak <= 8 * 2 ** 20
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(netbuild, "_TILE", 1 << 20)
-            assert got == check_covering(n, window)
+        TestExactCovering.check(net("two-tone-K3"), window)
+
+
+class TestIntegerSquares:
+    @pytest.mark.parametrize("value, schedule, entry", [
+        (1.0, OFF_GRID, 0),
+        # the plan on which check_separation read 0.5 where the net has 0.395
+        (0.25, (netbuild.ScheduleEntry(Rect(0.25, 0.75, 8.25, 8.75), 8, 1),
+                netbuild.ScheduleEntry(Rect(9.625, 9.125, 41.625, 41.125), 32, 2)), 0),
+        (1.0, (netbuild.ScheduleEntry(Rect(0, 0, 4, 4), 4, 2), OFF_GRID[1]), 1),
+    ], ids=["off-grid", "off-grid-separation", "second-entry"])
+    def test_a_square_off_the_integer_grid(self, value, schedule, entry):
+        with pytest.raises(ValueError, match=rf"schedule entry {entry}: .* off the integer grid"):
+            netbuild.NetPlan(constant_field(value), schedule)
+
+    def test_integer_corners_as_floats_are_kept(self):
+        plan = netbuild.NetPlan(constant_field(1.0), (
+            netbuild.ScheduleEntry(Rect(1.0, 2.0, 5.0, 6.0), 4, 2),))
+        window = Rect(-0.5, 0.2, 6.3, 7.1)
+        n = build_net(plan)
+        assert_same_arrays(n.points_in_window(window), points_by_full_scan(n, window))
+        TestClosedFormSeparation.check(n, window)
+        TestExactCovering.check(n, window)
 
 
 class TestClosedFormSeparation:
@@ -630,12 +588,9 @@ class TestClosedFormSeparation:
     ], ids=["cell", "limit-cell", "background", "between-squares", "lattice"])
     def test_windows_inside_one_lattice_make_no_cross_query(self, n, window):
         with recording_cross_queries() as calls:
-            fresh_net = fresh(n())
-            sep = check_separation(fresh_net, window)
-            cov = check_covering(fresh_net, window)
+            sep = check_separation(fresh(n()), window)
         assert calls == []
         assert sep == separation_by_full_scan(n(), window)
-        assert cov == covering_by_full_sweep(n(), window)
 
     def test_a_large_lattice_window_scans_no_point(self):
         # 128 x 256 centres, each with its nearest other point 1 away
@@ -685,14 +640,14 @@ class TestClosedFormSeparation:
             pts, tags = n.points_in_window(window)
             bg = pts[tags == 0]
             want = near_square(n, bg[:, 0], bg[:, 1])
-            if name != "off-grid":   # on integer squares, the centres within 1 of one
-                touch = np.zeros(len(bg), dtype=bool)
-                for e in n.plan.schedule:
-                    s = e.square
-                    dx = np.maximum(np.maximum(s.x0 - bg[:, 0], bg[:, 0] - s.x1), 0.0)
-                    dy = np.maximum(np.maximum(s.y0 - bg[:, 1], bg[:, 1] - s.y1), 0.0)
-                    touch |= np.hypot(dx, dy) < 1.0
-                assert np.array_equal(touch, want)
+            # on integer squares, the centres within 1 of one
+            touch = np.zeros(len(bg), dtype=bool)
+            for e in n.plan.schedule:
+                s = e.square
+                dx = np.maximum(np.maximum(s.x0 - bg[:, 0], bg[:, 0] - s.x1), 0.0)
+                dy = np.maximum(np.maximum(s.y0 - bg[:, 1], bg[:, 1] - s.y1), 0.0)
+                touch |= np.hypot(dx, dy) < 1.0
+            assert np.array_equal(touch, want)
             keep, x0, y0 = netbuild._background_mask(n._cells, window)
             x, y = netbuild._near_squares(n._cells, keep, x0, y0)
             assert len(x) == want.sum()   # each once
@@ -754,11 +709,10 @@ class TestClosedFormSeparation:
                     continue
                 pts = pts[np.unique(np.linspace(0, len(pts) - 1, 40).astype(int))]
                 want, _ = cKDTree(np.concatenate(points[:k] + points[k + 1:])).query(pts)
-                for q, d in zip(pts, want.tolist()):
-                    got = netbuild._cross_nearest(box, step, size, reach, q[:1], q[1:],
-                                                  np.array([k]))
-                    # a nearer point lies on a lattice within reach; a farther one may not
-                    assert got == d if d < reach else got >= d
+                got = netbuild._cross_nearest(box, step, size, reach, pts[:, 0], pts[:, 1],
+                                              np.full(len(pts), k))
+                # a nearer point lies on a lattice within reach; a farther one may not
+                assert np.where(want < reach, got == want, got >= want).all()
 
     @pytest.mark.parametrize("name", ["limit-K4", "dense-two-tone-K3"])
     @settings(max_examples=40, deadline=None)
@@ -822,38 +776,6 @@ class TestQueryChunks:
             got = [(check_separation(fresh(n), w), check_covering(fresh(n), w))
                    for w in self.WINDOWS]
         assert got == want
-
-
-class TestExactCovering:
-    @staticmethod
-    def check(n, window):
-        got = check_covering(n, window)
-        exact = covering_exact(n, window)
-        # Voronoi vertices and samples are rounded to the coordinates' ulp
-        tol = 8 * math.ulp(max(abs(window.x0), abs(window.x1),
-                               abs(window.y0), abs(window.y1)) + 8.0)
-        # the samples may lie past the window (see sample_span), so
-        # check_covering can exceed the window's own exact radius
-        assert got <= covering_exact(n, sample_span(window)) + tol
-        # every window point is within half a step, per axis, of a sample
-        assert exact <= got + math.sqrt(2) / 128 + tol
-        # the bound behind the single candidate radius of the window checks
-        assert exact <= n.max_cell_spacing / math.sqrt(2) + tol
-
-    @pytest.mark.parametrize("name", list(PLANS))
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_brackets_check_covering(self, name, data):
-        self.check(net(name), data.draw(windows(name)))
-
-    @pytest.mark.parametrize("window", [
-        Rect(0.1, 0.2, 0.105, 3.3),
-        Rect(15.01, 15.3, 15.02, 19.7),
-        Rect(-0.7, -0.3, 1.3, 17.55),
-        Rect(14.37, 14.11, 18.9, 18.33),
-    ])
-    def test_fixed_windows(self, window):
-        self.check(net("two-tone-K3"), window)
 
 
 class TestPointsInWindowOracle:
