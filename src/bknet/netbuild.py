@@ -493,7 +493,7 @@ def _sq_gaps(s: np.ndarray, origin, step, n) -> np.ndarray:
 
 def check_covering(net: Net, window: Rect) -> float:
     """The covering radius of the closed window: the largest distance from
-    a point of it to the net, to the rounding of the coordinates.
+    a point of it to the net, to a few ulps of the coordinates.
 
     Every point of the plane lies within reach = s/sqrt(2) of the net, s =
     net.max_cell_spacing (reach widened by a relative 1e-9 and a few ulps),
@@ -501,12 +501,15 @@ def check_covering(net: Net, window: Rect) -> float:
     hold every window point's nearest net point.  Their boxes cut the
     window into regions, each within h/sqrt(2) of its box's own lattice, h
     its spacing.  On a product lattice the squared distance DX + DY is
-    largest where each per-axis term is, at an end of the region or at a
-    midpoint between consecutive coordinates (`_widest_gaps`), so U =
-    sqrt(max DX + max DY) bounds the region's distances to the net.  The
-    distance to all the lattices there is one the window attains: the own
-    lattice's at a midpoint on both axes, which lies h inside the box, else
-    from `_cross_nearest`.  The radius is the largest of these unless a
+    largest where each per-axis term is: at a midpoint between consecutive
+    coordinates, where it is (h/2)^2 up to the coordinates' rounding, or on
+    an axis with no midpoint in the region at its larger end.  So U =
+    sqrt(max DX + max DY), from the midpoint nearest the region's middle or
+    the ends, bounds the region's distances to the net.  Where it is
+    attained the distance to all the lattices is one the window attains: U
+    itself at a midpoint on both axes, which lies h inside the box, else
+    the least of U and `_cross_nearest`, asked only where U may beat the
+    largest of the former.  The radius is the largest of these unless a
     region's U exceeds it by over 2 ulps; only such regions go to
     `_arrangement_max`, the largest U first."""
     _check_finite(window)
@@ -518,46 +521,33 @@ def check_covering(net: Net, window: Rect) -> float:
     lo = np.maximum(box[:, :2], [window.x0, window.y0])
     hi = np.minimum(box[:, 2:], [window.x1, window.y1])
     k = np.flatnonzero((lo <= hi).all(axis=1))
-    lo, hi, origin, size = lo[k], hi[k], box[k, :2], n[k]
-    g_lo, g_hi = _sq_gaps(np.stack([lo, hi]), origin, step[k, None], size)
-    g_mid, mid = _widest_gaps(lo, hi, origin, step[k], size)
-    g_end, inside = np.maximum(g_lo, g_hi), g_mid >= 0
-    bound = np.sqrt(np.maximum(g_end, g_mid).sum(axis=1))
-    value = np.sqrt(np.where(inside, g_mid, g_end).sum(axis=1))
-    q = np.flatnonzero(~inside.all(axis=1))
-    if len(q):
-        at = np.where(inside, mid, np.where(g_lo >= g_hi, lo, hi))[q].T
-        value[q] = np.minimum(value[q], _cross_nearest(box, step, n, reach, *at, k[q]))
-    worst = float(value.max())
+    lo, hi, origin, h, size = lo[k], hi[k], box[k, :2], step[k, None], n[k]
+    # per region and axis, the coordinates c0, c1 whose midpoint lies nearest
+    # the middle of [lo, hi], and the squared half gap between them
+    a = np.clip(np.rint(((lo + hi) / 2 - origin) / h) - 1, 0, size - 2)
+    c0, c1 = origin + h * (a + 0.5), origin + h * (a + 1.5)
+    mid, g_mid = (c0 + c1) / 2, ((c1 - c0) / 2) ** 2
+    inside = (size > 1) & (lo <= mid) & (mid <= hi)
+    full = inside.all(axis=1)
+    worst = math.sqrt(float(g_mid[full].sum(axis=1).max(initial=0.0)))
+    # the other regions, bounded at the larger end of an axis without a
+    # midpoint inside, where they may beat that
+    q = np.flatnonzero(~full)
+    if not len(q):
+        return worst
+    g_lo, g_hi = _sq_gaps(np.stack([lo[q], hi[q]]), origin[q], h[q], size[q])
+    bound = np.sqrt(np.where(inside[q], g_mid[q], np.maximum(g_lo, g_hi)).sum(axis=1))
+    live = bound > worst + 2.0 * ulp
+    if not live.any():
+        return worst
+    q, bound, g_lo, g_hi = q[live], bound[live], g_lo[live], g_hi[live]
+    at = np.where(inside[q], mid[q], np.where(g_lo >= g_hi, lo[q], hi[q])).T
+    value = np.minimum(bound, _cross_nearest(box, step, n, reach, *at, k[q]))
+    worst = max(worst, float(value.max()))
     for r in np.argsort(-bound, kind="stable").tolist():
-        if bound[r] <= worst + 2.0 * ulp:
-            break
-        worst = _arrangement_max(box, step, n, lo[r], hi[r], bound[r] + 2.0 * ulp, worst)
+        if bound[r] > worst + 2.0 * ulp:
+            worst = _arrangement_max(box, step, n, lo[q[r]], hi[q[r]], bound[r] + 2.0 * ulp, worst)
     return worst
-
-
-def _widest_gaps(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, step: np.ndarray,
-                 n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gap, mid): per row and axis, the largest squared half gap ((c[a +
-    1] - c[a]) / 2)^2 between lattice coordinates c[a] = origin + step * (a
-    + 0.5), a in [0, n), whose midpoint lies in [lo, hi], and that
-    midpoint (gap -1 where none does)."""
-    h = step[:, None]
-    a0 = np.maximum(np.floor((lo - origin) / h) - 1, 0)
-    a1 = np.minimum(np.floor((hi - origin) / h) + 1, n - 1)
-    # run 2 r + k is axis k of row r
-    row, a = _runs(a0.astype(np.intp).ravel(), np.maximum(a1 - a0, 0).astype(np.intp).ravel())
-    o, hr = origin.ravel()[row], step[row >> 1]
-    c0, c1 = o + hr * (a + 0.5), o + hr * (a + 1.5)
-    m = (c0 + c1) / 2
-    keep = (lo.ravel()[row] <= m) & (m <= hi.ravel()[row])
-    row, m, g = row[keep], m[keep], ((c1[keep] - c0[keep]) / 2) ** 2
-    # the largest gap of each row comes last in its run
-    last = np.lexsort((g, row))
-    last = last[np.diff(row[last], append=-1) != 0]
-    gap, mid = np.full(lo.size, -1.0), np.zeros(lo.size)
-    gap[row[last]], mid[row[last]] = g[last], m[last]
-    return gap.reshape(lo.shape), mid.reshape(lo.shape)
 
 
 def _arrangement_max(box: np.ndarray, step: np.ndarray, n: np.ndarray, lo: np.ndarray,
@@ -577,14 +567,14 @@ def _arrangement_max(box: np.ndarray, step: np.ndarray, n: np.ndarray, lo: np.nd
     # nearest coordinate q and squared gaps to the far end and to the interval
     axes = []
     for a in (0, 1):
-        o, h, m = box[k, a], step[k], n[k, a]
-        j0 = np.clip(np.floor((lo[a] - o) / h), 1, m)
-        j1 = np.clip(np.floor((hi[a] - o) / h) + 2, 1, m)
+        o, h, size = box[k, a], step[k], n[k, a]
+        j0 = np.clip(np.floor((lo[a] - o) / h), 1, size)
+        j1 = np.clip(np.floor((hi[a] - o) / h) + 2, 1, size)
         row, j = _runs(j0.astype(np.intp), (j1 - j0).astype(np.intp))
         c = o[row] + h[row] * j
         e = np.unique(np.concatenate([[lo[a], hi[a]], c[(c > lo[a]) & (c < hi[a])]]))
         e0, e1 = (e[:-1], e[1:]) if len(e) > 1 else (e, e)
-        i = np.clip(np.floor(((e0 + e1) / 2 - o[:, None]) / h[:, None]), 0, m[:, None] - 1)
+        i = np.clip(np.floor(((e0 + e1) / 2 - o[:, None]) / h[:, None]), 0, size[:, None] - 1)
         q = o[:, None] + h[:, None] * (i + 0.5)
         d0, d1 = (e0 - q) ** 2, (e1 - q) ** 2
         axes.append((e0, e1, q, np.maximum(d0, d1),
@@ -625,7 +615,7 @@ def _cell_max(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray, px
     bx, by, ux, uy = px[b] - px[a], py[b] - py[a], px[c] - px[a], py[c] - py[a]
     b2, u2, d = bx * bx + by * by, ux * ux + uy * uy, 2.0 * (bx * uy - by * ux)
     shape = (-1, len(x0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         on_x, on_y = my - (ex - mx) * dx / dy, mx - (ey - my) * dy / dx
         cx = np.concatenate([np.stack([x0, x0, x1, x1]), np.repeat(ex, len(i), 1).reshape(shape),
                              on_y.reshape(shape), px[a] + (uy * b2 - by * u2) / d])

@@ -691,7 +691,7 @@ class TestGoldenOutputs:
         assert main(["check-net", "--density", str(limit), "--K", "2",
                      "--window", "0,0,16,16"]) == 0
         assert self.sha(capsys.readouterr().out.encode()) == (
-            "df338a22b170464966fdf31f42a147ebbd3f872906e28b827c837325882a1de7")
+            "800129bec18ac40b8b8c649751184adae7e8a385490b5a03b12036bb247b4da1")
 
     # windows on the K=3 net of the depth-2 limit density: one straddles
     # squares 1 ([0,16]^2) and 2 ([17,81]^2), one lies on the background
@@ -719,8 +719,8 @@ class TestGoldenOutputs:
             assert self.sha(capsys.readouterr().out.encode()) == digest
 
     # check-net on the default window of the K=4 net of the depth-2 limit
-    # density: every square, gap and the background around them; covering_b
-    # is the half diagonal of the widest cells' sub-squares, 1.0056629776876111
+    # density: every square, gap and the background around them; covering_b,
+    # 1.0056629776875308, is the half diagonal of the widest cells' sub-squares
     def test_check_net_k4_on_limit_density(self, tmp_path, capsys):
         limit = tmp_path / "limit.json"
         assert main(["gen-density", "limit", "--c", "1", "--depth", "2",
@@ -728,7 +728,7 @@ class TestGoldenOutputs:
         capsys.readouterr()
         assert main(["check-net", "--density", str(limit), "--K", "4"]) == 0
         assert self.sha(capsys.readouterr().out.encode()) == (
-            "15488adb48ff488a7f57ef72481258eac1e4328125dd45d0d1e16f5e13b613cb")
+            "344ae8f119fbc96046d74f43a8de9582fee29fcee2b2592168572e499c00e106")
 
     # distortion-lab pins, recorded at 44b5a96 (before the incremental
     # search step and the batched distortion enumeration); point sets are
