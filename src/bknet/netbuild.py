@@ -572,7 +572,7 @@ def _arrangement_max(box: np.ndarray, step: np.ndarray, n: np.ndarray, lo: np.nd
         j1 = np.clip(np.floor((hi[a] - o) / h) + 2, 1, size)
         row, j = _runs(j0.astype(np.intp), (j1 - j0).astype(np.intp))
         c = o[row] + h[row] * j
-        e = np.unique(np.concatenate([[lo[a], hi[a]], c[(c > lo[a]) & (c < hi[a])]]))
+        e = _distinct(np.concatenate([[lo[a], hi[a]], c[(c > lo[a]) & (c < hi[a])]]))
         e0, e1 = (e[:-1], e[1:]) if len(e) > 1 else (e, e)
         i = np.clip(np.floor(((e0 + e1) / 2 - o[:, None]) / h[:, None]), 0, size[:, None] - 1)
         q = o[:, None] + h[:, None] * (i + 0.5)

@@ -720,7 +720,8 @@ class TestGoldenOutputs:
 
     # check-net on the default window of the K=4 net of the depth-2 limit
     # density: every square, gap and the background around them; covering_b,
-    # 1.0056629776875308, is the half diagonal of the widest cells' sub-squares
+    # 1.0056629776875308, is the half diagonal of the widest cells'
+    # sub-squares, to the coordinates' rounding
     def test_check_net_k4_on_limit_density(self, tmp_path, capsys):
         limit = tmp_path / "limit.json"
         assert main(["gen-density", "limit", "--c", "1", "--depth", "2",

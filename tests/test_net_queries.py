@@ -23,7 +23,11 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +435,20 @@ class TestExactCovering:
             self.check(fresh(n()), window)
         assert calls
         assert covering_exact(n(), window) == want
+
+    def test_the_arrangement_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique's first call imports numpy.ma, over a megabyte resident;
+        # this window goes to the arrangement (above)
+        code = ("import sys\n"
+                "from bknet import DensityField, Rect, UNIT_SQUARE, build_net, check_covering,"
+                " make_plan\n"
+                "field = DensityField(UNIT_SQUARE, 1.0, ((Rect(0.5, 0.0, 1.0, 1.0), 2.0),))\n"
+                "check_covering(build_net(make_plan(field, 3)), Rect(15.01, 15.3, 15.02, 19.7))\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(netbuild.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     def test_criterion_01_window_is_settled_by_the_bounds(self):
         plan = make_plan(TWO_TONE, 3)
