@@ -4,7 +4,9 @@ check_covering returns the covering radius of the closed window, from
 per-lattice bounds over the lattice table and, where those do not settle
 it, an exact arrangement of the few lattices near a region; the exact
 radius from the Voronoi diagram of the net near the window is its oracle,
-to a few ulps of the coordinates.  Net.points_in_window enumerates
+to a few ulps of the coordinates, and a sweep of a 1/64 sample grid
+clipped to the window brackets it from both sides, by scipy's cKDTree
+alone.  Net.points_in_window enumerates
 explicit points from the same table, the cells the window meets and the
 coordinates of each in the window, and must return exactly what the full
 scan below returns; the former explicit-point enumerator, which stacked
@@ -71,6 +73,25 @@ def limit_net():
     squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1), 2.0 ** -k, 2.0 ** -k), k)
                for k in (1, 2, 3)]
     return build_net(make_plan(assemble_limit_density(1.0, squares), 4))
+
+
+def covering_by_full_sweep(net, window):
+    """The largest distance to the net over a sample grid of the closed
+    window: every multiple of 1/64 from x0 below x1, and x1 (likewise in
+    y), queried in chunks of about 2M.  Every window point lies within
+    sqrt(2)/128 of a sample."""
+    step = 1.0 / 64.0
+    tree = cKDTree(candidates(net, window))
+    xs = np.append(np.arange(window.x0, window.x1, step), window.x1)
+    ys = np.append(np.arange(window.y0, window.y1, step), window.y1)
+    xs, ys = xs[xs <= window.x1], ys[ys <= window.y1]
+    worst = 0.0
+    chunk = max(1, int(2_000_000 / len(ys)))
+    for start in range(0, len(xs), chunk):
+        gx, gy = np.meshgrid(xs[start:start + chunk], ys, indexing="ij")
+        d, _ = tree.query(np.column_stack([gx.ravel(), gy.ravel()]), k=1)
+        worst = max(worst, float(d.max()))
+    return worst
 
 
 def candidates(net, window):
@@ -388,9 +409,44 @@ DENSE_TWO_TONE = DensityField(UNIT_SQUARE, 0.25, ((Rect(0.5, 0.0, 1.0, 1.0), 1.0
 OFF_GRID = (netbuild.ScheduleEntry(Rect(0.5, 0.5, 4.5, 4.5), 4, 2),
             netbuild.ScheduleEntry(Rect(6.25, 5.75, 22.25, 21.75), 16, 4))
 
+# a hand-made plan on the integer grid, with float corners: squares off
+# the diagonal, 2 apart in x and 1 in y, of the dense two-tone density
+HAND_MADE = netbuild.NetPlan(DENSE_TWO_TONE, (
+    netbuild.ScheduleEntry(Rect(1.0, 1.0, 5.0, 5.0), 4, 2),
+    netbuild.ScheduleEntry(Rect(7.0, 6.0, 23.0, 22.0), 16, 4)))
+
 SEAM_NETS = {**{name: functools.partial(net, name) for name in PLANS},
              "limit-K4": limit_net,
-             "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3)))}
+             "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3))),
+             "hand-made": functools.cache(lambda: build_net(HAND_MADE))}
+
+
+class TestCoveringOracle:
+    @staticmethod
+    def check(n, window):
+        got = check_covering(n, window)
+        sweep = covering_by_full_sweep(n, window)
+        tol = 8 * math.ulp(max(abs(window.x0), abs(window.x1),
+                               abs(window.y0), abs(window.y1)) + 8.0)
+        # every sample lies in the closed window
+        assert sweep <= got + tol
+        # every window point is within sqrt(2)/128 of a sample
+        assert got <= sweep + math.sqrt(2) / 128 + tol
+
+    @pytest.mark.parametrize("name", list(PLANS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_brackets_full_sweep(self, name, data):
+        self.check(net(name), data.draw(windows(name)))
+
+    @pytest.mark.parametrize("window", [
+        Rect(0.1, 0.2, 0.105, 3.3),          # one sample and x1 across
+        Rect(15.01, 15.3, 15.02, 19.7),      # over square edges
+        Rect(-0.7, -0.3, 1.3, 17.55),        # 129 x 1144 samples
+        Rect(14.37, 14.11, 18.9, 18.33),     # squares 1 and 2 and the gap
+    ])
+    def test_fixed_windows(self, window):
+        self.check(net("two-tone-K3"), window)
 
 
 class TestExactCovering:
@@ -513,6 +569,29 @@ class TestClosedForm:
     ], ids=["squares-1-2", "square-1", "limit-seams", "limit-gap"])
     def test_windows_over_seams_and_gaps(self, n, window):
         TestExactCovering.check(fresh(n()), window)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("n, window", [
+        (lambda: net("two-tone-K3"), Rect(14.37, 14.11, 18.9, 18.33)),
+        (lambda: net("two-tone-K3"), Rect(3.0, 3.0, 15.0, 15.0)),
+        (limit_net, Rect(400.0, 398.0, 410.0, 409.0)),
+        (limit_net, Rect(338.5, 337.0, 343.0, 342.5)),
+    ], ids=["squares-1-2", "square-1", "limit-seams", "limit-gap"])
+    def test_a_split_window_keeps_its_radius(self, axis, n, window):
+        # the window's radius is the larger of its two halves' radii; the
+        # halves cut the regions and the arrangement elsewhere
+        if axis == "x":
+            mid = (window.x0 + window.x1) / 2
+            halves = (Rect(window.x0, window.y0, mid, window.y1),
+                      Rect(mid, window.y0, window.x1, window.y1))
+        else:
+            mid = (window.y0 + window.y1) / 2
+            halves = (Rect(window.x0, window.y0, window.x1, mid),
+                      Rect(window.x0, mid, window.x1, window.y1))
+        tol = 8 * math.ulp(max(abs(window.x0), abs(window.x1),
+                               abs(window.y0), abs(window.y1)) + 8.0)
+        whole = check_covering(fresh(n()), window)
+        assert abs(whole - max(check_covering(fresh(n()), h) for h in halves)) <= 2 * tol
 
     def test_a_large_window_peaks_below_8_mb(self):
         n = fresh(net("two-tone-K3"))
