@@ -20,6 +20,7 @@ from .geometry import Rect
 from .plmap import PLMap, _centroid_densities, _jacobians, pl_metrics
 
 JAC_PENALTY = 1.0e3
+_BLOCK = 1024                   # search steps per block of random draws
 
 
 @dataclass(frozen=True)
@@ -227,9 +228,19 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
     Each step perturbs one random vertex; moves are accepted only when the
     objective strictly decreases, so the trace is non-increasing.  A start
     whose computed largest singular value exceeds consts.L is a ValueError.
+
+    The random numbers are drawn from np.random.default_rng(seed) in blocks
+    of _BLOCK steps, whatever the budget: per block, the vertices
+    rng.integers(nvert, size=_BLOCK), the directions
+    rng.standard_normal((_BLOCK, 2)) and the step lengths rng.random(_BLOCK),
+    in this order.  So with one seed, the trace of a smaller budget is a
+    prefix of the trace of a larger one.  A budget that is not an int >= 0,
+    or a seed that is not an int >= 0, is a ValueError (bools are refused).
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, not {budget!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, not {seed!r}")
     N, M = consts.N, consts.M
     if N > 16 or M > 8:
         raise ValueError("harness is desk-scale only (N <= 16, M <= 8)")
@@ -244,15 +255,16 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
     rng = np.random.default_rng(seed)
     nvert = len(m0.vertices)
     base_step = 0.5 * gap
-    # three draws per step, in this order: vertex, direction, step length
-    integers, normal, random = rng.integers, rng.standard_normal, rng.random
     move, xs, ys = state.move, state.xs, state.ys
-    for it in range(budget):
-        v = int(integers(nvert))
-        ux, uy = normal(2).tolist()
-        scale = base_step * float(random()) * 0.97 ** (it / 50.0)
-        if move(v, xs[v] + scale * ux, ys[v] + scale * uy):
-            trace.append(state.obj)
+    for start in range(0, budget, _BLOCK):
+        # one block of draws, in this order: vertex, direction, step length
+        vs = rng.integers(nvert, size=_BLOCK).tolist()
+        dirs = rng.standard_normal((_BLOCK, 2)).tolist()
+        us = rng.random(_BLOCK).tolist()
+        for it, v, (ux, uy), u in zip(range(start, min(start + _BLOCK, budget)), vs, dirs, us):
+            scale = base_step * u * 0.97 ** (it / 50.0)
+            if move(v, xs[v] + scale * ux, ys[v] + scale * uy):
+                trace.append(state.obj)
 
     final = PLMap(field.domain, nx, ny, state.vertices())
     metrics = pl_metrics(final, field)

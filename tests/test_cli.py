@@ -741,18 +741,20 @@ class TestGoldenOutputs:
     WIDE_X = [((k * 37) % 101 / 10, (k * 53) % 103 / 10) for k in range(33)]
     WIDE_Y = [((k * 41) % 97 / 9, (k * 29) % 89 / 11) for k in range(33)]
 
+    # the search pins were re-recorded when the search came to draw its
+    # random numbers in blocks of 1,024 steps, a different stream
     SEARCH = [
         (["--L", "2", "--c", "1", "--N", "4", "--M", "2", "--budget", "10000",
           "--seed", "42"],
-         "19d14916e24d38606800e1f76a1ff20a4ab9dee4222d9313988512ede902971b"),
+         "d8b34a294acc001d2ee6817787e27c8049a7a6027dae28afc3db1b02e63603ee"),
         (["--L", "2", "--c", "1", "--N", "8", "--M", "4", "--budget", "2000",
           "--seed", "7"],
-         "8464c2d8d73ba7c679592992e81c76bb15604d488eefaa6b8ef66f716d394113"),
+         "bf8dc505be3a2b26441eab63a8521478f036a40ff0aedd75e860314c3c4a4730"),
         # the desk limit, 2,048 triangles, where the screen's margin is
-        # loosest; 395 accepted moves
+        # loosest; 203 accepted moves
         (["--L", "2", "--c", "1", "--N", "16", "--M", "8", "--budget", "10000",
           "--seed", "42"],
-         "8d912d94c6b630532e932bd8b5990d8d70f703eb1199c1dd8ac748b5d2318243"),
+         "f6c860f8437469d2582ab5aeeef477ad1d283a8405c4137e23b98598973e6619"),
     ]
 
     @pytest.mark.parametrize("argv,digest", SEARCH, ids=["readme", "N8-M4", "N16-M8"])

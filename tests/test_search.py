@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bknet import PLMap, make_checkerboard, marked_grid, search_min_stretch, toy_constants
 from bknet.plmap import _jacobians
@@ -40,6 +41,29 @@ class TestSearch:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             search_min_stretch(FIELD, CONSTS, -1, seed=0)
+
+    @pytest.mark.parametrize("budget", [2.5, 10.0, True, False, "10", None, np.int64(10)])
+    def test_budget_not_an_int_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"budget must be an int >= 0, not {re.escape(repr(budget))}"):
+            search_min_stretch(FIELD, CONSTS, budget, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, 42.0, True, "42", None, np.int64(42), -1])
+    def test_seed_not_an_int_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an int >= 0, not {re.escape(repr(seed))}"):
+            search_min_stretch(FIELD, CONSTS, 10, seed=seed)
+
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2 ** 64 - 1),
+           st.lists(st.sampled_from([0, 1, 1023, 1024, 1025, 2048, 2049]),
+                    min_size=2, max_size=2, unique=True).map(sorted))
+    @settings(max_examples=25, deadline=None)
+    def test_shorter_budget_is_a_prefix(self, N, M, seed, budgets):
+        """The draws come in blocks of a fixed size, whatever the budget, so
+        a budget that ends inside, at or past a block edge replays the
+        first steps of any larger budget."""
+        field = make_checkerboard(N, 1.0)
+        consts = toy_constants(2.0, 1.0, N=N, M=M)
+        short, long = (search_min_stretch(field, consts, b, seed) for b in budgets)
+        assert long.trace[:len(short.trace)] == short.trace
 
     def test_budget_zero_returns_the_marked_points_on_every_desk_shape(self):
         off = []

