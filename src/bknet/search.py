@@ -261,7 +261,7 @@ def search_min_stretch(field: DensityField, consts: CertificateConstants,
         vs = rng.integers(nvert, size=_BLOCK).tolist()
         dirs = rng.standard_normal((_BLOCK, 2)).tolist()
         us = rng.random(_BLOCK).tolist()
-        for it, v, (ux, uy), u in zip(range(start, min(start + _BLOCK, budget)), vs, dirs, us):
+        for it, v, (ux, uy), u in zip(range(start, budget), vs, dirs, us):
             scale = base_step * u * 0.97 ** (it / 50.0)
             if move(v, xs[v] + scale * ux, ys[v] + scale * uy):
                 trace.append(state.obj)

@@ -741,8 +741,6 @@ class TestGoldenOutputs:
     WIDE_X = [((k * 37) % 101 / 10, (k * 53) % 103 / 10) for k in range(33)]
     WIDE_Y = [((k * 41) % 97 / 9, (k * 29) % 89 / 11) for k in range(33)]
 
-    # the search pins were re-recorded when the search came to draw its
-    # random numbers in blocks of 1,024 steps, a different stream
     SEARCH = [
         (["--L", "2", "--c", "1", "--N", "4", "--M", "2", "--budget", "10000",
           "--seed", "42"],
