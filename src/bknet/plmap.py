@@ -9,6 +9,7 @@ areas are exact per triangle.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +33,23 @@ class PLMap:
 
     def __post_init__(self):
         for name in ("nx", "ny"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"{name} must be an int, got {n!r}")
+            if n < 1:
+                raise ValueError(f"{name} must be at least 1, got {n}")
         want = (self.nx + 1) * (self.ny + 1)
         if self.vertices.shape != (want, 2):
             raise ValueError(f"expected {want} vertex images, got {self.vertices.shape}")
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if len(bad):
             raise ValueError(f"vertex image {bad[0]} has a non-finite coordinate")
+        # a read-only float64 copy, and its coordinates as one flat list of
+        # Python floats (x, y of vertex k at 2k, 2k + 1) for __call__
+        verts = np.array(self.vertices, dtype=np.float64)
+        verts.flags.writeable = False
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_flat", verts.ravel().tolist())
 
     def vidx(self, i: int, j: int) -> int:
         return j * (self.nx + 1) + i
@@ -53,27 +63,37 @@ class PLMap:
         return (v00.reshape(-1, 1, 1) + offsets).reshape(-1, 3)
 
     def __call__(self, p) -> np.ndarray:
-        """Evaluate at a point of the domain (piecewise-affine interpolation)."""
+        """Evaluate at a point of the domain (piecewise-affine interpolation).
+        The float operations, on Python floats, are those of the 2-vector
+        formula q00 + s (q10 - q00) + t (q11 - q10) (lower triangle) or
+        q00 + s (q11 - q01) + t (q01 - q00) (upper), one coordinate at a
+        time, so the result is bitwise that formula's on float64 vertices."""
         x, y = float(p[0]), float(p[1])
         if not self.domain.contains_point(x, y):
             raise ValueError(f"point ({x}, {y}) outside map domain")
-        u = (x - self.domain.x0) / self.domain.width * self.nx
+        nx = self.nx
+        u = (x - self.domain.x0) / self.domain.width * nx
         v = (y - self.domain.y0) / self.domain.height * self.ny
-        i = min(int(np.floor(u)), self.nx - 1)
-        j = min(int(np.floor(v)), self.ny - 1)
+        i = min(math.floor(u), nx - 1)
+        j = min(math.floor(v), self.ny - 1)
         s, t = u - i, v - j
-        q00 = self.vertices[self.vidx(i, j)]
-        q10 = self.vertices[self.vidx(i + 1, j)]
-        q01 = self.vertices[self.vidx(i, j + 1)]
-        q11 = self.vertices[self.vidx(i + 1, j + 1)]
+        a = 2 * (j * (nx + 1) + i)   # vertex (i, j) in _flat; row j + 1 is nx + 1 vertices on
+        b = a + 2 * (nx + 1)
+        x00, y00, x10, y10 = self._flat[a:a + 4]
+        x01, y01, x11, y11 = self._flat[b:b + 4]
         if t <= s:   # lower triangle (v00, v10, v11)
-            return q00 + s * (q10 - q00) + t * (q11 - q10)
-        return q00 + s * (q11 - q01) + t * (q01 - q00)
+            return np.array([x00 + s * (x10 - x00) + t * (x11 - x10),
+                             y00 + s * (y10 - y00) + t * (y11 - y10)])
+        return np.array([x00 + s * (x11 - x01) + t * (x01 - x00),
+                         y00 + s * (y11 - y01) + t * (y01 - y00)])
 
 
 def identity_map(domain: Rect, nx: int, ny: int) -> PLMap:
+    # the last column and row exactly x1 and y1 (x0 + width * nx / nx can
+    # round past them), as density._grid_columns does
     xs = domain.x0 + domain.width * np.arange(nx + 1) / nx
     ys = domain.y0 + domain.height * np.arange(ny + 1) / ny
+    xs[-1], ys[-1] = domain.x1, domain.y1
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
     return PLMap(domain, nx, ny, verts)

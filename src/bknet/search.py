@@ -10,6 +10,7 @@ checkerboard must stretch some marked pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import hypot, sqrt
 
 import numpy as np
@@ -46,11 +47,15 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _vertex_table(nx: int, ny: int) -> list:
+@lru_cache(maxsize=128)
+def _vertex_table(nx: int, ny: int) -> tuple:
     """For each vertex of the nx x ny grid, in vertex order: its triangles,
     as (triangle, q00, q11, third corner, lower) with the third corner q10
     of a lower triangle (q00, q10, q11) or q01 of an upper one (q00, q11,
-    q01), and its marked pairs, as (pair, left vertex)."""
+    q01), and its marked pairs, as (pair, left vertex).  Built once per
+    shape and kept for as many shapes as the desk limit (N <= 16, M <= 8)
+    allows, 128; it is tuples throughout, so no caller can change a shared
+    one."""
     nx1 = nx + 1
     table = []
     for j in range(ny + 1):
@@ -69,7 +74,7 @@ def _vertex_table(nx: int, ny: int) -> list:
                         tris.append((t + 1, a, a + nx1 + 1, a + nx1, False))
             pairs = tuple((j * nx + e, j * nx1 + e) for e in (i - 1, i) if 0 <= e < nx)
             table.append((tuple(tris), pairs))
-    return table
+    return tuple(table)
 
 
 class _Descent:

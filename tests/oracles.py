@@ -1,8 +1,8 @@
 """Oracles that only the tests use, kept out of the library: half-open
 cell membership for a Rect, each cell's image area from the shoelace
 formula, which shares no code with the determinant route of pl_metrics,
-a density lookup that scans every cell, and the net CSV writer that
-formats every row's values."""
+a density lookup that scans every cell, the net CSV writer that formats
+every row's values, and PLMap evaluation by the 2-vector numpy formula."""
 
 import numpy as np
 
@@ -26,6 +26,27 @@ def cell_image_areas_shoelace(m) -> np.ndarray:
             y = quad[:, 1]
             out[j, i] = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
     return out
+
+
+def plmap_call_2vector(m, p) -> np.ndarray:
+    """PLMap.__call__ as it was before it evaluated on Python floats: the
+    cell from np.floor, the four corners as rows of m.vertices, and the
+    interpolation as 2-vector numpy arithmetic."""
+    x, y = float(p[0]), float(p[1])
+    if not m.domain.contains_point(x, y):
+        raise ValueError(f"point ({x}, {y}) outside map domain")
+    u = (x - m.domain.x0) / m.domain.width * m.nx
+    v = (y - m.domain.y0) / m.domain.height * m.ny
+    i = min(int(np.floor(u)), m.nx - 1)
+    j = min(int(np.floor(v)), m.ny - 1)
+    s, t = u - i, v - j
+    q00 = m.vertices[m.vidx(i, j)]
+    q10 = m.vertices[m.vidx(i + 1, j)]
+    q01 = m.vertices[m.vidx(i, j + 1)]
+    q11 = m.vertices[m.vidx(i + 1, j + 1)]
+    if t <= s:   # lower triangle (v00, v10, v11)
+        return q00 + s * (q10 - q00) + t * (q11 - q10)
+    return q00 + s * (q11 - q01) + t * (q01 - q00)
 
 
 def scan_values_at(field, xs, ys) -> np.ndarray:

@@ -761,6 +761,17 @@ class TestGoldenOutputs:
         assert main(["search", *argv, "--out", str(out)]) == 0
         assert self.sha(out.read_bytes()) == digest
 
+    # certify on the map the N8-M4 search writes, recorded before PLMap
+    # evaluated on Python floats: the float evaluation path, bitwise
+    def test_certify_the_n8_m4_search_map(self, tmp_path):
+        found, mapfile, cert = (tmp_path / name for name in ("s.json", "m.json", "c.json"))
+        assert main(["search", *self.SEARCH[1][0], "--out", str(found)]) == 0
+        mapfile.write_text(json.dumps(json.loads(found.read_text())["map"]))
+        assert main(["certify", "--in", str(mapfile), "--L", "2", "--c", "1", "--N", "8",
+                     "--M", "4", "--out", str(cert)]) == 0
+        assert self.sha(cert.read_bytes()) == (
+            "b399723b4a964fb395ecbc4b75dac0d69ced2f92c652b952bf5a41942f3e54d8")
+
     DISTORT = [
         ("eight", [],
          "bf1fdb946238d744f8a97e5d8cb3114029169c00287863087ee2e1f21ee747ec"),

@@ -15,7 +15,7 @@ from bknet import (
 )
 from bknet.plmap import DegenerateTriangleError, _jacobians
 from bknet.svgplot import plmap_svg
-from oracles import cell_image_areas_shoelace
+from oracles import cell_image_areas_shoelace, plmap_call_2vector
 
 
 def random_valid_map(rng, domain=UNIT_SQUARE, nx=5, ny=4, wobble=0.2):
@@ -151,6 +151,90 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             m((1.5, 0.5))
 
+    @settings(max_examples=150, deadline=None)
+    @given(nx=st.integers(1, 9), ny=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           dyadic=st.booleans(), x0=st.floats(-50, 50), y0=st.floats(-50, 50),
+           w=st.floats(0.01, 40), h=st.floats(0.01, 40),
+           wobble=st.sampled_from([0.0, 0.05, 0.3, 3.0]))
+    def test_bitwise_the_2vector_formula(self, nx, ny, seed, dyadic, x0, y0, w, h, wobble):
+        """Oracle: the 2-vector numpy formula, at every grid point, the
+        four corners, the top row and right column (where the cell index
+        is clamped), points on the cells' diagonals and random points.  On
+        a dyadic domain the diagonal points have t == s exactly."""
+        rng = np.random.default_rng(seed)
+        if dyadic:
+            x0, y0 = float(rng.integers(-64, 64)) / 8, float(rng.integers(-64, 64)) / 8
+            w, h = nx * 2.0 ** int(rng.integers(-3, 3)), ny * 2.0 ** int(rng.integers(-3, 3))
+        dom = Rect(x0, y0, x0 + w, y0 + h)
+        ref = identity_map(dom, nx, ny).vertices
+        m = PLMap(dom, nx, ny, ref + wobble * rng.standard_normal(ref.shape))
+        xs = dom.x0 + dom.width * np.arange(nx + 1) / nx
+        ys = dom.y0 + dom.height * np.arange(ny + 1) / ny
+        pts = [tuple(q) for q in ref]
+        pts += [(dom.x0, dom.y0), (dom.x1, dom.y0), (dom.x0, dom.y1), (dom.x1, dom.y1)]
+        pts += [(dom.x1, float(y)) for y in rng.uniform(dom.y0, dom.y1, 4)]
+        pts += [(float(x), dom.y1) for x in rng.uniform(dom.x0, dom.x1, 4)]
+        pts += [(dom.x1, float(y)) for y in ys] + [(float(x), dom.y1) for x in xs]
+        cells = list(zip(rng.integers(nx, size=6).tolist(), rng.integers(ny, size=6).tolist()))
+        diag = [(i, j, k / 16) for i, j in cells for k in range(17)]
+        for i, j, s in diag:
+            pts.append((dom.x0 + (i + s) * (dom.width / nx), dom.y0 + (j + s) * (dom.height / ny)))
+        pts += list(zip(rng.uniform(dom.x0, dom.x1, 40).tolist(),
+                        rng.uniform(dom.y0, dom.y1, 40).tolist()))
+        for p in pts:
+            p = (min(max(p[0], dom.x0), dom.x1), min(max(p[1], dom.y0), dom.y1))
+            got, want = m(p), plmap_call_2vector(m, p)
+            assert got.dtype == want.dtype == np.float64 and got.shape == (2,)
+            assert got.tobytes() == want.tobytes(), p
+        if dyadic:   # the diagonal points inside their cell: s and t are exact
+            for (i, j, s), (px, py) in zip(diag, pts[-40 - len(diag):-40]):
+                u = (px - dom.x0) / dom.width * nx
+                v = (py - dom.y0) / dom.height * ny
+                assert s == 1.0 or u - i == v - j == s
+
+    def test_vertices_are_a_read_only_float64_copy(self):
+        verts = identity_map(UNIT_SQUARE, 2, 2).vertices.astype(np.float32)
+        m = PLMap(UNIT_SQUARE, 2, 2, verts)
+        assert m.vertices.dtype == np.float64 and m(np.array([0.3, 0.6])).dtype == np.float64
+        verts[4] = (9.0, 9.0)
+        assert m.vertices[4].tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            m.vertices[4, 0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.vertices += 1.0
+        assert m((0.5, 0.5)).tolist() == [0.5, 0.5]
+
+    def test_integer_vertices_stored_as_float64(self):
+        m = PLMap(UNIT_SQUARE, 1, 1, np.array([[0, 0], [2, 0], [0, 2], [2, 2]]))
+        assert m.vertices.dtype == np.float64
+        assert m((0.25, 0.5)).tolist() == [0.5, 1.0]
+
+
+class TestIdentityMap:
+    def test_last_vertex_is_the_far_corner(self):
+        dom = Rect(-0.7, 4.7, 5.0, 7.4)
+        m = identity_map(dom, 26, 4)
+        assert m.vertices[-1].tolist() == [5.0, 7.4]
+        assert m(m.vertices[-1]).tolist() == [5.0, 7.4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(nx=st.integers(1, 40), ny=st.integers(1, 40),
+           x0=st.floats(-20, 20), y0=st.floats(-20, 20),
+           w=st.floats(0.01, 20), h=st.floats(0.01, 20))
+    def test_every_vertex_in_the_domain_and_fixed(self, nx, ny, x0, y0, w, h):
+        """Every identity vertex lies in the domain, the last column and
+        row exactly on x1 and y1, and the map sends each vertex to itself,
+        to within an ulp of the domain's largest coordinate per
+        operation."""
+        dom = Rect(x0, y0, x0 + w, y0 + h)
+        m = identity_map(dom, nx, ny)
+        V = m.vertices.reshape(ny + 1, nx + 1, 2)
+        assert (V[:, -1, 0] == dom.x1).all() and (V[-1, :, 1] == dom.y1).all()
+        tol = 8 * np.spacing(max(abs(dom.x0), abs(dom.x1), abs(dom.y0), abs(dom.y1)))
+        for v in m.vertices:
+            assert dom.contains_point(*v)
+            assert np.abs(m(v) - v).max() <= tol
+
 
 class TestMaxStretchVsLip:
     def test_marked_pair_ratios_within_lipschitz_window(self):
@@ -182,6 +266,13 @@ class TestConstruction:
     def test_empty_grid_rejected_with_the_field_named(self, nx, ny, field):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             PLMap(UNIT_SQUARE, nx, ny, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("nx,ny,field", [(2.0, 2, "nx"), (2, 2.0, "ny"), (True, 2, "nx"),
+                                             (2, False, "ny"), (np.int64(2), 2, "nx"),
+                                             ("2", 2, "nx")])
+    def test_non_int_shape_rejected_with_the_field_named(self, nx, ny, field):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            PLMap(UNIT_SQUARE, nx, ny, np.zeros((9, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", [0, 1])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bknet import PLMap, make_checkerboard, marked_grid, search_min_stretch, toy_constants
 from bknet.plmap import _jacobians
+from bknet.search import _vertex_table
 
 
 FIELD = make_checkerboard(4, 1.0)
@@ -94,3 +95,27 @@ class TestSearch:
         with pytest.raises(ValueError, match=re.escape(
                 f"largest singular value {lip!r} exceeds the Lipschitz cap L={L!r}")):
             search_min_stretch(field, toy_constants(L, 1.0, N=5, M=7), 100, 0)
+
+
+class TestVertexTable:
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (8, 2), (16, 2), (32, 4), (128, 8)])
+    def test_built_once_per_shape_as_tuples(self, nx, ny):
+        """One object per shape, tuples all the way down, and equal to a
+        fresh build."""
+        table = _vertex_table(nx, ny)
+        assert _vertex_table(nx, ny) is table
+        assert table == _vertex_table.__wrapped__(nx, ny)
+        assert len(table) == (nx + 1) * (ny + 1)
+
+        def tuples_only(x):
+            return not isinstance(x, list) and (
+                not isinstance(x, tuple) or all(tuples_only(e) for e in x))
+
+        assert isinstance(table, tuple) and tuples_only(table)
+
+    def test_shapes_do_not_share_a_table(self):
+        assert _vertex_table(8, 2) is not _vertex_table(2, 8)
+        assert _vertex_table(8, 2) != _vertex_table(2, 8)
+
+    def test_cache_holds_every_desk_shape(self):
+        assert _vertex_table.cache_info().maxsize >= 16 * 8
