@@ -51,6 +51,11 @@ class PLMap:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_flat", verts.ravel().tolist())
 
+    def __reduce__(self):
+        # a pickled or deep-copied map is built anew, so its vertices are
+        # read-only and agree with _flat
+        return PLMap, (self.domain, self.nx, self.ny, self.vertices)
+
     def vidx(self, i: int, j: int) -> int:
         return j * (self.nx + 1) + i
 

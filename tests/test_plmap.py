@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +206,13 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="read-only"):
             m.vertices += 1.0
         assert m((0.5, 0.5)).tolist() == [0.5, 0.5]
+
+    def test_a_pickled_or_copied_map_stays_read_only(self):
+        m = random_valid_map(np.random.default_rng(5))
+        for m2 in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert not m2.vertices.flags.writeable
+            assert np.array_equal(m2.vertices, m.vertices)
+            assert m2((0.3, 0.7)).tobytes() == m((0.3, 0.7)).tobytes()
 
     def test_integer_vertices_stored_as_float64(self):
         m = PLMap(UNIT_SQUARE, 1, 1, np.array([[0, 0], [2, 0], [0, 2], [2, 2]]))
