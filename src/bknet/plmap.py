@@ -54,7 +54,7 @@ class PLMap:
     def __reduce__(self):
         # a pickled or deep-copied map is built anew, so its vertices are
         # read-only and agree with _flat
-        return PLMap, (self.domain, self.nx, self.ny, self.vertices)
+        return type(self), (self.domain, self.nx, self.ny, self.vertices)
 
     def vidx(self, i: int, j: int) -> int:
         return j * (self.nx + 1) + i

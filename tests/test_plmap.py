@@ -163,9 +163,11 @@ class TestEvaluation:
         """Oracle: the 2-vector numpy formula, at every grid point, the
         four corners, the top row and right column (where the cell index
         is clamped), points on the cells' diagonals and random points.  On
-        a dyadic domain the diagonal points have t == s exactly."""
+        a dyadic domain with a power-of-two shape the diagonal points have
+        t == s exactly."""
         rng = np.random.default_rng(seed)
-        if dyadic:
+        if dyadic:   # power-of-two shapes, so that u and v are exact
+            nx, ny = 1 << nx % 4, 1 << ny % 3
             x0, y0 = float(rng.integers(-64, 64)) / 8, float(rng.integers(-64, 64)) / 8
             w, h = nx * 2.0 ** int(rng.integers(-3, 3)), ny * 2.0 ** int(rng.integers(-3, 3))
         dom = Rect(x0, y0, x0 + w, y0 + h)
