@@ -156,7 +156,8 @@ class DensityField:
         new cells must lie inside the regions; anything of a region they do
         not cover falls back to the field default.  Each old cell loses the
         regions that meet it, in the order given; a region that misses a
-        cell misses every piece of it, so the others are skipped."""
+        cell misses every piece of it, so the others are skipped, and one
+        that meets the cell is subtracted only from the pieces it meets."""
         box = self._columns[0]
         n_cells = len(box)
         # chunks of candidate pairs stay under _PAIR_CHUNK, read through this
@@ -177,7 +178,11 @@ class DensityField:
                 continue
             pieces = [cell]
             for k in hits[a:b]:
-                pieces = [p for piece in pieces for p in piece.subtract(regions[k])]
+                r = regions[k]
+                pieces = [p for piece in pieces for p in (
+                    piece.subtract(r) if (piece.x0 < r.x1 and r.x0 < piece.x1
+                                          and piece.y0 < r.y1 and r.y0 < piece.y1)
+                    else (piece,))]
             kept.extend((piece, v) for piece in pieces)
         kept.extend(new_cells)
         return DensityField(self.domain, self.default, tuple(kept))
@@ -300,16 +305,17 @@ def reciprocal_transplant(field: DensityField, s: Similarity) -> DensityField:
 # The text is json.dumps(doc, indent=2, sort_keys=True) of
 # {"cells": [{"rect": rect, "value": v}, ...], "default": v, "domain": rect},
 # a rect being {"x0": ..., "x1": ..., "y0": ..., "y1": ...} and every number a
-# ".17g" string, written through these templates in one format call.
+# ".17g" string, written through these templates in one format call; the
+# cells' numbers are formatted before it.
 
 _CELL_JSON = """    {{
       "rect": {{
-        "x0": "{:.17g}",
-        "x1": "{:.17g}",
-        "y0": "{:.17g}",
-        "y1": "{:.17g}"
+        "x0": "{}",
+        "x1": "{}",
+        "y0": "{}",
+        "y1": "{}"
       }},
-      "value": "{:.17g}"
+      "value": "{}"
     }}"""
 
 _FIELD_JSON = """{{
@@ -329,11 +335,16 @@ def _rect_from_json(rect: dict) -> Rect:
 
 
 def field_to_json(field: DensityField) -> str:
+    """The field as JSON text.  Each distinct number of the cells (by its
+    bit pattern, so -0.0 stays apart from 0.0) is formatted once."""
     box, val = field._columns
     cells = ""
     if len(val):
         # per cell x0, x1, y0, y1, value: the sorted keys' order
-        flat = np.column_stack([box[:, [0, 2, 1, 3]], val]).ravel().tolist()
+        bits = np.column_stack([box[:, [0, 2, 1, 3]], val]).ravel().view(np.int64)
+        u = _distinct(bits)
+        text = np.array([format(v, ".17g") for v in u.view(float).tolist()], dtype=object)
+        flat = text[np.searchsorted(u, bits)].tolist()
         cells = "\n" + ",\n".join([_CELL_JSON] * len(val)).format(*flat) + "\n  "
     d = field.domain
     return _FIELD_JSON.format(cells, field.default, d.x0, d.x1, d.y0, d.y1)

@@ -2,9 +2,16 @@
 cell membership for a Rect, each cell's image area from the shoelace
 formula, which shares no code with the determinant route of pl_metrics,
 a density lookup that scans every cell, the net CSV writer that formats
-every row's values, and PLMap evaluation by the 2-vector numpy formula."""
+every row's values, PLMap evaluation by the 2-vector numpy formula, the
+Rect as a plain frozen dataclass, the field JSON writer that formats every
+number, and region replacement that subtracts each region from every
+piece of a cell."""
+
+from dataclasses import dataclass
 
 import numpy as np
+
+from bknet.density import _CELL_JSON, _FIELD_JSON
 
 
 def contains_point_half_open(r, x: float, y: float) -> bool:
@@ -75,3 +82,48 @@ def csv_by_format(points, tags) -> str:
     tag = ["background" if t == 0 else int(t) for t in tags.tolist()]
     flat = [v for row in zip(x, y, tag) for v in row]
     return "x,y,tag\n" + ("{!r},{!r},{}\n" * len(x)).format(*flat)
+
+
+@dataclass(frozen=True)
+class Rect:
+    """geometry.Rect as it was before it had slots and its own __init__: a
+    frozen dataclass whose __post_init__ refuses a degenerate rectangle.
+    Named Rect so that its repr and error messages read as the library's."""
+
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+
+    def __post_init__(self):
+        if not (self.x0 < self.x1 and self.y0 < self.y1):
+            raise ValueError(f"degenerate rectangle: {self}")
+
+
+def field_to_json_per_number(field) -> str:
+    """density.field_to_json as it was before it formatted each distinct
+    number once: every number of every cell through the ".17g" template in
+    one format call."""
+    template = _CELL_JSON.replace("{}", "{:.17g}")
+    box, val = field._columns
+    cells = ""
+    if len(val):
+        flat = np.column_stack([box[:, [0, 2, 1, 3]], val]).ravel().tolist()
+        cells = "\n" + ",\n".join([template] * len(val)).format(*flat) + "\n  "
+    d = field.domain
+    return _FIELD_JSON.format(cells, field.default, d.x0, d.x1, d.y0, d.y1)
+
+
+def replace_region_subtract_all(field, regions, new_cells):
+    """DensityField.replace_region as it was before it skipped the pieces a
+    region misses: each region that meets a cell, in the order given, is
+    subtracted from every piece of that cell so far."""
+    kept = []
+    for cell, v in field.cells:
+        pieces = [cell]
+        for r in regions:
+            if cell.intersect(r) is not None:
+                pieces = [p for piece in pieces for p in piece.subtract(r)]
+        kept.extend((piece, v) for piece in pieces)
+    kept.extend(new_cells)
+    return type(field)(field.domain, field.default, tuple(kept))

@@ -642,6 +642,12 @@ class TestGoldenOutputs:
          "ceb828790ab77a37d72e2e74584615caaf60137f8317e877ff0fa7b14448d571"),
         (["hierarchy", "--L", "2", "--c", "1", "--depth", "3", "--N", "3"],
          "b642c616d2334fbe1c5c47aa1881be2af662eca965ff38318439852ae00fa037"),
+        # the deepest limit densities the density-pipeline benchmark builds,
+        # recorded at 2fae8bc
+        (["limit", "--c", "1", "--depth", "3"],
+         "474ccd269a8ac7a1515fee680a7430df8cee57a63b064eb806a9b9fd2211710e"),
+        (["limit", "--c", "1", "--depth", "4"],
+         "f0ac68d5b6e25d53b07b38969fe8f01e211d37e0164a2f4a2cfdaf2c23586cf5"),
     ]
 
     @staticmethod
@@ -649,7 +655,8 @@ class TestGoldenOutputs:
         return hashlib.sha256(data).hexdigest()
 
     @pytest.mark.parametrize("argv,digest", GEN_DENSITY,
-                             ids=["checkerboard", "limit", "hierarchy", "hierarchy-N3"])
+                             ids=["checkerboard", "limit", "hierarchy", "hierarchy-N3",
+                                  "limit-depth3", "limit-depth4"])
     def test_gen_density(self, tmp_path, argv, digest):
         out = tmp_path / "f.json"
         assert main(["gen-density", *argv, "--out", str(out)]) == 0

@@ -26,7 +26,7 @@ from bknet import (
     transplant,
 )
 from bknet.plmap import _centroid_densities
-from oracles import contains_point_half_open
+from oracles import contains_point_half_open, replace_region_subtract_all
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,13 @@ dyadic_rects = st.builds(
     lambda x, y, w, h: Rect(x / 8, y / 8, min(x + w, 16) / 8, min(y + h, 16) / 8),
     st.integers(0, 15), st.integers(0, 15), st.integers(1, 8), st.integers(1, 8))
 values = st.floats(0.25, 4.0, allow_nan=False, allow_infinity=False)
+# cells at least half the domain wide and regions an eighth or a quarter
+wide_rects = st.builds(
+    lambda x, y, w, h: Rect(x / 8, y / 8, min(x + w, 16) / 8, min(y + h, 16) / 8),
+    st.integers(0, 8), st.integers(0, 8), st.integers(8, 16), st.integers(4, 16))
+narrow_rects = st.builds(
+    lambda x, y, w, h: Rect(x / 8, y / 8, (x + w) / 8, (y + h) / 8),
+    st.integers(0, 14), st.integers(0, 14), st.integers(1, 2), st.integers(1, 2))
 
 
 def disjoint(rects):
@@ -291,6 +298,39 @@ class TestReplaceRegion:
         want = loop_replace_region(field, regions, new_cells)
         assert cell_bytes(got) == cell_bytes(want)
         assert got == want
+
+    @given(st.lists(wide_rects, min_size=1, max_size=4), st.lists(narrow_rects, max_size=16),
+           st.lists(inner_rects(), max_size=3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_split_cells_match_subtract_all(self, cell_draws, narrow, other, shuffle):
+        # several regions per wide cell, so later regions meet only some of
+        # the pieces the earlier ones left; arbitrary corners now and then
+        cells = disjoint(cell_draws)
+        field = DensityField(DOMAIN, 1.0, tuple((r, 1.0 + n) for n, r in enumerate(cells)))
+        regions = disjoint(narrow + other)
+        if shuffle:
+            regions.reverse()
+        new_cells = [(r, 0.5) for r in regions]
+        got = field.replace_region(regions, new_cells)
+        want = replace_region_subtract_all(field, regions, new_cells)
+        assert cell_bytes(got) == cell_bytes(want)
+        assert got == want
+
+    def test_region_meeting_one_piece_of_a_split_cell(self):
+        field = DensityField(DOMAIN, 1.0, ((Rect(0.0, 0.0, 2.0, 2.0), 3.0),))
+        # the first region cuts the cell into four; the second meets only
+        # the top strip, the third only the right piece
+        regions = [Rect(0.5, 0.5, 1.0, 1.0), Rect(1.5, 1.5, 2.0, 2.0), Rect(1.5, 0.5, 2.0, 0.75)]
+        got = field.replace_region(regions, [])
+        assert got == replace_region_subtract_all(field, regions, [])
+        assert [r for r, _ in got.cells] == [
+            Rect(0.0, 0.0, 2.0, 0.5),
+            Rect(0.0, 1.0, 2.0, 1.5),
+            Rect(0.0, 1.5, 1.5, 2.0),
+            Rect(0.0, 0.5, 0.5, 1.0),
+            Rect(1.0, 0.75, 2.0, 1.0),
+            Rect(1.0, 0.5, 1.5, 0.75),
+        ]
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_chunked_candidates_match_loop(self, monkeypatch, chunk):

@@ -1,5 +1,6 @@
 """The density pipeline's column paths against their former per-object
-versions: the JSON writer against the json.dumps document it replaced,
+versions: the JSON writer against the json.dumps document it replaced and
+against the writer that formatted every number,
 value_at against values_at and the loop lookup, build_net's column-scaled
 integrals against the transplanted field, and build_hierarchy's unvalidated
 patches against embed_in_neighborhood."""
@@ -35,6 +36,7 @@ from bknet.hierarchy import (
 )
 from bknet.netbuild import NetPlan, ScheduleEntry
 
+from oracles import field_to_json_per_number
 from test_density_columns import REAL, cell_bytes, loop_integrate, loop_targets, loop_value_at
 
 
@@ -152,9 +154,56 @@ def breakpoints(field):
     return sorted(xs), sorted(ys)
 
 
+# fields whose numbers repeat and sit at the ends of the float range:
+# coordinates drawn from a few values each, zeros signed per cell (so -0.0
+# stands beside 0.0 with another bit pattern), subnormals and coordinates
+# near 1e308; values picked from a pool of at most three
+
+EDGE = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 1.0 / 3.0, 1e300, 1e308,
+        1.7976931348623157e308]
+edge_coords = st.one_of(st.sampled_from(EDGE), st.sampled_from(EDGE).map(lambda v: -v), coords)
+
+
+@st.composite
+def edge_fields(draw, max_cells=8):
+    xs = sorted(draw(st.lists(edge_coords, min_size=2, max_size=5, unique=True)))
+    ys = sorted(draw(st.lists(edge_coords, min_size=2, max_size=5, unique=True)))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(xs) - 2), st.integers(0, len(ys) - 2)),
+                          max_size=max_cells, unique=True))
+    pool = draw(st.lists(field_values, min_size=1, max_size=3))
+
+    def signed(v):
+        return -0.0 if v == 0.0 and draw(st.booleans()) else v
+
+    cells = tuple((Rect(*map(signed, (xs[i], ys[j], xs[i + 1], ys[j + 1]))),
+                   draw(st.sampled_from(pool))) for i, j in picks)
+    return DensityField(Rect(xs[0], ys[0], xs[-1], ys[-1]), draw(st.sampled_from(pool)), cells)
+
+
 # ---------------------------------------------------------------------------
 
 class TestFieldToJson:
+    @given(edge_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_fields_match_per_number_writer(self, field):
+        text = field_to_json(field)
+        assert text == field_to_json_per_number(field)
+        assert text == dumps_field(field)
+        back = field_from_json(text)
+        assert back == field
+        assert cell_bytes(back) == cell_bytes(field)   # -0.0 included
+        assert field_to_json(back) == text
+
+    def test_signed_zeros_are_written_apart(self):
+        field = DensityField(Rect(-1.0, -1.0, 1.0, 1.0), 1.0,
+                             ((Rect(-0.0, -1.0, 1.0, 0.0), 5e-324),
+                              (Rect(-1.0, 0.0, 0.0, 1.0), 5e-324)))
+        text = field_to_json(field)
+        assert text == field_to_json_per_number(field)
+        assert text.count('"-0"') == 1 and text.count('"0"') == 3
+        assert text.count('"4.9406564584124654e-324"') == 2
+        assert cell_bytes(field_from_json(text)) == cell_bytes(field)
+
     @given(grid_fields())
     @settings(max_examples=300, deadline=None)
     def test_drawn_fields_match_json_dumps(self, field):
@@ -178,6 +227,7 @@ class TestFieldToJson:
         field = make()
         text = field_to_json(field)
         assert text == dumps_field(field)
+        assert text == field_to_json_per_number(field)
         assert field_from_json(text) == field
 
 
