@@ -20,8 +20,8 @@ from .density import DensityField, _distinct, _integrate
 from .geometry import Rect, Similarity, UNIT_SQUARE, _meeting_pairs, _runs, first_overlap
 
 
-# (query, lattice) pairs of both window checks, and (candidate, point) pairs
-# of check_covering, evaluated at once (a few dozen bytes of temporaries each)
+# (query, lattice) pairs of check_separation, and (candidate, point) pairs of
+# check_covering, evaluated at once (a few dozen bytes of temporaries each)
 _PAIR_BATCH = 1 << 15
 _CSV_CHUNK = 1 << 14   # rows net_to_csv formats at once
 
@@ -505,13 +505,11 @@ def check_covering(net: Net, window: Rect) -> float:
     coordinates, where it is (h/2)^2 up to the coordinates' rounding, or on
     an axis with no midpoint in the region at its larger end.  So U =
     sqrt(max DX + max DY), from the midpoint nearest the region's middle or
-    the ends, bounds the region's distances to the net.  Where it is
-    attained the distance to all the lattices is one the window attains: U
-    itself at a midpoint on both axes, which lies h inside the box, else
-    the least of U and `_cross_nearest`, asked only where U may beat the
-    largest of the former.  The radius is the largest of these unless a
-    region's U exceeds it by over 2 ulps; only such regions go to
-    `_arrangement_max`, the largest U first."""
+    the ends, bounds the region's distances to the net.  A region with a
+    midpoint inside on both axes attains its U there, h inside the box, so
+    no other lattice is nearer.  The radius is the largest of those U
+    unless another region's U exceeds it by over 2 ulps; only such regions
+    go to `_arrangement_max`, the largest U first."""
     _check_finite(window)
     s = net.max_cell_spacing
     ulp = math.ulp(max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1)) + 2.0 * s)
@@ -531,22 +529,16 @@ def check_covering(net: Net, window: Rect) -> float:
     full = inside.all(axis=1)
     worst = math.sqrt(float(g_mid[full].sum(axis=1).max(initial=0.0)))
     # the other regions, bounded at the larger end of an axis without a
-    # midpoint inside, where they may beat that
+    # midpoint inside, resolved where they may beat that
     q = np.flatnonzero(~full)
     if not len(q):
         return worst
     g_lo, g_hi = _sq_gaps(np.stack([lo[q], hi[q]]), origin[q], h[q], size[q])
     bound = np.sqrt(np.where(inside[q], g_mid[q], np.maximum(g_lo, g_hi)).sum(axis=1))
-    live = bound > worst + 2.0 * ulp
-    if not live.any():
-        return worst
-    q, bound, g_lo, g_hi = q[live], bound[live], g_lo[live], g_hi[live]
-    at = np.where(inside[q], mid[q], np.where(g_lo >= g_hi, lo[q], hi[q])).T
-    value = np.minimum(bound, _cross_nearest(box, step, n, reach, *at, k[q]))
-    worst = max(worst, float(value.max()))
     for r in np.argsort(-bound, kind="stable").tolist():
-        if bound[r] > worst + 2.0 * ulp:
-            worst = _arrangement_max(box, step, n, lo[q[r]], hi[q[r]], bound[r] + 2.0 * ulp, worst)
+        if bound[r] <= worst + 2.0 * ulp:
+            break
+        worst = _arrangement_max(box, step, n, lo[q[r]], hi[q[r]], bound[r] + 2.0 * ulp, worst)
     return worst
 
 

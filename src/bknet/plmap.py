@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, _rect_from_json
+from .density import DensityField, _grid_columns, _rect_from_json
 from .geometry import Rect
 
 JAC_MATCH_TOL = 1e-9
@@ -94,11 +94,8 @@ class PLMap:
 
 
 def identity_map(domain: Rect, nx: int, ny: int) -> PLMap:
-    # the last column and row exactly x1 and y1 (x0 + width * nx / nx can
-    # round past them), as density._grid_columns does
-    xs = domain.x0 + domain.width * np.arange(nx + 1) / nx
-    ys = domain.y0 + domain.height * np.arange(ny + 1) / ny
-    xs[-1], ys[-1] = domain.x1, domain.y1
+    xs = _grid_columns(domain.x0, domain.x1, nx, 1)[0]
+    ys = _grid_columns(domain.y0, domain.y1, ny, 1)[0]
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
     return PLMap(domain, nx, ny, verts)
@@ -145,8 +142,8 @@ def _centroid_densities(field: DensityField, nx: int, ny: int) -> np.ndarray:
     dom = field.domain
     dx = dom.width / nx
     dy = dom.height / ny
-    x0 = dom.x0 + dom.width * np.arange(nx) / nx
-    y0 = dom.y0 + dom.height * np.arange(ny) / ny
+    x0 = _grid_columns(dom.x0, dom.x1, nx, 1)[0, :-1]
+    y0 = _grid_columns(dom.y0, dom.y1, ny, 1)[0, :-1]
     cx = np.empty((ny, nx, 2))
     cy = np.empty((ny, nx, 2))
     cx[:, :, 0], cy[:, :, 0] = x0 + 2 * dx / 3, (y0 + dy / 3)[:, None]

@@ -10,7 +10,7 @@ checkerboard must stretch some marked pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from math import hypot, sqrt
 
 import numpy as np
@@ -47,15 +47,15 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-@lru_cache(maxsize=128)
+@cache
 def _vertex_table(nx: int, ny: int) -> tuple:
     """For each vertex of the nx x ny grid, in vertex order: its triangles,
     as (triangle, q00, q11, third corner, lower) with the third corner q10
     of a lower triangle (q00, q10, q11) or q01 of an upper one (q00, q11,
     q01), and its marked pairs, as (pair, left vertex).  Built once per
-    shape and kept for as many shapes as the desk limit (N <= 16, M <= 8)
-    allows, 128; it is tuples throughout, so no caller can change a shared
-    one."""
+    shape and kept: search_min_stretch's desk limit (N <= 16, M <= 8)
+    bounds the shapes to 128.  It is tuples throughout, so no caller can
+    change a shared one."""
     nx1 = nx + 1
     table = []
     for j in range(ny + 1):

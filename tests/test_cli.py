@@ -710,10 +710,15 @@ class TestGoldenOutputs:
         ("40.2,2.1,46.55,7.9",
          "d57cd4b8fa710deb4d240541f2bdcfd4c600cd3cb377bd49d843968ce234ab39",
          "c9b2a0bad378b0d2507150230c53a33b510642abe9dcf6b547f7126168a92da9"),
+        # a cell corner inside square 2, where two exact arrangements decide
+        # covering_b
+        ("32.62,29.81,36.62,33.81",
+         "520cf4346e43c525dfcd27887fa69f8703eb7ac7863e4ef306da804974a65086",
+         "c5927b3fbd1b4cd0b0ba96154e13da88192739a137d86d96f163ea252f883f3d"),
     ]
 
     @pytest.mark.parametrize("window,gen_digest,check_digest", K3_WINDOWS,
-                             ids=["squares-1-2", "background"])
+                             ids=["squares-1-2", "background", "square-2-corner"])
     def test_k3_windows_on_limit_density(self, tmp_path, capsys, window,
                                          gen_digest, check_digest):
         limit = tmp_path / "limit.json"

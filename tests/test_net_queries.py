@@ -492,6 +492,28 @@ class TestExactCovering:
         assert calls
         assert covering_exact(n(), window) == want
 
+    def test_a_benchmark_window_past_the_bounds_makes_no_cross_query(self):
+        # a net-windows window whose bounds leave a region open: the
+        # arrangement alone resolves it
+        window = Rect(138.09549897819105, 139.93484037233785,
+                      146.09549897819105, 147.93484037233785)
+        with recording_cross_queries() as calls, recording_arrangements() as regions:
+            got = check_covering(fresh(limit_net()), window)
+        assert calls == []
+        assert regions
+        assert got == 0.7299166773538549
+        self.check(limit_net(), window)
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_windows_at_seams_make_no_cross_query(self, name, data):
+        n = SEAM_NETS[name]()
+        window = data.draw(seam_windows(n))
+        with recording_cross_queries() as calls:
+            check_covering(n, window)
+        assert calls == []
+
     def test_the_arrangement_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.unique's first call imports numpy.ma, over a megabyte resident;
         # this window goes to the arrangement (above)

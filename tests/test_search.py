@@ -118,4 +118,7 @@ class TestVertexTable:
         assert _vertex_table(8, 2) != _vertex_table(2, 8)
 
     def test_cache_holds_every_desk_shape(self):
-        assert _vertex_table.cache_info().maxsize >= 16 * 8
+        # search_min_stretch's grids: (N M) x M for N <= 16 and M <= 8
+        shapes = [(N * M, M) for N in range(1, 17) for M in range(1, 9)]
+        tables = [_vertex_table(nx, ny) for nx, ny in shapes]
+        assert all(_vertex_table(nx, ny) is t for (nx, ny), t in zip(shapes, tables))
