@@ -20,8 +20,8 @@ from .density import DensityField, _distinct, _integrate
 from .geometry import Rect, Similarity, UNIT_SQUARE, _meeting_pairs, _runs, first_overlap
 
 
-# (query, lattice) pairs of check_separation, and (candidate, point) pairs of
-# check_covering, evaluated at once (a few dozen bytes of temporaries each)
+# (candidate, point) pairs of check_covering evaluated at once (a few dozen
+# bytes of temporaries each)
 _PAIR_BATCH = 1 << 15
 _CSV_CHUNK = 1 << 14   # rows net_to_csv formats at once
 
@@ -141,9 +141,9 @@ class _Cells:
     the order of `Net.points`.  Row r is cell [x0, x1] x [y0, y1] of square
     tag (1-based), its edges from `_cell_edges`, and holds n x n points
     x0 + step * (a + 0.5), y0 + step * (b + 0.5), a, b in [0, n), with
-    step = cell / n for the square's cell width `cell`; lo holds (x0, y0)
-    and hi (x1, y1) per row.  It also keeps the squares, and each as a row
-    of `box`, and the last window's spans."""
+    step = cell / n for the square's cell width `cell`; rect holds (x0, y0,
+    x1, y1) per row, and lo and hi are its halves.  It also keeps the
+    squares, and each as a row of `box`, and the last window's spans."""
 
     def __init__(self, plan: NetPlan, counts):
         self.box = np.array([(e.square.x0, e.square.y0, e.square.x1, e.square.y1)
@@ -157,7 +157,8 @@ class _Cells:
             xs, ys = (np.array(v) for v in _cell_edges(e))
             lo.append(np.column_stack([np.repeat(xs[:-1], e.m), np.tile(ys[:-1], e.m)]))
             hi.append(np.column_stack([np.repeat(xs[1:], e.m), np.tile(ys[1:], e.m)]))
-        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
+        self.rect = np.concatenate([np.concatenate(lo), np.concatenate(hi)], axis=1)
+        self.lo, self.hi = self.rect[:, :2], self.rect[:, 2:]
         (self.x0, self.y0), (self.x1, self.y1) = self.lo.T, self.hi.T
         self.tag = np.repeat(np.arange(1, len(m) + 1), m * m)
         self.n = np.concatenate([np.empty(0, dtype=np.intp)]
@@ -250,27 +251,6 @@ def _background_mask(cells: _Cells, window: Rect) -> tuple[np.ndarray, int, int]
     return keep, x0, y0
 
 
-def _near_squares(cells: _Cells, keep: np.ndarray, x0: int,
-                  y0: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centres (x, y), made as `Net.points_in_window` makes them, of the
-    unit squares kept in a `_background_mask` (keep, x0, y0) that lie
-    nearer than 1 to a scheduled square along both axes, each once.  Each
-    square reads and then clears its slice of keep, which afterwards marks
-    only the centres at least 1 from every square."""
-    xs, ys = [np.empty(0)], [np.empty(0)]
-    for s in cells.squares:
-        # the g with g + 0.5 in (s.x0 - 1, s.x1 + 1), and the same in y
-        a0, a1 = max(s.x0 - 1 - x0, 0), max(s.x1 + 1 - x0, 0)
-        b0, b1 = max(s.y0 - 1 - y0, 0), max(s.y1 + 1 - y0, 0)
-        part = keep[a0:a1, b0:b1]
-        if part.size:
-            gx, gy = np.nonzero(part)
-            xs.append(gx + (a0 + x0) + 0.5)
-            ys.append(gy + (b0 + y0) + 0.5)
-            part[:] = False
-    return np.concatenate(xs), np.concatenate(ys)
-
-
 def _centres(lo: float, hi: float) -> tuple[int, int]:
     """The integers g in [g0, g1) whose g + 0.5 lies in [lo, hi]."""
     g0, g1 = math.floor(lo), math.ceil(hi)
@@ -292,10 +272,9 @@ def _near_lattices(cells: _Cells, x0: float, y0: float, x1: float,
         # the unit squares it contains, as _background_mask clears them
         pieces = [q for p in pieces for q in p.subtract(sq)]
     bg = np.array([(p.x0, p.y0, p.x1, p.y1) for p in pieces], dtype=float).reshape(-1, 4)
-    box = np.concatenate([np.column_stack([cells.lo[r], cells.hi[r]]), bg])
+    box = np.concatenate([cells.rect[r], bg])
     step = np.concatenate([cells.step[r], np.ones(len(bg))])
-    n = np.concatenate([np.column_stack([cells.n[r], cells.n[r]]),
-                        (bg[:, 2:] - bg[:, :2]).astype(np.intp)])
+    n = np.concatenate([cells.n[r, None].repeat(2, axis=1), (bg[:, 2:] - bg[:, :2]).astype(np.intp)])
     return r, box, step, n
 
 
@@ -332,93 +311,81 @@ def build_net(plan: NetPlan) -> Net:
 
 def check_separation(net: Net, window: Rect) -> float:
     """Exact minimum pairwise distance over pairs with at least one point
-    in the window.
+    in the window, the full scan's value bit for bit.
 
-    A net point's nearest point of its own lattice is a neighbour on its
-    row or column.  A row shares one y and a column one x, so the scan's
-    distance sqrt(dx*dx + dy*dy) to such a neighbour has one term exactly
-    0: over the window's points of a lattice, the least is the least
-    adjacent-coordinate gap over the window's index range widened by one
-    index on each side, taken from the coordinates as `_explicit_points`
-    makes them, and equals the scan bit for bit.  A point at least its
-    spacing h inside its subdivision cell (lattice index a and b in [1, n -
-    1)) lies 1.5 h or more from the cell edge, and every point of another
-    lattice lies beyond that edge, so nothing nearer exists.  A background
-    centre at least 1 from every scheduled square has its nearest other
-    points at exactly 1: the squares' points lie inside them.
+    The net near the window is the product lattices of `_near_lattices`
+    over the window widened by R: the table's cells, and the background's
+    unit-square centres cut into rectangles by the scheduled squares,
+    each a lattice of step 1 like any cell.  R = sqrt(2) s, s =
+    net.max_cell_spacing, widened by a relative 1e-9 and a few ulps
+    against rounding: every point of the plane is within s/sqrt(2) of the
+    net, so a window point's nearest other point, a Voronoi neighbour,
+    lies within twice that.  Per lattice and axis the window's points are
+    an index range (`_window_range`), and their count decides whether the
+    window holds 2 points.  Each lattice's points lie inside its box, and
+    the boxes are interior-disjoint.
 
-    Only the other window points are queried for points of other
-    lattices: each lattice's outer ring (index 0 or n - 1 on an axis),
-    listed from the lattice table's rows and coordinates in the window
-    (`_ring`), and the background centres nearer than 1 to a square
-    (`_near_squares`).  Each such point's nearest other point lies within R
-    = sqrt(2) s, s = net.max_cell_spacing: every point of the plane is
-    within s/sqrt(2) of the net, so a Voronoi neighbour is within twice
-    that.  R is widened by a relative 1e-9 and a few ulps against rounding.
-    The lattices within R of the window are those of `_near_lattices`, and
-    `_cross_nearest` resolves the queries over them.  A background
-    centre's own rectangle of that table gives exactly 1 when it holds 2
-    centres along an axis, and its other rectangles count as other
-    lattices."""
+    On its own lattice a point's nearest other point is a neighbour on its
+    row or column, which shares one coordinate, so the scan's distance
+    sqrt(dx*dx + dy*dy) to it has one term exactly 0: over a lattice's
+    window points the least is the least adjacent-coordinate gap over the
+    window's index range widened by one index on each side
+    (`_least_sq_gap`), from the coordinates as `_explicit_points` makes
+    them.  A point at least its spacing h inside its lattice's box (index
+    in [1, n - 1) on both axes) lies 1.5 h or more from the box's edge,
+    and every point of another lattice lies beyond that edge, so nothing
+    nearer exists.  Only a lattice whose window range reaches index 0 or
+    n - 1 on an axis enters pairs with other lattices: those whose boxes
+    meet its box when both are widened by R / 2 (`_meeting_pairs`), which
+    hold every point within R of it.  Over a pair, A's window points and
+    all of B's points are products of per-axis coordinates, and
+    fl(dx)^2 + fl(dy)^2 is least where each term is least, rounding being
+    monotone, so the pair's least distance is sqrt(min DX + min DY) with
+    the per-axis minima taken apart (`_pair_least_sq`).  No point is
+    gathered and no mask over the window is made, so the work and the
+    memory follow the lattices' edges near the window, not its area."""
     _check_finite(window)
-    cells = net._cells
-    r, first, count, coords = cells.spans(window)
-    keep, gx0, gy0 = _background_mask(cells, window)
-    if int(count[:, 0] @ count[:, 1]) + int(np.count_nonzero(keep)) < 2:
-        raise ValueError("window contains fewer than 2 points")
-    best = math.inf
-    # per lattice with window points and axis, the window's indices [first,
-    # first + count) and their neighbours, [a0, a1)
-    n = cells.n[r][:, None]
-    some = (count > 0).all(axis=1)[:, None]
-    gaps = (some & (n > 1)).ravel()
-    if gaps.any():
-        a0, a1 = np.maximum(first - 1, 0), np.minimum(first + count + 1, n)
-        best = math.sqrt(_least_sq_gap(cells.lo[r[gaps]], cells.step[r[gaps]], a0[gaps], a1[gaps]))
-    qx, qy = _near_squares(cells, keep, gx0, gy0)
-    if keep.any():
-        best = min(best, 1.0)
-    # per lattice and axis, whether index 0 and n - 1 are among the window's
-    lo, hi = some & (first == 0), some & (first + count == n) & (n > 1)
-    if not (lo.any() or hi.any() or len(qx)):
-        return best
-    x, y, row = _ring(lo, hi, count, coords)
     s = net.max_cell_spacing
     scale = max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1))
     reach = math.sqrt(2.0) * s * (1.0 + 1e-9) + 16.0 * math.ulp(scale + 2.0 * s)
-    rows, box, step, size = _near_lattices(cells, window.x0 - reach, window.y0 - reach,
-                                           window.x1 + reach, window.y1 + reach)
-    # each background centre's rectangle, the one that holds it
-    bg = box[len(rows):]
-    piece = len(rows) + np.nonzero((bg[:, 0] < qx[:, None]) & (qx[:, None] < bg[:, 2])
-                                   & (bg[:, 1] < qy[:, None]) & (qy[:, None] < bg[:, 3]))[1]
-    if (size[piece] > 1).any():
-        best = min(best, 1.0)
-    own = np.concatenate([np.searchsorted(rows, r[row]), piece])
-    return min(best, float(_cross_nearest(box, step, size, reach, np.concatenate([x, qx]),
-                                          np.concatenate([y, qy]), own).min()))
+    cells = net._cells
+    rows, box, step, n = _near_lattices(cells, window.x0 - reach, window.y0 - reach,
+                                        window.x1 + reach, window.y1 + reach)
+    first, end = _window_range(cells, window, rows, box, n)
+    count = end - first
+    if int(count[:, 0] @ count[:, 1]) < 2:
+        raise ValueError("window contains fewer than 2 points")
+    # each lattice's window indices widened by one on each side; empty for a
+    # lattice without window points
+    some = count.all(axis=1)
+    a0 = np.maximum(first - 1, 0)
+    best = _least_sq_gap(box[:, :2], step, a0, np.where(some[:, None], np.minimum(end + 1, n), a0))
+    ring = some & ((first == 0) | (end == n)).any(axis=1)
+    if ring.any():
+        wide = box + np.array([-0.5, -0.5, 0.5, 0.5]) * reach
+        a, b = (np.concatenate(v) for v in zip(*_meeting_pairs(wide)))
+        a, b = np.concatenate([a[ring[a]], b[ring[b]]]), np.concatenate([b[ring[a]], a[ring[b]]])
+        if len(a):
+            best = _pair_least_sq(box, step, n, first, count, a, b, best)
+    return math.sqrt(best)
 
 
-def _ring(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
-          coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, row): the window points of each lattice whose index is 0 or
-    n - 1 on an axis, and the row of `_Cells.spans` each belongs to, from
-    its count and coords and, per row and axis, whether index 0 (lo) and
-    n - 1 (hi) lie in the window.  They are runs of coordinates: per row
-    the columns a = 0 and n - 1, then the rows b = 0 and n - 1 without
-    those columns, so each point comes once and the work is the ring's,
-    not the window's."""
-    start = (np.cumsum(count) - count.ravel()).reshape(-1, 2)
-    end = start + count
-    xy, rows = ([], []), []
-    for k, v0, v1 in ((0, start[:, 1], end[:, 1]),
-                      (1, start[:, 0] + lo[:, 0], end[:, 0] - hi[:, 0])):
-        e = np.concatenate([np.flatnonzero(lo[:, k]), np.flatnonzero(hi[:, k])])
-        run, a = _runs(v0[e], (v1 - v0)[e])
-        xy[k].append(coords[np.concatenate([start[lo[:, k], k], end[hi[:, k], k] - 1])[run]])
-        xy[1 - k].append(coords[a])
-        rows.append(e[run])
-    return np.concatenate(xy[0]), np.concatenate(xy[1]), np.concatenate(rows)
+def _window_range(cells: _Cells, window: Rect, rows: np.ndarray, box: np.ndarray,
+                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, end): per lattice of a `_near_lattices` table (rows, box, n)
+    and axis, its indices [first, end) whose coordinates lie in the closed
+    window.  The cells' come from the table's spans, the background's from
+    the integers g whose centres g + 0.5 lie in it; a lattice without
+    window points on an axis has first == end there."""
+    r, f, c, _ = cells.spans(window)
+    first, end = np.zeros((2, len(box), 2), dtype=np.intp)
+    k = np.searchsorted(rows, r)
+    first[k], end[k] = f, f + c
+    (gx0, gx1), (gy0, gy1) = _centres(window.x0, window.x1), _centres(window.y0, window.y1)
+    k, origin = len(rows), box[len(rows):, :2].astype(np.intp)
+    first[k:] = np.minimum(np.maximum([gx0, gy0] - origin, 0), n[k:])
+    end[k:] = np.minimum(np.maximum([gx1, gy1] - origin, first[k:]), n[k:])
+    return first, end
 
 
 def _least_sq_gap(origin: np.ndarray, step: np.ndarray, a0: np.ndarray,
@@ -426,45 +393,53 @@ def _least_sq_gap(origin: np.ndarray, step: np.ndarray, a0: np.ndarray,
     """The least squared gap d * d, d = c[a + 1] - c[a], between adjacent
     lattice coordinates c[a] = origin + step * (a + 0.5) with a and a + 1
     in [a0, a1), over the rows and both axes (origin, a0 and a1 per row and
-    axis)."""
+    axis), or inf if there is no such pair.  The coordinates rise along a row, so d >= 0 and the least d
+    squared is the least d * d; they are made in place, a few arrays of
+    their length at a time."""
     row, a = _runs(a0.ravel(), (a1 - a0).ravel())
-    c = origin.ravel()[row] + step[row >> 1] * (a + 0.5)
-    d = (c[1:] - c[:-1])[row[1:] == row[:-1]]
-    return float((d * d).min())
+    c = a + 0.5
+    del a
+    c *= step[row >> 1]
+    c += origin.ravel()[row]
+    d = float((c[1:] - c[:-1])[row[1:] == row[:-1]].min(initial=math.inf))
+    return d * d
 
 
-def _cross_nearest(box: np.ndarray, step: np.ndarray, n: np.ndarray, reach: float,
-                   x: np.ndarray, y: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Per query (x[j], y[j]), a point of lattice own[j] of a
-    `_near_lattices` table (box, step, n), the least distance to the points
-    of the table's other lattices whose box lies nearer than reach to that
-    lattice's box (inf if there are none).  The pairs of lattices are
-    `_meeting_pairs` of the boxes widened by reach / 2, and the (query,
-    lattice) pairs they give are evaluated _PAIR_BATCH at a time.  On a
-    product lattice a query's squared distance dx*dx + dy*dy is least where
-    each term is least, DX and DY from `_sq_gaps`, so sqrt(min(DX + DY))
-    equals the scan's distance bit for bit."""
-    wide = box + np.array([-0.5, -0.5, 0.5, 0.5]) * reach
-    a, b = (np.concatenate(v) for v in zip(*_meeting_pairs(wide)))
-    src = np.concatenate([a, b])
-    other = np.concatenate([b, a])[np.argsort(src)]
-    deg = np.bincount(src, minlength=len(box))
-    # query j has the pairs [end[j] - per[j], end[j]) of all, and pair p
-    # of them is lattice other[first[j] + p]
-    per = deg[own]
-    end = np.cumsum(per)
-    first = (np.cumsum(deg) - deg)[own] - (end - per)
-    least = np.full(len(x), np.inf)
-    for p0 in range(0, int(end[-1]), _PAIR_BATCH):
-        p = np.arange(p0, min(p0 + _PAIR_BATCH, int(end[-1])))
-        j = np.searchsorted(end, p, side="right")
-        k = other[first[j] + p]
-        d = _sq_gaps(x[j], box[k, 0], step[k], n[k, 0])
-        d += _sq_gaps(y[j], box[k, 1], step[k], n[k, 1])
-        # a query's pairs are one run of p
-        run = np.flatnonzero(np.diff(j, prepend=-1))
-        least[j[run]] = np.minimum(least[j[run]], np.minimum.reduceat(d, run))
-    return np.sqrt(least, out=least)
+def _pair_least_sq(box: np.ndarray, step: np.ndarray, n: np.ndarray, first: np.ndarray,
+                   count: np.ndarray, a: np.ndarray, b: np.ndarray, best: float) -> float:
+    """The smaller of best and the least squared distance DX + DY from a
+    point of lattice a[p] with index in [first, first + count) of its row
+    (a column per axis, each count at least 1) to a point of lattice b[p],
+    over the pairs p of lattices of a `_near_lattices` table (box, step,
+    n).  On a product lattice each term is least apart: DX is the least
+    `_sq_gaps` from A's x coordinates, made as `_explicit_points` makes
+    them, to B's, and rounding is monotone, so the sum is the scan's
+    least squared distance bit for bit.  Per axis only A's coordinates
+    inside B's box, and the nearest one on each side of it, can be
+    nearest: from below the box, the gap to B's grows as a coordinate
+    falls.  The sum is at least either term, so each pair's axis with
+    fewer such coordinates is taken first, and the other only where the
+    first leaves the pair below best."""
+    # per pair and axis, A's indices [lo, lo + size), with the margin of an
+    # index that _lattice_span takes
+    o, h, end = box[a, :2], step[a], first[a] + count[a]
+    lo = np.clip(np.floor((box[b, :2] - o) / h[:, None]) - 1, first[a], end - 1).astype(np.intp)
+    size = np.clip(np.floor((box[b, 2:] - o) / h[:, None]) + 2, lo + 1, end).astype(np.intp) - lo
+
+    def least(p, k):
+        # per pair p[j], the least squared gap on its axis k[j]
+        m = size[p, k]
+        run, i = _runs(lo[p, k], m)
+        q, x = p[run], k[run]
+        d = _sq_gaps(o[q, x] + h[q] * (i + 0.5), box[b[q], x], step[b[q]], n[b[q], x])
+        return np.minimum.reduceat(d, np.cumsum(m) - m)
+
+    k = np.argmin(size, axis=1)
+    d = least(np.arange(len(a)), k)
+    p = np.flatnonzero(d < best)
+    if len(p):
+        best = min(best, float((d[p] + least(p, 1 - k[p])).min()))
+    return best
 
 
 def _sq_gaps(s: np.ndarray, origin, step, n) -> np.ndarray:

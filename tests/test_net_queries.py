@@ -12,14 +12,14 @@ coordinates of each in the window, and must return exactly what the full
 scan below returns; the former explicit-point enumerator, which stacked
 one array per cell found cell by cell, is the oracle for the in-place
 fill.  check_separation resolves every window point's neighbours on its
-own lattice in closed form, and queries only the lattice rings and the
-background centres near a square for points of the other lattices near
-them, from the same lattice table; the full scan of every window point
-over the candidate set with scipy's cKDTree is its oracle, and must agree
-exactly on windows at cell seams, square edges and gaps.  The points it
-queries are listed from the lattice table; the former classifier, which
-placed each window point in a cell by its coordinates, is kept as the
-oracle for that set."""
+own lattice in closed form, and pairs only the lattices whose window
+points reach their outer ring with the lattices near them, cells and
+background rectangles alike; the full scan of every window point over the
+candidate set with scipy's cKDTree is its oracle, and must agree exactly
+on windows at cell seams, square edges and gaps.  The former classifier,
+which placed each window point in a cell by its coordinates and marked
+the ring points and the background centres near a square, is kept as the
+oracle for the lattices that enter pairs."""
 
 import contextlib
 import dataclasses
@@ -161,18 +161,19 @@ def as_sorted_complex(pts):
 
 
 @contextlib.contextmanager
-def recording_cross_queries():
-    """A list that collects, inside the block, the points (an (n, 2) array
-    per call) check_separation queries for points of other lattices."""
+def recording_pairs():
+    """A list that collects, inside the block, the lattice pairs
+    check_separation evaluates: per call the table's boxes and the arrays
+    (a, b) of the pairs, a the lattice whose window points are measured."""
     calls = []
-    cross = netbuild._cross_nearest
+    pairs = netbuild._pair_least_sq
 
-    def record(box, step, n, reach, x, y, own):
-        calls.append(np.column_stack([x, y]))
-        return cross(box, step, n, reach, x, y, own)
+    def record(box, step, n, first, count, a, b, best):
+        calls.append((box, a, b))
+        return pairs(box, step, n, first, count, a, b, best)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netbuild, "_cross_nearest", record)
+        mp.setattr(netbuild, "_pair_least_sq", record)
         yield calls
 
 
@@ -415,6 +416,10 @@ HAND_MADE = netbuild.NetPlan(DENSE_TWO_TONE, (
     netbuild.ScheduleEntry(Rect(1.0, 1.0, 5.0, 5.0), 4, 2),
     netbuild.ScheduleEntry(Rect(7.0, 6.0, 23.0, 22.0), 16, 4)))
 
+# cells 1 wide of one point each
+ONE_POINT = functools.cache(lambda: build_net(netbuild.NetPlan(constant_field(0.5), (
+    netbuild.ScheduleEntry(Rect(0.0, 0.0, 4.0, 4.0), 4, 4),))))
+
 SEAM_NETS = {**{name: functools.partial(net, name) for name in PLANS},
              "limit-K4": limit_net,
              "dense-two-tone-K3": functools.cache(lambda: build_net(make_plan(DENSE_TWO_TONE, 3))),
@@ -492,27 +497,16 @@ class TestExactCovering:
         assert calls
         assert covering_exact(n(), window) == want
 
-    def test_a_benchmark_window_past_the_bounds_makes_no_cross_query(self):
+    def test_a_benchmark_window_past_the_bounds_goes_to_the_arrangement(self):
         # a net-windows window whose bounds leave a region open: the
         # arrangement alone resolves it
         window = Rect(138.09549897819105, 139.93484037233785,
                       146.09549897819105, 147.93484037233785)
-        with recording_cross_queries() as calls, recording_arrangements() as regions:
+        with recording_arrangements() as regions:
             got = check_covering(fresh(limit_net()), window)
-        assert calls == []
         assert regions
         assert got == 0.7299166773538549
         self.check(limit_net(), window)
-
-    @pytest.mark.parametrize("name", list(SEAM_NETS))
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_windows_at_seams_make_no_cross_query(self, name, data):
-        n = SEAM_NETS[name]()
-        window = data.draw(seam_windows(n))
-        with recording_cross_queries() as calls:
-            check_covering(n, window)
-        assert calls == []
 
     def test_the_arrangement_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.unique's first call imports numpy.ma, over a megabyte resident;
@@ -655,9 +649,9 @@ class TestIntegerSquares:
 
 class TestClosedFormSeparation:
     """check_separation resolves every window point's own-lattice neighbours
-    in closed form and queries only the ring points and the background
-    centres near a square for the other lattices; the values stay the full
-    scan's."""
+    in closed form and pairs only the lattices whose window points reach
+    their outer ring with the other lattices near them; the values stay
+    the full scan's."""
 
     @staticmethod
     def check(n, window):
@@ -706,77 +700,16 @@ class TestClosedFormSeparation:
         (lambda: net("lattice"), Rect(-3.3, 0.1, 5.2, 7.7)),
     ], ids=["cell", "limit-cell", "background", "between-squares", "lattice"])
     def test_windows_inside_one_lattice_make_no_cross_query(self, n, window):
-        with recording_cross_queries() as calls:
+        with recording_pairs() as calls:
             sep = check_separation(fresh(n()), window)
         assert calls == []
         assert sep == separation_by_full_scan(n(), window)
 
     def test_a_large_lattice_window_scans_no_point(self):
         # 128 x 256 centres, each with its nearest other point 1 away
-        with recording_cross_queries() as calls:
+        with recording_pairs() as calls:
             assert check_separation(fresh(net("lattice")), Rect(0.0, 0.0, 128.0, 256.0)) == 1.0
         assert calls == []
-
-    @pytest.mark.parametrize("name", list(SEAM_NETS))
-    def test_ring_lists_each_lattice_outer_ring_once(self, name):
-        # Net.points holds each cell's n x n points in one run, a-major
-        n = SEAM_NETS[name]()
-        cells = n._cells
-        want = np.concatenate([np.zeros(0, dtype=bool)] + [
-            np.pad(np.zeros((k - 2, k - 2), dtype=bool), 1, constant_values=True).ravel()
-            for k in cells.n.tolist()])
-        box = Rect(-1.0, -1.0, 1.0 + max((e.square.x1 for e in n.plan.schedule), default=0),
-                   1.0 + max((e.square.y1 for e in n.plan.schedule), default=0))
-        r, first, count, coords = cells.spans(box)
-        n_r = cells.n[r][:, None]
-        x, y, row = netbuild._ring(first == 0, (first + count == n_r) & (n_r > 1), count, coords)
-        got = np.isin(n.points[:, 0] + 1j * n.points[:, 1], x + 1j * y)
-        assert np.array_equal(got, want)
-        assert len(x) == want.sum()   # no point twice
-        # each with the row of its cell
-        k = r[row]
-        assert ((cells.x0[k] < x) & (x < cells.x1[k])
-                & (cells.y0[k] < y) & (y < cells.y1[k])).all()
-
-    def test_one_point_lattices_are_scanned_once(self):
-        # cells 1 wide of one point each: index 0 is also n - 1
-        n = build_net(netbuild.NetPlan(constant_field(0.5), (
-            netbuild.ScheduleEntry(Rect(0.0, 0.0, 4.0, 4.0), 4, 4),)))
-        assert n._cells.n.tolist() == [1] * 16
-        window = Rect(-1.0, -1.0, 5.0, 5.0)
-        with recording_cross_queries() as calls:
-            got = check_separation(fresh(n), window)
-        assert got == separation_by_full_scan(n, window) == 1.0
-        got = np.concatenate(calls)
-        assert np.array_equal(as_sorted_complex(got),
-                              as_sorted_complex(ring_by_classifying(n, window)))
-
-    @pytest.mark.parametrize("name", list(SEAM_NETS))
-    def test_near_squares_lists_background_centres_nearer_than_1_to_a_square(self, name):
-        n = SEAM_NETS[name]()
-        hi = 2.0 + max((e.square.x1 for e in n.plan.schedule), default=8.0)
-        for window in (Rect(-2.0, -2.0, hi, hi), Rect(-0.7, 0.4, hi - 1.3, hi - 0.6)):
-            pts, tags = n.points_in_window(window)
-            bg = pts[tags == 0]
-            want = near_square(n, bg[:, 0], bg[:, 1])
-            # on integer squares, the centres within 1 of one
-            touch = np.zeros(len(bg), dtype=bool)
-            for e in n.plan.schedule:
-                s = e.square
-                dx = np.maximum(np.maximum(s.x0 - bg[:, 0], bg[:, 0] - s.x1), 0.0)
-                dy = np.maximum(np.maximum(s.y0 - bg[:, 1], bg[:, 1] - s.y1), 0.0)
-                touch |= np.hypot(dx, dy) < 1.0
-            assert np.array_equal(touch, want)
-            keep, x0, y0 = netbuild._background_mask(n._cells, window)
-            x, y = netbuild._near_squares(n._cells, keep, x0, y0)
-            assert len(x) == want.sum()   # each once
-            assert np.array_equal(as_sorted_complex(np.column_stack([x, y])),
-                                  as_sorted_complex(bg[want]))
-            # the mask keeps the others
-            gx, gy = np.nonzero(keep)
-            far = np.column_stack([gx + x0 + 0.5, gy + y0 + 0.5])
-            assert np.array_equal(as_sorted_complex(far),
-                                  as_sorted_complex(bg[~want]))
 
     @staticmethod
     def lattice_points(box, step, size, k):
@@ -810,44 +743,191 @@ class TestClosedFormSeparation:
             assert np.array_equal(box[:len(rows)],
                                   np.column_stack([n._cells.lo[rows], n._cells.hi[rows]]))
 
-    @pytest.mark.parametrize("name", [name for name in SEAM_NETS if name != "lattice"])
-    def test_cross_nearest_equals_a_scan_of_the_other_lattices(self, name):
-        # the queries: about 40 points of each lattice in the window, its
-        # first and last among them
-        n = SEAM_NETS[name]()
-        reach = math.sqrt(2.0) * n.max_cell_spacing * (1.0 + 1e-9)
-        for window in self.seam_regions(n):
-            rows, box, step, size = netbuild._near_lattices(
-                n._cells, window.x0 - reach, window.y0 - reach,
-                window.x1 + reach, window.y1 + reach)
-            points = [self.lattice_points(box, step, size, k) for k in range(len(box))]
-            for k, pts in enumerate(points):
-                pts = pts[(pts[:, 0] >= window.x0) & (pts[:, 0] <= window.x1)
-                          & (pts[:, 1] >= window.y0) & (pts[:, 1] <= window.y1)]
-                if not len(pts):
-                    continue
-                pts = pts[np.unique(np.linspace(0, len(pts) - 1, 40).astype(int))]
-                want, _ = cKDTree(np.concatenate(points[:k] + points[k + 1:])).query(pts)
-                got = netbuild._cross_nearest(box, step, size, reach, pts[:, 0], pts[:, 1],
-                                              np.full(len(pts), k))
-                # a nearer point lies on a lattice within reach; a farther one may not
-                assert np.where(want < reach, got == want, got >= want).all()
+    @staticmethod
+    def window_range(box, step, size, k, window):
+        """(first, count): per axis, the indices of lattice k of a
+        `_near_lattices` table whose coordinates lie in the window."""
+        first, count = [], []
+        for a, lo, hi in ((0, window.x0, window.x1), (1, window.y0, window.y1)):
+            c = (np.arange(size[k, a]) + 0.5) * step[k] + box[k, a]
+            inside = np.flatnonzero((c >= lo) & (c <= hi))
+            first.append(inside[0] if len(inside) else 0)
+            count.append(len(inside))
+        return first, count
 
-    @pytest.mark.parametrize("name", ["limit-K4", "dense-two-tone-K3"])
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_scans_the_points_the_former_classifier_marked(self, name, data):
+    def test_window_range_is_each_lattice_s_indices_in_the_window(self, name, data):
         n = SEAM_NETS[name]()
         window = data.draw(seam_windows(n))
+        rows, box, step, size = netbuild._near_lattices(
+            n._cells, window.x0 - 2.0, window.y0 - 2.0, window.x1 + 2.0, window.y1 + 2.0)
+        first, end = netbuild._window_range(fresh(n)._cells, window, rows, box, size)
+        want = np.array([self.window_range(box, step, size, k, window)
+                         for k in range(len(box))], dtype=np.intp).reshape(-1, 2, 2)
+        # the same ranges for the lattices with window points, and none else
+        some = (want[:, 1] > 0).all(axis=1)
+        assert np.array_equal((end - first).prod(axis=1) > 0, some)
+        assert np.array_equal(first[some], want[some, 0])
+        assert np.array_equal(end[some] - first[some], want[some, 1])
+
+    @pytest.mark.parametrize("name", [name for name in SEAM_NETS if name != "lattice"])
+    def test_a_window_across_a_cut_pairs_two_background_rectangles(self, name):
+        # the background's rectangles are cut along the line through the last
+        # square's top edge, and the window crosses that line left of it
+        n = SEAM_NETS[name]()
+        s = n.plan.schedule[-1].square
+        window = Rect(s.x0 - 3.2, s.y1 - 2.3, s.x0 - 0.2, s.y1 + 2.4)
+        with recording_pairs() as calls:
+            self.check(n, window)
+        (box, a, b), = calls
+        cells = {tuple(c) for c in np.column_stack([n._cells.lo, n._cells.hi]).tolist()}
+        background = [tuple(c) not in cells for c in box.tolist()]
+        assert not all(background)
+        assert any(background[i] and background[j] for i, j in zip(a.tolist(), b.tolist()))
+
+    @pytest.mark.parametrize("name", [name for name in SEAM_NETS if name != "lattice"]
+                             + ["one-point"])
+    def test_pair_least_sq_equals_a_scan_of_the_pair(self, name):
+        # every ordered pair of the lattices near each region, whether its
+        # boxes touch, lie apart on one axis or on both
+        n = ONE_POINT() if name == "one-point" else SEAM_NETS[name]()
+        reach = math.sqrt(2.0) * n.max_cell_spacing * (1.0 + 1e-9)
+        kinds = set()
+        for window in self.seam_regions(n):
+            _, box, step, size = netbuild._near_lattices(
+                n._cells, window.x0 - reach, window.y0 - reach,
+                window.x1 + reach, window.y1 + reach)
+            ranges = np.array([self.window_range(box, step, size, k, window)
+                               for k in range(len(box))], dtype=np.intp).reshape(-1, 2, 2)
+            first, count = ranges[:, 0], ranges[:, 1]
+            trees = [cKDTree(self.lattice_points(box, step, size, k)) for k in range(len(box))]
+            for a in np.flatnonzero((count > 0).all(axis=1)):
+                (f0, f1), (c0, c1) = first[a], count[a]
+                pts = self.lattice_points(box, step, size, a).reshape(size[a, 0], size[a, 1], 2)
+                pts = pts[f0:f0 + c0, f1:f1 + c1].reshape(-1, 2)
+                for b in range(len(box)):
+                    if b == a:
+                        continue
+                    want = float(trees[b].query(pts)[0].min())
+                    got = netbuild._pair_least_sq(box, step, size, first, count,
+                                                  np.array([a]), np.array([b]), math.inf)
+                    assert math.sqrt(got) == want
+                    # a best below the pair's value is returned as it is
+                    assert netbuild._pair_least_sq(box, step, size, first, count, np.array([a]),
+                                                   np.array([b]), got / 2) == got / 2
+                    kinds.add(int(((box[a, :2] >= box[b, 2:]) | (box[b, :2] >= box[a, 2:])).sum()))
+            # all pairs at once give the least of them
+            a, b = (v.ravel() for v in np.meshgrid(np.flatnonzero((count > 0).all(axis=1)),
+                                                   np.arange(len(box)), indexing="ij"))
+            a, b = a[a != b], b[a != b]
+            want = min(netbuild._pair_least_sq(box, step, size, first, count, a[j:j + 1],
+                                               b[j:j + 1], math.inf) for j in range(len(a)))
+            assert netbuild._pair_least_sq(box, step, size, first, count, a, b,
+                                           math.inf) == want
+        # boxes apart (or touching) on one axis and overlapping on the other
+        assert 1 in kinds
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_pair_least_sq_on_random_lattice_pairs(self, data):
+        # lattice A above B, touching it or apart, and along the other axis
+        # starting up to its own width before or after B, with steps drawn
+        # apart; A's points a sub-range of its lattice; then, at random, the
+        # two axes swapped
+        h = np.array([data.draw(st.floats(0.05, 3.0)) for _ in range(2)])
+        size = np.array([[data.draw(st.integers(1, 8)) for _ in range(2)] for _ in range(2)])
+        ob = np.array([data.draw(st.floats(-20.0, 20.0)) for _ in range(2)])
+        top = ob[1] + h[1] * size[1, 1]
+        oa = np.array([ob[0] + data.draw(st.floats(-1.0, 1.0)) * h[0] * size[0, 0],
+                       top + data.draw(st.sampled_from([0.0]) | st.floats(0.0, 5.0))])
+        box = np.array([[*oa, *(oa + h[0] * size[0])], [*ob, *(ob + h[1] * size[1])]])
+        if data.draw(st.booleans()):
+            box, size = box[:, [1, 0, 3, 2]], size[:, ::-1].copy()
+        first = np.array([[data.draw(st.integers(0, k - 1)) for k in size[0]], [0, 0]])
+        count = np.array([[data.draw(st.integers(1, k - f)) for k, f in zip(size[0], first[0])],
+                          [1, 1]])
+        pts = self.lattice_points(box, h, size, 0).reshape(*size[0], 2)
+        pts = pts[first[0, 0]:first[0, 0] + count[0, 0], first[0, 1]:first[0, 1] + count[0, 1]]
+        want = float(cKDTree(self.lattice_points(box, h, size, 1)).query(
+            pts.reshape(-1, 2))[0].min())
+        got = netbuild._pair_least_sq(box, h, size, first, count, np.array([0]), np.array([1]),
+                                      math.inf)
+        assert math.sqrt(got) == want
+
+    @pytest.mark.parametrize("window", [
+        Rect(4.0, 16.2, 12.0, 16.8),    # inside the strip: only its own points 1 apart
+        Rect(0.3, 15.5, 15.7, 17.5),    # across it, over both squares' cells
+        Rect(-1.5, 16.0, 0.5, 17.0),    # at its end, beside the background
+    ])
+    def test_a_strip_between_two_squares(self, window):
+        # a unit strip of background centres between two squares of spacing 2:
+        # its own rectangle alone gives 1, every other lattice 1.5 or more
+        n = build_net(netbuild.NetPlan(constant_field(4.0), (
+            netbuild.ScheduleEntry(Rect(0.0, 0.0, 16.0, 16.0), 16, 2),
+            netbuild.ScheduleEntry(Rect(0.0, 17.0, 64.0, 81.0), 64, 4))))
+        assert n.max_cell_spacing == 2.0
+        self.check(n, window)
+
+    @staticmethod
+    def check_entering(n, window):
+        """The lattices check_separation pairs with others are those holding
+        a point `ring_by_classifying` marks, among the cells; among the
+        background rectangles they include those."""
         want = ring_by_classifying(n, window)
-        with recording_cross_queries() as calls:
+        with recording_pairs() as calls:
             try:
                 check_separation(fresh(n), window)
             except ValueError:
-                want = want[:0]   # fewer than 2 points: nothing is queried
+                want = want[:0]   # fewer than 2 points: no pair
         assert len(calls) <= 1
-        got = np.concatenate([np.empty((0, 2))] + calls)
-        assert np.array_equal(as_sorted_complex(got), as_sorted_complex(want))
+        if not calls:
+            assert len(want) == 0
+            return
+        (box, a, _), = calls
+        # the lattice of the table holding each marked point
+        holds = ((box[:, None, 0] < want[:, 0]) & (want[:, 0] < box[:, None, 2])
+                 & (box[:, None, 1] < want[:, 1]) & (want[:, 1] < box[:, None, 3]))
+        assert (holds.sum(axis=0) == 1).all()
+        cells = {tuple(b) for b in np.column_stack([n._cells.lo, n._cells.hi]).tolist()}
+        got = {tuple(b) for b in box[np.unique(a)].tolist()}
+        marked = {tuple(b) for b in box[holds.any(axis=1)].tolist()}
+        assert got & cells == marked & cells
+        # a background rectangle also enters where the window crosses a cut
+        # along the line through a square's edge, 1 from the centres beyond it
+        assert marked - cells <= got - cells
+
+    @pytest.mark.parametrize("name", list(SEAM_NETS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pairs_the_lattices_the_former_classifier_marked(self, name, data):
+        n = SEAM_NETS[name]()
+        self.check_entering(n, data.draw(seam_windows(n)))
+
+    @pytest.mark.parametrize("window", [
+        Rect(-1.0, -1.0, 5.0, 5.0), Rect(0.2, 0.3, 2.6, 1.1), Rect(3.5, -0.5, 4.5, 4.5)])
+    def test_one_point_lattices_enter_pairs(self, window):
+        # cells 1 wide of one point each: index 0 is also n - 1
+        n = ONE_POINT()
+        assert n._cells.n.tolist() == [1] * 16
+        self.check_entering(n, window)
+        self.check(n, window)
+
+    def test_a_mostly_background_window_peaks_below_8_mb(self):
+        n = build_net(make_plan(TWO_TONE, 4))
+        window = Rect(-2.0, -2.0, 6000.0, 6000.0)   # every square, and 36M unit squares
+        n._cells   # the lattice table, built beforehand
+        tracemalloc.start()
+        try:
+            got = check_separation(n, window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == 1.0
+        # 3.0 MB measured; a mask of the window's unit squares alone is 36 MB,
+        # and the check that built one peaked at 43 MB
+        assert peak <= 8 * 2 ** 20
 
 
 class TestSharedCandidates:
