@@ -44,6 +44,8 @@ class NetPlan:
         prev_side, prev_ratio = 0, math.inf
         for n, e in enumerate(self.schedule):
             sq = e.square
+            if isinstance(e.m, bool) or not isinstance(e.m, int) or e.m < 1:
+                raise ValueError(f"schedule entry {n}: m must be an int >= 1, got {e.m!r}")
             if not all(float(v).is_integer() for v in (sq.x0, sq.y0, sq.x1, sq.y1)):
                 raise ValueError(f"schedule entry {n}: {sq} has a corner off the integer grid")
             if not sq.width == sq.height == e.side:
@@ -143,7 +145,7 @@ class _Cells:
     x0 + step * (a + 0.5), y0 + step * (b + 0.5), a, b in [0, n), with
     step = cell / n for the square's cell width `cell`; rect holds (x0, y0,
     x1, y1) per row, and lo and hi are its halves.  It also keeps the
-    squares, and each as a row of `box`, and the last window's spans."""
+    squares, and each as a row of `box`."""
 
     def __init__(self, plan: NetPlan, counts):
         self.box = np.array([(e.square.x0, e.square.y0, e.square.x1, e.square.y1)
@@ -164,22 +166,10 @@ class _Cells:
         self.n = np.concatenate([np.empty(0, dtype=np.intp)]
                                 + [c.ravel() for c in counts]).astype(np.intp)
         self.step = np.repeat(cell, m * m) / self.n
-        self._last = None
 
     def meeting(self, x0: float, y0: float, x1: float, y1: float) -> np.ndarray:
         """The rows whose closed cell meets [x0, x1] x [y0, y1]."""
         return np.flatnonzero((self.x1 >= x0) & (self.x0 <= x1) & (self.y1 >= y0) & (self.y0 <= y1))
-
-    def spans(self, window: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(r, first, count, coords): the rows r whose cell meets the window,
-        and per row and axis the lattice coordinates in the window, as in
-        `_lattice_span`.  The table keeps the last window's."""
-        if self._last is None or self._last[0] != window:
-            r = self.meeting(window.x0, window.y0, window.x1, window.y1)
-            self._last = (window, r, *_lattice_span(np.array([window.x0, window.y0]),
-                                                    np.array([window.x1, window.y1]),
-                                                    self.lo[r], self.step[r], self.n[r]))
-        return self._last[1:]
 
 
 def _check_finite(window: Rect) -> None:
@@ -194,24 +184,26 @@ def _cell_edges(e: ScheduleEntry) -> tuple[list[float], list[float]]:
     return (e.square.x0 + steps).tolist(), (e.square.y0 + steps).tolist()
 
 
-def _lattice_span(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray, step: np.ndarray,
-                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row and axis, the lattice coordinates origin + step * (a + 0.5),
-    a in [0, n), that lie in [lo, hi] of that axis: (first such a, their
-    count, the coordinates), first and count as (rows, 2) arrays and the
-    coordinates of row 0's x, row 0's y, row 1's x and so on one after
-    another.  Only the a whose interval [origin + a step, origin + (a+1)
-    step] may meet [lo, hi] are made."""
-    h, m = step[:, None], n[:, None]
-    first = np.minimum(np.maximum(np.floor((lo - origin) / h) - 1, 0), m).astype(np.intp).ravel()
-    stop = np.minimum(np.maximum(np.floor((hi - origin) / h) + 2, 0), m).astype(np.intp).ravel()
-    # run 2 r + k is axis k of row r
-    row, a = _runs(first, np.maximum(stop - first, 0))
-    c = origin.ravel()[row] + step[row >> 1] * (a + 0.5)
-    axis = row & 1
-    below, keep = c < lo[axis], (c >= lo[axis]) & (c <= hi[axis])
-    return ((first + np.bincount(row[below], minlength=len(first))).reshape(-1, 2),
-            np.bincount(row[keep], minlength=len(first)).reshape(-1, 2), c[keep])
+def _window_range(window: Rect, box: np.ndarray, step: np.ndarray,
+                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, end): per lattice of a table (box, step, n) and axis, the
+    indices [first, end) of a in [0, n) whose coordinate origin + step *
+    (a + 0.5), origin the box's corner (x0, y0), lies in the closed window;
+    on an axis without such a coordinate first == end.  n has a column per
+    axis, or one for both.  Each bound is the first index whose coordinate
+    reaches an edge, the high edge taken as nextafter(hi, inf).  The
+    estimate t = floor((edge - origin) / step - 0.5) lies at most two
+    indices below it and never above it, so t steps up while its
+    coordinate, made as `_explicit_points` makes it, lies below the edge,
+    at most twice."""
+    edge = np.array([[[window.x0, window.y0]], [[math.nextafter(window.x1, math.inf),
+                                                  math.nextafter(window.y1, math.inf)]]])
+    origin, h = box[:, :2], step[:, None]
+    t = np.floor((edge - origin) / h - 0.5)
+    for _ in range(2):
+        t += origin + h * (t + 0.5) < edge
+    first, end = np.minimum(np.maximum(t, 0), n).astype(np.intp)
+    return first, end
 
 
 def _explicit_points(cells: _Cells, window: Rect,
@@ -221,7 +213,13 @@ def _explicit_points(cells: _Cells, window: Rect,
     `spare` rows more for the caller to fill.  The window's points of a
     lattice are the product of its x and y coordinates in the window, each
     written in place as one block."""
-    r, _, count, coords = cells.spans(window)
+    r = cells.meeting(window.x0, window.y0, window.x1, window.y1)
+    box, step = cells.rect[r], cells.step[r]
+    a0, a1 = _window_range(window, box, step, cells.n[r, None])
+    count = a1 - a0
+    # run 2 j + k is axis k of row r[j]
+    row, a = _runs(a0.ravel(), count.ravel())
+    coords = box[:, :2].ravel()[row] + step[row >> 1] * (a + 0.5)
     la, lb = count.T
     size = int(la @ lb) + spare
     points, tags = np.empty((size, 2)), np.empty(size, dtype=int)
@@ -258,14 +256,14 @@ def _centres(lo: float, hi: float) -> tuple[int, int]:
 
 
 def _near_lattices(cells: _Cells, x0: float, y0: float, x1: float,
-                   y1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, box, step, n): product lattices holding every net point in
+                   y1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(box, step, n): product lattices holding every net point in
     [x0, x1] x [y0, y1].  They are the lattice table's rows whose cell meets
     it, then the background's unit-square centres in its integer box, cut
     into rectangles by the unit squares each scheduled square contains,
     each a product lattice of step 1.  Per lattice, box holds its rectangle
     x0, y0, x1, y1, whose corner (x0, y0) is its origin, and n has a column
-    per axis; rows are the table rows of the first len(rows) lattices."""
+    per axis."""
     r = cells.meeting(x0, y0, x1, y1)
     pieces = [Rect(math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1))]
     for sq in cells.squares:
@@ -275,7 +273,7 @@ def _near_lattices(cells: _Cells, x0: float, y0: float, x1: float,
     box = np.concatenate([cells.rect[r], bg])
     step = np.concatenate([cells.step[r], np.ones(len(bg))])
     n = np.concatenate([cells.n[r, None].repeat(2, axis=1), (bg[:, 2:] - bg[:, :2]).astype(np.intp)])
-    return r, box, step, n
+    return box, step, n
 
 
 def build_net(plan: NetPlan) -> Net:
@@ -348,10 +346,9 @@ def check_separation(net: Net, window: Rect) -> float:
     s = net.max_cell_spacing
     scale = max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1))
     reach = math.sqrt(2.0) * s * (1.0 + 1e-9) + 16.0 * math.ulp(scale + 2.0 * s)
-    cells = net._cells
-    rows, box, step, n = _near_lattices(cells, window.x0 - reach, window.y0 - reach,
-                                        window.x1 + reach, window.y1 + reach)
-    first, end = _window_range(cells, window, rows, box, n)
+    box, step, n = _near_lattices(net._cells, window.x0 - reach, window.y0 - reach,
+                                  window.x1 + reach, window.y1 + reach)
+    first, end = _window_range(window, box, step, n)
     count = end - first
     if int(count[:, 0] @ count[:, 1]) < 2:
         raise ValueError("window contains fewer than 2 points")
@@ -368,24 +365,6 @@ def check_separation(net: Net, window: Rect) -> float:
         if len(a):
             best = _pair_least_sq(box, step, n, first, count, a, b, best)
     return math.sqrt(best)
-
-
-def _window_range(cells: _Cells, window: Rect, rows: np.ndarray, box: np.ndarray,
-                  n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, end): per lattice of a `_near_lattices` table (rows, box, n)
-    and axis, its indices [first, end) whose coordinates lie in the closed
-    window.  The cells' come from the table's spans, the background's from
-    the integers g whose centres g + 0.5 lie in it; a lattice without
-    window points on an axis has first == end there."""
-    r, f, c, _ = cells.spans(window)
-    first, end = np.zeros((2, len(box), 2), dtype=np.intp)
-    k = np.searchsorted(rows, r)
-    first[k], end[k] = f, f + c
-    (gx0, gx1), (gy0, gy1) = _centres(window.x0, window.x1), _centres(window.y0, window.y1)
-    k, origin = len(rows), box[len(rows):, :2].astype(np.intp)
-    first[k:] = np.minimum(np.maximum([gx0, gy0] - origin, 0), n[k:])
-    end[k:] = np.minimum(np.maximum([gx1, gy1] - origin, first[k:]), n[k:])
-    return first, end
 
 
 def _least_sq_gap(origin: np.ndarray, step: np.ndarray, a0: np.ndarray,
@@ -420,8 +399,8 @@ def _pair_least_sq(box: np.ndarray, step: np.ndarray, n: np.ndarray, first: np.n
     falls.  The sum is at least either term, so each pair's axis with
     fewer such coordinates is taken first, and the other only where the
     first leaves the pair below best."""
-    # per pair and axis, A's indices [lo, lo + size), with the margin of an
-    # index that _lattice_span takes
+    # per pair and axis, A's indices [lo, lo + size): those whose interval
+    # [o + a h, o + (a + 1) h] may meet B's box, and one more on each side
     o, h, end = box[a, :2], step[a], first[a] + count[a]
     lo = np.clip(np.floor((box[b, :2] - o) / h[:, None]) - 1, first[a], end - 1).astype(np.intp)
     size = np.clip(np.floor((box[b, 2:] - o) / h[:, None]) + 2, lo + 1, end).astype(np.intp) - lo
@@ -489,8 +468,8 @@ def check_covering(net: Net, window: Rect) -> float:
     s = net.max_cell_spacing
     ulp = math.ulp(max(abs(v) for v in (window.x0, window.y0, window.x1, window.y1)) + 2.0 * s)
     reach = s * (1.0 + 1e-9) / math.sqrt(2.0) + 16.0 * ulp
-    _, box, step, n = _near_lattices(net._cells, window.x0 - reach, window.y0 - reach,
-                                     window.x1 + reach, window.y1 + reach)
+    box, step, n = _near_lattices(net._cells, window.x0 - reach, window.y0 - reach,
+                                  window.x1 + reach, window.y1 + reach)
     lo = np.maximum(box[:, :2], [window.x0, window.y0])
     hi = np.minimum(box[:, 2:], [window.x1, window.y1])
     k = np.flatnonzero((lo <= hi).all(axis=1))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,14 +62,21 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             NetPlan(TWO_TONE, (ScheduleEntry(Rect(0, 0, 4, 4), 4, 2),))
 
-    @pytest.mark.parametrize("entry", [ScheduleEntry(Rect(0, 0, 4, 4), 8, 2),
-                                       ScheduleEntry(Rect(0, 0, 4, 8), 4, 2)],
-                             ids=["smaller-than-side", "not-square"])
-    def test_square_must_be_side_by_side(self, entry):
+    @pytest.mark.parametrize("entry, match", [
+        (ScheduleEntry(Rect(0, 0, 4, 4), 8, 2), r"Rect\(.*\) is not \d x \d$"),
+        (ScheduleEntry(Rect(0, 0, 4, 8), 4, 2), r"Rect\(.*\) is not \d x \d$"),
+        *[(ScheduleEntry(Rect(0, 0, 4, 4), 4, m),
+           f"m must be an int >= 1, got {re.escape(repr(m))}$")
+          for m in (0, -1, 1.5, 2.0, True, np.int64(2))],
+    ], ids=["smaller-than-side", "not-square", "m-0", "m-negative", "m-1.5", "m-2.0", "m-True",
+            "m-numpy-int"])
+    def test_square_must_be_side_by_side(self, entry, match):
         # filling a 4 x 4 square as side 8 puts points on background
         # centers (separation 0); filling only 4 x 4 of a 4 x 8 square
-        # leaves a hole in the net
-        with pytest.raises(ValueError, match=r"schedule entry 0: Rect\(.*\) is not \d x \d$"):
+        # leaves a hole in the net.  m counts cells per side, as PLMap's nx
+        # and ny do: m = 0 divided by zero, and a float, bool or numpy m
+        # failed later with a TypeError
+        with pytest.raises(ValueError, match=r"schedule entry 0: " + match):
             NetPlan(constant_field(1.0), (entry,))
 
     def test_entry_with_a_possibly_empty_cell_rejected(self):

@@ -333,17 +333,25 @@ def windows(draw, name):
 @st.composite
 def edge_windows(draw, name):
     """Windows whose edges lie exactly on cell boundaries (square edges
-    among them) or on coordinates of explicit points, or 1e-9 beside one;
-    the window is 1e-9 thin on an axis whose two edges coincide."""
-    n = net(name)
+    among them), on coordinates of explicit points or on background
+    centres g + 0.5, or 1e-9 or one ulp beside one; the window is 1e-9
+    thin on an axis whose two edges coincide."""
+    n = SEAM_NETS[name]()
     cuts = [v for e in n.plan.schedule for i in range(e.m + 1)
             for v in (e.square.x0 + i * (e.side / e.m), e.square.y0 + i * (e.side / e.m))]
     grid = np.unique(n.points).tolist()
-    on = st.sampled_from(cuts) | st.sampled_from(grid)
-    nudge = st.sampled_from([0.0, 0.0, -1e-9, 1e-9])
+    hi = max((e.square.x1 for e in n.plan.schedule), default=8.0)
+    centres = [g + 0.5 for g in range(-3, int(hi) + 3)]
+    on = st.one_of(*(st.sampled_from(v) for v in (cuts, grid, centres) if v))
+    # an infinite nudge moves the edge one ulp toward it
+    nudge = st.sampled_from([0.0, 0.0, -1e-9, 1e-9, -math.inf, math.inf])
+
+    def edge():
+        v, d = draw(on), draw(nudge)
+        return math.nextafter(v, d) if math.isinf(d) else v + d
 
     def span():
-        lo, hi = sorted((draw(on) + draw(nudge), draw(on) + draw(nudge)))
+        lo, hi = sorted((edge(), edge()))
         return (lo, lo + 1e-9) if hi <= lo else (lo, hi)
 
     (x0, x1), (y0, y1) = span(), span()
@@ -731,8 +739,9 @@ class TestClosedFormSeparation:
     def test_near_lattices_hold_the_points_of_their_region(self, name):
         n = SEAM_NETS[name]()
         for region in self.seam_regions(n):
-            rows, box, step, size = netbuild._near_lattices(
+            box, step, size = netbuild._near_lattices(
                 n._cells, region.x0, region.y0, region.x1, region.y1)
+            rows = n._cells.meeting(region.x0, region.y0, region.x1, region.y1)
             pts = np.concatenate([self.lattice_points(box, step, size, k)
                                   for k in range(len(box))])
             inside = ((pts[:, 0] >= region.x0) & (pts[:, 0] <= region.x1)
@@ -760,10 +769,10 @@ class TestClosedFormSeparation:
     @given(data=st.data())
     def test_window_range_is_each_lattice_s_indices_in_the_window(self, name, data):
         n = SEAM_NETS[name]()
-        window = data.draw(seam_windows(n))
-        rows, box, step, size = netbuild._near_lattices(
+        window = data.draw(seam_windows(n) | edge_windows(name))
+        box, step, size = netbuild._near_lattices(
             n._cells, window.x0 - 2.0, window.y0 - 2.0, window.x1 + 2.0, window.y1 + 2.0)
-        first, end = netbuild._window_range(fresh(n)._cells, window, rows, box, size)
+        first, end = netbuild._window_range(window, box, step, size)
         want = np.array([self.window_range(box, step, size, k, window)
                          for k in range(len(box))], dtype=np.intp).reshape(-1, 2, 2)
         # the same ranges for the lattices with window points, and none else
@@ -771,6 +780,8 @@ class TestClosedFormSeparation:
         assert np.array_equal((end - first).prod(axis=1) > 0, some)
         assert np.array_equal(first[some], want[some, 0])
         assert np.array_equal(end[some] - first[some], want[some, 1])
+        # an axis without window coordinates has an empty range
+        assert np.array_equal(first[want[:, 1] == 0], end[want[:, 1] == 0])
 
     @pytest.mark.parametrize("name", [name for name in SEAM_NETS if name != "lattice"])
     def test_a_window_across_a_cut_pairs_two_background_rectangles(self, name):
@@ -796,7 +807,7 @@ class TestClosedFormSeparation:
         reach = math.sqrt(2.0) * n.max_cell_spacing * (1.0 + 1e-9)
         kinds = set()
         for window in self.seam_regions(n):
-            _, box, step, size = netbuild._near_lattices(
+            box, step, size = netbuild._near_lattices(
                 n._cells, window.x0 - reach, window.y0 - reach,
                 window.x1 + reach, window.y1 + reach)
             ranges = np.array([self.window_range(box, step, size, k, window)
@@ -953,6 +964,27 @@ class TestSharedCandidates:
         # and a bucket index over it peaked at 80 MB and kept 32 MB
         assert peak <= 16 * 2 ** 20
         assert kept <= 2 ** 20
+
+    def test_window_queries_keep_nothing_on_the_net(self):
+        # check-net --K 5's net and default window: the limit density of
+        # depth 2, and its squares with a margin of 2
+        squares = [(Rect(2.0 ** -(k + 1), 2.0 ** -(k + 1), 2.0 ** -k, 2.0 ** -k), k)
+                   for k in (1, 2)]
+        n = build_net(make_plan(assemble_limit_density(1.0, squares), 5))
+        third, hi = (n.plan.schedule[k].square.x1 + 2.0 for k in (2, -1))
+        n._cells, n.max_cell_spacing   # the lattice table and spacing, built beforehand
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            # points_in_window up to the third square: on the default window
+            # it makes 29.8M rows
+            assert len(n.points_in_window(Rect(-2.0, -2.0, third, third))[0]) > 0
+            assert check_separation(n, Rect(-2.0, -2.0, hi, hi)) == 1.0
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a cache of the window's coordinates held 2.34 MiB
+        assert after - before <= 64 * 2 ** 10
 
     def test_nets_queried_on_equal_windows_match_fresh_calls(self):
         nets = [fresh(net("two-tone-K2")), fresh(net("constant-4-K1"))]
