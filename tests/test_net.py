@@ -73,9 +73,8 @@ class TestMakePlan:
     def test_square_must_be_side_by_side(self, entry, match):
         # filling a 4 x 4 square as side 8 puts points on background
         # centers (separation 0); filling only 4 x 4 of a 4 x 8 square
-        # leaves a hole in the net.  m counts cells per side, as PLMap's nx
-        # and ny do: m = 0 divided by zero, and a float, bool or numpy m
-        # failed later with a TypeError
+        # leaves a hole in the net.  m counts cells per side, an int >= 1 as
+        # PLMap's nx and ny are, so bools and numpy ints are refused too
         with pytest.raises(ValueError, match=r"schedule entry 0: " + match):
             NetPlan(constant_field(1.0), (entry,))
 

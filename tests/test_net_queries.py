@@ -783,6 +783,24 @@ class TestClosedFormSeparation:
         # an axis without window coordinates has an empty range
         assert np.array_equal(first[want[:, 1] == 0], end[want[:, 1] == 0])
 
+    @pytest.mark.parametrize("origin, step", [(2.2, 1 / 7), (2.2, 2 / 21), (1 / 3, 2 / 21),
+                                              (2.2, 1 / 11)])
+    def test_window_range_with_edges_on_and_beside_every_coordinate(self, origin, step):
+        # on these lattices an edge one ulp above some coordinates has its
+        # first estimate two indices below the bound, so the second step is
+        # taken; the seam nets' lattices never need it
+        size = np.array([[200, 200]])
+        box = np.array([[origin, origin, origin + 200 * step, origin + 200 * step]])
+        c = (np.arange(200) + 0.5) * step + origin
+        for a in range(199):
+            lo, hi = c[a], c[a + 1]
+            for x0, x1, want in ((lo, hi, [a, a + 2]),
+                                 (math.nextafter(lo, math.inf), hi, [a + 1, a + 2]),
+                                 (lo, math.nextafter(hi, -math.inf), [a, a + 1])):
+                first, end = netbuild._window_range(Rect(x0, x0, x1, x1), box,
+                                                    np.array([step]), size)
+                assert [first.tolist(), end.tolist()] == [[[want[0]] * 2], [[want[1]] * 2]]
+
     @pytest.mark.parametrize("name", [name for name in SEAM_NETS if name != "lattice"])
     def test_a_window_across_a_cut_pairs_two_background_rectangles(self, name):
         # the background's rectangles are cut along the line through the last
