@@ -224,6 +224,43 @@ def _integrate(box: np.ndarray, val: np.ndarray, default: float,
     return total + default * (r_area - covered)
 
 
+def _integrate_grid(box: np.ndarray, val: np.ndarray, default: float,
+                    xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`_integrate` over every cell [xs[i], xs[i+1]] x [ys[j], ys[j+1]] of a
+    grid with nondecreasing edges, as a (len(xs) - 1, len(ys) - 1) array,
+    bit for bit, from the (field cell, grid cell) pairs that can meet.
+
+    A field cell [x0, x1] meets column i in an interval of positive length
+    only if xs[i] < x1 and xs[i+1] > x0, that is for i in
+    [searchsorted(xs, x0, "right") - 1, searchsorted(xs, x1, "left")),
+    clipped to the grid, and likewise for rows; every other pair's area
+    is +0.0.  Each pair keeps `_integrate`'s float operations, and
+    np.bincount adds its weights in input order starting from 0.0 (no
+    term is -0.0, so 0.0 + t is t), so with the pairs in cell-major order
+    each grid cell's terms are added in cell order, as the cumsum adds
+    them; the skipped +0.0 terms change no partial sum.  On a strictly increasing grid the pairs are those
+    whose interiors meet, at most the faces of the overlay of the cells
+    and the grid: O(cells * m + m^2) for an m x m grid in the worst case,
+    against the cells * m^2 of the dense product."""
+    mx, my = len(xs) - 1, len(ys) - 1
+    i0 = np.clip(np.searchsorted(xs, box[:, 0], "right") - 1, 0, mx)
+    i1 = np.minimum(np.searchsorted(xs, box[:, 2], "left"), mx)
+    j0 = np.clip(np.searchsorted(ys, box[:, 1], "right") - 1, 0, my)
+    j1 = np.minimum(np.searchsorted(ys, box[:, 3], "left"), my)
+    # per cell its columns, then per (cell, column) its rows
+    cell, i = _runs(i0, np.maximum(i1 - i0, 0))
+    pair, j = _runs(j0[cell], np.maximum(j1 - j0, 0)[cell])
+    cell, i = cell[pair], i[pair]
+    w = np.minimum(box[cell, 2], xs[i + 1]) - np.maximum(box[cell, 0], xs[i])
+    h = np.minimum(box[cell, 3], ys[j + 1]) - np.maximum(box[cell, 1], ys[j])
+    area = np.maximum(w, 0.0) * np.maximum(h, 0.0)
+    g = i * my + j
+    total = np.bincount(g, val[cell] * area, minlength=mx * my)
+    covered = np.bincount(g, area, minlength=mx * my)
+    r_area = ((xs[1:] - xs[:-1])[:, None] * (ys[1:] - ys[:-1])).ravel()
+    return (total + default * (r_area - covered)).reshape(mx, my)
+
+
 def make_checkerboard(N: int, c: float) -> DensityField:
     """Alternating density on [0,1] x [0,1/N]: value 1 where floor(N*x)
     is even, 1+c where it is odd.  All N vertical strips are listed as

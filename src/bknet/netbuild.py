@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, _distinct, _integrate
+from .density import DensityField, _distinct, _integrate_grid
 from .geometry import Rect, Similarity, UNIT_SQUARE, _meeting_pairs, _runs, first_overlap
 
 
@@ -294,11 +294,7 @@ def build_net(plan: NetPlan) -> Net:
         scale = e.side / dom.width
         phi = Similarity(scale, e.square.x0 - dom.x0 * scale, e.square.y0 - dom.y0 * scale)
         box_k = box * phi.scale + np.array([phi.tx, phi.ty, phi.tx, phi.ty])
-        xs, ys = np.array(_cell_edges(e))
-        # one call per row of cells: cell (i, j) for j = 0..m-1
-        mass = np.array([_integrate(box_k, inv_val, inv_default, np.column_stack(
-            [np.full(e.m, xs[i]), ys[:-1], np.full(e.m, xs[i + 1]), ys[1:]]))
-            for i in range(e.m)])
+        mass = _integrate_grid(box_k, inv_val, inv_default, *np.array(_cell_edges(e)))
         n_arr = np.floor(np.sqrt(mass)).astype(int)
         if not n_arr.all():
             raise ValueError(f"empty cell in square {idx}: plan invariant violated")
