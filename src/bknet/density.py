@@ -238,18 +238,22 @@ def _integrate_grid(box: np.ndarray, val: np.ndarray, default: float,
     np.bincount adds its weights in input order starting from 0.0 (no
     term is -0.0, so 0.0 + t is t), so with the pairs in cell-major order
     each grid cell's terms are added in cell order, as the cumsum adds
-    them; the skipped +0.0 terms change no partial sum.  On a strictly increasing grid the pairs are those
-    whose interiors meet, at most the faces of the overlay of the cells
-    and the grid: O(cells * m + m^2) for an m x m grid in the worst case,
-    against the cells * m^2 of the dense product."""
+    them; the skipped +0.0 terms change no partial sum.
+
+    On a strictly increasing grid the pairs are those whose interiors
+    meet, at most the faces of the overlay of the cells and the grid:
+    O(cells * m + m^2) for an m x m grid in the worst case, against the
+    cells * m^2 of the dense product.  A cell's ranges are never reversed,
+    as x0 < x1 gives searchsorted(xs, x0, "right") <= searchsorted(xs,
+    x1, "left")."""
     mx, my = len(xs) - 1, len(ys) - 1
     i0 = np.clip(np.searchsorted(xs, box[:, 0], "right") - 1, 0, mx)
     i1 = np.minimum(np.searchsorted(xs, box[:, 2], "left"), mx)
     j0 = np.clip(np.searchsorted(ys, box[:, 1], "right") - 1, 0, my)
     j1 = np.minimum(np.searchsorted(ys, box[:, 3], "left"), my)
     # per cell its columns, then per (cell, column) its rows
-    cell, i = _runs(i0, np.maximum(i1 - i0, 0))
-    pair, j = _runs(j0[cell], np.maximum(j1 - j0, 0)[cell])
+    cell, i = _runs(i0, i1 - i0)
+    pair, j = _runs(j0[cell], (j1 - j0)[cell])
     cell, i = cell[pair], i[pair]
     w = np.minimum(box[cell, 2], xs[i + 1]) - np.maximum(box[cell, 0], xs[i])
     h = np.minimum(box[cell, 3], ys[j + 1]) - np.maximum(box[cell, 1], ys[j])

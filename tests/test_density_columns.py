@@ -25,6 +25,7 @@ from bknet import (
     toy_constants,
     transplant,
 )
+from bknet.density import _integrate, _integrate_grid
 from bknet.plmap import _centroid_densities
 from oracles import contains_point_half_open, replace_region_subtract_all
 
@@ -173,6 +174,41 @@ def probes(field, rng, n=300):
     return pts
 
 
+def one_cell_grid(field, r):
+    """_integrate_grid on the 1 x 1 grid [r.x0, r.x1] x [r.y0, r.y1]."""
+    return _integrate_grid(*field._columns, field.default, np.array([r.x0, r.x1]),
+                           np.array([r.y0, r.y1]))[0, 0]
+
+
+@st.composite
+def built_fields(draw):
+    """A hierarchy level field or a limit density, with drawn constants."""
+    c = draw(st.floats(0.25, 1.0))
+    if draw(st.booleans()):
+        L = draw(st.floats(1.5, 3.0))
+        N, M, depth = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return build_hierarchy(L, c, depth, toy_constants(L, c, N=N, M=M))[0]
+    return limit_density(draw(st.integers(1, 4)), c)
+
+
+@st.composite
+def grid_edges(draw, field, axis):
+    """m + 1 nondecreasing edges, m in 1..16, on one axis of the field: a
+    uniform grid between two drawn ends, or sorted drawn edges.  Edges are
+    drawn up to half the domain's span outside it, or as the cells' and
+    the domain's edges, so grids reach past the cells, cells lie wholly
+    outside them, and grid lines fall on cell edges."""
+    lo, hi = (field.domain.x0, field.domain.x1) if axis == 0 else (field.domain.y0, field.domain.y1)
+    box = field._columns[0]
+    on_edges = np.unique(np.concatenate([box[:, [axis, axis + 2]].ravel(), [lo, hi]])).tolist()
+    edge = st.one_of(st.floats(lo - (hi - lo) / 2, hi + (hi - lo) / 2), st.sampled_from(on_edges))
+    m = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        a, b = sorted(draw(st.lists(edge, min_size=2, max_size=2, unique=True)))
+        return a + (b - a) * np.arange(m + 1) / m
+    return np.sort(draw(st.lists(edge, min_size=m + 1, max_size=m + 1)))
+
+
 # ---------------------------------------------------------------------------
 
 class TestIntegrate:
@@ -181,6 +217,7 @@ class TestIntegrate:
     def test_random_fields_bitwise(self, field, rects):
         for r in rects + [field.domain]:
             assert bits(field.integrate(r)) == bits(loop_integrate(field, r))
+            assert bits(field.integrate(r)) == bits(one_cell_grid(field, r))
 
     @pytest.mark.parametrize("make", REAL)
     def test_real_fields_bitwise(self, make):
@@ -195,6 +232,7 @@ class TestIntegrate:
                 rects.append(Rect(x0, y0, x1, y1))
         for r in rects:
             assert bits(field.integrate(r)) == bits(loop_integrate(field, r))
+            assert bits(field.integrate(r)) == bits(one_cell_grid(field, r))
 
     def test_edge_contact_is_skipped(self):
         # the rectangle touches the 3.0 cell only along x = 1; the 5.0 cell
@@ -216,6 +254,50 @@ class TestIntegrate:
         r = Rect(0.01, 0.01, 1.99, 0.99)
         want = loop_integrate(field, r)
         assert bits(field.integrate(r)) == bits(want)
+
+
+class TestIntegrateGrid:
+    """build_net's integrals come from the cells' overlaps with the grid;
+    they must be the cell-order loop's floats for every grid cell."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_built_fields_match_loop(self, data):
+        field = data.draw(built_fields())
+        xs, ys = data.draw(grid_edges(field, 0)), data.draw(grid_edges(field, 1))
+        box, val = field._columns
+        got = _integrate_grid(box, val, field.default, xs, ys)
+        assert got.shape == (len(xs) - 1, len(ys) - 1) and got.dtype == np.float64
+        # every grid cell, zero-width ones included, as the dense scan gives it
+        rects = np.array([(xs[i], ys[j], xs[i + 1], ys[j + 1])
+                          for i in range(len(xs) - 1) for j in range(len(ys) - 1)])
+        assert got.ravel().tobytes() == _integrate(box, val, field.default, rects).tobytes()
+        for (i, j), v in np.ndenumerate(got):
+            if xs[i] < xs[i + 1] and ys[j] < ys[j + 1]:
+                r = Rect(xs[i], ys[j], xs[i + 1], ys[j + 1])
+                assert bits(v) == bits(loop_integrate(field, r))
+
+    def test_touching_grid_lines_add_nothing(self):
+        # the grid's line x = 1 is the 3.0 cell's left edge, and y = 1 the
+        # 5.0 cell's bottom edge; the last column and row lie past the domain
+        field = DensityField(DOMAIN, 1.5, ((Rect(1.0, 0.0, 2.0, 0.5), 3.0),
+                                           (Rect(1.0, 1.0, 1.5, 1.5), 5.0)))
+        xs, ys = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0, 2.5])
+        got = _integrate_grid(*field._columns, field.default, xs, ys)
+        want = [[loop_integrate(field, Rect(xs[i], ys[j], xs[i + 1], ys[j + 1]))
+                 for j in range(3)] for i in range(3)]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got[0].tolist() == [1.5, 1.5, 0.75]
+        assert got[2].tolist() == [1.5, 1.5, 0.75]
+
+    def test_no_cells_and_cells_outside(self):
+        xs, ys = np.array([0.25, 0.5, 1.25]), np.array([0.0, 0.75])
+        empty = DensityField(DOMAIN, 1.0 / 3)
+        far = DensityField(DOMAIN, 1.0 / 3, ((Rect(1.5, 1.5, 2.0, 2.0), 7.0),))
+        for field in (empty, far):
+            got = _integrate_grid(*field._columns, field.default, xs, ys)
+            want = [loop_integrate(field, Rect(xs[i], 0.0, xs[i + 1], 0.75)) for i in range(2)]
+            assert got.tobytes() == np.array(want)[:, None].tobytes()
 
 
 class TestValuesAt:
