@@ -146,8 +146,8 @@ class DensityField:
         """Exact integral over r (r must lie inside the domain)."""
         if not self.domain.contains_rect(r):
             raise DomainError(f"rectangle {r} not contained in domain {self.domain}")
-        return float(_integrate(*self._columns, self.default,
-                                np.array([[r.x0, r.y0, r.x1, r.y1]]))[0])
+        return float(_integrate_grid(*self._columns, self.default,
+                                     np.array([r.x0, r.x1]), np.array([r.y0, r.y1]))[0, 0])
 
     def replace_region(self, regions: list[Rect],
                        new_cells: list[tuple[Rect, float]]) -> "DensityField":
@@ -204,46 +204,33 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
 
 
-def _integrate(box: np.ndarray, val: np.ndarray, default: float,
-               rects: np.ndarray) -> np.ndarray:
-    """Exact integrals over the rectangles `rects` (rows x0, y0, x1, y1) of
-    the field with cell boxes `box` (rows likewise), cell values `val` and
-    value `default` elsewhere.  Each rectangle's cell terms are added in row
-    order, as a loop over the cells would."""
-    w = np.minimum(box[:, 2:3], rects[:, 2]) - np.maximum(box[:, 0:1], rects[:, 0])
-    h = np.minimum(box[:, 3:4], rects[:, 3]) - np.maximum(box[:, 1:2], rects[:, 1])
-    # interiors meet where both are positive, as Rect.intersect decides; the
-    # other terms are zeros, which change no partial sum
-    area = np.maximum(w, 0.0) * np.maximum(h, 0.0)
-    total = covered = np.zeros(len(rects))
-    if len(box):
-        # cumsum adds the cells in order; np.sum's pairwise order would not
-        total = np.cumsum(val[:, None] * area, axis=0)[-1]
-        covered = np.cumsum(area, axis=0)[-1]
-    r_area = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])
-    return total + default * (r_area - covered)
-
-
 def _integrate_grid(box: np.ndarray, val: np.ndarray, default: float,
                     xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """`_integrate` over every cell [xs[i], xs[i+1]] x [ys[j], ys[j+1]] of a
-    grid with nondecreasing edges, as a (len(xs) - 1, len(ys) - 1) array,
-    bit for bit, from the (field cell, grid cell) pairs that can meet.
+    """Exact integrals of the field with cell boxes `box` (rows x0, y0, x1,
+    y1), cell values `val` and value `default` elsewhere over every cell
+    [xs[i], xs[i+1]] x [ys[j], ys[j+1]] of a grid with nondecreasing edges,
+    as a (len(xs) - 1, len(ys) - 1) array.  Each is bit for bit what a loop
+    over the field cells in order gives: it adds v * area of each cell's
+    overlap to a total and area to a covered sum, both from 0.0, and
+    returns total + default * (grid cell area - covered).
 
-    A field cell [x0, x1] meets column i in an interval of positive length
-    only if xs[i] < x1 and xs[i+1] > x0, that is for i in
+    Only the (field cell, grid cell) pairs that can meet are made.  A field
+    cell [x0, x1] meets column i in an interval of positive length only if
+    xs[i] < x1 and xs[i+1] > x0, that is for i in
     [searchsorted(xs, x0, "right") - 1, searchsorted(xs, x1, "left")),
-    clipped to the grid, and likewise for rows; every other pair's area
-    is +0.0.  Each pair keeps `_integrate`'s float operations, and
-    np.bincount adds its weights in input order starting from 0.0 (no
-    term is -0.0, so 0.0 + t is t), so with the pairs in cell-major order
-    each grid cell's terms are added in cell order, as the cumsum adds
-    them; the skipped +0.0 terms change no partial sum.
+    clipped to the grid, and likewise for rows; every other pair's area is
+    +0.0.  A pair's width and height are min(ends) - max(starts), as
+    Rect.intersect takes them, and its area max(w, 0) * max(h, 0).
+    np.bincount adds its weights in input order starting from 0.0 (no term
+    is -0.0, so 0.0 + t is t), so with the pairs in cell-major order each
+    grid cell's terms are added in cell order, as the loop adds them; the
+    skipped +0.0 terms change no partial sum.  A rectangle r is the 1 x 1
+    grid [r.x0, r.x1] x [r.y0, r.y1].
 
     On a strictly increasing grid the pairs are those whose interiors
     meet, at most the faces of the overlay of the cells and the grid:
     O(cells * m + m^2) for an m x m grid in the worst case, against the
-    cells * m^2 of the dense product.  A cell's ranges are never reversed,
+    cells * m^2 of all pairs.  A cell's ranges are never reversed,
     as x0 < x1 gives searchsorted(xs, x0, "right") <= searchsorted(xs,
     x1, "left")."""
     mx, my = len(xs) - 1, len(ys) - 1
